@@ -32,14 +32,11 @@ from .channel import (
     ChannelModel,
     MonteCarloEstimate,
     RapidBitExchangeConfig,
-    TrialOutcome,
     UserErrorModel,
     capped_rounds,
     estimate_worst_case_loss,
-    simulate_trial,
     swiss_hitomi_rates,
     swiss_loss_bound,
-    trial_stream,
 )
 from .exact import (
     BinomialSpec,
@@ -94,7 +91,6 @@ __all__ = [
     "RoundsChoice",
     "ThresholdChoice",
     "TransparentCode",
-    "TrialOutcome",
     "UserErrorModel",
     "acceptance_probability",
     "approx_threshold",
@@ -122,10 +118,8 @@ __all__ = [
     "repetition_code",
     "rounds_loss_bound",
     "simulate_coded_phase",
-    "simulate_trial",
     "swiss_hitomi_rates",
     "swiss_loss_bound",
     "threshold_loss_bound",
-    "trial_stream",
     "worst_case_expected_loss",
 ]

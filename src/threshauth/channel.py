@@ -2,7 +2,8 @@
 
 Maps channel noise to the per-round error-rate bounds of the analyzed
 challenge-response protocols, and runs deterministic Monte Carlo trials
-of the rapid bit-exchange phase for both prover identities.
+of the rapid bit-exchange phase for both prover identities: each trial's
+error count is one binomial draw from a per-identity random stream.
 """
 
 from __future__ import annotations
@@ -19,17 +20,12 @@ from .loss import (
     GapCollapseError,
     LossParameters,
     ProverIdentity,
-    expected_loss,
 )
 
 # Sub-stream tags keep user trials, attacker trials, and coded-phase
 # draws on disjoint random streams under one master seed.
 _STREAM_TAG = {ProverIdentity.USER: 1, ProverIdentity.ATTACKER: 2}
 CODED_PHASE_TAG = 3
-
-# Cap on elements drawn per vectorized batch; keeps peak memory modest
-# without changing the stream position consumed per trial.
-_CHUNK_ELEMENTS = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -156,16 +152,6 @@ class RapidBitExchangeConfig:
 
 
 @dataclass(frozen=True)
-class TrialOutcome:
-    """Result of one simulated authentication run."""
-
-    identity: ProverIdentity
-    error_count: int
-    accepted: bool
-    loss: float
-
-
-@dataclass(frozen=True)
 class MonteCarloEstimate:
     """Sample means and standard errors over repeated trials."""
 
@@ -186,40 +172,16 @@ def _seed_entropy(master_seed: int | Sequence[int]) -> tuple[int, ...]:
     return tuple(int(s) for s in master_seed)
 
 
-def trial_stream(
-    master_seed: int | Sequence[int],
-    identity: ProverIdentity,
-    trial_index: int,
-    rounds: int,
+def _identity_stream(
+    master_seed: int | Sequence[int], identity: ProverIdentity
 ) -> np.random.Generator:
-    """Random stream positioned at the start of one trial's draws.
-
-    Trial i consumes uniforms [i * rounds, (i + 1) * rounds) of the
-    per-identity stream, so serial loops, vectorized batches, and
-    parallel workers that honor this layout produce identical outcomes.
-    """
-    if trial_index < 0:
-        raise ValueError(f"trial_index must be nonnegative, got {trial_index}")
-    bg = np.random.PCG64(
-        np.random.SeedSequence(_seed_entropy(master_seed) + (_STREAM_TAG[identity],))
+    return np.random.Generator(
+        np.random.PCG64(
+            np.random.SeedSequence(
+                _seed_entropy(master_seed) + (_STREAM_TAG[identity],)
+            )
+        )
     )
-    bg.advance(trial_index * rounds)
-    return np.random.Generator(bg)
-
-
-def simulate_trial(
-    config: RapidBitExchangeConfig,
-    params: LossParameters,
-    identity: ProverIdentity,
-    rng: np.random.Generator,
-) -> TrialOutcome:
-    """Run one rapid bit-exchange: n Bernoulli errors, compare to threshold."""
-    p = config.per_round_error(identity)
-    errors = rng.random(config.rounds) < p
-    count = int(errors.sum())
-    accepted = count < config.threshold
-    loss = expected_loss(params, config.rounds, 1.0 if accepted else 0.0, identity)
-    return TrialOutcome(identity=identity, error_count=count, accepted=accepted, loss=loss)
 
 
 def simulate_error_counts(
@@ -229,23 +191,18 @@ def simulate_error_counts(
     master_seed: int | Sequence[int],
     identity: ProverIdentity,
 ) -> np.ndarray:
-    """Error counts of ``trials`` consecutive runs, drawn in batches.
+    """Error counts of ``trials`` independent runs of ``rounds`` rounds.
 
-    Bit-identical to calling simulate_trial sequentially on
-    trial_stream(master_seed, identity, i, rounds) for i = 0..trials-1.
+    Each count is one Binomial(rounds, per_round_error) variate; all of
+    them come from a single vectorized draw on the stream derived from
+    the master seed and the identity, so the result depends only on
+    these arguments and the two identities never share draws.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    gen = trial_stream(master_seed, identity, 0, rounds)
-    counts = np.empty(trials, dtype=np.int64)
-    done = 0
-    rows_per_chunk = max(1, _CHUNK_ELEMENTS // rounds)
-    while done < trials:
-        m = min(rows_per_chunk, trials - done)
-        block = gen.random((m, rounds)) < per_round_error
-        counts[done : done + m] = block.sum(axis=1)
-        done += m
-    return counts
+    return _identity_stream(master_seed, identity).binomial(
+        rounds, per_round_error, trials
+    )
 
 
 def losses_from_counts(
@@ -263,6 +220,43 @@ def losses_from_counts(
     return base + (~accepted) * params.false_reject
 
 
+def loss_stderr(
+    counts: np.ndarray,
+    threshold: float,
+    params: LossParameters,
+    identity: ProverIdentity,
+    per_round_error: float,
+) -> float:
+    """Standard error of the mean of losses_from_counts(counts, ...).
+
+    The mean loss is ``base + weight * p``, where p = hits / T is the
+    fraction of the T trials that pay the decision loss ``weight``
+    (false_accept on accepted attacker runs, false_reject on rejected
+    user runs). The error is weight times the half-width of the Wilson
+    (1927) score interval for p at z = 1:
+
+        weight * sqrt(p (1 - p) / T + 1 / (4 T^2)) / (1 + 1 / T)
+
+    It agrees with the plug-in sqrt(p (1 - p) / T) for large T and stays
+    honest for rare events: at zero hits it is weight / (2 (T + 1)), so
+    six of them are about the rule-of-three bound 3 / T. A per-round
+    error of 0 or 1 makes every count equal, the mean exact, and the
+    error 0.
+    """
+    if per_round_error in (0.0, 1.0):
+        return 0.0
+    trials = counts.size
+    accepts = int(np.count_nonzero(counts < threshold))
+    if identity is ProverIdentity.ATTACKER:
+        hits, weight = accepts, params.false_accept
+    else:
+        hits, weight = trials - accepts, params.false_reject
+    p = hits / trials
+    return weight * math.sqrt(p * (1.0 - p) / trials + 0.25 / trials**2) / (
+        1.0 + 1.0 / trials
+    )
+
+
 def estimate_worst_case_loss(
     config: RapidBitExchangeConfig,
     params: LossParameters,
@@ -271,29 +265,25 @@ def estimate_worst_case_loss(
 ) -> MonteCarloEstimate:
     """Monte Carlo estimate of the worst-case expected loss.
 
-    Runs the given number of independent trials for each identity on
-    separate derived streams, averages the losses, and takes the max of
-    the two means. Standard errors are sample standard deviations over
-    sqrt(trials); the worst-case standard error is the one of whichever
-    identity attains the max.
+    Draws the given number of binomial error counts for each identity
+    with simulate_error_counts, averages the implied losses, and takes
+    the max of the two means. Standard errors come from loss_stderr, a
+    Wilson score half-width that stays positive when the decision event
+    is never observed; the worst-case standard error is the one of
+    whichever identity attains the max.
     """
     stats = {}
     for identity in (ProverIdentity.ATTACKER, ProverIdentity.USER):
+        p = config.per_round_error(identity)
         counts = simulate_error_counts(
-            config.rounds,
-            config.per_round_error(identity),
-            trials_per_identity,
-            master_seed,
-            identity,
+            config.rounds, p, trials_per_identity, master_seed, identity
         )
         losses = losses_from_counts(
             counts, config.threshold, config.rounds, params, identity
         )
-        mean = float(losses.mean())
-        spread = float(losses.std(ddof=1)) if trials_per_identity > 1 else 0.0
         stats[identity] = (
-            mean,
-            spread / math.sqrt(trials_per_identity),
+            float(losses.mean()),
+            loss_stderr(counts, config.threshold, params, identity, p),
             float((counts < config.threshold).mean()),
         )
     att, use = stats[ProverIdentity.ATTACKER], stats[ProverIdentity.USER]

@@ -10,7 +10,6 @@ reproduces the file byte for byte.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
@@ -26,6 +25,7 @@ from .channel import (
     UserErrorModel,
     capped_rounds,
     estimate_worst_case_loss,
+    loss_stderr,
     losses_from_counts,
     simulate_error_counts,
     swiss_hitomi_rates,
@@ -430,19 +430,17 @@ def threshold_duel(spec: ExperimentSpec) -> list[SweepRow]:
     for gi, gap in enumerate(spec.gap_grid):
         w = (1.0 - 2.0 * gap) / 3.0
         rates = swiss_hitomi_rates(ChannelModel(w))
+        error_rate = {
+            ProverIdentity.ATTACKER: rates.attacker_floor,
+            ProverIdentity.USER: rates.user_ceiling,
+        }
         for ni, n in enumerate(spec.n_grid):
             point_seed = (spec.master_seed, gi, ni)
             counts = {
                 identity: simulate_error_counts(
-                    n,
-                    rates.attacker_floor
-                    if identity is ProverIdentity.ATTACKER
-                    else rates.user_ceiling,
-                    spec.trials,
-                    point_seed,
-                    identity,
+                    n, p, spec.trials, point_seed, identity
                 )
-                for identity in (ProverIdentity.ATTACKER, ProverIdentity.USER)
+                for identity, p in error_rate.items()
             }
             duelists = (
                 (ThresholdStrategy.FINITE.value,
@@ -455,7 +453,9 @@ def threshold_duel(spec: ExperimentSpec) -> list[SweepRow]:
                 for identity, cts in counts.items():
                     losses = losses_from_counts(cts, tau, n, spec.params, identity)
                     means[identity] = float(losses.mean())
-                    errs[identity] = float(losses.std(ddof=1)) / math.sqrt(spec.trials)
+                    errs[identity] = loss_stderr(
+                        cts, tau, spec.params, identity, error_rate[identity]
+                    )
                 worst_id = max(means, key=means.get)
                 rows.append(
                     SweepRow(

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-import threshauth.channel as channel_mod
 from threshauth.bounds import threshold_loss_bound
 from threshauth.channel import (
     ChannelModel,
@@ -14,11 +13,11 @@ from threshauth.channel import (
     attacker_per_round_error,
     capped_rounds,
     estimate_worst_case_loss,
+    loss_stderr,
+    losses_from_counts,
     simulate_error_counts,
-    simulate_trial,
     swiss_hitomi_rates,
     swiss_loss_bound,
-    trial_stream,
 )
 from threshauth.exact import BinomialSpec, binomial_cdf
 from threshauth.loss import GapCollapseError, LossParameters, ProverIdentity
@@ -157,64 +156,50 @@ class TestRapidBitExchangeConfig:
             RapidBitExchangeConfig(8, 1.0, 0.2, -0.1)
 
 
-class TestSimulateTrial:
-    def test_noiseless_user_and_certain_attacker(self):
-        config = RapidBitExchangeConfig(8, 1.0, 0.0, 1.0)
-        user = simulate_trial(
-            config, BENCH, ProverIdentity.USER, trial_stream(7, ProverIdentity.USER, 0, 8)
-        )
-        assert user.error_count == 0
-        assert user.accepted
-        assert user.loss == pytest.approx(0.08)
-
-        attacker = simulate_trial(
-            config,
-            BENCH,
-            ProverIdentity.ATTACKER,
-            trial_stream(7, ProverIdentity.ATTACKER, 0, 8),
-        )
-        assert attacker.error_count == 8
-        assert not attacker.accepted
-        assert attacker.loss == pytest.approx(0.08)
-
+class TestLossesFromCounts:
     def test_threshold_comparison_is_strict(self):
         # zero threshold rejects even an error-free run
-        config = RapidBitExchangeConfig(8, 0.0, 0.0, 1.0)
-        user = simulate_trial(
-            config, BENCH, ProverIdentity.USER, trial_stream(7, ProverIdentity.USER, 0, 8)
-        )
-        assert user.error_count == 0
-        assert not user.accepted
-        assert user.loss == pytest.approx(0.08 + 1.0)
+        losses = losses_from_counts(np.array([0]), 0.0, 8, BENCH, ProverIdentity.USER)
+        assert losses.tolist() == [pytest.approx(0.08 + 1.0)]
 
-    def test_same_stream_position_reproduces_outcome(self):
-        config = RapidBitExchangeConfig(32, 10.0, 0.3, 0.55)
-        a = simulate_trial(
-            config, BENCH, ProverIdentity.USER, trial_stream(42, ProverIdentity.USER, 5, 32)
-        )
-        b = simulate_trial(
-            config, BENCH, ProverIdentity.USER, trial_stream(42, ProverIdentity.USER, 5, 32)
-        )
-        assert a == b
+
+def _binomial_moment_sigmas(rounds, p, size=200_000):
+    """|mean - n p| and |variance - n p q| of simulated counts, in sigmas."""
+    counts = simulate_error_counts(rounds, p, size, 1729, ProverIdentity.USER)
+    assert counts.min() >= 0 and counts.max() <= rounds
+    var = rounds * p * (1.0 - p)
+    # central fourth moment of a binomial: n p q (1 + 3 (n - 2) p q)
+    mu4 = var * (1.0 + 3.0 * (rounds - 2) * p * (1.0 - p))
+    z_mean = (counts.mean() - rounds * p) / math.sqrt(var / size)
+    z_var = (counts.var(ddof=1) - var) / math.sqrt((mu4 - var**2) / size)
+    return abs(z_mean), abs(z_var)
 
 
 class TestStreamLayout:
-    def test_batched_counts_match_serial_trials(self):
-        rounds, trials, seed = 17, 10, 99
-        config = RapidBitExchangeConfig(rounds, 5.0, 0.3, 0.3)
-        batched = simulate_error_counts(
-            rounds, 0.3, trials, seed, ProverIdentity.USER
-        )
-        serial = [
-            simulate_trial(
-                config,
-                BENCH,
-                ProverIdentity.USER,
-                trial_stream(seed, ProverIdentity.USER, i, rounds),
-            ).error_count
-            for i in range(trials)
-        ]
-        assert batched.tolist() == serial
+    def test_degenerate_rates_give_constant_counts(self):
+        zeros = simulate_error_counts(8, 0.0, 100, 7, ProverIdentity.USER)
+        ones = simulate_error_counts(8, 1.0, 100, 7, ProverIdentity.ATTACKER)
+        assert zeros.tolist() == [0] * 100
+        assert ones.tolist() == [8] * 100
+
+    def test_counts_have_binomial_moments_by_inversion(self):
+        # n p = 12.8 <= 30: numpy draws by inversion
+        z_mean, z_var = _binomial_moment_sigmas(64, 0.2)
+        assert z_mean < 5.0
+        assert z_var < 5.0
+
+    def test_counts_have_binomial_moments_by_btpe(self):
+        # n p = 307.2 > 30: numpy draws by BTPE
+        z_mean, z_var = _binomial_moment_sigmas(1024, 0.3)
+        assert z_mean < 5.0
+        assert z_var < 5.0
+
+    def test_same_seed_reproduces_counts(self):
+        a = simulate_error_counts(32, 0.3, 50, 42, ProverIdentity.USER)
+        b = simulate_error_counts(32, 0.3, 50, 42, ProverIdentity.USER)
+        c = simulate_error_counts(32, 0.3, 50, 43, ProverIdentity.USER)
+        assert a.tolist() == b.tolist()
+        assert a.tolist() != c.tolist()
 
     def test_identities_use_disjoint_streams(self):
         a = simulate_error_counts(64, 0.5, 50, 123, ProverIdentity.USER)
@@ -226,17 +211,34 @@ class TestStreamLayout:
         b = simulate_error_counts(16, 0.4, 20, (5,), ProverIdentity.USER)
         assert a.tolist() == b.tolist()
 
-    def test_chunk_size_does_not_change_the_draws(self, monkeypatch):
-        full = simulate_error_counts(33, 0.3, 400, 7, ProverIdentity.ATTACKER)
-        monkeypatch.setattr(channel_mod, "_CHUNK_ELEMENTS", 64)
-        small = simulate_error_counts(33, 0.3, 400, 7, ProverIdentity.ATTACKER)
-        assert full.tolist() == small.tolist()
-
     def test_rejects_bad_trial_parameters(self):
         with pytest.raises(ValueError):
             simulate_error_counts(8, 0.3, 0, 1, ProverIdentity.USER)
-        with pytest.raises(ValueError):
-            trial_stream(1, ProverIdentity.USER, -1, 8)
+
+
+class TestLossStderr:
+    def test_zero_hits_give_half_over_trials_plus_one(self):
+        trials = 500
+        never_accepted = np.full(trials, 8)
+        never_rejected = np.zeros(trials, dtype=np.int64)
+        att = loss_stderr(never_accepted, 4.0, BENCH, ProverIdentity.ATTACKER, 0.55)
+        use = loss_stderr(never_rejected, 4.0, BENCH, ProverIdentity.USER, 0.2)
+        assert att == pytest.approx(10.0 / (2 * (trials + 1)), rel=1e-12)
+        assert use == pytest.approx(1.0 / (2 * (trials + 1)), rel=1e-12)
+        # six of them cover the rule-of-three bound on an unseen event
+        assert 6.0 * use == pytest.approx(3.0 / trials, rel=1e-2)
+
+    def test_agrees_with_plug_in_error_for_many_trials(self):
+        trials, p = 10**6, 0.3
+        hits = int(p * trials)
+        counts = np.concatenate([np.zeros(hits, dtype=np.int64), np.full(trials - hits, 5)])
+        att = loss_stderr(counts, 1.0, BENCH, ProverIdentity.ATTACKER, 0.55)
+        assert att == pytest.approx(10.0 * math.sqrt(p * (1.0 - p) / trials), rel=1e-5)
+
+    def test_degenerate_rates_are_exact(self):
+        counts = np.zeros(10, dtype=np.int64)
+        assert loss_stderr(counts, 4.0, BENCH, ProverIdentity.USER, 0.0) == 0.0
+        assert loss_stderr(counts + 8, 4.0, BENCH, ProverIdentity.ATTACKER, 1.0) == 0.0
 
 
 class TestEstimateWorstCaseLoss:

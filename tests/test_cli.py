@@ -1,5 +1,7 @@
 """End-to-end tests of the command line interface."""
 
+import warnings
+
 import pytest
 
 from threshauth.cli import main
@@ -86,6 +88,16 @@ class TestSweepCommands:
         rows = parse_csv(out)
         assert len(rows) == 32
         assert {r.threshold_strategy for r in rows} == {"finite-sample", "asymptotic"}
+
+    def test_duel_single_trial_writes_finite_stderr_without_warning(self, tmp_path):
+        out = tmp_path / "duel.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["duel", "--trials", "1", "--out", str(out)]) == 0
+        assert "nan" not in out.read_text()
+        rows = parse_csv(out)
+        assert len(rows) == 32
+        assert all(r.mc_stderr > 0.0 for r in rows)
 
     def test_default_output_lands_in_working_directory(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -240,6 +240,27 @@ class TestFigure3:
             assert r.aborted == ""
             assert abs(r.mc_worst - r.exact_worst) <= 6.0 * r.mc_stderr + 1e-3
 
+    def test_stderr_stays_positive_when_no_decision_event_is_seen(self):
+        # every fig3 rate is strictly inside (0, 1), so the Monte Carlo mean
+        # is never exact and its stderr never drops below the zero-hit
+        # floor min(la, lu) / (2 (T + 1)), even when one identity never
+        # pays its decision loss in T trials
+        trials = 2_000
+        floor = min(DEFAULT_LOSSES.false_accept, DEFAULT_LOSSES.false_reject) / (
+            2 * (trials + 1)
+        )
+        for seed in range(30):
+            spec = ExperimentSpec.figure3(
+                noise_grid=(0.001, 0.05, 0.1),
+                trials=trials,
+                rate_strategies=(TrueRateStrategy(),),
+                seed=seed,
+            )
+            for r in figure3_comparison(spec):
+                assert r.aborted == ""
+                assert not (r.mc_stderr == 0.0 and r.mc_worst != r.exact_worst)
+                assert r.mc_stderr >= floor * (1.0 - 1e-12)
+
 
 class TestThresholdDuel:
     def test_grid_structure(self):
@@ -269,8 +290,9 @@ class TestThresholdDuel:
 
     def test_monte_carlo_tracks_exact_loss(self):
         # the absolute slack covers corners where an acceptance event has
-        # probability well below 1/trials: the sample is then constant
-        # with zero stderr but the exact loss keeps the tiny term
+        # probability well below 1/trials: the sample is then constant and
+        # the stderr sits at its zero-hit floor while the exact loss keeps
+        # the tiny term
         rows = threshold_duel(ExperimentSpec.duel(trials=4_000))
         for r in rows:
             assert abs(r.mc_worst - r.exact_worst) <= 6.0 * r.mc_stderr + 1e-3
