@@ -9,11 +9,9 @@ Monte Carlo experiments comparing all of the above.
 """
 
 from .asymptotic import (
-    BayesDecision,
     HypothesisPrior,
     approx_threshold,
     asymptotic_threshold,
-    bayes_decision,
     bayes_risk,
     bayes_threshold,
 )
@@ -33,10 +31,8 @@ from .channel import (
     MonteCarloEstimate,
     RapidBitExchangeConfig,
     UserErrorModel,
-    capped_rounds,
     estimate_worst_case_loss,
     swiss_hitomi_rates,
-    swiss_loss_bound,
 )
 from .exact import (
     BinomialSpec,
@@ -53,29 +49,21 @@ from .loss import (
     ErrorRateBounds,
     GapCollapseError,
     LossParameters,
-    ProtocolConfig,
     ProverIdentity,
     expected_loss,
-    worst_case_expected_loss,
 )
 from .noise import (
-    BlockCode,
     NoiseEstimate,
     TransparentCode,
-    decode_nearest,
     estimate_noise,
-    hamming_distance,
     high_probability_rates,
-    repetition_code,
     simulate_coded_phase,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BayesDecision",
     "BinomialSpec",
-    "BlockCode",
     "BoundReport",
     "BruteForceResult",
     "ChannelModel",
@@ -85,7 +73,6 @@ __all__ = [
     "LossParameters",
     "MonteCarloEstimate",
     "NoiseEstimate",
-    "ProtocolConfig",
     "ProverIdentity",
     "RapidBitExchangeConfig",
     "RoundsChoice",
@@ -95,31 +82,24 @@ __all__ = [
     "acceptance_probability",
     "approx_threshold",
     "asymptotic_threshold",
-    "bayes_decision",
     "bayes_risk",
     "bayes_threshold",
     "binomial_cdf",
     "binomial_pmf",
     "binomial_sf",
     "brute_force_optimal",
-    "capped_rounds",
-    "decode_nearest",
     "estimate_noise",
     "estimate_worst_case_loss",
     "exact_expected_loss",
     "exact_worst_case_loss",
     "expected_loss",
-    "hamming_distance",
     "high_probability_rates",
     "hoeffding_tail",
     "loss_bound_at",
     "optimal_rounds",
     "optimal_threshold",
-    "repetition_code",
     "rounds_loss_bound",
     "simulate_coded_phase",
     "swiss_hitomi_rates",
-    "swiss_loss_bound",
     "threshold_loss_bound",
-    "worst_case_expected_loss",
 ]

@@ -8,7 +8,6 @@ approximation, and the Bayes risk used to verify optimality.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -34,11 +33,6 @@ class HypothesisPrior:
     @classmethod
     def uniform(cls) -> "HypothesisPrior":
         return cls(0.5, 0.5)
-
-
-class BayesDecision(enum.Enum):
-    DECIDE_USER = "user"
-    DECIDE_ATTACKER = "attacker"
 
 
 def _check_rates_interior(rates: ErrorRateBounds) -> None:
@@ -107,15 +101,6 @@ def approx_threshold(
     return rounds * center_rate - (
         center_rate * (1.0 - center_rate) / gap
     ) * math.log(params.ratio)
-
-
-def bayes_decision(err_count: int, threshold: float) -> BayesDecision:
-    """Decide user when the error count falls strictly below the threshold."""
-    if err_count < 0:
-        raise ValueError(f"err_count must be nonnegative, got {err_count}")
-    if err_count < threshold:
-        return BayesDecision.DECIDE_USER
-    return BayesDecision.DECIDE_ATTACKER
 
 
 def bayes_risk(

@@ -80,35 +80,6 @@ def swiss_hitomi_rates(channel: ChannelModel) -> ErrorRateBounds:
     )
 
 
-def swiss_loss_bound(
-    params: LossParameters, channel: ChannelModel, rounds: int
-) -> float:
-    """Worst-case loss bound in channel-noise form.
-
-        n * per_round + exp(-n (1 - 3w)^2 / 8) * sqrt(false_accept * false_reject)
-
-    Written out directly rather than through the rate mapping so it can
-    be cross-checked against threshold_loss_bound on the mapped rates.
-    """
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
-    w = channel.flip_probability
-    if w >= 1.0 / 3.0:
-        raise GapCollapseError(
-            f"rate bounds collapse at flip probability {w} >= 1/3"
-        )
-    return rounds * params.per_round + math.exp(
-        -rounds * (1.0 - 3.0 * w) ** 2 / 8.0
-    ) * math.sqrt(params.false_accept * params.false_reject)
-
-
-def capped_rounds(n_star: int, key_length: int) -> int:
-    """Round count limited by the available key bits."""
-    if n_star < 1 or key_length < 1:
-        raise ValueError("both arguments must be positive")
-    return min(n_star, key_length)
-
-
 @dataclass(frozen=True)
 class RapidBitExchangeConfig:
     """Per-round error probabilities and decision rule of one instance."""

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 
 from .bounds import optimal_rounds, optimal_threshold, rounds_loss_bound, threshold_loss_bound
-from .channel import ChannelModel, swiss_hitomi_rates
+from .channel import CODED_PHASE_TAG, ChannelModel, swiss_hitomi_rates
 from .exact import brute_force_optimal
 from .experiments import (
     DEFAULT_SEED,
@@ -65,12 +65,12 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 def _cmd_estimate_noise(args: argparse.Namespace) -> int:
     code = default_transparent_code(args.k)
     rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence((args.seed, 3, 0)))
+        np.random.PCG64(np.random.SeedSequence((args.seed, CODED_PHASE_TAG, 0)))
     )
     theta, hopeless = simulate_coded_phase(ChannelModel(args.omega), code, rng)
+    est = estimate_noise(theta, args.k, args.delta)
     print(f"observed_errors   {theta}")
     print(f"decode_hopeless   {hopeless}")
-    est = estimate_noise(theta, args.k, args.delta)
     print(f"omega_hat         {est.point_estimate:.10g}")
     print(f"half_width        {est.half_width:.10g}")
     print(

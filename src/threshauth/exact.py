@@ -39,17 +39,7 @@ class BruteForceResult:
     worst_loss: float
 
 
-def binomial_pmf(trials: int, success_prob: float) -> np.ndarray:
-    """Full probability mass function as an array of length trials + 1.
-
-    Computed in log space with cumulative binomial-coefficient sums, so
-    no factorial overflow occurs for trial counts into the thousands.
-    """
-    n, mu = trials, success_prob
-    if n < 1:
-        raise ValueError(f"trials must be >= 1, got {n}")
-    if not (0.0 <= mu <= 1.0):
-        raise ValueError(f"success_prob not in [0,1]: {mu}")
+def _pmf(n: int, mu: float) -> np.ndarray:
     if mu == 0.0:
         out = np.zeros(n + 1)
         out[0] = 1.0
@@ -66,35 +56,31 @@ def binomial_pmf(trials: int, success_prob: float) -> np.ndarray:
     return np.exp(log_pmf)
 
 
+def binomial_pmf(trials: int, success_prob: float) -> np.ndarray:
+    """Full probability mass function as an array of length trials + 1.
+
+    Computed in log space with cumulative binomial-coefficient sums, so
+    no factorial overflow occurs for trial counts into the thousands.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not (0.0 <= success_prob <= 1.0):
+        raise ValueError(f"success_prob not in [0,1]: {success_prob}")
+    return _pmf(trials, success_prob)
+
+
 def binomial_cdf(spec: BinomialSpec, count: int) -> float:
     """Lower-tail probability Pr(X <= count), exact term-by-term sum.
 
-    Terms are evaluated through the log-gamma function and accumulated
-    with compensated summation. Counts below 0 give 0, counts at or
-    above the trial count give 1.
+    Sums the log-space mass function of binomial_pmf with compensated
+    summation. Counts below 0 give 0, counts at or above the trial
+    count give 1.
     """
-    n, mu = spec.trials, spec.success_prob
     if count < 0:
         return 0.0
-    if count >= n:
+    if count >= spec.trials:
         return 1.0
-    if mu == 0.0:
-        return 1.0
-    if mu == 1.0:
-        return 0.0
-    log_mu, log_q = math.log(mu), math.log1p(-mu)
-    lg_n1 = math.lgamma(n + 1)
-    terms = [
-        math.exp(
-            lg_n1
-            - math.lgamma(k + 1)
-            - math.lgamma(n - k + 1)
-            + k * log_mu
-            + (n - k) * log_q
-        )
-        for k in range(0, count + 1)
-    ]
-    return min(1.0, math.fsum(terms))
+    return min(1.0, math.fsum(_pmf(spec.trials, spec.success_prob)[: count + 1]))
 
 
 def binomial_sf(spec: BinomialSpec, count: int) -> float:

@@ -10,7 +10,7 @@ reproduces the file byte for byte.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, fields
+from dataclasses import Field, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 
@@ -23,7 +23,6 @@ from .channel import (
     ChannelModel,
     RapidBitExchangeConfig,
     UserErrorModel,
-    capped_rounds,
     estimate_worst_case_loss,
     loss_stderr,
     losses_from_counts,
@@ -37,20 +36,6 @@ from .noise import default_transparent_code, estimate_noise, high_probability_ra
 DEFAULT_LOSSES = LossParameters(false_accept=10.0, false_reject=1.0, per_round=1e-2)
 DEFAULT_SEED = 1729
 
-CSV_HEADER = (
-    "omega",
-    "n",
-    "tau",
-    "threshold_strategy",
-    "rate_strategy",
-    "exact_worst",
-    "elb1",
-    "elb2",
-    "mc_worst",
-    "mc_stderr",
-    "aborted",
-)
-
 
 def _canon(value: float | None) -> float | None:
     # rows store reals at the 12-significant-digit resolution of the
@@ -62,7 +47,7 @@ def _canon(value: float | None) -> float | None:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One output record; field order matches the CSV column order."""
+    """One output record; its fields, in order, are the CSV columns."""
 
     omega: float
     n: int | None
@@ -81,69 +66,40 @@ class SweepRow:
             object.__setattr__(self, name, _canon(getattr(self, name)))
 
 
+CSV_HEADER = tuple(f.name for f in fields(SweepRow))
+
+
 class ThresholdStrategy(Enum):
     FINITE = "finite-sample"
     ASYMPTOTIC = "asymptotic"
     BAYES = "bayes"
 
 
-@dataclass(frozen=True)
-class TrueRateStrategy:
-    """Rate bounds from the actual channel noise (an oracle baseline)."""
-
-    needs_estimate = False
-    label = "true-omega"
-
-    def derive(self, true_omega: float, theta: int, codeword_length: int) -> ErrorRateBounds:
-        return swiss_hitomi_rates(ChannelModel(true_omega))
-
-
-@dataclass(frozen=True)
-class GuessedRateStrategy:
-    """Rate bounds from a fixed design-time noise guess."""
-
-    omega_guess: float
-    needs_estimate = False
-
-    @property
-    def label(self) -> str:
-        return f"guess:{self.omega_guess:g}"
-
-    def derive(self, true_omega: float, theta: int, codeword_length: int) -> ErrorRateBounds:
-        return swiss_hitomi_rates(ChannelModel(self.omega_guess))
+# Rate strategies by label kind: whether the kind reads the coded-phase
+# error count, and how it derives rate bounds from (argument, true noise,
+# observed errors, codeword length). A label is "true-omega" (oracle),
+# "guess:<noise>" (fixed design-time guess), "ml" (plug-in estimate) or
+# "hp:<confidence>" (widened estimate); the CSV carries it as given.
+_RATE_KINDS = {
+    "true-omega": (False, lambda arg, w, theta, k: swiss_hitomi_rates(ChannelModel(w))),
+    "guess": (False, lambda arg, w, theta, k: swiss_hitomi_rates(ChannelModel(arg))),
+    "ml": (True, lambda arg, w, theta, k: swiss_hitomi_rates(ChannelModel(theta / k))),
+    "hp": (
+        True,
+        lambda arg, w, theta, k: high_probability_rates(estimate_noise(theta, k, arg)),
+    ),
+}
 
 
-@dataclass(frozen=True)
-class MlRateStrategy:
-    """Plug-in rate bounds at the raw coded-phase estimate theta / k."""
-
-    needs_estimate = True
-    label = "ml"
-
-    def derive(self, true_omega: float, theta: int, codeword_length: int) -> ErrorRateBounds:
-        return swiss_hitomi_rates(ChannelModel(theta / codeword_length))
-
-
-@dataclass(frozen=True)
-class HighProbabilityRateStrategy:
-    """Estimate widened so the bounds hold with probability 1 - confidence."""
-
-    confidence: float
-    needs_estimate = True
-
-    @property
-    def label(self) -> str:
-        return f"hp:{self.confidence:g}"
-
-    def derive(self, true_omega: float, theta: int, codeword_length: int) -> ErrorRateBounds:
-        return high_probability_rates(
-            estimate_noise(theta, codeword_length, self.confidence)
-        )
-
-
-RateStrategy = (
-    TrueRateStrategy | GuessedRateStrategy | MlRateStrategy | HighProbabilityRateStrategy
-)
+def _rate_strategy(label: str) -> tuple:
+    """(needs_estimate, derive, argument) of a rate-strategy label."""
+    kind, _, arg = label.partition(":")
+    if kind not in _RATE_KINDS:
+        raise ValueError(f"unknown rate strategy {label!r}")
+    if (kind in ("guess", "hp")) != bool(arg):
+        raise ValueError(f"malformed rate strategy {label!r}")
+    needs_estimate, derive = _RATE_KINDS[kind]
+    return needs_estimate, derive, float(arg) if arg else None
 
 
 def default_noise_grid(points: int = 24) -> tuple[float, ...]:
@@ -159,10 +115,9 @@ class ExperimentSpec:
     noise_grid: tuple[float, ...] = (0.1, 0.01)
     n_grid: tuple[int, ...] = tuple(range(1, 257))
     n_max: int = 512
-    gap_grid: tuple[float, ...] = (0.05, 0.10, 0.15, 0.20)
     trials: int = 10_000
     threshold_strategies: tuple[ThresholdStrategy, ...] = (ThresholdStrategy.FINITE,)
-    rate_strategies: tuple[RateStrategy, ...] = (TrueRateStrategy(),)
+    rate_strategies: tuple[str, ...] = ("true-omega",)
     codeword_length: int = 1024
     prior: HypothesisPrior = field(default_factory=HypothesisPrior.uniform)
     user_model: UserErrorModel = UserErrorModel.AT_BOUND
@@ -177,6 +132,8 @@ class ExperimentSpec:
             raise ValueError("trials must be >= 1")
         if self.codeword_length < 1:
             raise ValueError("codeword_length must be positive")
+        for label in self.rate_strategies:
+            _rate_strategy(label)
 
     @classmethod
     def figure1a(cls, seed: int = DEFAULT_SEED, **overrides) -> "ExperimentSpec":
@@ -199,14 +156,7 @@ class ExperimentSpec:
             trials=10_000,
             codeword_length=1024,
             threshold_strategies=(ThresholdStrategy.FINITE, ThresholdStrategy.ASYMPTOTIC),
-            rate_strategies=(
-                GuessedRateStrategy(0.1),
-                GuessedRateStrategy(0.01),
-                GuessedRateStrategy(0.001),
-                MlRateStrategy(),
-                HighProbabilityRateStrategy(0.1),
-                HighProbabilityRateStrategy(0.01),
-            ),
+            rate_strategies=("guess:0.1", "guess:0.01", "guess:0.001", "ml", "hp:0.1", "hp:0.01"),
             user_model=UserErrorModel.PHYSICAL,
             master_seed=seed,
         )
@@ -216,14 +166,48 @@ class ExperimentSpec:
     @classmethod
     def duel(cls, seed: int = DEFAULT_SEED, **overrides) -> "ExperimentSpec":
         defaults = dict(
+            # channel noise at rate gaps 0.05, 0.10, 0.15 and 0.20
+            noise_grid=tuple((1.0 - 2.0 * g) / 3.0 for g in (0.05, 0.10, 0.15, 0.20)),
             n_grid=(4, 8, 16, 32),
-            gap_grid=(0.05, 0.10, 0.15, 0.20),
             trials=10_000,
             user_model=UserErrorModel.AT_BOUND,
             master_seed=seed,
         )
         defaults.update(overrides)
         return cls(**defaults)
+
+
+def _abort_row(
+    w: float, tstrat: str, rstrat: str, reason: str
+) -> SweepRow:
+    return SweepRow(
+        omega=w,
+        n=None,
+        tau=None,
+        threshold_strategy=tstrat,
+        rate_strategy=rstrat,
+        exact_worst=None,
+        elb1=None,
+        elb2=None,
+        mc_worst=None,
+        mc_stderr=None,
+        aborted=reason,
+    )
+
+
+def _true_rates(
+    w: float, labels: tuple[str, ...], rows: list[SweepRow]
+) -> ErrorRateBounds | None:
+    """Rate bounds at the true noise level, or None if they collapse.
+
+    On collapse appends one gap-collapse abort row for each threshold
+    strategy label the point would have produced.
+    """
+    try:
+        return swiss_hitomi_rates(ChannelModel(w))
+    except GapCollapseError:
+        rows.extend(_abort_row(w, label, "true-omega", "gap-collapse") for label in labels)
+        return None
 
 
 def figure1a_sweep(spec: ExperimentSpec) -> list[SweepRow]:
@@ -236,7 +220,9 @@ def figure1a_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     """
     rows = []
     for w in sorted(spec.noise_grid):
-        rates = swiss_hitomi_rates(ChannelModel(w))
+        rates = _true_rates(w, (ThresholdStrategy.FINITE.value,), rows)
+        if rates is None:
+            continue
         elb2 = rounds_loss_bound(spec.params, rates)
         for n in spec.n_grid:
             tau = optimal_threshold(spec.params, rates, n).raw
@@ -267,7 +253,9 @@ def figure1b_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     """
     rows = []
     for w in sorted(spec.noise_grid):
-        rates = swiss_hitomi_rates(ChannelModel(w))
+        rates = _true_rates(w, ("brute-force", ThresholdStrategy.FINITE.value), rows)
+        if rates is None:
+            continue
         best = brute_force_optimal(spec.params, rates, spec.n_max)
         rows.append(
             SweepRow(
@@ -318,24 +306,6 @@ def _strategy_threshold(
     return bayes_threshold(params, rates, prior, rounds)
 
 
-def _abort_row(
-    w: float, tstrat: str, rstrat: str, reason: str
-) -> SweepRow:
-    return SweepRow(
-        omega=w,
-        n=None,
-        tau=None,
-        threshold_strategy=tstrat,
-        rate_strategy=rstrat,
-        exact_worst=None,
-        elb1=None,
-        elb2=None,
-        mc_worst=None,
-        mc_stderr=None,
-        aborted=reason,
-    )
-
-
 def figure3_comparison(spec: ExperimentSpec) -> list[SweepRow]:
     """Noise-estimation and threshold strategies under a real channel.
 
@@ -359,29 +329,28 @@ def figure3_comparison(spec: ExperimentSpec) -> list[SweepRow]:
         )
         theta, phase_hopeless = simulate_coded_phase(channel, code, phase_rng)
         for si, rstrat in enumerate(spec.rate_strategies):
-            if rstrat.needs_estimate and phase_hopeless:
-                for tstrat in spec.threshold_strategies:
-                    rows.append(
-                        _abort_row(w, tstrat.value, rstrat.label, "coded-abort")
-                    )
+            needs_estimate, derive, arg = _rate_strategy(rstrat)
+            if needs_estimate and phase_hopeless:
+                rows.extend(
+                    _abort_row(w, t.value, rstrat, "coded-abort")
+                    for t in spec.threshold_strategies
+                )
                 continue
             try:
-                rates = rstrat.derive(w, theta, spec.codeword_length)
+                rates = derive(arg, w, theta, spec.codeword_length)
             except GapCollapseError:
-                for tstrat in spec.threshold_strategies:
-                    rows.append(
-                        _abort_row(w, tstrat.value, rstrat.label, "gap-collapse")
-                    )
+                rows.extend(
+                    _abort_row(w, t.value, rstrat, "gap-collapse")
+                    for t in spec.threshold_strategies
+                )
                 continue
-            n = capped_rounds(
-                optimal_rounds(spec.params, rates).value, spec.codeword_length
-            )
+            n = min(optimal_rounds(spec.params, rates).value, spec.codeword_length)
             for ti, tstrat in enumerate(spec.threshold_strategies):
                 try:
                     tau = _strategy_threshold(tstrat, spec.params, rates, n, spec.prior)
                 except ValueError:
                     rows.append(
-                        _abort_row(w, tstrat.value, rstrat.label, "invalid-rates")
+                        _abort_row(w, tstrat.value, rstrat, "invalid-rates")
                     )
                     continue
                 config = RapidBitExchangeConfig.from_channel(
@@ -406,7 +375,7 @@ def figure3_comparison(spec: ExperimentSpec) -> list[SweepRow]:
                         n=n,
                         tau=tau,
                         threshold_strategy=tstrat.value,
-                        rate_strategy=rstrat.label,
+                        rate_strategy=rstrat,
                         exact_worst=exact,
                         elb1=threshold_loss_bound(spec.params, rates, n),
                         elb2=rounds_loss_bound(spec.params, rates),
@@ -421,34 +390,34 @@ def figure3_comparison(spec: ExperimentSpec) -> list[SweepRow]:
 def threshold_duel(spec: ExperimentSpec) -> list[SweepRow]:
     """Finite-sample vs asymptotic threshold at small designs.
 
-    Sweeps a grid of round counts and rate gaps (mapped back to channel
-    noise), simulating both identities at their rate bounds once per
-    grid point and scoring the same error counts under both thresholds,
-    so the comparison is paired and equal decision rules tie exactly.
+    Sweeps the noise grid in the given order and a grid of round counts,
+    simulating both identities at their rate bounds once per grid point
+    and scoring the same error counts under both thresholds, so the
+    comparison is paired and equal decision rules tie exactly.
     """
     rows = []
-    for gi, gap in enumerate(spec.gap_grid):
-        w = (1.0 - 2.0 * gap) / 3.0
-        rates = swiss_hitomi_rates(ChannelModel(w))
+    labels = (ThresholdStrategy.FINITE.value, ThresholdStrategy.ASYMPTOTIC.value)
+    for wi, w in enumerate(spec.noise_grid):
+        rates = _true_rates(w, labels, rows)
+        if rates is None:
+            continue
         error_rate = {
             ProverIdentity.ATTACKER: rates.attacker_floor,
             ProverIdentity.USER: rates.user_ceiling,
         }
         for ni, n in enumerate(spec.n_grid):
-            point_seed = (spec.master_seed, gi, ni)
+            point_seed = (spec.master_seed, wi, ni)
             counts = {
                 identity: simulate_error_counts(
                     n, p, spec.trials, point_seed, identity
                 )
                 for identity, p in error_rate.items()
             }
-            duelists = (
-                (ThresholdStrategy.FINITE.value,
-                 optimal_threshold(spec.params, rates, n).raw),
-                (ThresholdStrategy.ASYMPTOTIC.value,
-                 asymptotic_threshold(spec.params, rates, n)),
+            taus = (
+                optimal_threshold(spec.params, rates, n).raw,
+                asymptotic_threshold(spec.params, rates, n),
             )
-            for label, tau in duelists:
+            for label, tau in zip(labels, taus):
                 means, errs = {}, {}
                 for identity, cts in counts.items():
                     losses = losses_from_counts(cts, tau, n, spec.params, identity)
@@ -500,30 +469,24 @@ def emit_csv(rows: list[SweepRow], path: str | Path) -> None:
         raise OSError(f"cannot write sweep CSV to {path}: {exc}") from exc
 
 
+def _parse_field(f: Field, cell: str) -> float | int | str | None:
+    # postponed annotations leave each field's type as its source text
+    if f.type == "str":
+        return cell
+    if cell == "":
+        return None
+    return int(cell) if f.name == "n" else float(cell)
+
+
 def parse_csv(path: str | Path) -> list[SweepRow]:
     """Read rows previously written by emit_csv."""
     path = Path(path)
-    rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = tuple(next(reader))
         if header != CSV_HEADER:
             raise ValueError(f"unexpected CSV header in {path}: {header}")
-        for rec in reader:
-            vals = dict(zip(CSV_HEADER, rec))
-            rows.append(
-                SweepRow(
-                    omega=float(vals["omega"]),
-                    n=int(vals["n"]) if vals["n"] else None,
-                    tau=float(vals["tau"]) if vals["tau"] else None,
-                    threshold_strategy=vals["threshold_strategy"],
-                    rate_strategy=vals["rate_strategy"],
-                    exact_worst=float(vals["exact_worst"]) if vals["exact_worst"] else None,
-                    elb1=float(vals["elb1"]) if vals["elb1"] else None,
-                    elb2=float(vals["elb2"]) if vals["elb2"] else None,
-                    mc_worst=float(vals["mc_worst"]) if vals["mc_worst"] else None,
-                    mc_stderr=float(vals["mc_stderr"]) if vals["mc_stderr"] else None,
-                    aborted=vals["aborted"],
-                )
-            )
-    return rows
+        return [
+            SweepRow(*(_parse_field(f, cell) for f, cell in zip(fields(SweepRow), rec)))
+            for rec in reader
+        ]

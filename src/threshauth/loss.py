@@ -91,26 +91,6 @@ class ErrorRateBounds:
         return self.attacker_floor - self.user_ceiling
 
 
-@dataclass(frozen=True)
-class ProtocolConfig:
-    """Round count and acceptance threshold of one protocol instance.
-
-    A prover is accepted if and only if its total error count over
-    ``rounds`` rounds is strictly below ``threshold``.
-    """
-
-    rounds: int
-    threshold: float
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.rounds, int) and self.rounds >= 1):
-            raise ValueError(f"rounds must be a positive integer, got {self.rounds}")
-        if not (0.0 <= self.threshold <= self.rounds):
-            raise ValueError(
-                f"threshold {self.threshold} outside [0, {self.rounds}]"
-            )
-
-
 def expected_loss(
     params: LossParameters,
     rounds: int,
@@ -134,13 +114,3 @@ def expected_loss(
         return base + accept_prob * params.false_accept
     return base + (1.0 - accept_prob) * params.false_reject
 
-
-def worst_case_expected_loss(loss_user: float, loss_attacker: float) -> float:
-    """Max of the two per-identity expected losses.
-
-    Upper-bounds the expected loss under any prior over who the prover
-    is, which is why the optimization targets this quantity.
-    """
-    if loss_user < 0 or loss_attacker < 0:
-        raise ValueError("losses must be nonnegative")
-    return max(loss_user, loss_attacker)

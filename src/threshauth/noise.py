@@ -8,10 +8,8 @@ widened error-rate bounds that hold with high probability.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -19,78 +17,9 @@ from .channel import ChannelModel
 from .loss import ErrorRateBounds, GapCollapseError
 
 
-def _as_symbol_array(seq: Sequence[int] | str | np.ndarray) -> np.ndarray:
-    if isinstance(seq, str):
-        return np.array([int(c) for c in seq], dtype=np.int64)
-    return np.asarray(seq, dtype=np.int64)
-
-
-def hamming_distance(a: Sequence[int] | str, b: Sequence[int] | str) -> int:
-    """Number of positions at which two equal-length sequences differ."""
-    va, vb = _as_symbol_array(a), _as_symbol_array(b)
-    if va.shape != vb.shape:
-        raise ValueError(f"length mismatch: {va.shape[0]} vs {vb.shape[0]}")
-    return int(np.count_nonzero(va != vb))
-
-
-@dataclass(frozen=True)
-class BlockCode:
-    """Binary block code given by its full codebook.
-
-    Row i of ``codebook`` is the codeword of message i. The minimum
-    distance is found by exhaustive pairwise search at construction, so
-    this class is meant for small codes used in exhaustive tests.
-    """
-
-    message_length: int
-    codebook: np.ndarray
-    min_distance: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        book = np.asarray(self.codebook, dtype=np.int64)
-        object.__setattr__(self, "codebook", book)
-        if book.ndim != 2 or book.shape[0] != 2**self.message_length:
-            raise ValueError(
-                f"codebook must have 2^{self.message_length} rows, got {book.shape}"
-            )
-        if book.shape[1] <= self.message_length:
-            raise ValueError("codeword length must exceed message length")
-        dmin = book.shape[1]
-        for i, j in itertools.combinations(range(book.shape[0]), 2):
-            d = int(np.count_nonzero(book[i] != book[j]))
-            if d == 0:
-                raise ValueError(f"duplicate codewords at messages {i} and {j}")
-            dmin = min(dmin, d)
-        object.__setattr__(self, "min_distance", dmin)
-
-    @property
-    def codeword_length(self) -> int:
-        return int(self.codebook.shape[1])
-
-    @property
-    def correction_radius(self) -> int:
-        return (self.min_distance - 1) // 2
-
-    def encode(self, message: int) -> np.ndarray:
-        if not 0 <= message < 2**self.message_length:
-            raise ValueError(f"message {message} out of range")
-        return self.codebook[message].copy()
-
-
-def repetition_code(message_length: int, repeats: int = 3) -> BlockCode:
-    """Code repeating each message bit ``repeats`` times."""
-    if repeats < 2:
-        raise ValueError("repeats must be >= 2")
-    msgs = np.arange(2**message_length)
-    bits = (msgs[:, None] >> np.arange(message_length - 1, -1, -1)) & 1
-    return BlockCode(
-        message_length=message_length, codebook=np.repeat(bits, repeats, axis=1)
-    )
-
-
 @dataclass(frozen=True)
 class TransparentCode:
-    """Stand-in code for large-block experiments.
+    """Code of the coded phases, given by its length and radius.
 
     Exposes only the two quantities the coded-phase simulation needs, a
     codeword length and a correction radius; the true flip count plays
@@ -111,24 +40,6 @@ class TransparentCode:
 def default_transparent_code(codeword_length: int) -> TransparentCode:
     # quarter-block radius: generous but still aborts hopeless channels
     return TransparentCode(codeword_length, codeword_length // 4)
-
-
-def decode_nearest(code: BlockCode, received: Sequence[int] | str) -> tuple[int, int]:
-    """Nearest-codeword decoding.
-
-    Returns the decoded message and the Hamming distance to its
-    codeword, which equals the true error count whenever that count is
-    within the correction radius. Distance ties break toward the
-    smallest message.
-    """
-    word = _as_symbol_array(received)
-    if word.shape[0] != code.codeword_length:
-        raise ValueError(
-            f"received length {word.shape[0]} != codeword length {code.codeword_length}"
-        )
-    dists = np.count_nonzero(code.codebook != word[None, :], axis=1)
-    msg = int(np.argmin(dists))  # first minimum, smallest message index
-    return msg, int(dists[msg])
 
 
 @dataclass(frozen=True)
@@ -197,7 +108,7 @@ def high_probability_rates(estimate: NoiseEstimate) -> ErrorRateBounds:
 
 def simulate_coded_phase(
     channel: ChannelModel,
-    code: BlockCode | TransparentCode,
+    code: TransparentCode,
     rng: np.random.Generator,
 ) -> tuple[int, bool]:
     """Transmit one codeword through the channel.

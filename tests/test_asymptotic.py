@@ -5,11 +5,9 @@ import math
 import pytest
 
 from threshauth.asymptotic import (
-    BayesDecision,
     HypothesisPrior,
     approx_threshold,
     asymptotic_threshold,
-    bayes_decision,
     bayes_risk,
     bayes_threshold,
 )
@@ -119,17 +117,6 @@ class TestApproxThreshold:
 
 
 class TestBayesDecision:
-    def test_strictly_below_threshold_decides_user(self):
-        assert bayes_decision(2, 3.0) is BayesDecision.DECIDE_USER
-        assert bayes_decision(3, 3.0) is BayesDecision.DECIDE_ATTACKER
-        assert bayes_decision(4, 3.0) is BayesDecision.DECIDE_ATTACKER
-        assert bayes_decision(0, 0.5) is BayesDecision.DECIDE_USER
-        assert bayes_decision(0, 0.0) is BayesDecision.DECIDE_ATTACKER
-
-    def test_rejects_negative_counts(self):
-        with pytest.raises(ValueError):
-            bayes_decision(-1, 3.0)
-
     def test_matches_posterior_loss_comparison(self):
         # the threshold rule must agree with directly comparing the two
         # posterior expected losses built from binomial likelihoods
@@ -151,12 +138,8 @@ class TestBayesDecision:
                         )
                         accept_cost = params.false_accept * prior.attacker * like_att
                         reject_cost = params.false_reject * prior.user * like_use
-                        expected = (
-                            BayesDecision.DECIDE_USER
-                            if accept_cost < reject_cost
-                            else BayesDecision.DECIDE_ATTACKER
-                        )
-                        assert bayes_decision(count, tau) is expected
+                        # counts below the threshold accept (decide user)
+                        assert (count < tau) == (accept_cost < reject_cost)
 
 
 class TestBayesRisk:

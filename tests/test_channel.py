@@ -11,13 +11,11 @@ from threshauth.channel import (
     RapidBitExchangeConfig,
     UserErrorModel,
     attacker_per_round_error,
-    capped_rounds,
     estimate_worst_case_loss,
     loss_stderr,
     losses_from_counts,
     simulate_error_counts,
     swiss_hitomi_rates,
-    swiss_loss_bound,
 )
 from threshauth.exact import BinomialSpec, binomial_cdf
 from threshauth.loss import GapCollapseError, LossParameters, ProverIdentity
@@ -84,48 +82,39 @@ class TestSwissHitomiRates:
         assert r.gap > 0.0
 
 
+def _swiss_bound(w, rounds):
+    # the protocol family's loss bound: the generic bound on its rates
+    return threshold_loss_bound(BENCH, swiss_hitomi_rates(ChannelModel(w)), rounds)
+
+
 class TestSwissLossBound:
     def test_frozen_value(self):
-        bound = swiss_loss_bound(BENCH, ChannelModel(0.1), 64)
-        assert bound == pytest.approx(0.7027430506634064, abs=1e-12)
+        assert _swiss_bound(0.1, 64) == pytest.approx(0.7027430506634064, abs=1e-12)
 
     def test_agrees_with_rate_mapped_bound(self):
-        # independent noise-form expression must match the generic bound
-        # evaluated on the mapped rates across the whole valid range
+        # the noise form n*lb + exp(-n (1-3w)^2 / 8) sqrt(la*lu), written
+        # out independently, must match the generic bound evaluated on
+        # the mapped rates across the whole valid range
         for w in (0.0, 0.01, 0.05, 0.1, 0.2, 0.3, 1.0 / 3.0 - 1e-6):
-            channel = ChannelModel(w)
-            rates = swiss_hitomi_rates(channel)
             for n in (1, 7, 64):
-                assert swiss_loss_bound(BENCH, channel, n) == pytest.approx(
-                    threshold_loss_bound(BENCH, rates, n), rel=1e-12
-                )
+                noise_form = n * BENCH.per_round + math.exp(
+                    -n * (1.0 - 3.0 * w) ** 2 / 8.0
+                ) * math.sqrt(BENCH.false_accept * BENCH.false_reject)
+                assert _swiss_bound(w, n) == pytest.approx(noise_form, rel=1e-12)
 
     def test_increases_with_noise(self):
-        vals = [swiss_loss_bound(BENCH, ChannelModel(w), 64) for w in np.linspace(0, 0.33, 12)]
+        vals = [_swiss_bound(w, 64) for w in np.linspace(0, 0.33, 12)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_noise_limit_saturates_to_full_decision_term(self):
-        bound = swiss_loss_bound(BENCH, ChannelModel(1.0 / 3.0 - 1e-12), 64)
+        bound = _swiss_bound(1.0 / 3.0 - 1e-12, 64)
         assert bound == pytest.approx(0.64 + math.sqrt(10.0), rel=1e-9)
 
     def test_rejects_collapsed_channel_and_bad_rounds(self):
         with pytest.raises(GapCollapseError):
-            swiss_loss_bound(BENCH, ChannelModel(0.34), 64)
+            _swiss_bound(0.34, 64)
         with pytest.raises(ValueError):
-            swiss_loss_bound(BENCH, ChannelModel(0.1), 0)
-
-
-class TestCappedRounds:
-    def test_examples(self):
-        assert capped_rounds(64, 1024) == 64
-        assert capped_rounds(2000, 1024) == 1024
-        assert capped_rounds(5, 5) == 5
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            capped_rounds(0, 10)
-        with pytest.raises(ValueError):
-            capped_rounds(10, 0)
+            _swiss_bound(0.1, 0)
 
 
 class TestRapidBitExchangeConfig:

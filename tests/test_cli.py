@@ -99,6 +99,37 @@ class TestSweepCommands:
         assert len(rows) == 32
         assert all(r.mc_stderr > 0.0 for r in rows)
 
+    def test_duel_honours_noise_grid_in_given_order(self, tmp_path):
+        out = tmp_path / "duel.csv"
+        args = ["duel", "--omega", "0.1", "--omega", "0.01", "--trials", "50"]
+        assert main(args + ["--out", str(out)]) == 0
+        rows = parse_csv(out)
+        assert len(rows) == 16
+        assert [r.omega for r in rows[::8]] == [0.1, 0.01]
+
+    @pytest.mark.parametrize("sweep", ["fig1a", "fig1b", "duel"])
+    def test_collapsed_noise_point_becomes_abort_rows(self, sweep, tmp_path):
+        out = tmp_path / f"{sweep}.csv"
+        args = [sweep, "--omega", "0.1", "--omega", "0.4", "--out", str(out)]
+        if sweep == "duel":
+            args += ["--trials", "50"]
+        assert main(args) == 0
+        assert "nan" not in out.read_text()
+        rows = parse_csv(out)
+        kept = [r for r in rows if r.omega == 0.1]
+        collapsed = [r for r in rows if r.omega == 0.4]
+        assert kept and all(r.aborted == "" for r in kept)
+        # one abort row per threshold strategy the point would have produced
+        assert sorted(r.threshold_strategy for r in collapsed) == sorted(
+            {r.threshold_strategy for r in kept}
+        )
+        for r in collapsed:
+            assert r.aborted == "gap-collapse"
+            assert r.rate_strategy == "true-omega"
+            assert (r.n, r.tau, r.exact_worst, r.elb1, r.elb2, r.mc_worst, r.mc_stderr) == (
+                (None,) * 7
+            )
+
     def test_default_output_lands_in_working_directory(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["fig1b", "--omega", "0.1"]) == 0
@@ -110,6 +141,13 @@ class TestErrorPaths:
         rc = main(["bounds", "--omega", "0.5"])
         captured = capsys.readouterr()
         assert rc == 1
+        assert captured.err.startswith("error:")
+
+    def test_bad_estimate_noise_input_prints_nothing_on_stdout(self, capsys):
+        rc = main(["estimate-noise", "--omega", "0.1", "--delta", "1"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
         assert captured.err.startswith("error:")
 
     def test_unwritable_output_reports_error(self, tmp_path, capsys):

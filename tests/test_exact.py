@@ -2,9 +2,12 @@
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threshauth.exact import (
     BinomialSpec,
@@ -81,6 +84,48 @@ class TestBinomialCdf:
             BinomialSpec(0, 0.5)
         with pytest.raises(ValueError):
             BinomialSpec(4, 1.5)
+
+
+def _spec_and_count(max_trials):
+    return st.integers(1, max_trials).flatmap(
+        lambda n: st.tuples(
+            st.builds(BinomialSpec, st.just(n), st.floats(0.0, 1.0)),
+            st.integers(-2, n + 2),
+        )
+    )
+
+
+# below the smallest normal float a relative error means nothing
+TINY = sys.float_info.min
+
+
+class TestBinomialCdfProperties:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_spec_and_count(200))
+    def test_matches_exact_integer_enumeration(self, spec_count):
+        spec, count = spec_count
+        n = spec.trials
+        # mu = a / b exactly; the integer quotient below rounds correctly
+        a, b = spec.success_prob.as_integer_ratio()
+        numer = sum(
+            math.comb(n, k) * a**k * (b - a) ** (n - k)
+            for k in range(min(max(count + 1, 0), n + 1))
+        )
+        assert binomial_cdf(spec, count) == pytest.approx(numer / b**n, rel=1e-12, abs=TINY)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_spec_and_count(1000))
+    def test_is_the_running_sum_of_the_pmf(self, spec_count):
+        spec, count = spec_count
+        count = min(max(count, 0), spec.trials)
+        running = np.cumsum(binomial_pmf(spec.trials, spec.success_prob))[count]
+        assert binomial_cdf(spec, count) == pytest.approx(running, rel=1e-12, abs=TINY)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_spec_and_count(1000))
+    def test_complement_identity_is_exact(self, spec_count):
+        spec, count = spec_count
+        assert binomial_cdf(spec, count) + binomial_sf(spec, count + 1) == 1.0
 
 
 class TestBinomialPmf:

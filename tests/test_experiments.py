@@ -4,16 +4,14 @@ import math
 
 import pytest
 
+from threshauth.bounds import optimal_rounds
+from threshauth.channel import ChannelModel, swiss_hitomi_rates
 from threshauth.experiments import (
     CSV_HEADER,
     DEFAULT_LOSSES,
     ExperimentSpec,
-    GuessedRateStrategy,
-    HighProbabilityRateStrategy,
-    MlRateStrategy,
     SweepRow,
     ThresholdStrategy,
-    TrueRateStrategy,
     default_noise_grid,
     emit_csv,
     figure1a_sweep,
@@ -61,18 +59,40 @@ class TestSweepRow:
         assert row.aborted == "gap-collapse"
 
 
+FIG3_RATE_LABELS = ("guess:0.1", "guess:0.01", "guess:0.001", "ml", "hp:0.1", "hp:0.01")
+
+
 class TestRateStrategyLabels:
     def test_labels(self):
-        assert TrueRateStrategy().label == "true-omega"
-        assert GuessedRateStrategy(0.01).label == "guess:0.01"
-        assert MlRateStrategy().label == "ml"
-        assert HighProbabilityRateStrategy(0.01).label == "hp:0.01"
+        # a strategy is named by its CSV label, and rows carry it as given
+        assert ExperimentSpec.figure3().rate_strategies == FIG3_RATE_LABELS
+        spec = ExperimentSpec.figure3(
+            noise_grid=(0.05,),
+            trials=50,
+            threshold_strategies=(ThresholdStrategy.FINITE,),
+            rate_strategies=("true-omega",) + FIG3_RATE_LABELS,
+        )
+        rows = figure3_comparison(spec)
+        assert tuple(r.rate_strategy for r in rows) == spec.rate_strategies
 
     def test_estimate_requirements(self):
-        assert not TrueRateStrategy().needs_estimate
-        assert not GuessedRateStrategy(0.1).needs_estimate
-        assert MlRateStrategy().needs_estimate
-        assert HighProbabilityRateStrategy(0.1).needs_estimate
+        # at w = 0.3 a 1024-symbol phase sees about 307 flips, beyond the
+        # quarter-block radius: only the kinds that read it abort
+        spec = ExperimentSpec.figure3(
+            noise_grid=(0.3,),
+            trials=50,
+            threshold_strategies=(ThresholdStrategy.FINITE,),
+            rate_strategies=("true-omega", "guess:0.1", "ml", "hp:0.1"),
+        )
+        aborted = {r.rate_strategy: r.aborted for r in figure3_comparison(spec)}
+        assert aborted == {
+            "true-omega": "", "guess:0.1": "", "ml": "coded-abort", "hp:0.1": "coded-abort"
+        }
+
+    def test_rejects_unknown_or_malformed_labels(self):
+        for label in ("oracle", "guess", "guess:", "guess:x", "hp", "ml:0.1", "true-omega:0.1"):
+            with pytest.raises(ValueError):
+                ExperimentSpec(rate_strategies=(label,))
 
 
 class TestNoiseGrid:
@@ -167,7 +187,7 @@ class TestFigure3:
         spec = ExperimentSpec.figure3(
             noise_grid=(0.02, 0.1),
             trials=400,
-            rate_strategies=(GuessedRateStrategy(0.05), MlRateStrategy()),
+            rate_strategies=("guess:0.05", "ml"),
         )
         assert figure3_comparison(spec) == figure3_comparison(spec)
 
@@ -175,7 +195,7 @@ class TestFigure3:
         kw = dict(
             noise_grid=(0.1,),
             trials=400,
-            rate_strategies=(MlRateStrategy(),),
+            rate_strategies=("ml",),
             threshold_strategies=(ThresholdStrategy.FINITE,),
         )
         a = figure3_comparison(ExperimentSpec.figure3(seed=1, **kw))
@@ -212,7 +232,7 @@ class TestFigure3:
         spec = ExperimentSpec.figure3(
             noise_grid=(0.05,),
             trials=50,
-            rate_strategies=(GuessedRateStrategy(0.4),),
+            rate_strategies=("guess:0.4",),
         )
         rows = figure3_comparison(spec)
         assert len(rows) == 2
@@ -222,7 +242,7 @@ class TestFigure3:
         spec = ExperimentSpec.figure3(
             noise_grid=(0.05, 0.2),
             trials=2_000,
-            rate_strategies=(HighProbabilityRateStrategy(0.01),),
+            rate_strategies=("hp:0.01",),
             threshold_strategies=(ThresholdStrategy.FINITE,),
         )
         quiet, noisy = figure3_comparison(spec)
@@ -230,11 +250,27 @@ class TestFigure3:
         assert noisy.exact_worst >= 1.5 * quiet.exact_worst
         assert noisy.mc_worst >= 1.5 * quiet.mc_worst
 
+    def test_round_count_is_capped_by_codeword_length(self):
+        # n_hat is 47 at w = 0.01 and 64 at w = 0.1: a 50-symbol codeword
+        # leaves the first and caps the second
+        spec = ExperimentSpec.figure3(
+            noise_grid=(0.01, 0.1),
+            trials=50,
+            codeword_length=50,
+            rate_strategies=("true-omega",),
+            threshold_strategies=(ThresholdStrategy.FINITE,),
+        )
+        rows = figure3_comparison(spec)
+        for r in rows:
+            rates = swiss_hitomi_rates(ChannelModel(r.omega))
+            assert r.n == min(optimal_rounds(DEFAULT_LOSSES, rates).value, 50)
+        assert [r.n for r in rows] == [47, 50]
+
     def test_monte_carlo_tracks_exact_loss(self):
         spec = ExperimentSpec.figure3(
             noise_grid=(0.05, 0.1),
             trials=4_000,
-            rate_strategies=(TrueRateStrategy(),),
+            rate_strategies=("true-omega",),
         )
         for r in figure3_comparison(spec):
             assert r.aborted == ""
@@ -253,7 +289,7 @@ class TestFigure3:
             spec = ExperimentSpec.figure3(
                 noise_grid=(0.001, 0.05, 0.1),
                 trials=trials,
-                rate_strategies=(TrueRateStrategy(),),
+                rate_strategies=("true-omega",),
                 seed=seed,
             )
             for r in figure3_comparison(spec):
@@ -278,7 +314,7 @@ class TestThresholdDuel:
         spec = ExperimentSpec.duel(
             params=LossParameters(1.0, 1.0, 1e-2),
             n_grid=(9,),
-            gap_grid=(0.35,),
+            noise_grid=((1.0 - 2.0 * 0.35) / 3.0,),
             trials=1_000,
         )
         finite, asym = threshold_duel(spec)
@@ -298,7 +334,11 @@ class TestThresholdDuel:
             assert abs(r.mc_worst - r.exact_worst) <= 6.0 * r.mc_stderr + 1e-3
 
     def test_deterministic_given_seed(self):
-        spec = ExperimentSpec.duel(trials=300, n_grid=(4, 8), gap_grid=(0.1, 0.2))
+        spec = ExperimentSpec.duel(
+            trials=300,
+            n_grid=(4, 8),
+            noise_grid=tuple((1.0 - 2.0 * g) / 3.0 for g in (0.1, 0.2)),
+        )
         assert threshold_duel(spec) == threshold_duel(spec)
 
 

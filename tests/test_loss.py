@@ -9,10 +9,8 @@ from threshauth.loss import (
     ErrorRateBounds,
     GapCollapseError,
     LossParameters,
-    ProtocolConfig,
     ProverIdentity,
     expected_loss,
-    worst_case_expected_loss,
 )
 
 BENCH = LossParameters(false_accept=10.0, false_reject=1.0, per_round=1e-2)
@@ -65,20 +63,6 @@ class TestErrorRateBounds:
         assert issubclass(GapCollapseError, ValueError)
 
 
-class TestProtocolConfig:
-    def test_accepts_interior_threshold(self):
-        c = ProtocolConfig(rounds=64, threshold=22.355)
-        assert c.rounds == 64
-
-    def test_rejects_bad_rounds_and_threshold(self):
-        with pytest.raises(ValueError):
-            ProtocolConfig(rounds=0, threshold=0.0)
-        with pytest.raises(ValueError):
-            ProtocolConfig(rounds=4, threshold=-0.5)
-        with pytest.raises(ValueError):
-            ProtocolConfig(rounds=4, threshold=4.5)
-
-
 class TestExpectedLoss:
     def test_attacker_example(self):
         got = expected_loss(BENCH, 4, ENUM_ACCEPT_PROB, ProverIdentity.ATTACKER)
@@ -112,24 +96,3 @@ class TestExpectedLoss:
             for ident in ProverIdentity:
                 assert expected_loss(BENCH, 12, p, ident) >= 12 * BENCH.per_round - 1e-15
 
-
-class TestWorstCase:
-    def test_example_pair(self):
-        assert worst_case_expected_loss(0.2208, 2.4548125) == pytest.approx(
-            2.4548125, abs=1e-12
-        )
-
-    def test_symmetric_and_zero(self):
-        assert worst_case_expected_loss(0.7, 0.7) == 0.7
-        assert worst_case_expected_loss(0.0, 5.0) == 5.0
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            worst_case_expected_loss(-0.1, 1.0)
-
-    def test_dominates_mixtures(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            a, b = rng.uniform(0, 10, size=2)
-            w = rng.uniform()
-            assert worst_case_expected_loss(a, b) >= w * a + (1 - w) * b - 1e-12

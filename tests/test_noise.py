@@ -8,14 +8,10 @@ import pytest
 from threshauth.channel import ChannelModel
 from threshauth.loss import GapCollapseError
 from threshauth.noise import (
-    BlockCode,
     TransparentCode,
-    decode_nearest,
     default_transparent_code,
     estimate_noise,
-    hamming_distance,
     high_probability_rates,
-    repetition_code,
     simulate_coded_phase,
 )
 
@@ -25,74 +21,6 @@ POINT_102 = 0.099609375
 HALF_WIDTH_102 = 0.05086323845996029
 HP_ATTACKER_102 = 0.5752363067299801
 HP_USER_102 = 0.09749227308007942
-
-
-class TestHammingDistance:
-    def test_frozen_examples(self):
-        assert hamming_distance("10110", "10110") == 0
-        assert hamming_distance("10110", "11100") == 2
-        assert hamming_distance("000", "111") == 3
-
-    def test_input_forms_agree(self):
-        as_str = hamming_distance("0110", "1110")
-        as_list = hamming_distance([0, 1, 1, 0], [1, 1, 1, 0])
-        as_array = hamming_distance(np.array([0, 1, 1, 0]), np.array([1, 1, 1, 0]))
-        assert as_str == as_list == as_array == 1
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            hamming_distance("01", "011")
-
-
-class TestBlockCode:
-    def test_single_bit_repetition(self):
-        code = repetition_code(1)
-        assert code.codebook.tolist() == [[0, 0, 0], [1, 1, 1]]
-        assert code.min_distance == 3
-        assert code.correction_radius == 1
-        assert code.codeword_length == 3
-        assert code.encode(0).tolist() == [0, 0, 0]
-        assert code.encode(1).tolist() == [1, 1, 1]
-
-    def test_two_bit_repetition_with_two_repeats(self):
-        code = repetition_code(2, repeats=2)
-        assert code.codeword_length == 4
-        assert code.min_distance == 2
-        assert code.correction_radius == 0
-        assert code.encode(2).tolist() == [1, 1, 0, 0]
-
-    def test_encode_range_checked(self):
-        code = repetition_code(1)
-        with pytest.raises(ValueError):
-            code.encode(2)
-        with pytest.raises(ValueError):
-            code.encode(-1)
-
-    def test_min_distance_matches_pairwise_search(self):
-        parity = BlockCode(
-            message_length=2,
-            codebook=np.array([[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]]),
-        )
-        codes = [repetition_code(1), repetition_code(2), repetition_code(3, 2), parity]
-        for code in codes:
-            words = code.codebook
-            dists = [
-                hamming_distance(words[i], words[j])
-                for i in range(len(words))
-                for j in range(i + 1, len(words))
-            ]
-            assert code.min_distance == min(dists)
-
-    def test_rejects_duplicates_and_short_codewords(self):
-        with pytest.raises(ValueError):
-            BlockCode(message_length=1, codebook=np.array([[0, 0], [0, 0]]))
-        with pytest.raises(ValueError):
-            BlockCode(
-                message_length=2,
-                codebook=np.array([[0, 0], [0, 1], [1, 0], [1, 1]]),
-            )
-        with pytest.raises(ValueError):
-            repetition_code(1, repeats=1)
 
 
 class TestTransparentCode:
@@ -108,45 +36,6 @@ class TestTransparentCode:
             TransparentCode(8, 9)
         with pytest.raises(ValueError):
             TransparentCode(8, -1)
-
-
-class TestDecodeNearest:
-    def test_single_flip_corrected(self):
-        code = repetition_code(1)
-        assert decode_nearest(code, "010") == (0, 1)
-        assert decode_nearest(code, "011") == (1, 1)
-
-    def test_codeword_decodes_to_itself(self):
-        code = repetition_code(2)
-        for msg in range(4):
-            assert decode_nearest(code, code.encode(msg)) == (msg, 0)
-
-    def test_all_words_match_exhaustive_oracle(self):
-        code = repetition_code(1)
-        for bits in range(8):
-            word = [(bits >> 2) & 1, (bits >> 1) & 1, bits & 1]
-            dists = [hamming_distance(word, code.encode(m)) for m in (0, 1)]
-            want_msg = dists.index(min(dists))
-            assert decode_nearest(code, word) == (want_msg, min(dists))
-
-    def test_tie_breaks_toward_smallest_message(self):
-        code = repetition_code(1, repeats=2)
-        assert decode_nearest(code, "01") == (0, 1)
-        assert decode_nearest(code, "10") == (0, 1)
-
-    def test_flips_within_radius_recover_message_and_count(self):
-        code = repetition_code(2)  # length 6, corrects 1 flip
-        for msg in range(4):
-            clean = code.encode(msg)
-            assert decode_nearest(code, clean) == (msg, 0)
-            for pos in range(6):
-                word = clean.copy()
-                word[pos] ^= 1
-                assert decode_nearest(code, word) == (msg, 1)
-
-    def test_wrong_length_raises(self):
-        with pytest.raises(ValueError):
-            decode_nearest(repetition_code(1), "0101")
 
 
 class TestNoiseEstimate:
@@ -224,7 +113,7 @@ class TestSimulateCodedPhase:
 
     def test_certain_flips_overwhelm_small_code(self):
         rng = np.random.Generator(np.random.PCG64(0))
-        theta, aborted = simulate_coded_phase(ChannelModel(1.0), repetition_code(1), rng)
+        theta, aborted = simulate_coded_phase(ChannelModel(1.0), TransparentCode(3, 1), rng)
         assert (theta, aborted) == (3, True)
 
     def test_deterministic_under_fixed_seed(self):
