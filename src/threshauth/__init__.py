@@ -28,10 +28,7 @@ from .bounds import (
 )
 from .channel import (
     ChannelModel,
-    MonteCarloEstimate,
-    RapidBitExchangeConfig,
     UserErrorModel,
-    estimate_worst_case_loss,
     swiss_hitomi_rates,
 )
 from .exact import (
@@ -71,10 +68,8 @@ __all__ = [
     "GapCollapseError",
     "HypothesisPrior",
     "LossParameters",
-    "MonteCarloEstimate",
     "NoiseEstimate",
     "ProverIdentity",
-    "RapidBitExchangeConfig",
     "RoundsChoice",
     "ThresholdChoice",
     "TransparentCode",
@@ -89,7 +84,6 @@ __all__ = [
     "binomial_sf",
     "brute_force_optimal",
     "estimate_noise",
-    "estimate_worst_case_loss",
     "exact_expected_loss",
     "exact_worst_case_loss",
     "expected_loss",

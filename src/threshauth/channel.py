@@ -3,7 +3,8 @@
 Maps channel noise to the per-round error-rate bounds of the analyzed
 challenge-response protocols, and runs deterministic Monte Carlo trials
 of the rapid bit-exchange phase for both prover identities: each trial's
-error count is one binomial draw from a per-identity random stream.
+error count is one binomial draw from a per-identity random stream, and
+one set of counts can be scored under any number of threshold rules.
 """
 
 from __future__ import annotations
@@ -80,63 +81,6 @@ def swiss_hitomi_rates(channel: ChannelModel) -> ErrorRateBounds:
     )
 
 
-@dataclass(frozen=True)
-class RapidBitExchangeConfig:
-    """Per-round error probabilities and decision rule of one instance."""
-
-    rounds: int
-    threshold: float
-    user_round_error_prob: float
-    attacker_round_error_prob: float
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.rounds, int) and self.rounds >= 1):
-            raise ValueError(f"rounds must be a positive integer, got {self.rounds}")
-        for name in ("user_round_error_prob", "attacker_round_error_prob"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name} not in [0,1]: {v}")
-
-    @classmethod
-    def from_channel(
-        cls,
-        channel: ChannelModel,
-        rounds: int,
-        threshold: float,
-        user_model: UserErrorModel = UserErrorModel.AT_BOUND,
-    ) -> "RapidBitExchangeConfig":
-        return cls(
-            rounds=rounds,
-            threshold=threshold,
-            user_round_error_prob=user_model.per_round_error(
-                channel.flip_probability
-            ),
-            attacker_round_error_prob=attacker_per_round_error(
-                channel.flip_probability
-            ),
-        )
-
-    def per_round_error(self, identity: ProverIdentity) -> float:
-        if identity is ProverIdentity.ATTACKER:
-            return self.attacker_round_error_prob
-        return self.user_round_error_prob
-
-
-@dataclass(frozen=True)
-class MonteCarloEstimate:
-    """Sample means and standard errors over repeated trials."""
-
-    loss_attacker: float
-    loss_user: float
-    worst_case: float
-    stderr_attacker: float
-    stderr_user: float
-    stderr_worst: float
-    accept_rate_attacker: float
-    accept_rate_user: float
-    trials_per_identity: int
-
-
 def _seed_entropy(master_seed: int | Sequence[int]) -> tuple[int, ...]:
     if isinstance(master_seed, (int, np.integer)):
         return (int(master_seed),)
@@ -176,35 +120,23 @@ def simulate_error_counts(
     )
 
 
-def losses_from_counts(
+def score_counts(
     counts: np.ndarray,
     threshold: float,
     rounds: int,
     params: LossParameters,
     identity: ProverIdentity,
-) -> np.ndarray:
-    """Per-trial losses implied by error counts under a threshold rule."""
-    accepted = counts < threshold
-    base = rounds * params.per_round
-    if identity is ProverIdentity.ATTACKER:
-        return base + accepted * params.false_accept
-    return base + (~accepted) * params.false_reject
-
-
-def loss_stderr(
-    counts: np.ndarray,
-    threshold: float,
-    params: LossParameters,
-    identity: ProverIdentity,
     per_round_error: float,
-) -> float:
-    """Standard error of the mean of losses_from_counts(counts, ...).
+) -> tuple[float, float]:
+    """Mean loss of runs with these error counts, and its standard error.
 
-    The mean loss is ``base + weight * p``, where p = hits / T is the
-    fraction of the T trials that pay the decision loss ``weight``
-    (false_accept on accepted attacker runs, false_reject on rejected
-    user runs). The error is weight times the half-width of the Wilson
-    (1927) score interval for p at z = 1:
+    A run is accepted when its count lies strictly below the threshold.
+    Every run pays ``rounds * per_round``; a fraction p = hits / T of
+    the T runs also pays the decision loss ``weight`` (false_accept on
+    accepted attacker runs, false_reject on rejected user runs), so the
+    mean is ``rounds * per_round + weight * p``. The error is weight
+    times the half-width of the Wilson (1927) score interval for p at
+    z = 1:
 
         weight * sqrt(p (1 - p) / T + 1 / (4 T^2)) / (1 + 1 / T)
 
@@ -214,8 +146,6 @@ def loss_stderr(
     error of 0 or 1 makes every count equal, the mean exact, and the
     error 0.
     """
-    if per_round_error in (0.0, 1.0):
-        return 0.0
     trials = counts.size
     accepts = int(np.count_nonzero(counts < threshold))
     if identity is ProverIdentity.ATTACKER:
@@ -223,50 +153,9 @@ def loss_stderr(
     else:
         hits, weight = trials - accepts, params.false_reject
     p = hits / trials
-    return weight * math.sqrt(p * (1.0 - p) / trials + 0.25 / trials**2) / (
+    mean = rounds * params.per_round + weight * p
+    if per_round_error in (0.0, 1.0):
+        return mean, 0.0
+    return mean, weight * math.sqrt(p * (1.0 - p) / trials + 0.25 / trials**2) / (
         1.0 + 1.0 / trials
-    )
-
-
-def estimate_worst_case_loss(
-    config: RapidBitExchangeConfig,
-    params: LossParameters,
-    trials_per_identity: int,
-    master_seed: int | Sequence[int],
-) -> MonteCarloEstimate:
-    """Monte Carlo estimate of the worst-case expected loss.
-
-    Draws the given number of binomial error counts for each identity
-    with simulate_error_counts, averages the implied losses, and takes
-    the max of the two means. Standard errors come from loss_stderr, a
-    Wilson score half-width that stays positive when the decision event
-    is never observed; the worst-case standard error is the one of
-    whichever identity attains the max.
-    """
-    stats = {}
-    for identity in (ProverIdentity.ATTACKER, ProverIdentity.USER):
-        p = config.per_round_error(identity)
-        counts = simulate_error_counts(
-            config.rounds, p, trials_per_identity, master_seed, identity
-        )
-        losses = losses_from_counts(
-            counts, config.threshold, config.rounds, params, identity
-        )
-        stats[identity] = (
-            float(losses.mean()),
-            loss_stderr(counts, config.threshold, params, identity, p),
-            float((counts < config.threshold).mean()),
-        )
-    att, use = stats[ProverIdentity.ATTACKER], stats[ProverIdentity.USER]
-    worst_is_attacker = att[0] >= use[0]
-    return MonteCarloEstimate(
-        loss_attacker=att[0],
-        loss_user=use[0],
-        worst_case=max(att[0], use[0]),
-        stderr_attacker=att[1],
-        stderr_user=use[1],
-        stderr_worst=att[1] if worst_is_attacker else use[1],
-        accept_rate_attacker=att[2],
-        accept_rate_user=use[2],
-        trials_per_identity=trials_per_identity,
     )

@@ -170,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--k", type=int, default=None, help="codeword length (default 1024)")
             p.add_argument(
                 "--strategy", type=str, default="all",
-                choices=["all", "finite-sample", "asymptotic", "bayes"],
+                choices=["all", "finite-sample", "asymptotic"],
                 help="restrict the threshold strategy (default: all configured)",
             )
         p.set_defaults(func=lambda a, kind=kind: _cmd_sweep(a, kind))

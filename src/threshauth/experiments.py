@@ -10,22 +10,21 @@ reproduces the file byte for byte.
 from __future__ import annotations
 
 import csv
-from dataclasses import Field, dataclass, field, fields
+from dataclasses import Field, dataclass, fields
 from enum import Enum
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .asymptotic import HypothesisPrior, asymptotic_threshold, bayes_threshold
+from .asymptotic import asymptotic_threshold
 from .bounds import optimal_rounds, optimal_threshold, rounds_loss_bound, threshold_loss_bound
 from .channel import (
     CODED_PHASE_TAG,
     ChannelModel,
-    RapidBitExchangeConfig,
     UserErrorModel,
-    estimate_worst_case_loss,
-    loss_stderr,
-    losses_from_counts,
+    attacker_per_round_error,
+    score_counts,
     simulate_error_counts,
     swiss_hitomi_rates,
 )
@@ -72,7 +71,6 @@ CSV_HEADER = tuple(f.name for f in fields(SweepRow))
 class ThresholdStrategy(Enum):
     FINITE = "finite-sample"
     ASYMPTOTIC = "asymptotic"
-    BAYES = "bayes"
 
 
 # Rate strategies by label kind: whether the kind reads the coded-phase
@@ -119,13 +117,17 @@ class ExperimentSpec:
     threshold_strategies: tuple[ThresholdStrategy, ...] = (ThresholdStrategy.FINITE,)
     rate_strategies: tuple[str, ...] = ("true-omega",)
     codeword_length: int = 1024
-    prior: HypothesisPrior = field(default_factory=HypothesisPrior.uniform)
     user_model: UserErrorModel = UserErrorModel.AT_BOUND
     master_seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
+        if not self.params.per_round > 0:
+            raise ValueError("per_round must be positive to optimize the round count")
         if not self.noise_grid:
             raise ValueError("noise_grid must be nonempty")
+        for w in self.noise_grid:
+            if not 0.0 <= w <= 1.0:  # also false for nan
+                raise ValueError(f"noise level not in [0,1]: {w}")
         if not self.n_grid:
             raise ValueError("n_grid must be nonempty")
         if self.trials < 1:
@@ -297,13 +299,49 @@ def _strategy_threshold(
     params: LossParameters,
     rates: ErrorRateBounds,
     rounds: int,
-    prior: HypothesisPrior,
 ) -> float:
     if strategy is ThresholdStrategy.FINITE:
         return optimal_threshold(params, rates, rounds).raw
-    if strategy is ThresholdStrategy.ASYMPTOTIC:
-        return asymptotic_threshold(params, rates, rounds)
-    return bayes_threshold(params, rates, prior, rounds)
+    return asymptotic_threshold(params, rates, rounds)
+
+
+def _point_scorer(
+    spec: ExperimentSpec,
+    rounds: int,
+    attacker_rate: float,
+    user_rate: float,
+    seed: tuple[int, ...],
+) -> Callable[[float], tuple[float, float, float]]:
+    """Score any threshold on one shared draw at a (noise, rounds) point.
+
+    Draws ``spec.trials`` error counts per identity at the given
+    per-round error rates once, and returns a function mapping a
+    threshold to (exact_worst, mc_worst, mc_stderr): the larger exact
+    per-identity loss, and the larger Monte Carlo mean with the stderr
+    of the identity that attains it (the attacker on ties). Thresholds
+    scored on one draw are compared on the same trials.
+    """
+    sides = ((ProverIdentity.ATTACKER, attacker_rate), (ProverIdentity.USER, user_rate))
+    counts = [
+        simulate_error_counts(rounds, p, spec.trials, seed, identity)
+        for identity, p in sides
+    ]
+
+    def score(tau: float) -> tuple[float, float, float]:
+        exact = max(
+            exact_expected_loss(spec.params, rounds, tau, p, identity)
+            for identity, p in sides
+        )
+        mc_worst, mc_stderr = max(
+            (
+                score_counts(c, tau, rounds, spec.params, identity, p)
+                for c, (identity, p) in zip(counts, sides)
+            ),
+            key=lambda scored: scored[0],
+        )
+        return exact, mc_worst, mc_stderr
+
+    return score
 
 
 def figure3_comparison(spec: ExperimentSpec) -> list[SweepRow]:
@@ -314,9 +352,12 @@ def figure3_comparison(spec: ExperimentSpec) -> list[SweepRow]:
     compared on identical information. Each strategy derives rate
     bounds, a round count (capped by the codeword length), and a
     threshold, then its worst-case loss is estimated by Monte Carlo on
-    the true channel. Strategies that cannot proceed (hopeless coded
-    phase, collapsed rate bounds, rates outside the threshold formula's
-    domain) yield rows carrying an abort marker instead of numbers.
+    the true channel. The error counts are drawn once per noise level
+    and round count and scored under every threshold that uses them, so
+    strategies choosing the same round count are compared on the same
+    trials. Strategies that cannot proceed (hopeless coded phase,
+    collapsed rate bounds, rates outside the threshold formula's domain)
+    yield rows carrying an abort marker instead of numbers.
     """
     rows = []
     code = default_transparent_code(spec.codeword_length)
@@ -328,7 +369,8 @@ def figure3_comparison(spec: ExperimentSpec) -> list[SweepRow]:
             )
         )
         theta, phase_hopeless = simulate_coded_phase(channel, code, phase_rng)
-        for si, rstrat in enumerate(spec.rate_strategies):
+        scorers = {}
+        for rstrat in spec.rate_strategies:
             needs_estimate, derive, arg = _rate_strategy(rstrat)
             if needs_estimate and phase_hopeless:
                 rows.extend(
@@ -345,30 +387,23 @@ def figure3_comparison(spec: ExperimentSpec) -> list[SweepRow]:
                 )
                 continue
             n = min(optimal_rounds(spec.params, rates).value, spec.codeword_length)
-            for ti, tstrat in enumerate(spec.threshold_strategies):
+            for tstrat in spec.threshold_strategies:
                 try:
-                    tau = _strategy_threshold(tstrat, spec.params, rates, n, spec.prior)
+                    tau = _strategy_threshold(tstrat, spec.params, rates, n)
                 except ValueError:
                     rows.append(
                         _abort_row(w, tstrat.value, rstrat, "invalid-rates")
                     )
                     continue
-                config = RapidBitExchangeConfig.from_channel(
-                    channel, n, tau, spec.user_model
-                )
-                mc = estimate_worst_case_loss(
-                    config, spec.params, spec.trials, (spec.master_seed, wi, si, ti)
-                )
-                exact = max(
-                    exact_expected_loss(
-                        spec.params, n, tau,
-                        config.attacker_round_error_prob, ProverIdentity.ATTACKER,
-                    ),
-                    exact_expected_loss(
-                        spec.params, n, tau,
-                        config.user_round_error_prob, ProverIdentity.USER,
-                    ),
-                )
+                if n not in scorers:
+                    scorers[n] = _point_scorer(
+                        spec,
+                        n,
+                        attacker_per_round_error(w),
+                        spec.user_model.per_round_error(w),
+                        (spec.master_seed, wi, n),
+                    )
+                exact, mc_worst, mc_stderr = scorers[n](tau)
                 rows.append(
                     SweepRow(
                         omega=w,
@@ -379,8 +414,8 @@ def figure3_comparison(spec: ExperimentSpec) -> list[SweepRow]:
                         exact_worst=exact,
                         elb1=threshold_loss_bound(spec.params, rates, n),
                         elb2=rounds_loss_bound(spec.params, rates),
-                        mc_worst=mc.worst_case,
-                        mc_stderr=mc.stderr_worst,
+                        mc_worst=mc_worst,
+                        mc_stderr=mc_stderr,
                         aborted="",
                     )
                 )
@@ -393,51 +428,39 @@ def threshold_duel(spec: ExperimentSpec) -> list[SweepRow]:
     Sweeps the noise grid in the given order and a grid of round counts,
     simulating both identities at their rate bounds once per grid point
     and scoring the same error counts under both thresholds, so the
-    comparison is paired and equal decision rules tie exactly.
+    comparison is paired and equal decision rules tie exactly. A
+    threshold whose formula rejects the rates (the asymptotic one at
+    zero noise) yields an invalid-rates abort row in its place.
     """
     rows = []
-    labels = (ThresholdStrategy.FINITE.value, ThresholdStrategy.ASYMPTOTIC.value)
+    strategies = (ThresholdStrategy.FINITE, ThresholdStrategy.ASYMPTOTIC)
     for wi, w in enumerate(spec.noise_grid):
-        rates = _true_rates(w, labels, rows)
+        rates = _true_rates(w, tuple(t.value for t in strategies), rows)
         if rates is None:
             continue
-        error_rate = {
-            ProverIdentity.ATTACKER: rates.attacker_floor,
-            ProverIdentity.USER: rates.user_ceiling,
-        }
         for ni, n in enumerate(spec.n_grid):
-            point_seed = (spec.master_seed, wi, ni)
-            counts = {
-                identity: simulate_error_counts(
-                    n, p, spec.trials, point_seed, identity
-                )
-                for identity, p in error_rate.items()
-            }
-            taus = (
-                optimal_threshold(spec.params, rates, n).raw,
-                asymptotic_threshold(spec.params, rates, n),
+            score = _point_scorer(
+                spec, n, rates.attacker_floor, rates.user_ceiling, (spec.master_seed, wi, ni)
             )
-            for label, tau in zip(labels, taus):
-                means, errs = {}, {}
-                for identity, cts in counts.items():
-                    losses = losses_from_counts(cts, tau, n, spec.params, identity)
-                    means[identity] = float(losses.mean())
-                    errs[identity] = loss_stderr(
-                        cts, tau, spec.params, identity, error_rate[identity]
-                    )
-                worst_id = max(means, key=means.get)
+            for tstrat in strategies:
+                try:
+                    tau = _strategy_threshold(tstrat, spec.params, rates, n)
+                except ValueError:
+                    rows.append(_abort_row(w, tstrat.value, "true-omega", "invalid-rates"))
+                    continue
+                exact, mc_worst, mc_stderr = score(tau)
                 rows.append(
                     SweepRow(
                         omega=w,
                         n=n,
                         tau=tau,
-                        threshold_strategy=label,
+                        threshold_strategy=tstrat.value,
                         rate_strategy="true-omega",
-                        exact_worst=exact_worst_case_loss(spec.params, rates, n, tau),
+                        exact_worst=exact,
                         elb1=None,
                         elb2=None,
-                        mc_worst=means[worst_id],
-                        mc_stderr=errs[worst_id],
+                        mc_worst=mc_worst,
+                        mc_stderr=mc_stderr,
                         aborted="",
                     )
                 )

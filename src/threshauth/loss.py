@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class GapCollapseError(ValueError):
@@ -33,28 +33,20 @@ class LossParameters:
     false_reject : float
         Loss suffered when the legitimate user is rejected.
     per_round : float
-        Transmission cost per protocol round.
-    allow_zero_round_cost : bool
-        Permit ``per_round == 0`` for callers that never optimize the
-        round count. The round-count optimizer divides by ``per_round``,
-        so the default constructor rejects zero to fail early.
+        Transmission cost per protocol round, possibly zero. The
+        round-count optimizers divide by it and reject zero themselves.
     """
 
     false_accept: float
     false_reject: float
     per_round: float
-    allow_zero_round_cost: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (self.false_accept > 0 and math.isfinite(self.false_accept)):
             raise ValueError(f"false_accept must be positive, got {self.false_accept}")
         if not (self.false_reject > 0 and math.isfinite(self.false_reject)):
             raise ValueError(f"false_reject must be positive, got {self.false_reject}")
-        floor = 0.0 if self.allow_zero_round_cost else None
-        if floor is None:
-            if not (self.per_round > 0 and math.isfinite(self.per_round)):
-                raise ValueError(f"per_round must be positive, got {self.per_round}")
-        elif not (self.per_round >= 0 and math.isfinite(self.per_round)):
+        if not (self.per_round >= 0 and math.isfinite(self.per_round)):
             raise ValueError(f"per_round must be nonnegative, got {self.per_round}")
 
     @property

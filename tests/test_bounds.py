@@ -237,7 +237,7 @@ class TestOptimalRounds:
         assert choice.real < 1.0
 
     def test_rejects_zero_round_cost(self):
-        params = LossParameters(10.0, 1.0, 0.0, allow_zero_round_cost=True)
+        params = LossParameters(10.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             optimal_rounds(params, SWISS_01)
 
@@ -268,6 +268,6 @@ class TestRoundsLossBound:
             )
 
     def test_rejects_zero_round_cost(self):
-        params = LossParameters(10.0, 1.0, 0.0, allow_zero_round_cost=True)
+        params = LossParameters(10.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             rounds_loss_bound(params, SWISS_01)

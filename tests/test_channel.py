@@ -8,16 +8,12 @@ import pytest
 from threshauth.bounds import threshold_loss_bound
 from threshauth.channel import (
     ChannelModel,
-    RapidBitExchangeConfig,
     UserErrorModel,
     attacker_per_round_error,
-    estimate_worst_case_loss,
-    loss_stderr,
-    losses_from_counts,
+    score_counts,
     simulate_error_counts,
     swiss_hitomi_rates,
 )
-from threshauth.exact import BinomialSpec, binomial_cdf
 from threshauth.loss import GapCollapseError, LossParameters, ProverIdentity
 
 BENCH = LossParameters(false_accept=10.0, false_reject=1.0, per_round=1e-2)
@@ -117,39 +113,39 @@ class TestSwissLossBound:
             _swiss_bound(0.1, 0)
 
 
-class TestRapidBitExchangeConfig:
-    def test_from_channel_at_bound_default(self):
-        config = RapidBitExchangeConfig.from_channel(ChannelModel(0.1), 64, 22.0)
-        assert config.user_round_error_prob == pytest.approx(0.2)
-        assert config.attacker_round_error_prob == pytest.approx(0.55)
-        assert config.per_round_error(ProverIdentity.USER) == pytest.approx(0.2)
-        assert config.per_round_error(ProverIdentity.ATTACKER) == pytest.approx(0.55)
-
-    def test_from_channel_physical_user(self):
-        config = RapidBitExchangeConfig.from_channel(
-            ChannelModel(0.1), 64, 22.0, user_model=UserErrorModel.PHYSICAL
-        )
-        assert config.user_round_error_prob == pytest.approx(0.19)
-
-    def test_saturated_thresholds_are_legal(self):
-        # rules that always reject or always accept are representable
-        RapidBitExchangeConfig(8, -3.0, 0.2, 0.55)
-        RapidBitExchangeConfig(8, 13.0, 0.2, 0.55)
-
-    def test_rejects_bad_rounds_and_rates(self):
-        with pytest.raises(ValueError):
-            RapidBitExchangeConfig(0, 1.0, 0.2, 0.55)
-        with pytest.raises(ValueError):
-            RapidBitExchangeConfig(8, 1.0, 1.2, 0.55)
-        with pytest.raises(ValueError):
-            RapidBitExchangeConfig(8, 1.0, 0.2, -0.1)
-
-
 class TestLossesFromCounts:
     def test_threshold_comparison_is_strict(self):
         # zero threshold rejects even an error-free run
-        losses = losses_from_counts(np.array([0]), 0.0, 8, BENCH, ProverIdentity.USER)
-        assert losses.tolist() == [pytest.approx(0.08 + 1.0)]
+        mean, _ = score_counts(np.array([0]), 0.0, 8, BENCH, ProverIdentity.USER, 0.2)
+        assert mean == pytest.approx(0.08 + 1.0)
+
+    def test_saturated_thresholds_give_exact_means(self):
+        # below every count the rule always rejects, above every count it
+        # always accepts, whatever the draw
+        att = simulate_error_counts(8, 0.55, 300, 5, ProverIdentity.ATTACKER)
+        use = simulate_error_counts(8, 0.2, 300, 5, ProverIdentity.USER)
+        base = 8 * BENCH.per_round
+        reject, accept = -3.0, 13.0
+        assert score_counts(att, reject, 8, BENCH, ProverIdentity.ATTACKER, 0.55)[0] == base
+        assert score_counts(use, reject, 8, BENCH, ProverIdentity.USER, 0.2)[0] == (
+            base + BENCH.false_reject
+        )
+        assert score_counts(att, accept, 8, BENCH, ProverIdentity.ATTACKER, 0.55)[0] == (
+            base + BENCH.false_accept
+        )
+        assert score_counts(use, accept, 8, BENCH, ProverIdentity.USER, 0.2)[0] == base
+
+    def test_constant_counts_give_exact_round_cost(self):
+        # per-round errors of 0 and 1 make every count equal: the user is
+        # always accepted, the attacker always rejected, and both means
+        # are exactly the round cost with no sampling error
+        never_wrong = simulate_error_counts(8, 0.0, 500, 11, ProverIdentity.USER)
+        always_wrong = simulate_error_counts(8, 1.0, 500, 11, ProverIdentity.ATTACKER)
+        assert score_counts(never_wrong, 4.0, 8, BENCH, ProverIdentity.USER, 0.0) == (0.08, 0.0)
+        assert score_counts(always_wrong, 4.0, 8, BENCH, ProverIdentity.ATTACKER, 1.0) == (
+            0.08,
+            0.0,
+        )
 
 
 def _binomial_moment_sigmas(rounds, p, size=200_000):
@@ -205,13 +201,17 @@ class TestStreamLayout:
             simulate_error_counts(8, 0.3, 0, 1, ProverIdentity.USER)
 
 
+def _stderr(counts, threshold, identity, per_round_error):
+    return score_counts(counts, threshold, 8, BENCH, identity, per_round_error)[1]
+
+
 class TestLossStderr:
     def test_zero_hits_give_half_over_trials_plus_one(self):
         trials = 500
         never_accepted = np.full(trials, 8)
         never_rejected = np.zeros(trials, dtype=np.int64)
-        att = loss_stderr(never_accepted, 4.0, BENCH, ProverIdentity.ATTACKER, 0.55)
-        use = loss_stderr(never_rejected, 4.0, BENCH, ProverIdentity.USER, 0.2)
+        att = _stderr(never_accepted, 4.0, ProverIdentity.ATTACKER, 0.55)
+        use = _stderr(never_rejected, 4.0, ProverIdentity.USER, 0.2)
         assert att == pytest.approx(10.0 / (2 * (trials + 1)), rel=1e-12)
         assert use == pytest.approx(1.0 / (2 * (trials + 1)), rel=1e-12)
         # six of them cover the rule-of-three bound on an unseen event
@@ -221,55 +221,10 @@ class TestLossStderr:
         trials, p = 10**6, 0.3
         hits = int(p * trials)
         counts = np.concatenate([np.zeros(hits, dtype=np.int64), np.full(trials - hits, 5)])
-        att = loss_stderr(counts, 1.0, BENCH, ProverIdentity.ATTACKER, 0.55)
+        att = _stderr(counts, 1.0, ProverIdentity.ATTACKER, 0.55)
         assert att == pytest.approx(10.0 * math.sqrt(p * (1.0 - p) / trials), rel=1e-5)
 
     def test_degenerate_rates_are_exact(self):
         counts = np.zeros(10, dtype=np.int64)
-        assert loss_stderr(counts, 4.0, BENCH, ProverIdentity.USER, 0.0) == 0.0
-        assert loss_stderr(counts + 8, 4.0, BENCH, ProverIdentity.ATTACKER, 1.0) == 0.0
-
-
-class TestEstimateWorstCaseLoss:
-    def test_degenerate_rates_give_exact_round_cost(self):
-        config = RapidBitExchangeConfig(8, 4.0, 0.0, 1.0)
-        est = estimate_worst_case_loss(config, BENCH, 500, 11)
-        assert est.loss_user == pytest.approx(0.08, abs=0.0)
-        assert est.loss_attacker == pytest.approx(0.08, abs=0.0)
-        assert est.worst_case == pytest.approx(0.08, abs=0.0)
-        assert est.stderr_user == 0.0
-        assert est.stderr_attacker == 0.0
-        assert est.accept_rate_user == 1.0
-        assert est.accept_rate_attacker == 0.0
-        assert est.trials_per_identity == 500
-
-    def test_acceptance_rate_matches_binomial(self):
-        # n=4, tau=2, attacker error rate 0.55: accept prob is the exact
-        # lower tail Pr(count <= 1)
-        config = RapidBitExchangeConfig(4, 2.0, 0.2, 0.55)
-        trials = 20_000
-        est = estimate_worst_case_loss(config, BENCH, trials, 1729)
-        target = binomial_cdf(BinomialSpec(4, 0.55), 1)
-        sigma = math.sqrt(target * (1.0 - target) / trials)
-        assert abs(est.accept_rate_attacker - target) < 5.0 * sigma
-
-    def test_worst_side_carries_its_own_stderr(self):
-        # low threshold makes the user side dominate
-        config = RapidBitExchangeConfig(4, 1.0, 0.2, 0.55)
-        est = estimate_worst_case_loss(config, BENCH, 2_000, 3)
-        assert est.worst_case == est.loss_user
-        assert est.stderr_worst == est.stderr_user
-
-    def test_deterministic_under_fixed_seed(self):
-        config = RapidBitExchangeConfig(16, 6.0, 0.2, 0.55)
-        a = estimate_worst_case_loss(config, BENCH, 1_000, 21)
-        b = estimate_worst_case_loss(config, BENCH, 1_000, 21)
-        c = estimate_worst_case_loss(config, BENCH, 1_000, 22)
-        assert a == b
-        assert a != c
-
-    def test_mean_matches_exact_expected_loss_within_noise(self):
-        config = RapidBitExchangeConfig(4, 2.0, 0.2, 0.55)
-        est = estimate_worst_case_loss(config, BENCH, 40_000, 1729)
-        assert abs(est.loss_attacker - 2.4548125) < 5.0 * est.stderr_attacker
-        assert abs(est.loss_user - 0.2208) < 5.0 * est.stderr_user
+        assert _stderr(counts, 4.0, ProverIdentity.USER, 0.0) == 0.0
+        assert _stderr(counts + 8, 4.0, ProverIdentity.ATTACKER, 1.0) == 0.0

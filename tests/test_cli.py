@@ -33,6 +33,13 @@ class TestCalculatorCommands:
         assert "tau_star" in out and "8" in out
         assert "0.335211592" in out
 
+    def test_exact_accepts_zero_round_cost(self, capsys):
+        # free rounds make the longest search window optimal
+        rc = main(["exact", "--omega", "0.1", "--lb", "0", "--n", "64"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "n_star            63" in out
+
     def test_estimate_noise_is_seeded(self, capsys):
         rc = main(["estimate-noise", "--omega", "0.1", "--k", "1024", "--seed", "7"])
         first = capsys.readouterr().out
@@ -130,6 +137,20 @@ class TestSweepCommands:
                 (None,) * 7
             )
 
+    def test_duel_zero_noise_point_aborts_only_the_asymptotic_threshold(self, tmp_path):
+        # the likelihood-ratio threshold needs a positive user ceiling
+        out = tmp_path / "duel.csv"
+        args = ["duel", "--omega", "0", "--omega", "0.1", "--trials", "10"]
+        assert main(args + ["--out", str(out)]) == 0
+        rows = parse_csv(out)
+        quiet = [r for r in rows if r.omega == 0.0]
+        assert [r.threshold_strategy for r in quiet] == ["finite-sample", "asymptotic"] * 4
+        for finite, asym in zip(quiet[::2], quiet[1::2]):
+            assert finite.aborted == "" and finite.mc_worst is not None
+            assert asym.aborted == "invalid-rates"
+            assert (asym.n, asym.tau, asym.mc_worst) == (None, None, None)
+        assert all(r.aborted == "" for r in rows if r.omega == 0.1)
+
     def test_default_output_lands_in_working_directory(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["fig1b", "--omega", "0.1"]) == 0
@@ -149,6 +170,31 @@ class TestErrorPaths:
         assert rc == 1
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["bounds", "fig1a", "fig1b", "fig3", "duel"])
+    def test_zero_round_cost_is_rejected_before_any_work(self, command, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        args = [command, "--omega", "0.1", "--lb", "0"]
+        if command != "bounds":
+            args += ["--out", str(out)]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sweep", ["fig1a", "fig1b", "fig3", "duel"])
+    @pytest.mark.parametrize("grid", [["0.1", "1.5"], ["nan"]], ids=["out-of-range", "nan"])
+    def test_bad_noise_level_is_rejected_before_any_work(self, sweep, grid, tmp_path, capsys):
+        out = tmp_path / f"{sweep}.csv"
+        args = [sweep, "--out", str(out)]
+        for w in grid:
+            args += ["--omega", w]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "noise level" in captured.err
+        assert not out.exists()
 
     def test_unwritable_output_reports_error(self, tmp_path, capsys):
         target = tmp_path / "no-such-dir" / "x.csv"

@@ -214,7 +214,7 @@ class TestBruteForce:
     def test_tie_breaks_toward_smallest_rounds_then_threshold(self):
         # perfectly separable rates with zero round cost make every rule
         # with 1 <= threshold <= n lossless; the scan must keep the first
-        params = LossParameters(5.0, 3.0, 0.0, allow_zero_round_cost=True)
+        params = LossParameters(5.0, 3.0, 0.0)
         rates = ErrorRateBounds(attacker_floor=1.0, user_ceiling=0.0)
         res = brute_force_optimal(params, rates, 4)
         assert res == BruteForceResult(1, 1, 0.0)

@@ -4,8 +4,9 @@ import math
 
 import pytest
 
-from threshauth.bounds import optimal_rounds
-from threshauth.channel import ChannelModel, swiss_hitomi_rates
+from threshauth.asymptotic import asymptotic_threshold
+from threshauth.bounds import optimal_rounds, optimal_threshold
+from threshauth.channel import ChannelModel, score_counts, simulate_error_counts, swiss_hitomi_rates
 from threshauth.experiments import (
     CSV_HEADER,
     DEFAULT_LOSSES,
@@ -20,7 +21,7 @@ from threshauth.experiments import (
     parse_csv,
     threshold_duel,
 )
-from threshauth.loss import LossParameters
+from threshauth.loss import LossParameters, ProverIdentity
 
 
 def _blank_row(**overrides):
@@ -116,6 +117,13 @@ class TestExperimentSpec:
             ExperimentSpec(trials=0)
         with pytest.raises(ValueError):
             ExperimentSpec(codeword_length=0)
+        for w in (-0.1, 1.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="noise level"):
+                ExperimentSpec(noise_grid=(0.1, w))
+        with pytest.raises(ValueError, match="per_round"):
+            ExperimentSpec(params=LossParameters(10.0, 1.0, 0.0))
+        # noise levels in [1/3, 1] stay legal: they become gap-collapse rows
+        ExperimentSpec(noise_grid=(0.0, 0.5, 1.0))
 
     def test_factory_overrides(self):
         spec = ExperimentSpec.figure3(seed=5, trials=123, noise_grid=(0.1,))
@@ -276,6 +284,32 @@ class TestFigure3:
             assert r.aborted == ""
             assert abs(r.mc_worst - r.exact_worst) <= 6.0 * r.mc_stderr + 1e-3
 
+    def test_equal_designs_share_their_trials(self):
+        # at the true noise level a 0.1 guess is the oracle design, so
+        # both rows score the same threshold on the same draw
+        spec = ExperimentSpec.figure3(
+            noise_grid=(0.1,),
+            trials=400,
+            rate_strategies=("true-omega", "guess:0.1"),
+            threshold_strategies=(ThresholdStrategy.FINITE,),
+        )
+        oracle, guess = figure3_comparison(spec)
+        assert (oracle.n, oracle.tau) == (guess.n, guess.tau)
+        assert (oracle.mc_worst, oracle.mc_stderr) == (guess.mc_worst, guess.mc_stderr)
+
+    def test_rows_do_not_depend_on_strategy_order(self):
+        labels = ("guess:0.1", "ml", "hp:0.1")
+        kw = dict(noise_grid=(0.02, 0.1), trials=400)
+        forward = figure3_comparison(ExperimentSpec.figure3(rate_strategies=labels, **kw))
+        backward = figure3_comparison(
+            ExperimentSpec.figure3(rate_strategies=labels[::-1], **kw)
+        )
+
+        def key(r):
+            return (r.omega, r.rate_strategy, r.threshold_strategy)
+
+        assert sorted(forward, key=key) == sorted(backward, key=key)
+
     def test_stderr_stays_positive_when_no_decision_event_is_seen(self):
         # every fig3 rate is strictly inside (0, 1), so the Monte Carlo mean
         # is never exact and its stderr never drops below the zero-hit
@@ -332,6 +366,46 @@ class TestThresholdDuel:
         rows = threshold_duel(ExperimentSpec.duel(trials=4_000))
         for r in rows:
             assert abs(r.mc_worst - r.exact_worst) <= 6.0 * r.mc_stderr + 1e-3
+
+    def test_worst_side_carries_its_own_stderr(self):
+        # each row re-scores the counts drawn at seed (master, wi, ni):
+        # the larger mean wins (the attacker on ties), with its own stderr;
+        # equal decision losses let either side be the worse one
+        spec = ExperimentSpec.duel(params=LossParameters(1.0, 1.0, 1e-2), trials=300)
+        rows = iter(threshold_duel(spec))
+        winners = set()
+        for wi, w in enumerate(spec.noise_grid):
+            rates = swiss_hitomi_rates(ChannelModel(w))
+            sides = (
+                (ProverIdentity.ATTACKER, rates.attacker_floor),
+                (ProverIdentity.USER, rates.user_ceiling),
+            )
+            for ni, n in enumerate(spec.n_grid):
+                counts = [
+                    simulate_error_counts(n, p, spec.trials, (spec.master_seed, wi, ni), identity)
+                    for identity, p in sides
+                ]
+                # rows carry tau rounded to 12 digits, too coarse to score
+                taus = (
+                    optimal_threshold(spec.params, rates, n).raw,
+                    asymptotic_threshold(spec.params, rates, n),
+                )
+                for tau in taus:
+                    row = next(rows)
+                    scores = [
+                        score_counts(c, tau, n, spec.params, identity, p)
+                        for c, (identity, p) in zip(counts, sides)
+                    ]
+                    worst = 0 if scores[0][0] >= scores[1][0] else 1
+                    winners.add(sides[worst][0])
+                    expected = _blank_row(
+                        mc_worst=scores[worst][0], mc_stderr=scores[worst][1]
+                    )
+                    assert (row.mc_worst, row.mc_stderr) == (
+                        expected.mc_worst,
+                        expected.mc_stderr,
+                    )
+        assert winners == {ProverIdentity.ATTACKER, ProverIdentity.USER}
 
     def test_deterministic_given_seed(self):
         spec = ExperimentSpec.duel(

@@ -24,13 +24,12 @@ class TestLossParameters:
     def test_ratio(self):
         assert BENCH.ratio == pytest.approx(10.0, rel=1e-15)
 
-    def test_rejects_zero_round_cost_by_default(self):
-        with pytest.raises(ValueError):
-            LossParameters(10.0, 1.0, 0.0)
-
-    def test_zero_round_cost_with_flag(self):
-        p = LossParameters(10.0, 1.0, 0.0, allow_zero_round_cost=True)
-        assert p.per_round == 0.0
+    def test_round_cost_is_finite_and_nonnegative(self):
+        # zero is a valid cost; the round-count optimizers reject it
+        assert LossParameters(10.0, 1.0, 0.0).per_round == 0.0
+        for bad in (-1e-2, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                LossParameters(10.0, 1.0, bad)
 
     def test_rejects_nonpositive_decision_losses(self):
         with pytest.raises(ValueError):
