@@ -34,7 +34,6 @@ from .channel import (
 from .exact import (
     BinomialSpec,
     BruteForceResult,
-    acceptance_probability,
     binomial_cdf,
     binomial_pmf,
     binomial_sf,
@@ -47,7 +46,6 @@ from .loss import (
     GapCollapseError,
     LossParameters,
     ProverIdentity,
-    expected_loss,
 )
 from .noise import (
     NoiseEstimate,
@@ -74,7 +72,6 @@ __all__ = [
     "ThresholdChoice",
     "TransparentCode",
     "UserErrorModel",
-    "acceptance_probability",
     "approx_threshold",
     "asymptotic_threshold",
     "bayes_risk",
@@ -86,7 +83,6 @@ __all__ = [
     "estimate_noise",
     "exact_expected_loss",
     "exact_worst_case_loss",
-    "expected_loss",
     "high_probability_rates",
     "hoeffding_tail",
     "loss_bound_at",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exact import BinomialSpec, accepted_count_max, binomial_cdf
+from .exact import BinomialSpec, accepted_count_max, binomial_cdf, binomial_sf
 from .loss import ErrorRateBounds, LossParameters
 
 
@@ -123,8 +123,8 @@ def bayes_risk(
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     cut = accepted_count_max(threshold)
     acc_att = binomial_cdf(BinomialSpec(rounds, rates.attacker_floor), cut)
-    acc_use = binomial_cdf(BinomialSpec(rounds, rates.user_ceiling), cut)
+    rej_use = binomial_sf(BinomialSpec(rounds, rates.user_ceiling), cut + 1)
     return (
         prior.attacker * acc_att * params.false_accept
-        + prior.user * (1.0 - acc_use) * params.false_reject
+        + prior.user * rej_use * params.false_reject
     )

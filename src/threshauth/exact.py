@@ -1,7 +1,7 @@
-"""Exact binomial acceptance probabilities and brute-force optima.
+"""Exact binomial tails, expected losses and brute-force optima.
 
 With {0,1} per-round errors the total error count is binomial, so
-acceptance probabilities, expected losses, and the best (rounds,
+decision probabilities, expected losses, and the best (rounds,
 threshold) pair can all be computed exactly. The functions here serve
 as ground truth for the closed-form bounds.
 """
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loss import ErrorRateBounds, LossParameters, ProverIdentity, expected_loss
+from .loss import ErrorRateBounds, LossParameters, ProverIdentity
 
 
 @dataclass(frozen=True)
@@ -69,39 +69,40 @@ def binomial_pmf(trials: int, success_prob: float) -> np.ndarray:
     return _pmf(trials, success_prob)
 
 
-def binomial_cdf(spec: BinomialSpec, count: int) -> float:
-    """Lower-tail probability Pr(X <= count), exact term-by-term sum.
+def _tail(pmf: np.ndarray, upper: bool) -> np.ndarray:
+    """Pr(X < t), or Pr(X >= t) if upper, at t = 0..n+1 from a pmf.
 
-    Sums the log-space mass function of binomial_pmf with compensated
-    summation. Counts below 0 give 0, counts at or above the trial
-    count give 1.
+    Each tail is a running sum from its own end of the pmf, so a small
+    upper tail is not 1 minus a number near 1 (Loader 2000).
     """
+    if upper:
+        return np.append(np.cumsum(pmf[::-1])[::-1], 0.0)
+    return np.concatenate(([0.0], np.cumsum(pmf)))
+
+
+def binomial_cdf(spec: BinomialSpec, count: int) -> float:
+    """Pr(X <= count), summed up from X = 0: 0 for count < 0, 1 for count >= n."""
     if count < 0:
         return 0.0
     if count >= spec.trials:
         return 1.0
-    return min(1.0, math.fsum(_pmf(spec.trials, spec.success_prob)[: count + 1]))
+    pmf = _pmf(spec.trials, spec.success_prob)
+    return min(1.0, float(_tail(pmf, upper=False)[count + 1]))
 
 
 def binomial_sf(spec: BinomialSpec, count: int) -> float:
-    """Upper-tail probability Pr(X >= count), derived by complement.
-
-    Defined as 1 - cdf(count - 1) so that cdf(u) + sf(u + 1) == 1 holds
-    exactly in floating point for every u.
-    """
-    return 1.0 - binomial_cdf(spec, count - 1)
+    """Pr(X >= count), summed down from X = n: 1 for count <= 0, 0 for count > n."""
+    if count <= 0:
+        return 1.0
+    if count > spec.trials:
+        return 0.0
+    pmf = _pmf(spec.trials, spec.success_prob)
+    return min(1.0, float(_tail(pmf, upper=True)[count]))
 
 
 def accepted_count_max(threshold: float) -> int:
     """Largest integer error count strictly below the threshold."""
     return math.ceil(threshold) - 1
-
-
-def acceptance_probability(trials: int, threshold: float, per_round_error: float) -> float:
-    """Pr(error count < threshold) for binomial per-round errors."""
-    return binomial_cdf(
-        BinomialSpec(trials, per_round_error), accepted_count_max(threshold)
-    )
 
 
 def exact_expected_loss(
@@ -111,9 +112,17 @@ def exact_expected_loss(
     per_round_error: float,
     identity: ProverIdentity,
 ) -> float:
-    """Expected loss with the acceptance probability computed exactly."""
-    accept = acceptance_probability(rounds, threshold, per_round_error)
-    return expected_loss(params, rounds, accept, identity)
+    """Expected loss of one run, with exact binomial decision probabilities:
+
+        attacker: rounds * per_round + Pr(count < tau)  * false_accept
+        user:     rounds * per_round + Pr(count >= tau) * false_reject
+    """
+    spec = BinomialSpec(rounds, per_round_error)
+    cut = accepted_count_max(threshold)
+    base = rounds * params.per_round
+    if identity is ProverIdentity.ATTACKER:
+        return base + binomial_cdf(spec, cut) * params.false_accept
+    return base + binomial_sf(spec, cut + 1) * params.false_reject
 
 
 def exact_worst_case_loss(
@@ -155,12 +164,10 @@ def brute_force_optimal(
     for n in range(1, n_max + 1):
         pmf_att = binomial_pmf(n, rates.attacker_floor)
         pmf_use = binomial_pmf(n, rates.user_ceiling)
-        # acceptance probability at integer threshold t is Pr(count <= t-1)
-        acc_att = np.concatenate(([0.0], np.cumsum(pmf_att[:-1])))
-        acc_use = np.concatenate(([0.0], np.cumsum(pmf_use[:-1])))
-        worst = np.maximum(
-            n * lb + acc_att * la, n * lb + (1.0 - acc_use) * lu
-        )
+        # Pr(attacker accepted) and Pr(user rejected) at thresholds t = 0..n
+        acc_att = _tail(pmf_att, upper=False)[:-1]
+        rej_use = _tail(pmf_use, upper=True)[:-1]
+        worst = np.maximum(n * lb + acc_att * la, n * lb + rej_use * lu)
         t = int(np.argmin(worst))  # argmin returns the first, smallest-t, minimum
         if worst[t] < best.worst_loss:
             best = BruteForceResult(n, t, float(worst[t]))

@@ -130,6 +130,8 @@ class ExperimentSpec:
                 raise ValueError(f"noise level not in [0,1]: {w}")
         if not self.n_grid:
             raise ValueError("n_grid must be nonempty")
+        if self.n_max < 1:
+            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.codeword_length < 1:

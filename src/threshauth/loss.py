@@ -3,7 +3,7 @@
 A protocol run costs a fixed amount per exchanged round plus a penalty
 when the decision is wrong: accepting an attacker or rejecting the
 legitimate user. Everything downstream (bounds, exact optima, Monte
-Carlo) scores outcomes through the functions defined here.
+Carlo) takes its loss parameters and rate bounds from here.
 """
 
 from __future__ import annotations
@@ -81,28 +81,4 @@ class ErrorRateBounds:
     @property
     def gap(self) -> float:
         return self.attacker_floor - self.user_ceiling
-
-
-def expected_loss(
-    params: LossParameters,
-    rounds: int,
-    accept_prob: float,
-    identity: ProverIdentity,
-) -> float:
-    """Expected loss of one protocol run given the acceptance probability.
-
-    For an attacker the wrong decision is acceptance, for the user it is
-    rejection; either way the round cost is always paid:
-
-        attacker: rounds * per_round + accept_prob * false_accept
-        user:     rounds * per_round + (1 - accept_prob) * false_reject
-    """
-    if not (0.0 <= accept_prob <= 1.0):
-        raise ValueError(f"accept_prob not in [0,1]: {accept_prob}")
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
-    base = rounds * params.per_round
-    if identity is ProverIdentity.ATTACKER:
-        return base + accept_prob * params.false_accept
-    return base + (1.0 - accept_prob) * params.false_reject
 

@@ -7,6 +7,8 @@ precision script before being pinned here.
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from threshauth.bounds import (
     ThresholdChoice,
@@ -17,6 +19,7 @@ from threshauth.bounds import (
     rounds_loss_bound,
     threshold_loss_bound,
 )
+from threshauth.channel import ChannelModel, swiss_hitomi_rates
 from threshauth.exact import BinomialSpec, binomial_sf, exact_worst_case_loss
 from threshauth.loss import ErrorRateBounds, LossParameters
 
@@ -69,6 +72,21 @@ class TestHoeffdingTail:
                     assert exact <= hoeffding_tail(n, t) + 1e-15
 
 
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@st.composite
+def _valid_designs(draw):
+    la, lu = draw(_log_uniform(0.1, 1e3)), draw(_log_uniform(0.1, 1e3))
+    lb, w = draw(_log_uniform(1e-6, 0.1)), draw(_log_uniform(1e-3, 0.3))
+    n = draw(st.integers(1, 512))
+    rates = swiss_hitomi_rates(ChannelModel(w))
+    lo, hi = n * rates.user_ceiling, n * rates.attacker_floor
+    tau = min(hi, lo + draw(st.floats(0.0, 1.0)) * (hi - lo))
+    return la, lu, lb, w, n, tau
+
+
 class TestLossBoundAt:
     def test_frozen_value_at_equalizing_threshold(self):
         report = loss_bound_at(BENCH, SWISS_01, 64, TAU_HAT_64)
@@ -111,6 +129,20 @@ class TestLossBoundAt:
                     exact = exact_worst_case_loss(BENCH, rates, n, tau)
                     assert report.valid
                     assert report.bound_value >= exact - 1e-12
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_valid_designs())
+    # (la, lu, lb, w, n, tau) where a user tail taken as 1 - cdf lands above
+    # the bound, though the rational value lies below it
+    @example((3.11, 77.95, 1.205e-6, 0.05324, 494, 143.82))
+    @example((0.324, 288.0, 3.65e-6, 0.0198, 381, 105.44))
+    def test_dominates_exact_worst_case_over_random_designs(self, design):
+        la, lu, lb, w, n, tau = design
+        params = LossParameters(la, lu, lb)
+        rates = swiss_hitomi_rates(ChannelModel(w))
+        report = loss_bound_at(params, rates, n, tau)
+        assert report.valid
+        assert exact_worst_case_loss(params, rates, n, tau) <= report.bound_value
 
 
 class TestOptimalThreshold:

@@ -40,6 +40,15 @@ class TestCalculatorCommands:
         assert rc == 0
         assert "n_star            63" in out
 
+    def test_exact_keeps_a_rare_rejection_to_full_precision(self, capsys):
+        # lu = 1e9 weighs a user rejection probability near 1e-10; rational
+        # enumeration of the optimum gives 0.333263085...
+        rc = main(["exact", "--omega", "0.01", "--la", "1", "--lu", "1e9", "--lb", "0.01",
+                   "--n", "64"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "worst_loss        0.3332630853" in out
+
     def test_estimate_noise_is_seeded(self, capsys):
         rc = main(["estimate-noise", "--omega", "0.1", "--k", "1024", "--seed", "7"])
         first = capsys.readouterr().out
@@ -194,6 +203,16 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "noise level" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("omega", ["0.1", "0.4"])
+    def test_search_limit_below_one_is_rejected_before_any_work(self, omega, tmp_path, capsys):
+        # at 0.4 the rates collapse, so no brute-force search would run
+        out = tmp_path / "fig1b.csv"
+        assert main(["fig1b", "--omega", omega, "--n", "0", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n_max" in captured.err
         assert not out.exists()
 
     def test_unwritable_output_reports_error(self, tmp_path, capsys):

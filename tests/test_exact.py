@@ -3,16 +3,17 @@
 import itertools
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from threshauth.channel import ChannelModel, swiss_hitomi_rates
 from threshauth.exact import (
     BinomialSpec,
     BruteForceResult,
-    acceptance_probability,
     accepted_count_max,
     binomial_cdf,
     binomial_pmf,
@@ -25,6 +26,7 @@ from threshauth.loss import ErrorRateBounds, LossParameters, ProverIdentity
 
 BENCH = LossParameters(10.0, 1.0, 1e-2)
 SWISS_01 = ErrorRateBounds(attacker_floor=0.55, user_ceiling=0.2)
+ATT, USER = ProverIdentity.ATTACKER, ProverIdentity.USER
 
 
 def enumerated_count_distribution(n: int, mu: float) -> list[float]:
@@ -64,13 +66,6 @@ class TestBinomialCdf:
         vals = [binomial_cdf(spec, u) for u in range(-1, 31)]
         assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
 
-    def test_complement_identity_exact(self):
-        # sf is defined as the float complement, so this holds exactly
-        for n, mu in ((1, 0.5), (7, 0.2), (20, 0.55), (33, 0.9)):
-            spec = BinomialSpec(n, mu)
-            for u in range(-1, n + 2):
-                assert binomial_cdf(spec, u) + binomial_sf(spec, u + 1) == 1.0
-
     def test_large_n_stability(self):
         # no overflow and sane tails at ten thousand trials
         spec = BinomialSpec(10_000, 0.55)
@@ -95,8 +90,23 @@ def _spec_and_count(max_trials):
     )
 
 
+def enumerated_mass(spec: BinomialSpec, lo: int, hi: int) -> Fraction:
+    """Exact Pr(lo <= X < hi), summed in integers for mu = a / b."""
+    n = spec.trials
+    a, b = spec.success_prob.as_integer_ratio()
+    numer = sum(
+        math.comb(n, k) * a**k * (b - a) ** (n - k)
+        for k in range(max(lo, 0), min(hi, n + 1))
+    )
+    return Fraction(numer, b**n)
+
+
 # below the smallest normal float a relative error means nothing
 TINY = sys.float_info.min
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
 
 
 class TestBinomialCdfProperties:
@@ -104,14 +114,16 @@ class TestBinomialCdfProperties:
     @given(_spec_and_count(200))
     def test_matches_exact_integer_enumeration(self, spec_count):
         spec, count = spec_count
-        n = spec.trials
-        # mu = a / b exactly; the integer quotient below rounds correctly
-        a, b = spec.success_prob.as_integer_ratio()
-        numer = sum(
-            math.comb(n, k) * a**k * (b - a) ** (n - k)
-            for k in range(min(max(count + 1, 0), n + 1))
-        )
-        assert binomial_cdf(spec, count) == pytest.approx(numer / b**n, rel=1e-12, abs=TINY)
+        exact = float(enumerated_mass(spec, 0, count + 1))  # correctly rounded
+        assert binomial_cdf(spec, count) == pytest.approx(exact, rel=1e-12, abs=TINY)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_spec_and_count(200))
+    def test_sf_matches_exact_integer_enumeration(self, spec_count):
+        # a far upper tail taken as 1 - cdf keeps no relative precision
+        spec, count = spec_count
+        exact = float(enumerated_mass(spec, count, spec.trials + 1))
+        assert binomial_sf(spec, count) == pytest.approx(exact, rel=1e-12, abs=TINY)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(_spec_and_count(1000))
@@ -123,9 +135,12 @@ class TestBinomialCdfProperties:
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(_spec_and_count(1000))
-    def test_complement_identity_is_exact(self, spec_count):
+    def test_tails_add_to_one_within_pmf_normalisation(self, spec_count):
+        # the two tails are summed separately, so they add up to the pmf's
+        # float total, whose distance from 1 grows about like n * eps
         spec, count = spec_count
-        assert binomial_cdf(spec, count) + binomial_sf(spec, count + 1) == 1.0
+        total = binomial_cdf(spec, count) + binomial_sf(spec, count + 1)
+        assert abs(total - 1.0) <= 16 * spec.trials * sys.float_info.epsilon
 
 
 class TestBinomialPmf:
@@ -149,20 +164,6 @@ class TestAcceptance:
         assert accepted_count_max(0.2) == 0
         assert accepted_count_max(0.0) == -1
         assert accepted_count_max(-3.7) == -4
-
-    def test_acceptance_probability_saturates(self):
-        assert acceptance_probability(4, 0.0, 0.55) == 0.0
-        assert acceptance_probability(4, 5.0, 0.55) == 1.0
-
-    def test_integer_vs_fractional_threshold(self):
-        # tau=2 admits counts {0,1}; tau=2.5 admits {0,1,2}
-        spec = BinomialSpec(4, 0.55)
-        assert acceptance_probability(4, 2.0, 0.55) == pytest.approx(
-            binomial_cdf(spec, 1), abs=1e-15
-        )
-        assert acceptance_probability(4, 2.5, 0.55) == pytest.approx(
-            binomial_cdf(spec, 2), abs=1e-15
-        )
 
 
 class TestExactExpectedLoss:
@@ -193,6 +194,44 @@ class TestExactExpectedLoss:
     def test_worst_case_picks_larger_side(self):
         w = exact_worst_case_loss(BENCH, SWISS_01, 4, 2.0)
         assert w == pytest.approx(2.4548125, abs=1e-12)
+
+    def test_saturated_thresholds_pay_exact_losses(self):
+        base = 4 * BENCH.per_round
+        for tau in (0.0, -3.7):  # rejects every count
+            assert exact_expected_loss(BENCH, 4, tau, 0.55, ATT) == base
+            assert exact_expected_loss(BENCH, 4, tau, 0.2, USER) == base + BENCH.false_reject
+        for tau in (4.5, 5.0):  # accepts every count
+            assert exact_expected_loss(BENCH, 4, tau, 0.2, USER) == base
+            assert exact_expected_loss(BENCH, 4, tau, 0.55, ATT) == base + BENCH.false_accept
+
+    def test_fractional_threshold_moves_the_cut(self):
+        # tau=2 accepts counts {0,1}; tau=2.5 accepts {0,1,2}
+        spec_att, spec_use = BinomialSpec(4, 0.55), BinomialSpec(4, 0.2)
+        base = 4 * BENCH.per_round
+        for tau, cut in ((2.0, 1), (2.5, 2)):
+            assert exact_expected_loss(BENCH, 4, tau, 0.55, ATT) == (
+                base + binomial_cdf(spec_att, cut) * BENCH.false_accept
+            )
+            assert exact_expected_loss(BENCH, 4, tau, 0.2, USER) == (
+                base + binomial_sf(spec_use, cut + 1) * BENCH.false_reject
+            )
+        assert exact_expected_loss(BENCH, 4, 2.0, 0.55, ATT) < exact_expected_loss(
+            BENCH, 4, 2.5, 0.55, ATT
+        )
+
+    def test_round_cost_floor(self):
+        for tau in np.linspace(-1.0, 13.0, 57):
+            for p in (0.0, 0.2, 0.55, 1.0):
+                for ident in ProverIdentity:
+                    loss = exact_expected_loss(BENCH, 12, tau, p, ident)
+                    assert loss >= 12 * BENCH.per_round
+
+    def test_rejects_bad_error_rate_and_rounds(self):
+        for p in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValueError):
+                exact_expected_loss(BENCH, 4, 2.0, p, USER)
+        with pytest.raises(ValueError):
+            exact_expected_loss(BENCH, 0, 2.0, 0.2, ATT)
 
 
 class TestBruteForce:
@@ -235,3 +274,26 @@ class TestBruteForce:
         r64 = brute_force_optimal(BENCH, SWISS_01, 64)
         r128 = brute_force_optimal(BENCH, SWISS_01, 128)
         assert r128.worst_loss <= r64.worst_loss + 1e-15
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        la=_log_uniform(1.0, 1e3),
+        lu=_log_uniform(1.0, 1e12),
+        lb=_log_uniform(1e-4, 0.1),
+        w=_log_uniform(1e-3, 0.3),
+    )
+    def test_optimum_losses_match_integer_enumeration(self, la, lu, lb, w):
+        # with lu up to 1e12 the optimum's user rejection probability is far
+        # below eps, where a tail taken as 1 - cdf keeps no digits
+        params = LossParameters(la, lu, lb)
+        rates = swiss_hitomi_rates(ChannelModel(w))
+        res = brute_force_optimal(params, rates, 128)
+        n, t = res.rounds, res.threshold
+        base = n * Fraction(lb)
+        att = base + enumerated_mass(BinomialSpec(n, rates.attacker_floor), 0, t) * Fraction(la)
+        use = base + enumerated_mass(BinomialSpec(n, rates.user_ceiling), t, n + 1) * Fraction(lu)
+        assert res.worst_loss == pytest.approx(float(max(att, use)), rel=1e-12)
+        got_att = exact_expected_loss(params, n, t, rates.attacker_floor, ATT)
+        got_use = exact_expected_loss(params, n, t, rates.user_ceiling, USER)
+        assert got_att == pytest.approx(float(att), rel=1e-12)
+        assert got_use == pytest.approx(float(use), rel=1e-12)

@@ -113,6 +113,8 @@ class TestExperimentSpec:
             ExperimentSpec(noise_grid=())
         with pytest.raises(ValueError):
             ExperimentSpec(n_grid=())
+        with pytest.raises(ValueError, match="n_max"):
+            ExperimentSpec(n_max=0)
         with pytest.raises(ValueError):
             ExperimentSpec(trials=0)
         with pytest.raises(ValueError):
