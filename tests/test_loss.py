@@ -1,13 +1,16 @@
-"""Tests for the loss parameters and the error-rate bounds."""
+"""Tests for the loss parameters, the error-rate bounds and the expected loss."""
 
 import math
 
+import numpy as np
 import pytest
 
+from threshauth.exact import exact_expected_loss
 from threshauth.loss import (
     ErrorRateBounds,
     GapCollapseError,
     LossParameters,
+    ProverIdentity,
 )
 
 BENCH = LossParameters(false_accept=10.0, false_reject=1.0, per_round=1e-2)
@@ -54,3 +57,24 @@ class TestErrorRateBounds:
         # callers that only care about validity can catch ValueError
         assert issubclass(GapCollapseError, ValueError)
 
+
+
+class TestExpectedLoss:
+    def test_attacker_never_accepted(self):
+        # tau <= 0 accepts no count: the attacker pays only the rounds
+        for tau in (0.0, -3.7):
+            got = exact_expected_loss(BENCH, 7, tau, 0.55, ProverIdentity.ATTACKER)
+            assert got == 7 * BENCH.per_round
+
+    def test_user_always_accepted(self):
+        # tau > n accepts every count: the user pays only the rounds
+        for tau in (7.5, 8.0):
+            got = exact_expected_loss(BENCH, 7, tau, 0.2, ProverIdentity.USER)
+            assert got == 7 * BENCH.per_round
+
+    def test_round_cost_floor(self):
+        for tau in np.linspace(-1.0, 13.0, 57):
+            for p in (0.0, 0.2, 0.55, 1.0):
+                for ident in ProverIdentity:
+                    loss = exact_expected_loss(BENCH, 12, tau, p, ident)
+                    assert loss >= 12 * BENCH.per_round
