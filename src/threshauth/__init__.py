@@ -40,6 +40,7 @@ from .exact import (
     brute_force_optimal,
     exact_expected_loss,
     exact_worst_case_loss,
+    exact_worst_case_losses,
 )
 from .loss import (
     ErrorRateBounds,
@@ -83,6 +84,7 @@ __all__ = [
     "estimate_noise",
     "exact_expected_loss",
     "exact_worst_case_loss",
+    "exact_worst_case_losses",
     "high_probability_rates",
     "hoeffding_tail",
     "loss_bound_at",

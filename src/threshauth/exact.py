@@ -4,11 +4,18 @@ With {0,1} per-round errors the total error count is binomial, so
 decision probabilities, expected losses, and the best (rounds,
 threshold) pair can all be computed exactly. The functions here serve
 as ground truth for the closed-form bounds.
+
+One tail kernel, ``_tail``, turns pmfs into running sums along their
+last axis. Scalar queries feed it one pmf; ``exact_worst_case_losses``
+feeds it blocks of zero-padded pmf rows, one per round count, so a
+whole round grid costs one numpy pass per block instead of two per
+round count. Both paths give bitwise the same numbers.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,15 +76,62 @@ def binomial_pmf(trials: int, success_prob: float) -> np.ndarray:
     return _pmf(trials, success_prob)
 
 
+# Largest block of padded pmf entries built at once by the round-grid
+# kernel; keeps its transient arrays under a megabyte.
+_BLOCK_ENTRIES = 1 << 14
+
+
+def _pmf_rows(rounds: np.ndarray, mu: float) -> np.ndarray:
+    """Rows ``_pmf(n, mu)`` for each n of ``rounds``, zero-padded to max + 1.
+
+    Each entry is the same float expression as in ``_pmf``. Columns past
+    a row's n get ratio 1, so their log adds 0 to the coefficient sum,
+    and log-mass -inf, where their own formula could overflow the exp;
+    they hold exactly 0.0 and add exactly +0.0 to any running sum.
+    """
+    rows, width = len(rounds), int(rounds.max()) + 1
+    if mu == 0.0 or mu == 1.0:
+        out = np.zeros((rows, width))
+        out[np.arange(rows), rounds if mu == 1.0 else 0] = 1.0
+        return out
+    n = rounds[:, None].astype(np.float64)
+    k = np.arange(1, width, dtype=np.float64)
+    ratio = np.where(k > n, 1.0, (n - k + 1.0) / k)
+    log_comb = np.concatenate((np.zeros((rows, 1)), np.cumsum(np.log(ratio), axis=-1)), axis=-1)
+    ks = np.arange(0, width, dtype=np.float64)
+    log_pmf = log_comb + ks * math.log(mu) + (n - ks) * math.log1p(-mu)
+    return np.exp(np.where(ks > n, -np.inf, log_pmf))
+
+
 def _tail(pmf: np.ndarray, upper: bool) -> np.ndarray:
-    """Pr(X < t), or Pr(X >= t) if upper, at t = 0..n+1 from a pmf.
+    """Pr(X < t), or Pr(X >= t) if upper, at t = 0..n+1 along a pmf's last axis.
 
     Each tail is a running sum from its own end of the pmf, so a small
     upper tail is not 1 minus a number near 1 (Loader 2000).
     """
+    out = np.zeros(pmf.shape[:-1] + (pmf.shape[-1] + 1,))
     if upper:
-        return np.append(np.cumsum(pmf[::-1])[::-1], 0.0)
-    return np.concatenate(([0.0], np.cumsum(pmf)))
+        # summed from t = n down, written back to front into t = n..0
+        np.cumsum(pmf[..., ::-1], axis=-1, out=out[..., -2::-1])
+    else:
+        np.cumsum(pmf, axis=-1, out=out[..., 1:])
+    return out
+
+
+def _tails_at(rounds: np.ndarray, mu: float, counts: np.ndarray, upper: bool) -> np.ndarray:
+    """``_tail(_pmf(n, mu), upper)[c]`` for each pair of ``rounds`` and ``counts``.
+
+    Needs integer n >= 1 and 0 <= c <= n + 1. Works through the round
+    counts in order, in blocks of at most about ``_BLOCK_ENTRIES``
+    padded pmf entries.
+    """
+    out = np.empty(len(rounds))
+    step = max(1, _BLOCK_ENTRIES // (int(rounds.max()) + 2))
+    for lo in range(0, len(rounds), step):
+        block = slice(lo, lo + step)
+        tails = _tail(_pmf_rows(rounds[block], mu), upper)
+        out[block] = tails[np.arange(tails.shape[0]), counts[block]]
+    return out
 
 
 def binomial_cdf(spec: BinomialSpec, count: int) -> float:
@@ -125,6 +179,37 @@ def exact_expected_loss(
     return base + binomial_sf(spec, cut + 1) * params.false_reject
 
 
+def exact_worst_case_losses(
+    params: LossParameters,
+    rates: ErrorRateBounds,
+    rounds: Sequence[int],
+    thresholds: Sequence[float],
+) -> np.ndarray:
+    """``exact_worst_case_loss`` at each (rounds, threshold) pair, in blocks.
+
+    Equals, bit for bit, the larger of the two ``exact_expected_loss``
+    values at each pair, but builds the pmfs of all round counts for one
+    identity in blocks and takes each block's tails in one pass.
+    """
+    ns = np.asarray(rounds)
+    taus = np.asarray(thresholds, dtype=np.float64)
+    if ns.ndim != 1 or ns.size == 0 or ns.shape != taus.shape:
+        raise ValueError("rounds and thresholds must be nonempty and of one length")
+    if ns.dtype.kind not in "iu" or ns.min() < 1:
+        raise ValueError("rounds must be integers >= 1")
+    if np.isnan(taus).any():
+        raise ValueError("thresholds must not be nan")
+    # the smallest rejected count, clipped to the tail index range 0..n+1
+    cuts = np.ceil(np.clip(taus, 0.0, ns + 1.0)).astype(np.int64)
+    acc_att = _tails_at(ns, rates.attacker_floor, cuts, upper=False)
+    rej_use = _tails_at(ns, rates.user_ceiling, cuts, upper=True)
+    # a sure decision is exactly 1, not the pmf's float total
+    acc_att = np.where(cuts > ns, 1.0, np.minimum(1.0, acc_att))
+    rej_use = np.where(cuts == 0, 1.0, np.minimum(1.0, rej_use))
+    base = ns * params.per_round
+    return np.maximum(base + acc_att * params.false_accept, base + rej_use * params.false_reject)
+
+
 def exact_worst_case_loss(
     params: LossParameters,
     rates: ErrorRateBounds,
@@ -136,13 +221,7 @@ def exact_worst_case_loss(
     The attacker plays at its error floor and the user at its ceiling;
     those are the extremal behaviors the bounds are designed against.
     """
-    loss_att = exact_expected_loss(
-        params, rounds, threshold, rates.attacker_floor, ProverIdentity.ATTACKER
-    )
-    loss_use = exact_expected_loss(
-        params, rounds, threshold, rates.user_ceiling, ProverIdentity.USER
-    )
-    return max(loss_att, loss_use)
+    return float(exact_worst_case_losses(params, rates, [rounds], [threshold])[0])
 
 
 def brute_force_optimal(

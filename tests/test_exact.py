@@ -14,6 +14,9 @@ from threshauth.channel import ChannelModel, swiss_hitomi_rates
 from threshauth.exact import (
     BinomialSpec,
     BruteForceResult,
+    _pmf_rows,
+    _tail,
+    _tails_at,
     accepted_count_max,
     binomial_cdf,
     binomial_pmf,
@@ -21,6 +24,7 @@ from threshauth.exact import (
     brute_force_optimal,
     exact_expected_loss,
     exact_worst_case_loss,
+    exact_worst_case_losses,
 )
 from threshauth.loss import ErrorRateBounds, LossParameters, ProverIdentity
 
@@ -225,6 +229,75 @@ class TestExactExpectedLoss:
                 exact_expected_loss(BENCH, 4, 2.0, p, USER)
         with pytest.raises(ValueError):
             exact_expected_loss(BENCH, 0, 2.0, 0.2, ATT)
+
+
+def _scalar_worst(params, rates, n, tau):
+    """The worst-case loss from the two scalar per-identity losses."""
+    return max(
+        exact_expected_loss(params, n, tau, rates.attacker_floor, ATT),
+        exact_expected_loss(params, n, tau, rates.user_ceiling, USER),
+    )
+
+
+_MU = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestRoundGridKernel:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(grid=st.lists(st.integers(1, 300), min_size=1, max_size=8), mu=_MU, data=st.data())
+    def test_block_matches_scalar_kernel_bitwise(self, grid, mu, data):
+        ns = np.array(grid)
+        rows = _pmf_rows(ns, mu)
+        assert rows.shape == (len(grid), max(grid) + 1)
+        for n, row in zip(grid, rows):
+            assert row[: n + 1].tobytes() == binomial_pmf(n, mu).tobytes()
+            assert row[n + 1 :].tobytes() == bytes(8 * (max(grid) - n))  # +0.0 only
+        counts = np.array([
+            data.draw(st.one_of(st.sampled_from([0, n, n + 1]), st.integers(0, n + 1)))
+            for n in grid
+        ])
+        for upper in (False, True):
+            got = _tails_at(ns, mu, counts, upper)
+            want = [_tail(binomial_pmf(n, mu), upper)[c] for n, c in zip(grid, counts)]
+            assert got.tobytes() == np.array(want).tobytes()
+
+    def test_tail_along_last_axis_matches_one_row_at_a_time(self):
+        pmfs = np.stack([binomial_pmf(9, mu) for mu in (0.0, 0.3, 0.55, 1.0)])
+        for upper in (False, True):
+            block = _tail(pmfs, upper)
+            assert block.shape == (4, 11)
+            for pmf, row in zip(pmfs, block):
+                assert row.tobytes() == _tail(pmf, upper).tobytes()
+        for pmf in pmfs:
+            # each tail is the plain running sum from its own end
+            lower = np.concatenate(([0.0], np.cumsum(pmf)))
+            upper = np.append(np.cumsum(pmf[::-1])[::-1], 0.0)
+            assert _tail(pmf, False).tobytes() == lower.tobytes()
+            assert _tail(pmf, True).tobytes() == upper.tobytes()
+
+    def test_batched_loss_matches_scalar_losses_across_blocks(self):
+        # 300 round counts up to 600 span several blocks; thresholds cover
+        # sure rejection, sure acceptance and the fractional cuts between
+        rates = swiss_hitomi_rates(ChannelModel(0.05))
+        ns = list(range(1, 601, 2))
+        for frac in (-1.0, 0.0, 0.17, 0.5, 0.999, 1.0, 1.5):
+            taus = [frac * n + 0.25 * (n % 4) for n in ns]
+            got = exact_worst_case_losses(BENCH, rates, ns, taus)
+            want = [_scalar_worst(BENCH, rates, n, t) for n, t in zip(ns, taus)]
+            assert got.tobytes() == np.array(want).tobytes()
+        for tau in (-math.inf, math.inf):
+            assert exact_worst_case_loss(BENCH, rates, 7, tau) == pytest.approx(
+                7 * BENCH.per_round + (BENCH.false_reject if tau < 0 else BENCH.false_accept)
+            )
+
+    def test_batched_loss_rejects_bad_input(self):
+        for rounds in ([0], [True], [2.5], [], [3, -1]):
+            with pytest.raises(ValueError):
+                exact_worst_case_losses(BENCH, SWISS_01, rounds, [1.0] * len(rounds))
+        with pytest.raises(ValueError):
+            exact_worst_case_losses(BENCH, SWISS_01, [3, 4], [1.0])
+        with pytest.raises(ValueError):
+            exact_worst_case_loss(BENCH, SWISS_01, 3, math.nan)
 
 
 class TestBruteForce:

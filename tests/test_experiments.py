@@ -1,12 +1,15 @@
 """Tests for the sweep drivers and their CSV round trip."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import pytest
 
 from threshauth.asymptotic import asymptotic_threshold
 from threshauth.bounds import optimal_rounds, optimal_threshold
 from threshauth.channel import ChannelModel, score_counts, simulate_error_counts, swiss_hitomi_rates
+from threshauth.exact import exact_expected_loss
 from threshauth.experiments import (
     CSV_HEADER,
     DEFAULT_LOSSES,
@@ -127,6 +130,14 @@ class TestExperimentSpec:
         # noise levels in [1/3, 1] stay legal: they become gap-collapse rows
         ExperimentSpec(noise_grid=(0.0, 0.5, 1.0))
 
+    def test_rejects_bad_round_counts(self):
+        # caught before any work: duel would otherwise write abort rows for
+        # them and fig1a would fail mid-sweep
+        for grid in ((0,), (2.5,), (True,), (4, -1), (4, "8")):
+            for factory in (ExperimentSpec.figure1a, ExperimentSpec.duel):
+                with pytest.raises(ValueError, match="round counts"):
+                    factory(n_grid=grid)
+
     def test_factory_overrides(self):
         spec = ExperimentSpec.figure3(seed=5, trials=123, noise_grid=(0.1,))
         assert spec.master_seed == 5
@@ -163,6 +174,36 @@ class TestFigure1a:
             group = [r for r in rows if r.omega == pytest.approx(w)]
             assert len({r.elb2 for r in group}) == 1
             assert group[0].elb2 >= min(r.elb1 for r in group)
+
+
+    def test_exact_losses_match_the_per_row_scalar_losses(self):
+        spec = ExperimentSpec.figure1a(noise_grid=(0.0, 0.01, 0.1, 0.3))
+        rows = figure1a_sweep(spec)
+        assert len(rows) == 4 * 256
+        for r in rows:
+            rates = swiss_hitomi_rates(ChannelModel(r.omega))
+            tau = optimal_threshold(spec.params, rates, r.n).raw
+            want = max(
+                exact_expected_loss(spec.params, r.n, tau, p, identity)
+                for identity, p in (
+                    (ProverIdentity.ATTACKER, rates.attacker_floor),
+                    (ProverIdentity.USER, rates.user_ceiling),
+                )
+            )
+            assert r == dataclasses.replace(r, exact_worst=want)
+
+    def test_memory_stays_small_on_the_default_noise_grid(self):
+        spec = ExperimentSpec.figure1a(noise_grid=default_noise_grid())
+        # a first small sweep keeps one-time allocations out of the peak
+        figure1a_sweep(ExperimentSpec.figure1a(noise_grid=(0.1,), n_grid=(1, 2)))
+        tracemalloc.start()
+        try:
+            rows = figure1a_sweep(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 24 * 256
+        assert peak <= 3_000_000
 
 
 class TestFigure1b:
