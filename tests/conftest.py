@@ -1,0 +1,26 @@
+"""Helpers shared by the test modules: binomial masses by integer enumeration."""
+
+import itertools
+import math
+from fractions import Fraction
+
+from threshauth.exact import BinomialSpec
+
+
+def _enumerated_terms(spec: BinomialSpec) -> tuple[list[int], int]:
+    """Integer numerators of Pr(X = k), k = 0..n, over their common denominator b^n."""
+    n = spec.trials
+    a, b = spec.success_prob.as_integer_ratio()
+    return [math.comb(n, k) * a**k * (b - a) ** (n - k) for k in range(n + 1)], b**n
+
+
+def enumerated_mass(spec: BinomialSpec, lo: int, hi: int) -> Fraction:
+    """Exact Pr(lo <= X < hi), summed in integers for mu = a / b."""
+    terms, denom = _enumerated_terms(spec)
+    return Fraction(sum(terms[max(lo, 0):max(hi, 0)]), denom)
+
+
+def enumerated_cdf(spec: BinomialSpec) -> list[float]:
+    """Pr(X <= k), k = 0..n, each correctly rounded from its integer sum."""
+    terms, denom = _enumerated_terms(spec)
+    return [running / denom for running in itertools.accumulate(terms)]

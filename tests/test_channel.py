@@ -1,19 +1,28 @@
 """Tests for the channel mapping and the deterministic Monte Carlo layer."""
 
+import ast
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import enumerated_cdf
+from threshauth import channel
 from threshauth.bounds import threshold_loss_bound
 from threshauth.channel import (
     ChannelModel,
     UserErrorModel,
+    _cdf_table,
     attacker_per_round_error,
     score_counts,
     simulate_error_counts,
     swiss_hitomi_rates,
 )
+from threshauth.exact import BinomialSpec
 from threshauth.loss import GapCollapseError, LossParameters, ProverIdentity
 
 BENCH = LossParameters(false_accept=10.0, false_reject=1.0, per_round=1e-2)
@@ -166,15 +175,17 @@ class TestStreamLayout:
         ones = simulate_error_counts(8, 1.0, 100, 7, ProverIdentity.ATTACKER)
         assert zeros.tolist() == [0] * 100
         assert ones.tolist() == [8] * 100
+        # zero rounds can make no error, whatever the rate
+        assert simulate_error_counts(0, 0.3, 5, 7, ProverIdentity.USER).tolist() == [0] * 5
 
     def test_counts_have_binomial_moments_by_inversion(self):
-        # n p = 12.8 <= 30: numpy draws by inversion
+        # n p = 12.8: a short table whose mass sits well inside it
         z_mean, z_var = _binomial_moment_sigmas(64, 0.2)
         assert z_mean < 5.0
         assert z_var < 5.0
 
     def test_counts_have_binomial_moments_by_btpe(self):
-        # n p = 307.2 > 30: numpy draws by BTPE
+        # n p = 307.2: a 1025-entry table that rounds to 1.0 long before its end
         z_mean, z_var = _binomial_moment_sigmas(1024, 0.3)
         assert z_mean < 5.0
         assert z_var < 5.0
@@ -199,6 +210,93 @@ class TestStreamLayout:
     def test_rejects_bad_trial_parameters(self):
         with pytest.raises(ValueError):
             simulate_error_counts(8, 0.3, 0, 1, ProverIdentity.USER)
+        for p in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValueError, match="per_round_error"):
+                simulate_error_counts(8, p, 10, 1, ProverIdentity.USER)
+        # a fractional count of rounds is refused, not truncated
+        for rounds in (-1, 2.5, True, "8"):
+            with pytest.raises(ValueError, match="rounds"):
+                simulate_error_counts(rounds, 0.3, 10, 1, ProverIdentity.USER)
+
+
+EPS = sys.float_info.epsilon
+
+
+class _FixedUniforms:
+    """Stands in for a stream whose every uniform is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+
+def _chi_square_excess(rounds, p, trials=100_000):
+    """Pearson's statistic of simulated counts against enumerated
+    expectations, in units of its 1e-7 upper quantile.
+
+    Counts with fewer than five expected hits are pooled into the end
+    bins; the quantile is the Wilson-Hilferty (1931) approximation.
+    """
+    counts = simulate_error_counts(rounds, p, trials, 1729, ProverIdentity.USER)
+    observed = np.bincount(counts, minlength=rounds + 1)
+    expected = trials * np.diff(enumerated_cdf(BinomialSpec(rounds, p)), prepend=0.0)
+    kept = np.flatnonzero(expected >= 5.0)
+    lo, hi = kept[0], kept[-1]
+    obs = observed[lo : hi + 1].astype(float)
+    exp = expected[lo : hi + 1].copy()
+    obs[0], exp[0] = observed[: lo + 1].sum(), expected[: lo + 1].sum()
+    obs[-1], exp[-1] = observed[hi:].sum(), expected[hi:].sum()
+    stat = float(np.sum((obs - exp) ** 2 / exp))
+    df = len(obs) - 1
+    z = 5.2  # upper tail ~1e-7
+    quantile = df * (1.0 - 2.0 / (9.0 * df) + z * math.sqrt(2.0 / (9.0 * df))) ** 3
+    return stat / quantile
+
+
+class TestInversionSampler:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(1, 200), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_cdf_table_matches_integer_enumeration(self, rounds, p):
+        table = _cdf_table(rounds, p)
+        exact = np.array(enumerated_cdf(BinomialSpec(rounds, p)))
+        assert table.shape == (rounds + 1,)
+        assert np.max(np.abs(table - exact)) <= 16 * rounds * EPS
+        assert np.all(np.diff(table) >= 0.0)
+        assert table[-1] == 1.0
+
+    def test_counts_fit_the_binomial_in_the_fig3_regime(self):
+        assert _chi_square_excess(64, 0.53) < 1.0
+
+    def test_counts_fit_the_binomial_for_rare_errors(self):
+        assert _chi_square_excess(1024, 0.002) < 1.0
+
+    def test_largest_uniform_maps_to_at_most_rounds(self, monkeypatch):
+        below_one = np.nextafter(1.0, 0.0)
+        monkeypatch.setattr(channel, "_identity_stream", lambda *_: _FixedUniforms(below_one))
+        for rounds, p in ((4, 0.5), (64, 0.53), (200, 0.9999), (1024, 0.002)):
+            counts = simulate_error_counts(rounds, p, 3, 1, ProverIdentity.USER)
+            assert 0 <= counts.max() <= rounds
+        # Pr(X <= 3) = 15/16 < u, so only the last count is left
+        assert simulate_error_counts(4, 0.5, 3, 1, ProverIdentity.USER).tolist() == [4] * 3
+
+    def test_smallest_uniform_maps_to_zero(self, monkeypatch):
+        monkeypatch.setattr(channel, "_identity_stream", lambda *_: _FixedUniforms(0.0))
+        assert simulate_error_counts(64, 0.53, 3, 1, ProverIdentity.USER).tolist() == [0] * 3
+
+    def test_channel_does_not_import_the_exact_oracle(self):
+        # the Monte Carlo checks the exact oracle, so it must not sample from it
+        tree = ast.parse(Path(channel.__file__).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            for module in modules:
+                assert "exact" not in module.split("."), ast.unparse(node)
 
 
 def _stderr(counts, threshold, identity, per_round_error):

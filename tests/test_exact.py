@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import enumerated_mass
 from threshauth.channel import ChannelModel, swiss_hitomi_rates
 from threshauth.exact import (
     BinomialSpec,
@@ -92,17 +93,6 @@ def _spec_and_count(max_trials):
             st.integers(-2, n + 2),
         )
     )
-
-
-def enumerated_mass(spec: BinomialSpec, lo: int, hi: int) -> Fraction:
-    """Exact Pr(lo <= X < hi), summed in integers for mu = a / b."""
-    n = spec.trials
-    a, b = spec.success_prob.as_integer_ratio()
-    numer = sum(
-        math.comb(n, k) * a**k * (b - a) ** (n - k)
-        for k in range(max(lo, 0), min(hi, n + 1))
-    )
-    return Fraction(numer, b**n)
 
 
 # below the smallest normal float a relative error means nothing

@@ -116,12 +116,11 @@ class TestExperimentSpec:
             ExperimentSpec(noise_grid=())
         with pytest.raises(ValueError):
             ExperimentSpec(n_grid=())
-        with pytest.raises(ValueError, match="n_max"):
-            ExperimentSpec(n_max=0)
-        with pytest.raises(ValueError):
-            ExperimentSpec(trials=0)
-        with pytest.raises(ValueError):
-            ExperimentSpec(codeword_length=0)
+        # counts are integers >= 1, caught before a sweep would fail on them
+        for field in ("n_max", "trials", "codeword_length"):
+            for bad in (0, 2.5, True):
+                with pytest.raises(ValueError, match=field):
+                    ExperimentSpec(**{field: bad})
         for w in (-0.1, 1.5, math.nan, math.inf):
             with pytest.raises(ValueError, match="noise level"):
                 ExperimentSpec(noise_grid=(0.1, w))
