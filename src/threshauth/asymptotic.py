@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exact import BinomialSpec, accepted_count_max, binomial_cdf, binomial_sf
+from .exact import BinomialSpec, _clipped_threshold, accepted_count_max, binomial_cdf, binomial_sf
 from .loss import ErrorRateBounds, LossParameters
 
 
@@ -121,7 +121,7 @@ def bayes_risk(
     """
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
-    cut = accepted_count_max(threshold)
+    cut = accepted_count_max(_clipped_threshold(threshold, rounds))
     acc_att = binomial_cdf(BinomialSpec(rounds, rates.attacker_floor), cut)
     rej_use = binomial_sf(BinomialSpec(rounds, rates.user_ceiling), cut + 1)
     return (

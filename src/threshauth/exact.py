@@ -5,22 +5,23 @@ decision probabilities, expected losses, and the best (rounds,
 threshold) pair can all be computed exactly. The functions here serve
 as ground truth for the closed-form bounds.
 
-One tail kernel, ``_tail``, turns pmfs into running sums along their
-last axis. Scalar queries feed it one pmf; ``exact_worst_case_losses``
-feeds it blocks of zero-padded pmf rows, one per round count, so a
-whole round grid costs one numpy pass per block instead of two per
-round count. Both paths give bitwise the same numbers.
+Every pmf comes from ``_pmf_rows``, which builds zero-padded rows for a
+set of round counts, and every tail from ``_tail``, which turns those
+rows into running sums along their last axis. A scalar query is a
+one-row call. The round-grid losses and the brute-force search walk
+their round counts in blocks (``_tail_blocks``), so a whole grid costs
+one numpy pass per block instead of two per round count.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .loss import ErrorRateBounds, LossParameters, ProverIdentity
+from .loss import ErrorRateBounds, LossParameters, ProverIdentity, _is_count
 
 
 @dataclass(frozen=True)
@@ -31,8 +32,8 @@ class BinomialSpec:
     success_prob: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.trials, int) and self.trials >= 1):
-            raise ValueError(f"trials must be a positive integer, got {self.trials}")
+        if not _is_count(self.trials):
+            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
         if not (0.0 <= self.success_prob <= 1.0):
             raise ValueError(f"success_prob not in [0,1]: {self.success_prob}")
 
@@ -46,48 +47,19 @@ class BruteForceResult:
     worst_loss: float
 
 
-def _pmf(n: int, mu: float) -> np.ndarray:
-    if mu == 0.0:
-        out = np.zeros(n + 1)
-        out[0] = 1.0
-        return out
-    if mu == 1.0:
-        out = np.zeros(n + 1)
-        out[n] = 1.0
-        return out
-    k = np.arange(1, n + 1, dtype=np.float64)
-    # log C(n, k) built incrementally: log C(n,k) - log C(n,k-1) = log((n-k+1)/k)
-    log_comb = np.concatenate(([0.0], np.cumsum(np.log((n - k + 1.0) / k))))
-    ks = np.arange(0, n + 1, dtype=np.float64)
-    log_pmf = log_comb + ks * math.log(mu) + (n - ks) * math.log1p(-mu)
-    return np.exp(log_pmf)
-
-
-def binomial_pmf(trials: int, success_prob: float) -> np.ndarray:
-    """Full probability mass function as an array of length trials + 1.
-
-    Computed in log space with cumulative binomial-coefficient sums, so
-    no factorial overflow occurs for trial counts into the thousands.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if not (0.0 <= success_prob <= 1.0):
-        raise ValueError(f"success_prob not in [0,1]: {success_prob}")
-    return _pmf(trials, success_prob)
-
-
 # Largest block of padded pmf entries built at once by the round-grid
 # kernel; keeps its transient arrays under a megabyte.
 _BLOCK_ENTRIES = 1 << 14
 
 
 def _pmf_rows(rounds: np.ndarray, mu: float) -> np.ndarray:
-    """Rows ``_pmf(n, mu)`` for each n of ``rounds``, zero-padded to max + 1.
+    """Binomial(n, mu) pmf rows for each n of ``rounds``, zero-padded to max + 1.
 
-    Each entry is the same float expression as in ``_pmf``. Columns past
-    a row's n get ratio 1, so their log adds 0 to the coefficient sum,
-    and log-mass -inf, where their own formula could overflow the exp;
-    they hold exactly 0.0 and add exactly +0.0 to any running sum.
+    Computed in log space with cumulative binomial-coefficient sums, so
+    no factorial overflow occurs for round counts into the thousands.
+    Columns past a row's n get log-mass -inf, where their own formula
+    could overflow the exp; they hold exactly 0.0 and add exactly +0.0
+    to any running sum, so a row does not depend on its padding.
     """
     rows, width = len(rounds), int(rounds.max()) + 1
     if mu == 0.0 or mu == 1.0:
@@ -95,12 +67,19 @@ def _pmf_rows(rounds: np.ndarray, mu: float) -> np.ndarray:
         out[np.arange(rows), rounds if mu == 1.0 else 0] = 1.0
         return out
     n = rounds[:, None].astype(np.float64)
-    k = np.arange(1, width, dtype=np.float64)
-    ratio = np.where(k > n, 1.0, (n - k + 1.0) / k)
-    log_comb = np.concatenate((np.zeros((rows, 1)), np.cumsum(np.log(ratio), axis=-1)), axis=-1)
     ks = np.arange(0, width, dtype=np.float64)
+    # log C(n,k) - log C(n,k-1) = log((n-k+1)/k); past n any finite
+    # ratio will do, as those columns are masked below
+    log_comb = np.zeros((rows, width))
+    np.cumsum(np.log(np.maximum(n - ks[1:] + 1.0, 1.0) / ks[1:]), axis=-1, out=log_comb[:, 1:])
     log_pmf = log_comb + ks * math.log(mu) + (n - ks) * math.log1p(-mu)
     return np.exp(np.where(ks > n, -np.inf, log_pmf))
+
+
+def binomial_pmf(trials: int, success_prob: float) -> np.ndarray:
+    """Full probability mass function as an array of length trials + 1."""
+    spec = BinomialSpec(trials, success_prob)
+    return _pmf_rows(np.array([spec.trials]), spec.success_prob)[0]
 
 
 def _tail(pmf: np.ndarray, upper: bool) -> np.ndarray:
@@ -118,20 +97,20 @@ def _tail(pmf: np.ndarray, upper: bool) -> np.ndarray:
     return out
 
 
-def _tails_at(rounds: np.ndarray, mu: float, counts: np.ndarray, upper: bool) -> np.ndarray:
-    """``_tail(_pmf(n, mu), upper)[c]`` for each pair of ``rounds`` and ``counts``.
+def _tail_blocks(
+    rounds: np.ndarray, mu: float, upper: bool
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """The tails of every round count, in order, one block at a time.
 
-    Needs integer n >= 1 and 0 <= c <= n + 1. Works through the round
-    counts in order, in blocks of at most about ``_BLOCK_ENTRIES``
-    padded pmf entries.
+    Yields each block, of at most about ``_BLOCK_ENTRIES`` padded pmf
+    entries, as a slice of ``rounds`` with the ``_tail`` of its
+    zero-padded pmf rows: row i holds the tails of ``rounds[block][i]``
+    at t = 0..n+1 bitwise as a one-row call gives them, then padding.
     """
-    out = np.empty(len(rounds))
     step = max(1, _BLOCK_ENTRIES // (int(rounds.max()) + 2))
     for lo in range(0, len(rounds), step):
         block = slice(lo, lo + step)
-        tails = _tail(_pmf_rows(rounds[block], mu), upper)
-        out[block] = tails[np.arange(tails.shape[0]), counts[block]]
-    return out
+        yield block, _tail(_pmf_rows(rounds[block], mu), upper)
 
 
 def binomial_cdf(spec: BinomialSpec, count: int) -> float:
@@ -140,7 +119,7 @@ def binomial_cdf(spec: BinomialSpec, count: int) -> float:
         return 0.0
     if count >= spec.trials:
         return 1.0
-    pmf = _pmf(spec.trials, spec.success_prob)
+    pmf = binomial_pmf(spec.trials, spec.success_prob)
     return min(1.0, float(_tail(pmf, upper=False)[count + 1]))
 
 
@@ -150,13 +129,23 @@ def binomial_sf(spec: BinomialSpec, count: int) -> float:
         return 1.0
     if count > spec.trials:
         return 0.0
-    pmf = _pmf(spec.trials, spec.success_prob)
+    pmf = binomial_pmf(spec.trials, spec.success_prob)
     return min(1.0, float(_tail(pmf, upper=True)[count]))
 
 
 def accepted_count_max(threshold: float) -> int:
     """Largest integer error count strictly below the threshold."""
     return math.ceil(threshold) - 1
+
+
+def _clipped_threshold(threshold: float, rounds: int) -> float:
+    """The threshold clipped to [0, rounds + 1], where it decides every count alike.
+
+    Keeps an infinite threshold finite; a nan one raises ValueError.
+    """
+    if math.isnan(threshold):
+        raise ValueError("threshold must not be nan")
+    return min(max(threshold, 0.0), rounds + 1.0)
 
 
 def exact_expected_loss(
@@ -170,9 +159,12 @@ def exact_expected_loss(
 
         attacker: rounds * per_round + Pr(count < tau)  * false_accept
         user:     rounds * per_round + Pr(count >= tau) * false_reject
+
+    A threshold at or below 0 rejects every count and one above the
+    round count accepts every count, infinite ones included.
     """
     spec = BinomialSpec(rounds, per_round_error)
-    cut = accepted_count_max(threshold)
+    cut = accepted_count_max(_clipped_threshold(threshold, rounds))
     base = rounds * params.per_round
     if identity is ProverIdentity.ATTACKER:
         return base + binomial_cdf(spec, cut) * params.false_accept
@@ -201,8 +193,11 @@ def exact_worst_case_losses(
         raise ValueError("thresholds must not be nan")
     # the smallest rejected count, clipped to the tail index range 0..n+1
     cuts = np.ceil(np.clip(taus, 0.0, ns + 1.0)).astype(np.int64)
-    acc_att = _tails_at(ns, rates.attacker_floor, cuts, upper=False)
-    rej_use = _tails_at(ns, rates.user_ceiling, cuts, upper=True)
+    acc_att, rej_use = np.empty(len(ns)), np.empty(len(ns))
+    sides = ((acc_att, rates.attacker_floor, False), (rej_use, rates.user_ceiling, True))
+    for out, mu, upper in sides:
+        for block, tails in _tail_blocks(ns, mu, upper):
+            out[block] = tails[np.arange(tails.shape[0]), cuts[block]]
     # a sure decision is exactly 1, not the pmf's float total
     acc_att = np.where(cuts > ns, 1.0, np.minimum(1.0, acc_att))
     rej_use = np.where(cuts == 0, 1.0, np.minimum(1.0, rej_use))
@@ -231,23 +226,29 @@ def brute_force_optimal(
 ) -> BruteForceResult:
     """Exhaustive search for the loss-minimizing rounds and threshold.
 
-    Sweeps every round count up to ``n_max`` and every integer threshold
-    0..n; integer thresholds suffice because with {0,1} per-round errors
-    only they change the decision rule. Ties break toward the smallest
-    round count, then the smallest threshold.
+    Scores every round count up to ``n_max`` and every integer threshold
+    0..n, walking the round counts in blocks of padded tail rows; integer
+    thresholds suffice because with {0,1} per-round errors only they
+    change the decision rule. Ties break toward the smallest round
+    count, then the smallest threshold.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if not _is_count(n_max):
+        raise ValueError(f"n_max must be an integer >= 1, got {n_max!r}")
     best = BruteForceResult(1, 0, math.inf)
     la, lu, lb = params.false_accept, params.false_reject, params.per_round
-    for n in range(1, n_max + 1):
-        pmf_att = binomial_pmf(n, rates.attacker_floor)
-        pmf_use = binomial_pmf(n, rates.user_ceiling)
-        # Pr(attacker accepted) and Pr(user rejected) at thresholds t = 0..n
-        acc_att = _tail(pmf_att, upper=False)[:-1]
-        rej_use = _tail(pmf_use, upper=True)[:-1]
-        worst = np.maximum(n * lb + acc_att * la, n * lb + rej_use * lu)
-        t = int(np.argmin(worst))  # argmin returns the first, smallest-t, minimum
-        if worst[t] < best.worst_loss:
-            best = BruteForceResult(n, t, float(worst[t]))
+    ns = np.arange(1, n_max + 1)
+    blocks = zip(
+        _tail_blocks(ns, rates.attacker_floor, upper=False),
+        _tail_blocks(ns, rates.user_ceiling, upper=True),
+    )
+    for (block, acc_att), (_, rej_use) in blocks:
+        # Pr(attacker accepted) and Pr(user rejected) at thresholds t = 0..max n
+        n = ns[block, None]
+        worst = np.maximum(n * lb + acc_att[:, :-1] * la, n * lb + rej_use[:, :-1] * lu)
+        worst[np.arange(worst.shape[1]) > n] = np.inf  # padding, not a threshold of row n
+        ts = np.argmin(worst, axis=1)  # argmin returns the first, smallest-t, minimum
+        row_min = worst.min(axis=1)
+        i = int(np.argmin(row_min))  # and the first, smallest-n, row
+        if row_min[i] < best.worst_loss:
+            best = BruteForceResult(int(n[i, 0]), int(ts[i]), float(row_min[i]))
     return best

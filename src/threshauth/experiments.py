@@ -34,7 +34,7 @@ from .exact import (
     exact_worst_case_loss,
     exact_worst_case_losses,
 )
-from .loss import ErrorRateBounds, GapCollapseError, LossParameters, ProverIdentity
+from .loss import ErrorRateBounds, GapCollapseError, LossParameters, ProverIdentity, _is_count
 from .noise import default_transparent_code, estimate_noise, high_probability_rates, simulate_coded_phase
 
 DEFAULT_LOSSES = LossParameters(false_accept=10.0, false_reject=1.0, per_round=1e-2)
@@ -49,21 +49,25 @@ def _canon(value: float | None) -> float | None:
     return float(f"{value:.12g}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, kw_only=True)
 class SweepRow:
-    """One output record; its fields, in order, are the CSV columns."""
+    """One output record; its fields, in order, are the CSV columns.
+
+    A field a row does not set stays empty: numbers default to None and
+    the abort marker to "".
+    """
 
     omega: float
-    n: int | None
-    tau: float | None
+    n: int | None = None
+    tau: float | None = None
     threshold_strategy: str
     rate_strategy: str
-    exact_worst: float | None
-    elb1: float | None
-    elb2: float | None
-    mc_worst: float | None
-    mc_stderr: float | None
-    aborted: str
+    exact_worst: float | None = None
+    elb1: float | None = None
+    elb2: float | None = None
+    mc_worst: float | None = None
+    mc_stderr: float | None = None
+    aborted: str = ""
 
     def __post_init__(self) -> None:
         for name in ("omega", "tau", "exact_worst", "elb1", "elb2", "mc_worst", "mc_stderr"):
@@ -108,10 +112,6 @@ def _rate_strategy(label: str) -> tuple:
 def default_noise_grid(points: int = 24) -> tuple[float, ...]:
     """Log-spaced noise grid spanning quiet channels to near gap collapse."""
     return tuple(float(w) for w in np.geomspace(1e-3, 0.3, points))
-
-
-def _is_count(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 @dataclass(frozen=True)
@@ -191,22 +191,8 @@ class ExperimentSpec:
         return cls(**defaults)
 
 
-def _abort_row(
-    w: float, tstrat: str, rstrat: str, reason: str
-) -> SweepRow:
-    return SweepRow(
-        omega=w,
-        n=None,
-        tau=None,
-        threshold_strategy=tstrat,
-        rate_strategy=rstrat,
-        exact_worst=None,
-        elb1=None,
-        elb2=None,
-        mc_worst=None,
-        mc_stderr=None,
-        aborted=reason,
-    )
+def _abort_row(w: float, tstrat: str, rstrat: str, reason: str) -> SweepRow:
+    return SweepRow(omega=w, threshold_strategy=tstrat, rate_strategy=rstrat, aborted=reason)
 
 
 def _true_rates(
@@ -253,9 +239,6 @@ def figure1a_sweep(spec: ExperimentSpec) -> list[SweepRow]:
                     exact_worst=exact_worst,
                     elb1=threshold_loss_bound(spec.params, rates, n),
                     elb2=elb2,
-                    mc_worst=None,
-                    mc_stderr=None,
-                    aborted="",
                 )
             )
     return rows
@@ -282,11 +265,6 @@ def figure1b_sweep(spec: ExperimentSpec) -> list[SweepRow]:
                 threshold_strategy="brute-force",
                 rate_strategy="true-omega",
                 exact_worst=best.worst_loss,
-                elb1=None,
-                elb2=None,
-                mc_worst=None,
-                mc_stderr=None,
-                aborted="",
             )
         )
         n_hat = optimal_rounds(spec.params, rates).value
@@ -301,9 +279,6 @@ def figure1b_sweep(spec: ExperimentSpec) -> list[SweepRow]:
                 exact_worst=exact_worst_case_loss(spec.params, rates, n_hat, tau_hat),
                 elb1=threshold_loss_bound(spec.params, rates, n_hat),
                 elb2=rounds_loss_bound(spec.params, rates),
-                mc_worst=None,
-                mc_stderr=None,
-                aborted="",
             )
         )
     return rows
@@ -431,7 +406,6 @@ def figure3_comparison(spec: ExperimentSpec) -> list[SweepRow]:
                         elb2=rounds_loss_bound(spec.params, rates),
                         mc_worst=mc_worst,
                         mc_stderr=mc_stderr,
-                        aborted="",
                     )
                 )
     return rows
@@ -472,11 +446,8 @@ def threshold_duel(spec: ExperimentSpec) -> list[SweepRow]:
                         threshold_strategy=tstrat.value,
                         rate_strategy="true-omega",
                         exact_worst=exact,
-                        elb1=None,
-                        elb2=None,
                         mc_worst=mc_worst,
                         mc_stderr=mc_stderr,
-                        aborted="",
                     )
                 )
     return rows
@@ -524,6 +495,6 @@ def parse_csv(path: str | Path) -> list[SweepRow]:
             raise ValueError(f"unexpected CSV header in {path}: {header}")
         columns = fields(SweepRow)
         return [
-            SweepRow(*(_parse_field(f, cell) for f, cell in zip(columns, rec)))
+            SweepRow(**{f.name: _parse_field(f, cell) for f, cell in zip(columns, rec)})
             for rec in reader
         ]

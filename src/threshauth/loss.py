@@ -13,6 +13,11 @@ import math
 from dataclasses import dataclass
 
 
+def _is_count(value: object) -> bool:
+    """Whether ``value`` is an integer >= 1: a round, trial or symbol count, not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 class GapCollapseError(ValueError):
     """Raised when attacker and user error-rate bounds fail to separate."""
 

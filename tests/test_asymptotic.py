@@ -162,6 +162,14 @@ class TestBayesRisk:
         assert bayes_risk(BENCH, SWISS_01, prior, 8, 15.0) == bayes_risk(
             BENCH, SWISS_01, prior, 8, 9.0
         )
+        assert bayes_risk(BENCH, SWISS_01, prior, 8, -math.inf) == bayes_risk(
+            BENCH, SWISS_01, prior, 8, 0.0
+        )
+        assert bayes_risk(BENCH, SWISS_01, prior, 8, math.inf) == bayes_risk(
+            BENCH, SWISS_01, prior, 8, 9.0
+        )
+        with pytest.raises(ValueError):
+            bayes_risk(BENCH, SWISS_01, prior, 8, math.nan)
 
     def test_bayes_threshold_minimizes_risk(self):
         prior = HypothesisPrior.uniform()

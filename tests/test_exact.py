@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 from conftest import enumerated_mass
 from threshauth.channel import ChannelModel, swiss_hitomi_rates
 from threshauth.exact import (
+    _BLOCK_ENTRIES,
     BinomialSpec,
     BruteForceResult,
     _pmf_rows,
     _tail,
-    _tails_at,
+    _tail_blocks,
     accepted_count_max,
     binomial_cdf,
     binomial_pmf,
@@ -84,6 +85,9 @@ class TestBinomialCdf:
             BinomialSpec(0, 0.5)
         with pytest.raises(ValueError):
             BinomialSpec(4, 1.5)
+        for trials in (2.5, 3.0, True, np.int64(3), "3", None):
+            with pytest.raises(ValueError, match="trials"):
+                BinomialSpec(trials, 0.3)
 
 
 def _spec_and_count(max_trials):
@@ -149,6 +153,12 @@ class TestBinomialPmf:
         for n in (5, 50, 500):
             assert binomial_pmf(n, 0.123).sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_rejects_non_integer_trials(self):
+        # 2.5 once gave a four-entry "pmf"
+        for trials in (2.5, True, False, 0, -1):
+            with pytest.raises(ValueError, match="trials"):
+                binomial_pmf(trials, 0.3)
+
 
 class TestAcceptance:
     def test_strictness_of_count_cut(self):
@@ -163,9 +173,9 @@ class TestAcceptance:
         # tau <= 0 accepts no count, tau > n accepts every count, so the
         # wrong decision is certain and each side pays exactly its loss
         base = 4 * BENCH.per_round
-        for tau in (0.0, -3.7):
+        for tau in (0.0, -3.7, -math.inf):
             assert exact_expected_loss(BENCH, 4, tau, 0.2, USER) == base + BENCH.false_reject
-        for tau in (4.5, 5.0):
+        for tau in (4.5, 5.0, math.inf):
             assert exact_expected_loss(BENCH, 4, tau, 0.55, ATT) == base + BENCH.false_accept
 
     def test_integer_vs_fractional_threshold(self):
@@ -234,22 +244,26 @@ _MU = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 class TestRoundGridKernel:
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(grid=st.lists(st.integers(1, 300), min_size=1, max_size=8), mu=_MU, data=st.data())
-    def test_block_matches_scalar_kernel_bitwise(self, grid, mu, data):
+    @given(grid=st.lists(st.integers(1, 600), min_size=1, max_size=80), mu=_MU)
+    def test_block_matches_scalar_kernel_bitwise(self, grid, mu):
+        # a row's pmf and tails do not depend on the rows padded with it
         ns = np.array(grid)
         rows = _pmf_rows(ns, mu)
         assert rows.shape == (len(grid), max(grid) + 1)
         for n, row in zip(grid, rows):
             assert row[: n + 1].tobytes() == binomial_pmf(n, mu).tobytes()
             assert row[n + 1 :].tobytes() == bytes(8 * (max(grid) - n))  # +0.0 only
-        counts = np.array([
-            data.draw(st.one_of(st.sampled_from([0, n, n + 1]), st.integers(0, n + 1)))
-            for n in grid
-        ])
         for upper in (False, True):
-            got = _tails_at(ns, mu, counts, upper)
-            want = [_tail(binomial_pmf(n, mu), upper)[c] for n, c in zip(grid, counts)]
-            assert got.tobytes() == np.array(want).tobytes()
+            seen = 0
+            for block, tails in _tail_blocks(ns, mu, upper):
+                assert block.start == seen and block.stop > seen
+                block_ns = grid[block]
+                seen += len(block_ns)
+                assert tails.shape == (len(block_ns), max(block_ns) + 2)
+                assert tails.size <= _BLOCK_ENTRIES
+                for n, row in zip(block_ns, tails):
+                    assert row[: n + 2].tobytes() == _tail(binomial_pmf(n, mu), upper).tobytes()
+            assert seen == len(grid)
 
     def test_tail_along_last_axis_matches_one_row_at_a_time(self):
         pmfs = np.stack([binomial_pmf(9, mu) for mu in (0.0, 0.3, 0.55, 1.0)])
@@ -279,6 +293,9 @@ class TestRoundGridKernel:
             assert exact_worst_case_loss(BENCH, rates, 7, tau) == pytest.approx(
                 7 * BENCH.per_round + (BENCH.false_reject if tau < 0 else BENCH.false_accept)
             )
+            assert exact_worst_case_loss(BENCH, rates, 7, tau) == _scalar_worst(
+                BENCH, rates, 7, tau
+            )
 
     def test_batched_loss_rejects_bad_input(self):
         for rounds in ([0], [True], [2.5], [], [3, -1]):
@@ -288,6 +305,41 @@ class TestRoundGridKernel:
             exact_worst_case_losses(BENCH, SWISS_01, [3, 4], [1.0])
         with pytest.raises(ValueError):
             exact_worst_case_loss(BENCH, SWISS_01, 3, math.nan)
+        for identity in (ATT, USER):
+            with pytest.raises(ValueError):
+                exact_expected_loss(BENCH, 3, math.nan, 0.3, identity)
+
+
+def _reference_brute_force(params, rates, n_max):
+    """The search one round count at a time, keeping the first strict improvement."""
+    best = BruteForceResult(1, 0, math.inf)
+    la, lu, lb = params.false_accept, params.false_reject, params.per_round
+    for n in range(1, n_max + 1):
+        acc_att = _tail(binomial_pmf(n, rates.attacker_floor), upper=False)[:-1]
+        rej_use = _tail(binomial_pmf(n, rates.user_ceiling), upper=True)[:-1]
+        worst = np.maximum(n * lb + acc_att * la, n * lb + rej_use * lu)
+        t = int(np.argmin(worst))
+        if worst[t] < best.worst_loss:
+            best = BruteForceResult(n, t, float(worst[t]))
+    return best
+
+
+def _enumerated_loss(params, rates, n, t):
+    """Exact worst-case loss at (n, t), summed in integers."""
+    base = n * Fraction(params.per_round)
+    acc = enumerated_mass(BinomialSpec(n, rates.attacker_floor), 0, t)
+    rej = enumerated_mass(BinomialSpec(n, rates.user_ceiling), t, n + 1)
+    return max(
+        base + acc * Fraction(params.false_accept), base + rej * Fraction(params.false_reject)
+    )
+
+
+@st.composite
+def _separated_rates(draw):
+    # exact 0 and 1 give the one-hot pmf rows
+    pu = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.9)))
+    pa = draw(st.one_of(st.just(1.0), st.floats(pu, 1.0).filter(lambda p: p > pu)))
+    return ErrorRateBounds(attacker_floor=pa, user_ceiling=pu)
 
 
 class TestBruteForce:
@@ -309,10 +361,17 @@ class TestBruteForce:
     def test_tie_breaks_toward_smallest_rounds_then_threshold(self):
         # perfectly separable rates with zero round cost make every rule
         # with 1 <= threshold <= n lossless; the scan must keep the first
+        # n_max = 200 spans three blocks
         params = LossParameters(5.0, 3.0, 0.0)
         rates = ErrorRateBounds(attacker_floor=1.0, user_ceiling=0.0)
-        res = brute_force_optimal(params, rates, 4)
-        assert res == BruteForceResult(1, 1, 0.0)
+        for n_max in (4, 200):
+            assert brute_force_optimal(params, rates, n_max) == BruteForceResult(1, 1, 0.0)
+        # at one round, thresholds 0 and 1 both lose exactly 0.5 + 1.0 (dyadic
+        # masses), and every longer design costs more; the scan keeps 0
+        params = LossParameters(2.0, 1.0, 0.5)
+        rates = ErrorRateBounds(attacker_floor=0.5, user_ceiling=0.25)
+        for n_max in (1, 200):
+            assert brute_force_optimal(params, rates, n_max) == BruteForceResult(1, 0, 1.5)
 
     def test_symmetric_setup_ties_within_fixed_rounds(self):
         # mirrored rates and equal decision losses score thresholds 1 and
@@ -353,3 +412,43 @@ class TestBruteForce:
         got_use = exact_expected_loss(params, n, t, rates.user_ceiling, USER)
         assert got_att == pytest.approx(float(att), rel=1e-12)
         assert got_use == pytest.approx(float(use), rel=1e-12)
+
+    def test_rejects_non_integer_budget(self):
+        # n_max = 2.5 would scan round counts 1..3
+        for n_max in (2.5, 3.0, True, 0, -4):
+            with pytest.raises(ValueError, match="n_max"):
+                brute_force_optimal(BENCH, SWISS_01, n_max)
+
+    @pytest.mark.parametrize("n_max", [1, 30, 31, 32, 200, 512])
+    def test_blocked_scan_matches_one_round_count_at_a_time(self, n_max):
+        # from one block up to 17 blocks of padded tail rows
+        cases = [
+            (BENCH, SWISS_01),
+            (LossParameters(10.0, 1.0, 1e-4), swiss_hitomi_rates(ChannelModel(0.05))),
+            (LossParameters(1.0, 1e9, 1e-3), swiss_hitomi_rates(ChannelModel(0.01))),
+            (LossParameters(2.0, 7.0, 0.0), ErrorRateBounds(attacker_floor=0.6, user_ceiling=0.0)),
+            (LossParameters(5.0, 3.0, 0.0), ErrorRateBounds(attacker_floor=1.0, user_ceiling=0.4)),
+        ]
+        for params, rates in cases:
+            got = brute_force_optimal(params, rates, n_max)
+            want = _reference_brute_force(params, rates, n_max)
+            assert (got.rounds, got.threshold) == (want.rounds, want.threshold)
+            assert got.worst_loss.hex() == want.worst_loss.hex()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        la=_log_uniform(0.1, 1e3),
+        lu=_log_uniform(0.1, 1e6),
+        lb=st.one_of(st.just(0.0), _log_uniform(1e-5, 0.3)),
+        rates=_separated_rates(),
+        n_max=st.integers(1, 16),
+    )
+    def test_optimum_is_global_by_enumeration(self, la, lu, lb, rates, n_max):
+        params = LossParameters(la, lu, lb)
+        res = brute_force_optimal(params, rates, n_max)
+        assert 1 <= res.rounds <= n_max and 0 <= res.threshold <= res.rounds
+        best = _enumerated_loss(params, rates, res.rounds, res.threshold)
+        assert res.worst_loss == pytest.approx(float(best), rel=1e-12)
+        for n in range(1, n_max + 1):
+            for t in range(n + 1):
+                assert float(_enumerated_loss(params, rates, n, t)) >= float(best) * (1 - 1e-12)

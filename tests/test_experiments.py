@@ -35,11 +35,6 @@ def _blank_row(**overrides):
         threshold_strategy="finite-sample",
         rate_strategy="true-omega",
         exact_worst=1.0,
-        elb1=None,
-        elb2=None,
-        mc_worst=None,
-        mc_stderr=None,
-        aborted="",
     )
     base.update(overrides)
     return SweepRow(**base)
@@ -61,6 +56,21 @@ class TestSweepRow:
         assert row.n is None
         assert row.mc_worst is None
         assert row.aborted == "gap-collapse"
+
+    def test_unset_fields_are_empty_and_keywords_required(self, tmp_path):
+        row = SweepRow(omega=0.25, threshold_strategy="asymptotic", rate_strategy="ml")
+        assert [getattr(row, name) for name in CSV_HEADER] == [
+            0.25, None, None, "asymptotic", "ml", None, None, None, None, None, ""
+        ]
+        assert CSV_HEADER == (
+            "omega", "n", "tau", "threshold_strategy", "rate_strategy",
+            "exact_worst", "elb1", "elb2", "mc_worst", "mc_stderr", "aborted",
+        )
+        out = tmp_path / "one.csv"
+        emit_csv([row], out)
+        assert out.read_text().splitlines()[1] == "0.25,,,asymptotic,ml,,,,,,"
+        with pytest.raises(TypeError):
+            SweepRow(0.25, None, None, "asymptotic", "ml", None, None, None, None, None, "")
 
 
 FIG3_RATE_LABELS = ("guess:0.1", "guess:0.01", "guess:0.001", "ml", "hp:0.1", "hp:0.01")
