@@ -38,8 +38,7 @@ from .exact import (
     binomial_pmf,
     binomial_sf,
     brute_force_optimal,
-    exact_expected_loss,
-    exact_worst_case_loss,
+    exact_expected_losses,
     exact_worst_case_losses,
 )
 from .loss import (
@@ -47,6 +46,7 @@ from .loss import (
     GapCollapseError,
     LossParameters,
     ProverIdentity,
+    rejected_count_min,
 )
 from .noise import (
     NoiseEstimate,
@@ -82,14 +82,14 @@ __all__ = [
     "binomial_sf",
     "brute_force_optimal",
     "estimate_noise",
-    "exact_expected_loss",
-    "exact_worst_case_loss",
+    "exact_expected_losses",
     "exact_worst_case_losses",
     "high_probability_rates",
     "hoeffding_tail",
     "loss_bound_at",
     "optimal_rounds",
     "optimal_threshold",
+    "rejected_count_min",
     "rounds_loss_bound",
     "simulate_coded_phase",
     "swiss_hitomi_rates",

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exact import BinomialSpec, _clipped_threshold, accepted_count_max, binomial_cdf, binomial_sf
-from .loss import ErrorRateBounds, LossParameters
+from .exact import BinomialSpec, binomial_cdf, binomial_sf
+from .loss import ErrorRateBounds, LossParameters, _is_count, rejected_count_min
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,8 @@ def bayes_threshold(
     Requires both rates strictly inside (0,1) so the likelihood ratios
     are finite.
     """
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
+    if not _is_count(rounds):
+        raise ValueError(f"rounds must be an integer >= 1, got {rounds!r}")
     _check_rates_interior(rates)
     pa, pu = rates.attacker_floor, rates.user_ceiling
     log_reject_ratio = math.log((1.0 - pu) / (1.0 - pa))
@@ -96,8 +96,8 @@ def approx_threshold(
         raise ValueError(f"center_rate must lie in (0,1), got {center_rate}")
     if not gap > 0:
         raise ValueError(f"gap must be positive, got {gap}")
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
+    if not _is_count(rounds):
+        raise ValueError(f"rounds must be an integer >= 1, got {rounds!r}")
     return rounds * center_rate - (
         center_rate * (1.0 - center_rate) / gap
     ) * math.log(params.ratio)
@@ -119,11 +119,11 @@ def bayes_risk(
     below 0 reject everything and thresholds above the round count
     accept everything; the round cost is not part of this risk.
     """
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
-    cut = accepted_count_max(_clipped_threshold(threshold, rounds))
-    acc_att = binomial_cdf(BinomialSpec(rounds, rates.attacker_floor), cut)
-    rej_use = binomial_sf(BinomialSpec(rounds, rates.user_ceiling), cut + 1)
+    if not _is_count(rounds):
+        raise ValueError(f"rounds must be an integer >= 1, got {rounds!r}")
+    cut = int(rejected_count_min(threshold, rounds))
+    acc_att = binomial_cdf(BinomialSpec(rounds, rates.attacker_floor), cut - 1)
+    rej_use = binomial_sf(BinomialSpec(rounds, rates.user_ceiling), cut)
     return (
         prior.attacker * acc_att * params.false_accept
         + prior.user * rej_use * params.false_reject

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .loss import ErrorRateBounds, LossParameters
+from .loss import ErrorRateBounds, LossParameters, _is_count
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,8 @@ def hoeffding_tail(rounds: int, deviation: float, range_width: float = 1.0) -> f
     confined to an interval of width w. All per-round error variables
     here live in [0,1], so the width defaults to 1.
     """
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
+    if not _is_count(rounds):
+        raise ValueError(f"rounds must be an integer >= 1, got {rounds!r}")
     if not deviation > 0:
         raise ValueError(f"deviation must be positive, got {deviation}")
     if not range_width > 0:
@@ -84,8 +84,8 @@ def loss_bound_at(
     Valid when n*pu <= tau <= n*pa; outside that interval the report is
     flagged invalid rather than repaired.
     """
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
+    if not _is_count(rounds):
+        raise ValueError(f"rounds must be an integer >= 1, got {rounds!r}")
     n = float(rounds)
     pa, pu = rates.attacker_floor, rates.user_ceiling
     reject_term = math.exp(-(2.0 / n) * (n * pu - threshold) ** 2) * params.false_reject
@@ -112,8 +112,8 @@ def optimal_threshold(
     [n*pu, n*pa]; the returned value is then the nearest endpoint with
     ``clamped`` set, and ``raw`` preserves the formula output.
     """
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
+    if not _is_count(rounds):
+        raise ValueError(f"rounds must be an integer >= 1, got {rounds!r}")
     n = float(rounds)
     pa, pu = rates.attacker_floor, rates.user_ceiling
     raw = n * (pa + pu) / 2.0 - math.log(params.ratio) / (4.0 * rates.gap)
@@ -133,8 +133,8 @@ def threshold_loss_bound(
     Dominates loss_bound_at(.., optimal_threshold(..)) whenever the
     threshold is unclamped, since equalization drops a factor <= 1.
     """
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
+    if not _is_count(rounds):
+        raise ValueError(f"rounds must be an integer >= 1, got {rounds!r}")
     gap = rates.gap
     return rounds * params.per_round + math.exp(
         -rounds * gap * gap / 2.0

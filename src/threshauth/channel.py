@@ -24,6 +24,8 @@ from .loss import (
     GapCollapseError,
     LossParameters,
     ProverIdentity,
+    _is_count,
+    rejected_count_min,
 )
 
 # Sub-stream tags keep user trials, attacker trials, and coded-phase
@@ -142,12 +144,12 @@ def simulate_error_counts(
     arguments and the two identities never share draws. A per-round
     error of 0 or 1 gives constant counts.
     """
-    if isinstance(rounds, bool) or not isinstance(rounds, (int, np.integer)) or rounds < 0:
+    if not _is_count(rounds, least=0):
         raise ValueError(f"rounds must be an integer >= 0, got {rounds!r}")
     if not 0.0 <= per_round_error <= 1.0:  # also false for nan
         raise ValueError(f"per_round_error not in [0,1]: {per_round_error}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not _is_count(trials):
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     if per_round_error in (0.0, 1.0):
         return np.full(trials, rounds if per_round_error == 1.0 else 0, dtype=np.int64)
     uniforms = _identity_stream(master_seed, identity).random(trials)
@@ -164,7 +166,8 @@ def score_counts(
 ) -> tuple[float, float]:
     """Mean loss of runs with these error counts, and its standard error.
 
-    A run is accepted when its count lies strictly below the threshold.
+    A run is accepted when its count lies below ``rejected_count_min``,
+    that is strictly below the threshold; a nan threshold raises.
     Every run pays ``rounds * per_round``; a fraction p = hits / T of
     the T runs also pays the decision loss ``weight`` (false_accept on
     accepted attacker runs, false_reject on rejected user runs), so the
@@ -181,7 +184,7 @@ def score_counts(
     error 0.
     """
     trials = counts.size
-    accepts = int(np.count_nonzero(counts < threshold))
+    accepts = int(np.count_nonzero(counts < rejected_count_min(threshold, rounds)))
     if identity is ProverIdentity.ATTACKER:
         hits, weight = accepts, params.false_accept
     else:

@@ -7,10 +7,12 @@ as ground truth for the closed-form bounds.
 
 Every pmf comes from ``_pmf_rows``, which builds zero-padded rows for a
 set of round counts, and every tail from ``_tail``, which turns those
-rows into running sums along their last axis. A scalar query is a
-one-row call. The round-grid losses and the brute-force search walk
-their round counts in blocks (``_tail_blocks``), so a whole grid costs
-one numpy pass per block instead of two per round count.
+rows into running sums along their last axis. The expected losses of
+both identities (``exact_expected_losses``) and the brute-force search
+walk their round counts in blocks (``_tail_blocks``), so a whole set of
+designs costs one numpy pass per block and identity instead of one
+pmf per design. The decision rule's cut comes from
+``loss.rejected_count_min``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loss import ErrorRateBounds, LossParameters, ProverIdentity, _is_count
+from .loss import ErrorRateBounds, LossParameters, _is_count, rejected_count_min
 
 
 @dataclass(frozen=True)
@@ -133,42 +135,44 @@ def binomial_sf(spec: BinomialSpec, count: int) -> float:
     return min(1.0, float(_tail(pmf, upper=True)[count]))
 
 
-def accepted_count_max(threshold: float) -> int:
-    """Largest integer error count strictly below the threshold."""
-    return math.ceil(threshold) - 1
-
-
-def _clipped_threshold(threshold: float, rounds: int) -> float:
-    """The threshold clipped to [0, rounds + 1], where it decides every count alike.
-
-    Keeps an infinite threshold finite; a nan one raises ValueError.
-    """
-    if math.isnan(threshold):
-        raise ValueError("threshold must not be nan")
-    return min(max(threshold, 0.0), rounds + 1.0)
-
-
-def exact_expected_loss(
+def exact_expected_losses(
     params: LossParameters,
-    rounds: int,
-    threshold: float,
-    per_round_error: float,
-    identity: ProverIdentity,
-) -> float:
-    """Expected loss of one run, with exact binomial decision probabilities:
+    rounds: Sequence[int],
+    thresholds: Sequence[float],
+    attacker_rate: float,
+    user_rate: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact expected loss of each identity at each (rounds, threshold) pair:
 
-        attacker: rounds * per_round + Pr(count < tau)  * false_accept
-        user:     rounds * per_round + Pr(count >= tau) * false_reject
+        attacker: n * per_round + Pr(count < tau)  * false_accept
+        user:     n * per_round + Pr(count >= tau) * false_reject
 
-    A threshold at or below 0 rejects every count and one above the
-    round count accepts every count, infinite ones included.
+    with the count Binomial(n, attacker_rate) or Binomial(n, user_rate).
+    The rates are plain per-round error probabilities in [0, 1], in
+    either order. A threshold at or below 0 rejects every count and one
+    above the round count accepts every count, infinite ones included;
+    a sure decision costs exactly its loss. Each identity's pmfs are
+    built in blocks over all pairs and read at the rule's cut.
     """
-    spec = BinomialSpec(rounds, per_round_error)
-    cut = accepted_count_max(_clipped_threshold(threshold, rounds))
-    base = rounds * params.per_round
-    if identity is ProverIdentity.ATTACKER:
-        return base + binomial_cdf(spec, cut) * params.false_accept
-    return base + binomial_sf(spec, cut + 1) * params.false_reject
+    ns, taus = np.asarray(rounds), np.asarray(thresholds, dtype=np.float64)
+    if ns.ndim != 1 or ns.size == 0 or ns.shape != taus.shape:
+        raise ValueError("rounds and thresholds must be nonempty and of one length")
+    if not all(_is_count(n) for n in rounds):
+        raise ValueError("rounds must be integers >= 1")
+    ns = ns.astype(np.int64)
+    for name, rate in (("attacker_rate", attacker_rate), ("user_rate", user_rate)):
+        if not 0.0 <= rate <= 1.0:  # also false for nan
+            raise ValueError(f"{name} not in [0,1]: {rate}")
+    cuts = rejected_count_min(taus, ns)
+    acc_att, rej_use = np.empty(len(ns)), np.empty(len(ns))
+    for out, mu, upper in ((acc_att, attacker_rate, False), (rej_use, user_rate, True)):
+        for block, tails in _tail_blocks(ns, mu, upper):
+            out[block] = tails[np.arange(tails.shape[0]), cuts[block]]
+    # a sure decision is exactly 1, not the pmf's float total
+    acc_att = np.where(cuts > ns, 1.0, np.minimum(1.0, acc_att))
+    rej_use = np.where(cuts == 0, 1.0, np.minimum(1.0, rej_use))
+    base = ns * params.per_round
+    return base + acc_att * params.false_accept, base + rej_use * params.false_reject
 
 
 def exact_worst_case_losses(
@@ -177,46 +181,16 @@ def exact_worst_case_losses(
     rounds: Sequence[int],
     thresholds: Sequence[float],
 ) -> np.ndarray:
-    """``exact_worst_case_loss`` at each (rounds, threshold) pair, in blocks.
-
-    Equals, bit for bit, the larger of the two ``exact_expected_loss``
-    values at each pair, but builds the pmfs of all round counts for one
-    identity in blocks and takes each block's tails in one pass.
-    """
-    ns = np.asarray(rounds)
-    taus = np.asarray(thresholds, dtype=np.float64)
-    if ns.ndim != 1 or ns.size == 0 or ns.shape != taus.shape:
-        raise ValueError("rounds and thresholds must be nonempty and of one length")
-    if ns.dtype.kind not in "iu" or ns.min() < 1:
-        raise ValueError("rounds must be integers >= 1")
-    if np.isnan(taus).any():
-        raise ValueError("thresholds must not be nan")
-    # the smallest rejected count, clipped to the tail index range 0..n+1
-    cuts = np.ceil(np.clip(taus, 0.0, ns + 1.0)).astype(np.int64)
-    acc_att, rej_use = np.empty(len(ns)), np.empty(len(ns))
-    sides = ((acc_att, rates.attacker_floor, False), (rej_use, rates.user_ceiling, True))
-    for out, mu, upper in sides:
-        for block, tails in _tail_blocks(ns, mu, upper):
-            out[block] = tails[np.arange(tails.shape[0]), cuts[block]]
-    # a sure decision is exactly 1, not the pmf's float total
-    acc_att = np.where(cuts > ns, 1.0, np.minimum(1.0, acc_att))
-    rej_use = np.where(cuts == 0, 1.0, np.minimum(1.0, rej_use))
-    base = ns * params.per_round
-    return np.maximum(base + acc_att * params.false_accept, base + rej_use * params.false_reject)
-
-
-def exact_worst_case_loss(
-    params: LossParameters,
-    rates: ErrorRateBounds,
-    rounds: int,
-    threshold: float,
-) -> float:
-    """Worst of the two exact per-identity losses at the rate bounds.
+    """The larger exact expected loss at each (rounds, threshold) pair.
 
     The attacker plays at its error floor and the user at its ceiling;
     those are the extremal behaviors the bounds are designed against.
     """
-    return float(exact_worst_case_losses(params, rates, [rounds], [threshold])[0])
+    return np.maximum(
+        *exact_expected_losses(
+            params, rounds, thresholds, rates.attacker_floor, rates.user_ceiling
+        )
+    )
 
 
 def brute_force_optimal(

@@ -13,7 +13,6 @@ import csv
 from dataclasses import Field, dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -28,12 +27,7 @@ from .channel import (
     simulate_error_counts,
     swiss_hitomi_rates,
 )
-from .exact import (
-    brute_force_optimal,
-    exact_expected_loss,
-    exact_worst_case_loss,
-    exact_worst_case_losses,
-)
+from .exact import brute_force_optimal, exact_expected_losses, exact_worst_case_losses
 from .loss import ErrorRateBounds, GapCollapseError, LossParameters, ProverIdentity, _is_count
 from .noise import default_transparent_code, estimate_noise, high_probability_rates, simulate_coded_phase
 
@@ -276,7 +270,9 @@ def figure1b_sweep(spec: ExperimentSpec) -> list[SweepRow]:
                 tau=tau_hat,
                 threshold_strategy=ThresholdStrategy.FINITE.value,
                 rate_strategy="true-omega",
-                exact_worst=exact_worst_case_loss(spec.params, rates, n_hat, tau_hat),
+                exact_worst=float(
+                    exact_worst_case_losses(spec.params, rates, [n_hat], [tau_hat])[0]
+                ),
                 elb1=threshold_loss_bound(spec.params, rates, n_hat),
                 elb2=rounds_loss_bound(spec.params, rates),
             )
@@ -295,43 +291,53 @@ def _strategy_threshold(
     return asymptotic_threshold(params, rates, rounds)
 
 
-def _point_scorer(
+def _score_level(
     spec: ExperimentSpec,
-    rounds: int,
+    entries: list,
     attacker_rate: float,
     user_rate: float,
-    seed: tuple[int, ...],
-) -> Callable[[float], tuple[float, float, float]]:
-    """Score any threshold on one shared draw at a (noise, rounds) point.
+) -> list[SweepRow]:
+    """The rows of one noise level, its designs scored at the given rates.
 
-    Draws ``spec.trials`` error counts per identity at the given
-    per-round error rates once, and returns a function mapping a
-    threshold to (exact_worst, mc_worst, mc_stderr): the larger exact
-    per-identity loss, and the larger Monte Carlo mean with the stderr
-    of the identity that attains it (the attacker on ties). Thresholds
-    scored on one draw are compared on the same trials.
+    ``entries`` holds the level's rows in output order: abort rows,
+    which pass through, and designs ``(n, tau, seed, fields)``, where
+    ``fields`` are the row's other columns. One ``exact_expected_losses``
+    call scores every design; exact_worst is the larger of its two
+    losses. Monte Carlo error counts are drawn once per seed, one seed at
+    a time, ``spec.trials`` per identity, and scored under each threshold
+    that shares the seed, so those designs are compared on the same
+    trials.
+    mc_worst is the larger Monte Carlo mean and mc_stderr the error of
+    the identity that attains it (the attacker on ties).
     """
+    designs = [e for e in entries if not isinstance(e, SweepRow)]
+    if not designs:
+        return entries
+    ns, taus, seeds, _ = zip(*designs)
+    losses = exact_expected_losses(spec.params, ns, taus, attacker_rate, user_rate)
+    exact = np.maximum(*losses).tolist()
     sides = ((ProverIdentity.ATTACKER, attacker_rate), (ProverIdentity.USER, user_rate))
-    counts = [
-        simulate_error_counts(rounds, p, spec.trials, seed, identity)
-        for identity, p in sides
-    ]
-
-    def score(tau: float) -> tuple[float, float, float]:
-        exact = max(
-            exact_expected_loss(spec.params, rounds, tau, p, identity)
-            for identity, p in sides
-        )
-        mc_worst, mc_stderr = max(
-            (
-                score_counts(c, tau, rounds, spec.params, identity, p)
-                for c, (identity, p) in zip(counts, sides)
-            ),
-            key=lambda scored: scored[0],
-        )
-        return exact, mc_worst, mc_stderr
-
-    return score
+    sharing: dict[tuple[int, ...], list[int]] = {}
+    for i, seed in enumerate(seeds):
+        sharing.setdefault(seed, []).append(i)
+    scored = [None] * len(designs)
+    for seed, members in sharing.items():
+        n = ns[members[0]]
+        counts = [simulate_error_counts(n, p, spec.trials, seed, identity) for identity, p in sides]
+        for i in members:
+            mc_worst, mc_stderr = max(
+                (
+                    score_counts(c, taus[i], n, spec.params, identity, p)
+                    for c, (identity, p) in zip(counts, sides)
+                ),
+                key=lambda mc: mc[0],
+            )
+            scored[i] = SweepRow(
+                n=n, tau=taus[i], exact_worst=exact[i], mc_worst=mc_worst, mc_stderr=mc_stderr,
+                **designs[i][3],
+            )
+    rows = iter(scored)
+    return [e if isinstance(e, SweepRow) else next(rows) for e in entries]
 
 
 def figure3_comparison(spec: ExperimentSpec) -> list[SweepRow]:
@@ -341,13 +347,17 @@ def figure3_comparison(spec: ExperimentSpec) -> list[SweepRow]:
     count shared by every estimating strategy, so strategies are
     compared on identical information. Each strategy derives rate
     bounds, a round count (capped by the codeword length), and a
-    threshold, then its worst-case loss is estimated by Monte Carlo on
-    the true channel. The error counts are drawn once per noise level
-    and round count and scored under every threshold that uses them, so
-    strategies choosing the same round count are compared on the same
-    trials. Strategies that cannot proceed (hopeless coded phase,
-    collapsed rate bounds, rates outside the threshold formula's domain)
-    yield rows carrying an abort marker instead of numbers.
+    threshold. Its worst-case loss on the true channel, attacker at
+    (1 + w) / 2 and user at the user model's rate, is computed exactly
+    for all designs of a noise level in one batched call, and estimated
+    by Monte Carlo. These true rates need not be separated: above
+    w = 1/2 the physical user errs more often than the attacker. The
+    error counts are drawn once per noise level and round count and
+    scored under every threshold that uses them, so strategies choosing
+    the same round count are compared on the same trials. Strategies
+    that cannot proceed (hopeless coded phase, collapsed rate bounds,
+    rates outside the threshold formula's domain) yield rows carrying an
+    abort marker instead of numbers.
     """
     rows = []
     code = default_transparent_code(spec.codeword_length)
@@ -359,11 +369,11 @@ def figure3_comparison(spec: ExperimentSpec) -> list[SweepRow]:
             )
         )
         theta, phase_hopeless = simulate_coded_phase(channel, code, phase_rng)
-        scorers = {}
+        entries = []
         for rstrat in spec.rate_strategies:
             needs_estimate, derive, arg = _rate_strategy(rstrat)
             if needs_estimate and phase_hopeless:
-                rows.extend(
+                entries.extend(
                     _abort_row(w, t.value, rstrat, "coded-abort")
                     for t in spec.threshold_strategies
                 )
@@ -371,55 +381,45 @@ def figure3_comparison(spec: ExperimentSpec) -> list[SweepRow]:
             try:
                 rates = derive(arg, w, theta, spec.codeword_length)
             except GapCollapseError:
-                rows.extend(
+                entries.extend(
                     _abort_row(w, t.value, rstrat, "gap-collapse")
                     for t in spec.threshold_strategies
                 )
                 continue
             n = min(optimal_rounds(spec.params, rates).value, spec.codeword_length)
+            bounds = dict(
+                elb1=threshold_loss_bound(spec.params, rates, n),
+                elb2=rounds_loss_bound(spec.params, rates),
+            )
             for tstrat in spec.threshold_strategies:
                 try:
                     tau = _strategy_threshold(tstrat, spec.params, rates, n)
                 except ValueError:
-                    rows.append(
-                        _abort_row(w, tstrat.value, rstrat, "invalid-rates")
-                    )
+                    entries.append(_abort_row(w, tstrat.value, rstrat, "invalid-rates"))
                     continue
-                if n not in scorers:
-                    scorers[n] = _point_scorer(
-                        spec,
-                        n,
-                        attacker_per_round_error(w),
-                        spec.user_model.per_round_error(w),
-                        (spec.master_seed, wi, n),
-                    )
-                exact, mc_worst, mc_stderr = scorers[n](tau)
-                rows.append(
-                    SweepRow(
-                        omega=w,
-                        n=n,
-                        tau=tau,
-                        threshold_strategy=tstrat.value,
-                        rate_strategy=rstrat,
-                        exact_worst=exact,
-                        elb1=threshold_loss_bound(spec.params, rates, n),
-                        elb2=rounds_loss_bound(spec.params, rates),
-                        mc_worst=mc_worst,
-                        mc_stderr=mc_stderr,
-                    )
+                fields = dict(
+                    omega=w, threshold_strategy=tstrat.value, rate_strategy=rstrat, **bounds
                 )
+                entries.append((n, tau, (spec.master_seed, wi, n), fields))
+        rows.extend(
+            _score_level(
+                spec, entries, attacker_per_round_error(w), spec.user_model.per_round_error(w)
+            )
+        )
     return rows
 
 
 def threshold_duel(spec: ExperimentSpec) -> list[SweepRow]:
     """Finite-sample vs asymptotic threshold at small designs.
 
-    Sweeps the noise grid in the given order and a grid of round counts,
-    simulating both identities at their rate bounds once per grid point
-    and scoring the same error counts under both thresholds, so the
-    comparison is paired and equal decision rules tie exactly. A
-    threshold whose formula rejects the rates (the asymptotic one at
-    zero noise) yields an invalid-rates abort row in its place.
+    Sweeps the noise grid in the given order and a grid of round counts.
+    The exact losses of all designs of a noise level, both identities at
+    their rate bounds, come from one batched call. The Monte Carlo
+    simulates both identities once per grid point and scores the same
+    error counts under both thresholds, so the comparison is paired and
+    equal decision rules tie exactly. A threshold whose formula rejects
+    the rates (the asymptotic one at zero noise) yields an invalid-rates
+    abort row in its place.
     """
     rows = []
     strategies = (ThresholdStrategy.FINITE, ThresholdStrategy.ASYMPTOTIC)
@@ -427,29 +427,17 @@ def threshold_duel(spec: ExperimentSpec) -> list[SweepRow]:
         rates = _true_rates(w, tuple(t.value for t in strategies), rows)
         if rates is None:
             continue
+        entries = []
         for ni, n in enumerate(spec.n_grid):
-            score = _point_scorer(
-                spec, n, rates.attacker_floor, rates.user_ceiling, (spec.master_seed, wi, ni)
-            )
             for tstrat in strategies:
                 try:
                     tau = _strategy_threshold(tstrat, spec.params, rates, n)
                 except ValueError:
-                    rows.append(_abort_row(w, tstrat.value, "true-omega", "invalid-rates"))
+                    entries.append(_abort_row(w, tstrat.value, "true-omega", "invalid-rates"))
                     continue
-                exact, mc_worst, mc_stderr = score(tau)
-                rows.append(
-                    SweepRow(
-                        omega=w,
-                        n=n,
-                        tau=tau,
-                        threshold_strategy=tstrat.value,
-                        rate_strategy="true-omega",
-                        exact_worst=exact,
-                        mc_worst=mc_worst,
-                        mc_stderr=mc_stderr,
-                    )
-                )
+                fields = dict(omega=w, threshold_strategy=tstrat.value, rate_strategy="true-omega")
+                entries.append((n, tau, (spec.master_seed, wi, ni), fields))
+        rows.extend(_score_level(spec, entries, rates.attacker_floor, rates.user_ceiling))
     return rows
 
 

@@ -3,19 +3,42 @@
 A protocol run costs a fixed amount per exchanged round plus a penalty
 when the decision is wrong: accepting an attacker or rejecting the
 legitimate user. Everything downstream (bounds, exact optima, Monte
-Carlo) takes its loss parameters and rate bounds from here.
+Carlo) takes its loss parameters, rate bounds and decision rule from here.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
+import numpy as np
 
-def _is_count(value: object) -> bool:
-    """Whether ``value`` is an integer >= 1: a round, trial or symbol count, not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+def _is_count(value: object, least: int = 1) -> bool:
+    """Whether ``value`` is a Python or numpy integer >= ``least``, not a bool."""
+    # the exact-type test spares a plain int the slower abstract-class check
+    integral = type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    )
+    return integral and value >= least
+
+
+def rejected_count_min(
+    threshold: float | np.ndarray, rounds: int | np.ndarray
+) -> np.int64 | np.ndarray:
+    """The smallest error count the rule "accept when count < threshold" rejects.
+
+    ``ceil(clip(threshold, 0, rounds + 1))``, elementwise: for counts in
+    0..n, ``count < threshold`` exactly when ``count`` is below it, and
+    an infinite threshold becomes 0 or n + 1. A nan threshold raises
+    ValueError.
+    """
+    tau = np.asarray(threshold, dtype=np.float64)
+    if np.isnan(tau).any():
+        raise ValueError("threshold must not be nan")
+    return np.ceil(np.clip(tau, 0.0, np.asarray(rounds) + 1.0)).astype(np.int64)[()]
 
 
 class GapCollapseError(ValueError):

@@ -1,5 +1,6 @@
 """Helpers shared by the test modules: binomial masses by integer enumeration."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -7,8 +8,13 @@ from fractions import Fraction
 from threshauth.exact import BinomialSpec
 
 
+@functools.lru_cache(maxsize=8)
 def _enumerated_terms(spec: BinomialSpec) -> tuple[list[int], int]:
-    """Integer numerators of Pr(X = k), k = 0..n, over their common denominator b^n."""
+    """Integer numerators of Pr(X = k), k = 0..n, over their common denominator b^n.
+
+    Cached, as a test summing several tails of one distribution would
+    otherwise rebuild these big integers for each.
+    """
     n = spec.trials
     a, b = spec.success_prob.as_integer_ratio()
     return [math.comb(n, k) * a**k * (b - a) ** (n - k) for k in range(n + 1)], b**n

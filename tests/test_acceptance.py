@@ -33,7 +33,7 @@ from threshauth.channel import (
     swiss_hitomi_rates,
 )
 from threshauth.cli import main
-from threshauth.exact import brute_force_optimal, exact_worst_case_loss
+from threshauth.exact import brute_force_optimal, exact_worst_case_losses
 from threshauth.experiments import (
     DEFAULT_SEED,
     DEFAULT_LOSSES,
@@ -54,11 +54,12 @@ def test_criterion_01_bound_dominates_exact_loss():
     worst_gap = -math.inf
     for w in (0.1, 0.01):
         rates = swiss_hitomi_rates(ChannelModel(w))
-        for n in range(1, 257):
-            tau = optimal_threshold(DEFAULT_LOSSES, rates, n).raw
-            exact = exact_worst_case_loss(DEFAULT_LOSSES, rates, n, tau)
+        ns = range(1, 257)
+        taus = [optimal_threshold(DEFAULT_LOSSES, rates, n).raw for n in ns]
+        exact = exact_worst_case_losses(DEFAULT_LOSSES, rates, ns, taus)
+        for n, exact_worst in zip(ns, exact):
             bound = threshold_loss_bound(DEFAULT_LOSSES, rates, n)
-            worst_gap = max(worst_gap, exact - bound)
+            worst_gap = max(worst_gap, exact_worst - bound)
     elapsed = time.perf_counter() - t0
     ok = worst_gap <= 1e-12 and elapsed < 10.0
     _report(1, ok, f"max(exact - bound) = {worst_gap:.3e} over 512 points, {elapsed:.1f}s")
@@ -87,7 +88,7 @@ def test_criterion_02_round_minimizers_within_factor_two():
         n_curve = int(np.argmin(curve)) + 1
         elb1 = curve[n_curve - 1]
         tau = optimal_threshold(DEFAULT_LOSSES, rates, n_curve)
-        exact = exact_worst_case_loss(DEFAULT_LOSSES, rates, n_curve, tau.raw)
+        exact = exact_worst_case_losses(DEFAULT_LOSSES, rates, [n_curve], [tau.raw])[0]
         n_cap = math.floor(elb1 / lb)
         n_hat = optimal_rounds(DEFAULT_LOSSES, rates).value
         ratio = max(n_curve, n_star) / min(n_curve, n_star)

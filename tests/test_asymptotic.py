@@ -11,7 +11,7 @@ from threshauth.asymptotic import (
     bayes_risk,
     bayes_threshold,
 )
-from threshauth.exact import exact_worst_case_loss
+from threshauth.exact import exact_worst_case_losses
 from threshauth.loss import ErrorRateBounds, LossParameters
 
 BENCH = LossParameters(false_accept=10.0, false_reject=1.0, per_round=1e-2)
@@ -184,10 +184,10 @@ class TestBayesRisk:
         # the round cost plus twice the uniform-prior risk
         prior = HypothesisPrior.uniform()
         for n in (2, 5, 8):
+            worst = exact_worst_case_losses(BENCH, SWISS_01, [n] * (n + 2), range(n + 2))
             for t in range(n + 2):
-                worst = exact_worst_case_loss(BENCH, SWISS_01, n, float(t))
                 risk = bayes_risk(BENCH, SWISS_01, prior, n, float(t))
-                assert worst <= n * BENCH.per_round + 2.0 * risk + 1e-12
+                assert worst[t] <= n * BENCH.per_round + 2.0 * risk + 1e-12
 
     def test_rejects_nonpositive_rounds(self):
         with pytest.raises(ValueError):

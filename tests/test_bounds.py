@@ -20,7 +20,7 @@ from threshauth.bounds import (
     threshold_loss_bound,
 )
 from threshauth.channel import ChannelModel, swiss_hitomi_rates
-from threshauth.exact import BinomialSpec, binomial_sf, exact_worst_case_loss
+from threshauth.exact import BinomialSpec, binomial_sf, exact_worst_case_losses
 from threshauth.loss import ErrorRateBounds, LossParameters
 
 BENCH = LossParameters(false_accept=10.0, false_reject=1.0, per_round=1e-2)
@@ -123,12 +123,15 @@ class TestLossBoundAt:
         for rates in (SWISS_01, SWISS_001):
             lo_frac, hi_frac = rates.user_ceiling, rates.attacker_floor
             for n in range(1, 65):
-                for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-                    tau = n * (lo_frac + frac * (hi_frac - lo_frac))
+                taus = [
+                    n * (lo_frac + frac * (hi_frac - lo_frac))
+                    for frac in (0.0, 0.25, 0.5, 0.75, 1.0)
+                ]
+                exact = exact_worst_case_losses(BENCH, rates, [n] * len(taus), taus)
+                for tau, exact_worst in zip(taus, exact):
                     report = loss_bound_at(BENCH, rates, n, tau)
-                    exact = exact_worst_case_loss(BENCH, rates, n, tau)
                     assert report.valid
-                    assert report.bound_value >= exact - 1e-12
+                    assert report.bound_value >= exact_worst - 1e-12
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(_valid_designs())
@@ -142,7 +145,7 @@ class TestLossBoundAt:
         rates = swiss_hitomi_rates(ChannelModel(w))
         report = loss_bound_at(params, rates, n, tau)
         assert report.valid
-        assert exact_worst_case_loss(params, rates, n, tau) <= report.bound_value
+        assert exact_worst_case_losses(params, rates, [n], [tau])[0] <= report.bound_value
 
 
 class TestOptimalThreshold:

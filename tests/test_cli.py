@@ -160,6 +160,23 @@ class TestSweepCommands:
             assert (asym.n, asym.tau, asym.mc_worst) == (None, None, None)
         assert all(r.aborted == "" for r in rows if r.omega == 0.1)
 
+    def test_fig3_scores_guesses_where_the_user_errs_as_often_as_the_attacker(self, tmp_path):
+        # on the physical channel the user's rate 1 - (1 - w)^2 equals the
+        # attacker's (1 + w) / 2 at w = 1/2 and exceeds it above; the
+        # fixed-guess designs are still scored there
+        out = tmp_path / "fig3.csv"
+        args = ["fig3", "--omega", "0.5", "--omega", "0.9", "--trials", "50"]
+        assert main(args + ["--out", str(out)]) == 0
+        assert "nan" not in out.read_text()
+        rows = parse_csv(out)
+        for w in (0.5, 0.9):
+            guesses = [r for r in rows if r.omega == w and r.rate_strategy.startswith("guess:")]
+            assert len(guesses) == 6
+            for r in guesses:
+                assert r.aborted == ""
+                assert None not in (r.n, r.tau, r.exact_worst, r.mc_worst, r.mc_stderr)
+                assert r.exact_worst >= r.n * 1e-2
+
     def test_default_output_lands_in_working_directory(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["fig1b", "--omega", "0.1"]) == 0

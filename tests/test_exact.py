@@ -19,20 +19,29 @@ from threshauth.exact import (
     _pmf_rows,
     _tail,
     _tail_blocks,
-    accepted_count_max,
     binomial_cdf,
     binomial_pmf,
     binomial_sf,
     brute_force_optimal,
-    exact_expected_loss,
-    exact_worst_case_loss,
+    exact_expected_losses,
     exact_worst_case_losses,
 )
-from threshauth.loss import ErrorRateBounds, LossParameters, ProverIdentity
+from threshauth.loss import ErrorRateBounds, LossParameters, ProverIdentity, rejected_count_min
 
 BENCH = LossParameters(10.0, 1.0, 1e-2)
 SWISS_01 = ErrorRateBounds(attacker_floor=0.55, user_ceiling=0.2)
 ATT, USER = ProverIdentity.ATTACKER, ProverIdentity.USER
+
+
+def _one_loss(params, n, tau, p, identity):
+    """One identity's exact loss at one design, read from the batched call."""
+    att, use = exact_expected_losses(params, [n], [tau], p, p)
+    return float((att if identity is ATT else use)[0])
+
+
+def _one_worst(params, rates, n, tau):
+    """The worst-case exact loss at one design, read from the batched call."""
+    return float(exact_worst_case_losses(params, rates, [n], [tau])[0])
 
 
 def enumerated_count_distribution(n: int, mu: float) -> list[float]:
@@ -85,7 +94,7 @@ class TestBinomialCdf:
             BinomialSpec(0, 0.5)
         with pytest.raises(ValueError):
             BinomialSpec(4, 1.5)
-        for trials in (2.5, 3.0, True, np.int64(3), "3", None):
+        for trials in (2.5, 3.0, True, "3", None):
             with pytest.raises(ValueError, match="trials"):
                 BinomialSpec(trials, 0.3)
 
@@ -162,84 +171,190 @@ class TestBinomialPmf:
 
 class TestAcceptance:
     def test_strictness_of_count_cut(self):
-        # accept iff count < tau, counts are integers
-        assert accepted_count_max(2.0) == 1
-        assert accepted_count_max(2.5) == 2
-        assert accepted_count_max(0.2) == 0
-        assert accepted_count_max(0.0) == -1
-        assert accepted_count_max(-3.7) == -4
+        # accept iff count < tau, counts are integers in 0..4
+        assert rejected_count_min(2.0, 4) == 2
+        assert rejected_count_min(2.5, 4) == 3
+        assert rejected_count_min(0.2, 4) == 1
+        assert rejected_count_min(0.0, 4) == 0
+        assert rejected_count_min(-3.7, 4) == 0
+        assert rejected_count_min(4.5, 4) == rejected_count_min(math.inf, 4) == 5
 
     def test_acceptance_probability_saturates(self):
         # tau <= 0 accepts no count, tau > n accepts every count, so the
         # wrong decision is certain and each side pays exactly its loss
         base = 4 * BENCH.per_round
         for tau in (0.0, -3.7, -math.inf):
-            assert exact_expected_loss(BENCH, 4, tau, 0.2, USER) == base + BENCH.false_reject
+            assert _one_loss(BENCH, 4, tau, 0.2, USER) == base + BENCH.false_reject
         for tau in (4.5, 5.0, math.inf):
-            assert exact_expected_loss(BENCH, 4, tau, 0.55, ATT) == base + BENCH.false_accept
+            assert _one_loss(BENCH, 4, tau, 0.55, ATT) == base + BENCH.false_accept
 
     def test_integer_vs_fractional_threshold(self):
         # tau=2 admits counts {0,1}; tau=2.5 admits {0,1,2}
         spec_att, spec_use = BinomialSpec(4, 0.55), BinomialSpec(4, 0.2)
         base = 4 * BENCH.per_round
         for tau, cut in ((2.0, 1), (2.5, 2)):
-            assert exact_expected_loss(BENCH, 4, tau, 0.55, ATT) == (
+            assert _one_loss(BENCH, 4, tau, 0.55, ATT) == (
                 base + binomial_cdf(spec_att, cut) * BENCH.false_accept
             )
-            assert exact_expected_loss(BENCH, 4, tau, 0.2, USER) == (
+            assert _one_loss(BENCH, 4, tau, 0.2, USER) == (
                 base + binomial_sf(spec_use, cut + 1) * BENCH.false_reject
             )
-        assert exact_expected_loss(BENCH, 4, 2.0, 0.55, ATT) < exact_expected_loss(
+        assert _one_loss(BENCH, 4, 2.0, 0.55, ATT) < _one_loss(
             BENCH, 4, 2.5, 0.55, ATT
         )
 
 
 class TestExactExpectedLoss:
     def test_attacker_example(self):
-        got = exact_expected_loss(BENCH, 4, 2.0, 0.55, ProverIdentity.ATTACKER)
+        got = _one_loss(BENCH, 4, 2.0, 0.55, ProverIdentity.ATTACKER)
         assert got == pytest.approx(2.4548125, abs=1e-12)
 
     def test_user_example(self):
-        got = exact_expected_loss(BENCH, 4, 2.0, 0.2, ProverIdentity.USER)
+        got = _one_loss(BENCH, 4, 2.0, 0.2, ProverIdentity.USER)
         assert got == pytest.approx(0.2208, abs=1e-12)
 
     def test_zero_threshold_rejects_everything(self):
-        got = exact_expected_loss(BENCH, 9, 0.0, 0.55, ProverIdentity.ATTACKER)
+        got = _one_loss(BENCH, 9, 0.0, 0.55, ProverIdentity.ATTACKER)
         assert got == pytest.approx(0.09, abs=1e-15)
 
     def test_monotonicity_in_threshold(self):
         taus = np.linspace(0.0, 12.0, 49)
         att = [
-            exact_expected_loss(BENCH, 12, t, 0.55, ProverIdentity.ATTACKER)
+            _one_loss(BENCH, 12, t, 0.55, ProverIdentity.ATTACKER)
             for t in taus
         ]
         use = [
-            exact_expected_loss(BENCH, 12, t, 0.2, ProverIdentity.USER) for t in taus
+            _one_loss(BENCH, 12, t, 0.2, ProverIdentity.USER) for t in taus
         ]
         assert all(a <= b + 1e-15 for a, b in zip(att, att[1:]))
         assert all(a >= b - 1e-15 for a, b in zip(use, use[1:]))
 
     def test_worst_case_picks_larger_side(self):
-        w = exact_worst_case_loss(BENCH, SWISS_01, 4, 2.0)
+        w = _one_worst(BENCH, SWISS_01, 4, 2.0)
         assert w == pytest.approx(2.4548125, abs=1e-12)
 
     def test_rejects_bad_error_rate_and_rounds(self):
         for p in (-0.1, 1.5, math.nan):
-            with pytest.raises(ValueError):
-                exact_expected_loss(BENCH, 4, 2.0, p, USER)
-        with pytest.raises(ValueError):
-            exact_expected_loss(BENCH, 0, 2.0, 0.2, ATT)
+            with pytest.raises(ValueError, match="attacker_rate"):
+                exact_expected_losses(BENCH, [4], [2.0], p, 0.2)
+            with pytest.raises(ValueError, match="user_rate"):
+                exact_expected_losses(BENCH, [4], [2.0], 0.55, p)
+        with pytest.raises(ValueError, match="rounds"):
+            exact_expected_losses(BENCH, [0], [2.0], 0.55, 0.2)
 
 
 def _scalar_worst(params, rates, n, tau):
-    """The worst-case loss from the two scalar per-identity losses."""
+    """The worst-case loss from the scalar tails at the cut of the rule."""
+    cut = math.ceil(min(max(tau, 0.0), n + 1.0))
+    base = n * params.per_round
     return max(
-        exact_expected_loss(params, n, tau, rates.attacker_floor, ATT),
-        exact_expected_loss(params, n, tau, rates.user_ceiling, USER),
+        base + binomial_cdf(BinomialSpec(n, rates.attacker_floor), cut - 1) * params.false_accept,
+        base + binomial_sf(BinomialSpec(n, rates.user_ceiling), cut) * params.false_reject,
     )
 
 
 _MU = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+def _enumerated_losses(params, n, tau, attacker_rate, user_rate):
+    """Both exact losses at (n, tau), summed in integers over the counts c < tau."""
+    accepted = sum(1 for c in range(n + 1) if c < tau)  # counts 0..accepted-1
+    base = n * Fraction(params.per_round)
+    acc = enumerated_mass(BinomialSpec(n, attacker_rate), 0, accepted)
+    rej = enumerated_mass(BinomialSpec(n, user_rate), accepted, n + 1)
+    return (
+        float(base + acc * Fraction(params.false_accept)),
+        float(base + rej * Fraction(params.false_reject)),
+    )
+
+
+@st.composite
+def _designs(draw, rounds, sizes):
+    """Round counts and thresholds: infinite, integer, fractional, outside [0, n + 1]."""
+    ns = draw(st.lists(rounds, min_size=sizes[0], max_size=sizes[1]))
+    taus = [
+        draw(
+            st.one_of(
+                st.sampled_from([-math.inf, math.inf]),
+                st.integers(-3, n + 3).map(float),
+                st.floats(-n - 5.0, 2.0 * n + 5.0),
+            )
+        )
+        for n in ns
+    ]
+    return ns, taus
+
+
+_PARAMS = st.builds(
+    LossParameters,
+    _log_uniform(0.1, 1e3),
+    _log_uniform(0.1, 1e6),
+    st.one_of(st.just(0.0), _log_uniform(1e-5, 0.3)),
+)
+
+
+class TestExpectedLossesProperties:
+    def _check(self, params, designs, attacker_rate, user_rate):
+        ns, taus = designs
+        att, use = exact_expected_losses(params, ns, taus, attacker_rate, user_rate)
+        assert att.shape == use.shape == (len(ns),)
+        for i, (n, tau) in enumerate(zip(ns, taus)):
+            want_att, want_use = _enumerated_losses(params, n, tau, attacker_rate, user_rate)
+            assert att[i] == pytest.approx(want_att, rel=1e-12, abs=TINY)
+            assert use[i] == pytest.approx(want_use, rel=1e-12, abs=TINY)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        params=_PARAMS,
+        designs=_designs(st.integers(1, 60), (1, 8)),
+        attacker_rate=_MU,
+        user_rate=_MU,
+    )
+    def test_match_integer_enumeration_at_any_rates(
+        self, params, designs, attacker_rate, user_rate
+    ):
+        # the two rates are independent: the user may err as often as the
+        # attacker or more, as on a physical channel above w = 1/2
+        self._check(params, designs, attacker_rate, user_rate)
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        params=_PARAMS,
+        designs=_designs(st.sampled_from([600, 650, 700]), (28, 40)),
+        # few round counts and rates k / 64 keep the enumeration of
+        # 28-40 designs of up to 700 rounds cheap
+        attacker_rate=st.integers(0, 64).map(lambda k: k / 64),
+        user_rate=st.integers(0, 64).map(lambda k: k / 64),
+    )
+    def test_match_integer_enumeration_across_blocks(
+        self, params, designs, attacker_rate, user_rate
+    ):
+        # at most _BLOCK_ENTRIES // 602 = 27 of these designs fit one block
+        assert len(designs[0]) > _BLOCK_ENTRIES // (max(designs[0]) + 2)
+        self._check(params, designs, attacker_rate, user_rate)
+
+    def test_worst_case_is_the_larger_loss(self):
+        rates = swiss_hitomi_rates(ChannelModel(0.05))
+        ns, taus = [4, 9, 30], [1.5, -math.inf, 12.0]
+        att, use = exact_expected_losses(BENCH, ns, taus, rates.attacker_floor, rates.user_ceiling)
+        worst = exact_worst_case_losses(BENCH, rates, ns, taus)
+        assert worst.tobytes() == np.maximum(att, use).tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 40), tau=st.one_of(st.floats(allow_nan=False), st.integers(-3, 45)))
+    def test_cut_decides_every_count_as_the_rule(self, n, tau):
+        # accept when count < tau, for every count 0..n
+        cut = rejected_count_min(tau, n)
+        assert 0 <= cut <= n + 1
+        for c in range(n + 1):
+            assert (c < tau) == (c < cut)
+        assert rejected_count_min(np.array([tau, tau]), np.array([n, n])).tolist() == [cut] * 2
+
+    def test_cut_rejects_nan(self):
+        with pytest.raises(ValueError, match="nan"):
+            rejected_count_min(math.nan, 4)
+        with pytest.raises(ValueError, match="nan"):
+            rejected_count_min(np.array([1.0, math.nan]), np.array([4, 4]))
 
 
 class TestRoundGridKernel:
@@ -290,10 +405,10 @@ class TestRoundGridKernel:
             want = [_scalar_worst(BENCH, rates, n, t) for n, t in zip(ns, taus)]
             assert got.tobytes() == np.array(want).tobytes()
         for tau in (-math.inf, math.inf):
-            assert exact_worst_case_loss(BENCH, rates, 7, tau) == pytest.approx(
+            assert _one_worst(BENCH, rates, 7, tau) == pytest.approx(
                 7 * BENCH.per_round + (BENCH.false_reject if tau < 0 else BENCH.false_accept)
             )
-            assert exact_worst_case_loss(BENCH, rates, 7, tau) == _scalar_worst(
+            assert _one_worst(BENCH, rates, 7, tau) == _scalar_worst(
                 BENCH, rates, 7, tau
             )
 
@@ -303,11 +418,10 @@ class TestRoundGridKernel:
                 exact_worst_case_losses(BENCH, SWISS_01, rounds, [1.0] * len(rounds))
         with pytest.raises(ValueError):
             exact_worst_case_losses(BENCH, SWISS_01, [3, 4], [1.0])
-        with pytest.raises(ValueError):
-            exact_worst_case_loss(BENCH, SWISS_01, 3, math.nan)
-        for identity in (ATT, USER):
-            with pytest.raises(ValueError):
-                exact_expected_loss(BENCH, 3, math.nan, 0.3, identity)
+        with pytest.raises(ValueError, match="nan"):
+            exact_worst_case_losses(BENCH, SWISS_01, [3], [math.nan])
+        with pytest.raises(ValueError, match="nan"):
+            exact_expected_losses(BENCH, [3, 4], [1.0, math.nan], 0.55, 0.2)
 
 
 def _reference_brute_force(params, rates, n_max):
@@ -379,8 +493,8 @@ class TestBruteForce:
         # strictly better single-round rule
         params = LossParameters(1.0, 1.0, 1e-6)
         rates = ErrorRateBounds(attacker_floor=0.7, user_ceiling=0.3)
-        tie_a = exact_worst_case_loss(params, rates, 2, 1.0)
-        tie_b = exact_worst_case_loss(params, rates, 2, 2.0)
+        tie_a = _one_worst(params, rates, 2, 1.0)
+        tie_b = _one_worst(params, rates, 2, 2.0)
         assert tie_a == pytest.approx(tie_b, abs=1e-15)
         res = brute_force_optimal(params, rates, 2)
         assert res == BruteForceResult(1, 1, pytest.approx(0.300001, abs=1e-12))
@@ -408,10 +522,11 @@ class TestBruteForce:
         att = base + enumerated_mass(BinomialSpec(n, rates.attacker_floor), 0, t) * Fraction(la)
         use = base + enumerated_mass(BinomialSpec(n, rates.user_ceiling), t, n + 1) * Fraction(lu)
         assert res.worst_loss == pytest.approx(float(max(att, use)), rel=1e-12)
-        got_att = exact_expected_loss(params, n, t, rates.attacker_floor, ATT)
-        got_use = exact_expected_loss(params, n, t, rates.user_ceiling, USER)
-        assert got_att == pytest.approx(float(att), rel=1e-12)
-        assert got_use == pytest.approx(float(use), rel=1e-12)
+        got_att, got_use = exact_expected_losses(
+            params, [n], [t], rates.attacker_floor, rates.user_ceiling
+        )
+        assert got_att[0] == pytest.approx(float(att), rel=1e-12)
+        assert got_use[0] == pytest.approx(float(use), rel=1e-12)
 
     def test_rejects_non_integer_budget(self):
         # n_max = 2.5 would scan round counts 1..3

@@ -4,12 +4,13 @@ import dataclasses
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from threshauth.asymptotic import asymptotic_threshold
 from threshauth.bounds import optimal_rounds, optimal_threshold
 from threshauth.channel import ChannelModel, score_counts, simulate_error_counts, swiss_hitomi_rates
-from threshauth.exact import exact_expected_loss
+from threshauth.exact import exact_expected_losses
 from threshauth.experiments import (
     CSV_HEADER,
     DEFAULT_LOSSES,
@@ -192,14 +193,10 @@ class TestFigure1a:
         for r in rows:
             rates = swiss_hitomi_rates(ChannelModel(r.omega))
             tau = optimal_threshold(spec.params, rates, r.n).raw
-            want = max(
-                exact_expected_loss(spec.params, r.n, tau, p, identity)
-                for identity, p in (
-                    (ProverIdentity.ATTACKER, rates.attacker_floor),
-                    (ProverIdentity.USER, rates.user_ceiling),
-                )
+            att, use = exact_expected_losses(
+                spec.params, [r.n], [tau], rates.attacker_floor, rates.user_ceiling
             )
-            assert r == dataclasses.replace(r, exact_worst=want)
+            assert r == dataclasses.replace(r, exact_worst=max(att[0], use[0]))
 
     def test_memory_stays_small_on_the_default_noise_grid(self):
         spec = ExperimentSpec.figure1a(noise_grid=default_noise_grid())
@@ -469,6 +466,17 @@ class TestThresholdDuel:
 
 
 class TestCsvRoundTrip:
+    def test_numpy_round_counts_write_the_same_csv(self, tmp_path):
+        grid = (1, 2, 5, 64, 256)
+        for sweep, factory in ((figure1a_sweep, ExperimentSpec.figure1a),
+                               (threshold_duel, ExperimentSpec.duel)):
+            written = []
+            for n_grid in (grid, tuple(np.array(grid))):
+                path = tmp_path / f"{sweep.__name__}-{len(written)}.csv"
+                emit_csv(sweep(factory(n_grid=n_grid, trials=200)), path)
+                written.append(path.read_bytes())
+            assert written[0] == written[1]
+
     def test_empty_rows_give_header_only(self, tmp_path):
         out = tmp_path / "empty.csv"
         emit_csv([], out)

@@ -5,7 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from threshauth.exact import exact_expected_loss
+from threshauth.asymptotic import (
+    HypothesisPrior,
+    approx_threshold,
+    bayes_risk,
+    bayes_threshold,
+)
+from threshauth.bounds import hoeffding_tail, loss_bound_at, optimal_threshold, threshold_loss_bound
+from threshauth.channel import simulate_error_counts
+from threshauth.exact import BinomialSpec, brute_force_optimal, exact_expected_losses
+from threshauth.experiments import ExperimentSpec
 from threshauth.loss import (
     ErrorRateBounds,
     GapCollapseError,
@@ -14,6 +23,8 @@ from threshauth.loss import (
 )
 
 BENCH = LossParameters(false_accept=10.0, false_reject=1.0, per_round=1e-2)
+SWISS_01 = ErrorRateBounds(attacker_floor=0.55, user_ceiling=0.2)
+UNIFORM = HypothesisPrior.uniform()
 
 
 class TestLossParameters:
@@ -62,19 +73,55 @@ class TestErrorRateBounds:
 class TestExpectedLoss:
     def test_attacker_never_accepted(self):
         # tau <= 0 accepts no count: the attacker pays only the rounds
-        for tau in (0.0, -3.7):
-            got = exact_expected_loss(BENCH, 7, tau, 0.55, ProverIdentity.ATTACKER)
-            assert got == 7 * BENCH.per_round
+        att, _ = exact_expected_losses(BENCH, [7, 7, 7], [0.0, -3.7, -math.inf], 0.55, 0.2)
+        assert att.tolist() == [7 * BENCH.per_round] * 3
 
     def test_user_always_accepted(self):
         # tau > n accepts every count: the user pays only the rounds
-        for tau in (7.5, 8.0):
-            got = exact_expected_loss(BENCH, 7, tau, 0.2, ProverIdentity.USER)
-            assert got == 7 * BENCH.per_round
+        _, use = exact_expected_losses(BENCH, [7, 7, 7], [7.5, 8.0, math.inf], 0.55, 0.2)
+        assert use.tolist() == [7 * BENCH.per_round] * 3
 
     def test_round_cost_floor(self):
-        for tau in np.linspace(-1.0, 13.0, 57):
-            for p in (0.0, 0.2, 0.55, 1.0):
-                for ident in ProverIdentity:
-                    loss = exact_expected_loss(BENCH, 12, tau, p, ident)
-                    assert loss >= 12 * BENCH.per_round
+        taus = np.linspace(-1.0, 13.0, 57)
+        for p in (0.0, 0.2, 0.55, 1.0):
+            for loss in exact_expected_losses(BENCH, [12] * len(taus), taus, p, p):
+                assert (loss >= 12 * BENCH.per_round).all()
+
+
+# Every entry point that takes a round, trial or symbol count, as a call
+# on that count alone.
+COUNT_ENTRY_POINTS = {
+    "BinomialSpec": lambda n: BinomialSpec(n, 0.3),
+    "brute_force_optimal": lambda n: brute_force_optimal(BENCH, SWISS_01, n),
+    "ExperimentSpec.n_grid": lambda n: ExperimentSpec(n_grid=(3, n)),
+    "ExperimentSpec.n_max": lambda n: ExperimentSpec(n_max=n),
+    "ExperimentSpec.trials": lambda n: ExperimentSpec(trials=n),
+    "ExperimentSpec.codeword_length": lambda n: ExperimentSpec(codeword_length=n),
+    "exact_expected_losses": lambda n: exact_expected_losses(BENCH, [3, n], [2.0, 2.5], 0.55, 0.2),
+    "hoeffding_tail": lambda n: hoeffding_tail(n, 0.1),
+    "loss_bound_at": lambda n: loss_bound_at(BENCH, SWISS_01, n, 2.0),
+    "optimal_threshold": lambda n: optimal_threshold(BENCH, SWISS_01, n),
+    "threshold_loss_bound": lambda n: threshold_loss_bound(BENCH, SWISS_01, n),
+    "bayes_threshold": lambda n: bayes_threshold(BENCH, SWISS_01, UNIFORM, n),
+    "approx_threshold": lambda n: approx_threshold(BENCH, 0.375, 0.35, n),
+    "bayes_risk": lambda n: bayes_risk(BENCH, SWISS_01, UNIFORM, n, 2.0),
+    "simulate_error_counts.rounds": lambda n: simulate_error_counts(
+        n, 0.3, 20, 7, ProverIdentity.USER
+    ),
+    "simulate_error_counts.trials": lambda n: simulate_error_counts(
+        8, 0.3, n, 7, ProverIdentity.USER
+    ),
+}
+
+
+class TestCounts:
+    @pytest.mark.parametrize("entry", list(COUNT_ENTRY_POINTS))
+    def test_numpy_integer_gives_the_same_result(self, entry):
+        call = COUNT_ENTRY_POINTS[entry]
+        np.testing.assert_equal(call(np.int64(5)), call(5))
+
+    @pytest.mark.parametrize("entry", list(COUNT_ENTRY_POINTS))
+    @pytest.mark.parametrize("bad", [2.5, True], ids=["fraction", "bool"])
+    def test_fraction_and_bool_raise(self, entry, bad):
+        with pytest.raises(ValueError):
+            COUNT_ENTRY_POINTS[entry](bad)
