@@ -19,18 +19,13 @@ from .bounds import (
     BoundReport,
     RoundsChoice,
     ThresholdChoice,
-    hoeffding_tail,
     loss_bound_at,
     optimal_rounds,
     optimal_threshold,
     rounds_loss_bound,
     threshold_loss_bound,
 )
-from .channel import (
-    ChannelModel,
-    UserErrorModel,
-    swiss_hitomi_rates,
-)
+from .channel import swiss_hitomi_rates
 from .exact import (
     BinomialSpec,
     BruteForceResult,
@@ -51,7 +46,6 @@ from .loss import (
 from .noise import (
     NoiseEstimate,
     TransparentCode,
-    estimate_noise,
     high_probability_rates,
     simulate_coded_phase,
 )
@@ -62,7 +56,6 @@ __all__ = [
     "BinomialSpec",
     "BoundReport",
     "BruteForceResult",
-    "ChannelModel",
     "ErrorRateBounds",
     "GapCollapseError",
     "HypothesisPrior",
@@ -72,7 +65,6 @@ __all__ = [
     "RoundsChoice",
     "ThresholdChoice",
     "TransparentCode",
-    "UserErrorModel",
     "approx_threshold",
     "asymptotic_threshold",
     "bayes_risk",
@@ -81,11 +73,9 @@ __all__ = [
     "binomial_pmf",
     "binomial_sf",
     "brute_force_optimal",
-    "estimate_noise",
     "exact_expected_losses",
     "exact_worst_case_losses",
     "high_probability_rates",
-    "hoeffding_tail",
     "loss_bound_at",
     "optimal_rounds",
     "optimal_threshold",

@@ -54,22 +54,6 @@ class RoundsChoice:
     real: float
 
 
-def hoeffding_tail(rounds: int, deviation: float, range_width: float = 1.0) -> float:
-    """Concentration bound exp(-2 n t^2 / w^2) on an upward mean deviation.
-
-    Bounds Pr(sum >= sum of means + n*t) for n independent summands each
-    confined to an interval of width w. All per-round error variables
-    here live in [0,1], so the width defaults to 1.
-    """
-    if not _is_count(rounds):
-        raise ValueError(f"rounds must be an integer >= 1, got {rounds!r}")
-    if not deviation > 0:
-        raise ValueError(f"deviation must be positive, got {deviation}")
-    if not range_width > 0:
-        raise ValueError(f"range_width must be positive, got {range_width}")
-    return math.exp(-2.0 * rounds * deviation * deviation / (range_width * range_width))
-
-
 def loss_bound_at(
     params: LossParameters,
     rates: ErrorRateBounds,

@@ -12,9 +12,7 @@ an independent check of the exact oracle.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -25,7 +23,6 @@ from .loss import (
     LossParameters,
     ProverIdentity,
     _is_count,
-    rejected_count_min,
 )
 
 # Sub-stream tags keep user trials, attacker trials, and coded-phase
@@ -34,49 +31,30 @@ _STREAM_TAG = {ProverIdentity.USER: 1, ProverIdentity.ATTACKER: 2}
 CODED_PHASE_TAG = 3
 
 
-@dataclass(frozen=True)
-class ChannelModel:
-    """Memoryless symmetric bit-flip channel over {0,1}."""
-
-    flip_probability: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.flip_probability <= 1.0):
-            raise ValueError(
-                f"flip_probability not in [0,1]: {self.flip_probability}"
-            )
-
-
-class UserErrorModel(enum.Enum):
-    """How the legitimate user's per-round error probability is set.
-
-    AT_BOUND places the user exactly at its ceiling rate (twice the flip
-    probability), the worst case the bounds are designed against.
-    PHYSICAL uses 1 - (1 - w)^2, the rate of a round whose challenge and
-    response each cross the channel once.
-    """
-
-    AT_BOUND = "at-bound"
-    PHYSICAL = "physical"
-
-    def per_round_error(self, flip_probability: float) -> float:
-        if self is UserErrorModel.AT_BOUND:
-            return min(2.0 * flip_probability, 1.0)
-        return 1.0 - (1.0 - flip_probability) ** 2
-
-
 def attacker_per_round_error(flip_probability: float) -> float:
     """Per-round error of the guessing relay attacker: (1 + w) / 2."""
     return (1.0 + flip_probability) / 2.0
 
 
-def swiss_hitomi_rates(channel: ChannelModel) -> ErrorRateBounds:
+def user_per_round_error(flip_probability: float) -> float:
+    """Per-round error of the legitimate user: 1 - (1 - w)^2.
+
+    A round's challenge and response each cross the channel once; this
+    physical rate never exceeds the user ceiling 2w.
+    """
+    return 1.0 - (1.0 - flip_probability) ** 2
+
+
+def swiss_hitomi_rates(flip_probability: float) -> ErrorRateBounds:
     """Error-rate bounds of the analyzed protocol family.
 
     Attacker floor (1 + w) / 2 and user ceiling 2w, which separate only
-    for flip probabilities strictly below 1/3.
+    for flip probabilities w strictly below 1/3. A w outside [0,1]
+    raises ValueError, a w in [1/3, 1] GapCollapseError.
     """
-    w = channel.flip_probability
+    w = flip_probability
+    if not 0.0 <= w <= 1.0:  # also false for nan
+        raise ValueError(f"flip_probability not in [0,1]: {w}")
     if w >= 1.0 / 3.0:
         raise GapCollapseError(
             f"rate bounds collapse at flip probability {w} >= 1/3"
@@ -158,7 +136,7 @@ def simulate_error_counts(
 
 def score_counts(
     counts: np.ndarray,
-    threshold: float,
+    cut: int,
     rounds: int,
     params: LossParameters,
     identity: ProverIdentity,
@@ -166,14 +144,14 @@ def score_counts(
 ) -> tuple[float, float]:
     """Mean loss of runs with these error counts, and its standard error.
 
-    A run is accepted when its count lies below ``rejected_count_min``,
-    that is strictly below the threshold; a nan threshold raises.
-    Every run pays ``rounds * per_round``; a fraction p = hits / T of
-    the T runs also pays the decision loss ``weight`` (false_accept on
-    accepted attacker runs, false_reject on rejected user runs), so the
-    mean is ``rounds * per_round + weight * p``. The error is weight
-    times the half-width of the Wilson (1927) score interval for p at
-    z = 1:
+    A run is accepted when its count lies below ``cut``, the least
+    rejected count that ``loss.rejected_count_min`` derives from a
+    threshold. Every run pays ``rounds * per_round``; a fraction
+    p = hits / T of the T runs also pays the decision loss ``weight``
+    (false_accept on accepted attacker runs, false_reject on rejected
+    user runs), so the mean is ``rounds * per_round + weight * p``. The
+    error is weight times the half-width of the Wilson (1927) score
+    interval for p at z = 1:
 
         weight * sqrt(p (1 - p) / T + 1 / (4 T^2)) / (1 + 1 / T)
 
@@ -184,7 +162,7 @@ def score_counts(
     error 0.
     """
     trials = counts.size
-    accepts = int(np.count_nonzero(counts < rejected_count_min(threshold, rounds)))
+    accepts = int(np.count_nonzero(counts < cut))
     if identity is ProverIdentity.ATTACKER:
         hits, weight = accepts, params.false_accept
     else:

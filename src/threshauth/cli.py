@@ -5,10 +5,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .bounds import optimal_rounds, optimal_threshold, rounds_loss_bound, threshold_loss_bound
-from .channel import CODED_PHASE_TAG, ChannelModel, swiss_hitomi_rates
+from .channel import swiss_hitomi_rates
 from .exact import brute_force_optimal
 from .experiments import (
     DEFAULT_SEED,
@@ -22,7 +20,13 @@ from .experiments import (
     threshold_duel,
 )
 from .loss import GapCollapseError
-from .noise import default_transparent_code, estimate_noise, high_probability_rates, simulate_coded_phase
+from .noise import (
+    NoiseEstimate,
+    coded_phase_stream,
+    default_transparent_code,
+    high_probability_rates,
+    simulate_coded_phase,
+)
 
 
 def _add_loss_flags(p: argparse.ArgumentParser) -> None:
@@ -37,7 +41,7 @@ def _losses(args: argparse.Namespace) -> LossParameters:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     params = _losses(args)
-    rates = swiss_hitomi_rates(ChannelModel(args.omega))
+    rates = swiss_hitomi_rates(args.omega)
     choice = optimal_rounds(params, rates)
     n = args.n if args.n is not None else choice.value
     thr = optimal_threshold(params, rates, n)
@@ -54,7 +58,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 def _cmd_exact(args: argparse.Namespace) -> int:
     params = _losses(args)
-    rates = swiss_hitomi_rates(ChannelModel(args.omega))
+    rates = swiss_hitomi_rates(args.omega)
     best = brute_force_optimal(params, rates, args.n)
     print(f"n_star            {best.rounds}")
     print(f"tau_star          {best.threshold}")
@@ -64,11 +68,8 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 
 def _cmd_estimate_noise(args: argparse.Namespace) -> int:
     code = default_transparent_code(args.k)
-    rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence((args.seed, CODED_PHASE_TAG, 0)))
-    )
-    theta, hopeless = simulate_coded_phase(ChannelModel(args.omega), code, rng)
-    est = estimate_noise(theta, args.k, args.delta)
+    theta, hopeless = simulate_coded_phase(args.omega, code, coded_phase_stream(args.seed, 0))
+    est = NoiseEstimate(theta, args.k, args.delta)
     print(f"observed_errors   {theta}")
     print(f"decode_hopeless   {hopeless}")
     print(f"omega_hat         {est.point_estimate:.10g}")
@@ -86,8 +87,8 @@ def _cmd_estimate_noise(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_spec(args: argparse.Namespace, kind: str) -> ExperimentSpec:
-    overrides: dict = {"master_seed": args.seed}
+def _sweep_overrides(args: argparse.Namespace, kind: str) -> dict:
+    overrides: dict = {}
     if getattr(args, "la", None) is not None:
         overrides["params"] = _losses(args)
     if getattr(args, "omega", None):
@@ -101,25 +102,18 @@ def _sweep_spec(args: argparse.Namespace, kind: str) -> ExperimentSpec:
             overrides["codeword_length"] = args.k
         if args.strategy != "all":
             overrides["threshold_strategies"] = (ThresholdStrategy(args.strategy),)
-    builder = {
-        "fig1a": ExperimentSpec.figure1a,
-        "fig1b": ExperimentSpec.figure1b,
-        "fig3": ExperimentSpec.figure3,
-        "duel": ExperimentSpec.duel,
-    }[kind]
-    seed = overrides.pop("master_seed")
-    return builder(seed=seed, **overrides)
+    return overrides
 
 
 def _cmd_sweep(args: argparse.Namespace, kind: str) -> int:
-    spec = _sweep_spec(args, kind)
-    runner = {
-        "fig1a": figure1a_sweep,
-        "fig1b": figure1b_sweep,
-        "fig3": figure3_comparison,
-        "duel": threshold_duel,
+    # built per call, so each sweep is looked up in this module's globals
+    build, run = {
+        "fig1a": (ExperimentSpec.figure1a, figure1a_sweep),
+        "fig1b": (ExperimentSpec.figure1b, figure1b_sweep),
+        "fig3": (ExperimentSpec.figure3, figure3_comparison),
+        "duel": (ExperimentSpec.duel, threshold_duel),
     }[kind]
-    rows = runner(spec)
+    rows = run(build(seed=args.seed, **_sweep_overrides(args, kind)))
     out = args.out if args.out else f"{kind}.csv"
     emit_csv(rows, out)
     print(f"wrote {len(rows)} rows to {out}")

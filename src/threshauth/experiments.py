@@ -19,17 +19,28 @@ import numpy as np
 from .asymptotic import asymptotic_threshold
 from .bounds import optimal_rounds, optimal_threshold, rounds_loss_bound, threshold_loss_bound
 from .channel import (
-    CODED_PHASE_TAG,
-    ChannelModel,
-    UserErrorModel,
     attacker_per_round_error,
     score_counts,
     simulate_error_counts,
     swiss_hitomi_rates,
+    user_per_round_error,
 )
 from .exact import brute_force_optimal, exact_expected_losses, exact_worst_case_losses
-from .loss import ErrorRateBounds, GapCollapseError, LossParameters, ProverIdentity, _is_count
-from .noise import default_transparent_code, estimate_noise, high_probability_rates, simulate_coded_phase
+from .loss import (
+    ErrorRateBounds,
+    GapCollapseError,
+    LossParameters,
+    ProverIdentity,
+    _is_count,
+    rejected_count_min,
+)
+from .noise import (
+    NoiseEstimate,
+    coded_phase_stream,
+    default_transparent_code,
+    high_probability_rates,
+    simulate_coded_phase,
+)
 
 DEFAULT_LOSSES = LossParameters(false_accept=10.0, false_reject=1.0, per_round=1e-2)
 DEFAULT_SEED = 1729
@@ -82,13 +93,10 @@ class ThresholdStrategy(Enum):
 # "guess:<noise>" (fixed design-time guess), "ml" (plug-in estimate) or
 # "hp:<confidence>" (widened estimate); the CSV carries it as given.
 _RATE_KINDS = {
-    "true-omega": (False, lambda arg, w, theta, k: swiss_hitomi_rates(ChannelModel(w))),
-    "guess": (False, lambda arg, w, theta, k: swiss_hitomi_rates(ChannelModel(arg))),
-    "ml": (True, lambda arg, w, theta, k: swiss_hitomi_rates(ChannelModel(theta / k))),
-    "hp": (
-        True,
-        lambda arg, w, theta, k: high_probability_rates(estimate_noise(theta, k, arg)),
-    ),
+    "true-omega": (False, lambda arg, w, theta, k: swiss_hitomi_rates(w)),
+    "guess": (False, lambda arg, w, theta, k: swiss_hitomi_rates(arg)),
+    "ml": (True, lambda arg, w, theta, k: swiss_hitomi_rates(theta / k)),
+    "hp": (True, lambda arg, w, theta, k: high_probability_rates(NoiseEstimate(theta, k, arg))),
 }
 
 
@@ -120,7 +128,6 @@ class ExperimentSpec:
     threshold_strategies: tuple[ThresholdStrategy, ...] = (ThresholdStrategy.FINITE,)
     rate_strategies: tuple[str, ...] = ("true-omega",)
     codeword_length: int = 1024
-    user_model: UserErrorModel = UserErrorModel.AT_BOUND
     master_seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
@@ -143,33 +150,24 @@ class ExperimentSpec:
         for label in self.rate_strategies:
             _rate_strategy(label)
 
+    # Each factory sets only what differs from the class defaults.
     @classmethod
     def figure1a(cls, seed: int = DEFAULT_SEED, **overrides) -> "ExperimentSpec":
-        defaults = dict(
-            noise_grid=(0.1, 0.01), n_grid=tuple(range(1, 257)), master_seed=seed
-        )
-        defaults.update(overrides)
-        return cls(**defaults)
+        return cls(**(dict(master_seed=seed) | overrides))
 
     @classmethod
     def figure1b(cls, seed: int = DEFAULT_SEED, **overrides) -> "ExperimentSpec":
-        defaults = dict(noise_grid=default_noise_grid(), n_max=512, master_seed=seed)
-        defaults.update(overrides)
-        return cls(**defaults)
+        return cls(**(dict(noise_grid=default_noise_grid(), master_seed=seed) | overrides))
 
     @classmethod
     def figure3(cls, seed: int = DEFAULT_SEED, **overrides) -> "ExperimentSpec":
         defaults = dict(
             noise_grid=default_noise_grid(),
-            trials=10_000,
-            codeword_length=1024,
             threshold_strategies=(ThresholdStrategy.FINITE, ThresholdStrategy.ASYMPTOTIC),
             rate_strategies=("guess:0.1", "guess:0.01", "guess:0.001", "ml", "hp:0.1", "hp:0.01"),
-            user_model=UserErrorModel.PHYSICAL,
             master_seed=seed,
         )
-        defaults.update(overrides)
-        return cls(**defaults)
+        return cls(**(defaults | overrides))
 
     @classmethod
     def duel(cls, seed: int = DEFAULT_SEED, **overrides) -> "ExperimentSpec":
@@ -177,12 +175,9 @@ class ExperimentSpec:
             # channel noise at rate gaps 0.05, 0.10, 0.15 and 0.20
             noise_grid=tuple((1.0 - 2.0 * g) / 3.0 for g in (0.05, 0.10, 0.15, 0.20)),
             n_grid=(4, 8, 16, 32),
-            trials=10_000,
-            user_model=UserErrorModel.AT_BOUND,
             master_seed=seed,
         )
-        defaults.update(overrides)
-        return cls(**defaults)
+        return cls(**(defaults | overrides))
 
 
 def _abort_row(w: float, tstrat: str, rstrat: str, reason: str) -> SweepRow:
@@ -198,7 +193,7 @@ def _true_rates(
     strategy label the point would have produced.
     """
     try:
-        return swiss_hitomi_rates(ChannelModel(w))
+        return swiss_hitomi_rates(w)
     except GapCollapseError:
         rows.extend(_abort_row(w, label, "true-omega", "gap-collapse") for label in labels)
         return None
@@ -303,10 +298,11 @@ def _score_level(
     which pass through, and designs ``(n, tau, seed, fields)``, where
     ``fields`` are the row's other columns. One ``exact_expected_losses``
     call scores every design; exact_worst is the larger of its two
-    losses. Monte Carlo error counts are drawn once per seed, one seed at
-    a time, ``spec.trials`` per identity, and scored under each threshold
-    that shares the seed, so those designs are compared on the same
-    trials.
+    losses. The decision rule turns every threshold into its least
+    rejected count in one call. Monte Carlo error counts are drawn once
+    per seed, one seed at a time, ``spec.trials`` per identity, and
+    scored under each threshold that shares the seed, so those designs
+    are compared on the same trials.
     mc_worst is the larger Monte Carlo mean and mc_stderr the error of
     the identity that attains it (the attacker on ties).
     """
@@ -316,6 +312,7 @@ def _score_level(
     ns, taus, seeds, _ = zip(*designs)
     losses = exact_expected_losses(spec.params, ns, taus, attacker_rate, user_rate)
     exact = np.maximum(*losses).tolist()
+    cuts = rejected_count_min(taus, ns).tolist()
     sides = ((ProverIdentity.ATTACKER, attacker_rate), (ProverIdentity.USER, user_rate))
     sharing: dict[tuple[int, ...], list[int]] = {}
     for i, seed in enumerate(seeds):
@@ -327,7 +324,7 @@ def _score_level(
         for i in members:
             mc_worst, mc_stderr = max(
                 (
-                    score_counts(c, taus[i], n, spec.params, identity, p)
+                    score_counts(c, cuts[i], n, spec.params, identity, p)
                     for c, (identity, p) in zip(counts, sides)
                 ),
                 key=lambda mc: mc[0],
@@ -348,27 +345,23 @@ def figure3_comparison(spec: ExperimentSpec) -> list[SweepRow]:
     compared on identical information. Each strategy derives rate
     bounds, a round count (capped by the codeword length), and a
     threshold. Its worst-case loss on the true channel, attacker at
-    (1 + w) / 2 and user at the user model's rate, is computed exactly
-    for all designs of a noise level in one batched call, and estimated
-    by Monte Carlo. These true rates need not be separated: above
-    w = 1/2 the physical user errs more often than the attacker. The
-    error counts are drawn once per noise level and round count and
-    scored under every threshold that uses them, so strategies choosing
-    the same round count are compared on the same trials. Strategies
-    that cannot proceed (hopeless coded phase, collapsed rate bounds,
-    rates outside the threshold formula's domain) yield rows carrying an
-    abort marker instead of numbers.
+    (1 + w) / 2 and user at the physical rate 1 - (1 - w)^2, is
+    computed exactly for all designs of a noise level in one batched
+    call, and estimated by Monte Carlo. These true rates need not be
+    separated: above w = 1/2 the physical user errs more often than the
+    attacker. The error counts are drawn once per noise level and round
+    count and scored under every threshold that uses them, so strategies
+    choosing the same round count are compared on the same trials.
+    Strategies that cannot proceed (hopeless coded phase, collapsed rate
+    bounds, rates outside the threshold formula's domain) yield rows
+    carrying an abort marker instead of numbers.
     """
     rows = []
     code = default_transparent_code(spec.codeword_length)
     for wi, w in enumerate(sorted(spec.noise_grid)):
-        channel = ChannelModel(w)
-        phase_rng = np.random.Generator(
-            np.random.PCG64(
-                np.random.SeedSequence((spec.master_seed, CODED_PHASE_TAG, wi))
-            )
+        theta, phase_hopeless = simulate_coded_phase(
+            w, code, coded_phase_stream(spec.master_seed, wi)
         )
-        theta, phase_hopeless = simulate_coded_phase(channel, code, phase_rng)
         entries = []
         for rstrat in spec.rate_strategies:
             needs_estimate, derive, arg = _rate_strategy(rstrat)
@@ -402,9 +395,7 @@ def figure3_comparison(spec: ExperimentSpec) -> list[SweepRow]:
                 )
                 entries.append((n, tau, (spec.master_seed, wi, n), fields))
         rows.extend(
-            _score_level(
-                spec, entries, attacker_per_round_error(w), spec.user_model.per_round_error(w)
-            )
+            _score_level(spec, entries, attacker_per_round_error(w), user_per_round_error(w))
         )
     return rows
 

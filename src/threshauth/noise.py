@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelModel
+from .channel import CODED_PHASE_TAG
 from .loss import ErrorRateBounds, GapCollapseError
 
 
@@ -75,15 +75,6 @@ class NoiseEstimate:
         )
 
 
-def estimate_noise(observed_errors: int, codeword_length: int, confidence: float) -> NoiseEstimate:
-    """Flip-rate point estimate and high-probability interval half-width."""
-    return NoiseEstimate(
-        observed_errors=observed_errors,
-        codeword_length=codeword_length,
-        confidence=confidence,
-    )
-
-
 def high_probability_rates(estimate: NoiseEstimate) -> ErrorRateBounds:
     """Error-rate bounds that hold with probability 1 - confidence.
 
@@ -106,16 +97,30 @@ def high_probability_rates(estimate: NoiseEstimate) -> ErrorRateBounds:
     return ErrorRateBounds(attacker_floor=attacker, user_ceiling=user)
 
 
+def coded_phase_stream(master_seed: int, index: int) -> np.random.Generator:
+    """Random stream of coded phase ``index`` under a master seed.
+
+    Tagged apart from the Monte Carlo identity streams of ``channel``,
+    so a coded phase never shares draws with the trials it informs.
+    """
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence((master_seed, CODED_PHASE_TAG, index)))
+    )
+
+
 def simulate_coded_phase(
-    channel: ChannelModel,
+    flip_probability: float,
     code: TransparentCode,
     rng: np.random.Generator,
 ) -> tuple[int, bool]:
-    """Transmit one codeword through the channel.
+    """Transmit one codeword through a channel of this flip probability.
 
     Returns the number of flipped symbols and whether decoding is
-    hopeless, meaning the flip count exceeded the correction radius.
+    hopeless, meaning the flip count exceeded the correction radius. A
+    flip probability outside [0,1] raises ValueError.
     """
+    if not 0.0 <= flip_probability <= 1.0:  # also false for nan
+        raise ValueError(f"flip_probability not in [0,1]: {flip_probability}")
     k = code.codeword_length
-    theta = int((rng.random(k) < channel.flip_probability).sum())
+    theta = int((rng.random(k) < flip_probability).sum())
     return theta, theta > code.correction_radius

@@ -28,7 +28,6 @@ from threshauth.asymptotic import (
 from threshauth.bounds import optimal_rounds, optimal_threshold, rounds_loss_bound, threshold_loss_bound
 from threshauth.channel import (
     CODED_PHASE_TAG,
-    ChannelModel,
     simulate_error_counts,
     swiss_hitomi_rates,
 )
@@ -42,7 +41,7 @@ from threshauth.experiments import (
     threshold_duel,
 )
 from threshauth.loss import ErrorRateBounds, LossParameters, ProverIdentity
-from threshauth.noise import default_transparent_code, estimate_noise, simulate_coded_phase
+from threshauth.noise import NoiseEstimate, default_transparent_code, simulate_coded_phase
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -53,7 +52,7 @@ def test_criterion_01_bound_dominates_exact_loss():
     t0 = time.perf_counter()
     worst_gap = -math.inf
     for w in (0.1, 0.01):
-        rates = swiss_hitomi_rates(ChannelModel(w))
+        rates = swiss_hitomi_rates(w)
         ns = range(1, 257)
         taus = [optimal_threshold(DEFAULT_LOSSES, rates, n).raw for n in ns]
         exact = exact_worst_case_losses(DEFAULT_LOSSES, rates, ns, taus)
@@ -81,7 +80,7 @@ def test_criterion_02_round_minimizers_within_factor_two():
     lines = []
     ok = True
     for w in (0.1, 0.01):
-        rates = swiss_hitomi_rates(ChannelModel(w))
+        rates = swiss_hitomi_rates(w)
         best = brute_force_optimal(DEFAULT_LOSSES, rates, n_max)
         n_star, l_star = best.rounds, best.worst_loss
         curve = [threshold_loss_bound(DEFAULT_LOSSES, rates, n) for n in range(1, n_max + 1)]
@@ -147,7 +146,7 @@ def test_criterion_03_closed_forms_self_consistent():
 
 
 def test_criterion_04_frozen_design_values():
-    rates = swiss_hitomi_rates(ChannelModel(0.1))
+    rates = swiss_hitomi_rates(0.1)
     tau_hat = optimal_threshold(DEFAULT_LOSSES, rates, 64).value
     n_real = optimal_rounds(DEFAULT_LOSSES, rates).real
     elb2 = rounds_loss_bound(DEFAULT_LOSSES, rates)
@@ -215,15 +214,14 @@ def test_criterion_06_bayes_threshold_minimizes_risk():
 
 def test_criterion_07_noise_estimator_coverage():
     k, w, delta, runs = 1024, 0.1, 0.01, 10_000
-    half_width = estimate_noise(0, k, delta).half_width
+    half_width = NoiseEstimate(0, k, delta).half_width
     code = default_transparent_code(k)
-    channel = ChannelModel(w)
     rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence((DEFAULT_SEED, CODED_PHASE_TAG)))
     )
     hits = 0
     for _ in range(runs):
-        theta, _ = simulate_coded_phase(channel, code, rng)
+        theta, _ = simulate_coded_phase(w, code, rng)
         if abs(theta / k - w) < half_width:
             hits += 1
     coverage = hits / runs

@@ -12,15 +12,14 @@ from hypothesis import strategies as st
 
 from threshauth.bounds import (
     ThresholdChoice,
-    hoeffding_tail,
     loss_bound_at,
     optimal_rounds,
     optimal_threshold,
     rounds_loss_bound,
     threshold_loss_bound,
 )
-from threshauth.channel import ChannelModel, swiss_hitomi_rates
-from threshauth.exact import BinomialSpec, binomial_sf, exact_worst_case_losses
+from threshauth.channel import swiss_hitomi_rates
+from threshauth.exact import exact_worst_case_losses
 from threshauth.loss import ErrorRateBounds, LossParameters
 
 BENCH = LossParameters(false_accept=10.0, false_reject=1.0, per_round=1e-2)
@@ -35,43 +34,6 @@ N_HAT_REAL = 64.15230150195742
 ELB2 = 1.4370667767804974
 
 
-class TestHoeffdingTail:
-    def test_frozen_values(self):
-        assert hoeffding_tail(40, 0.1) == pytest.approx(0.4493289641172216, rel=1e-12)
-        assert hoeffding_tail(100, 0.1) == pytest.approx(0.1353352832366127, rel=1e-12)
-
-    def test_decreasing_in_rounds(self):
-        vals = [hoeffding_tail(n, 0.15) for n in range(1, 200)]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_range_width_rescales_deviation(self):
-        for n in (3, 17, 250):
-            for t, w in ((0.1, 2.0), (0.3, 0.5), (0.02, 10.0)):
-                assert hoeffding_tail(n, t, w) == pytest.approx(
-                    hoeffding_tail(n, t / w), rel=1e-14
-                )
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            hoeffding_tail(0, 0.1)
-        with pytest.raises(ValueError):
-            hoeffding_tail(10, 0.0)
-        with pytest.raises(ValueError):
-            hoeffding_tail(10, -0.2)
-        with pytest.raises(ValueError):
-            hoeffding_tail(10, 0.1, 0.0)
-
-    def test_dominates_exact_binomial_upper_tail(self):
-        # Pr(X >= n*mu + n*t) <= exp(-2 n t^2) for X ~ Binomial(n, mu);
-        # the count is integer valued so the event equals X >= ceil(s)
-        for n in range(1, 21):
-            for mu in (0.1, 0.3, 0.5):
-                for t in (0.05, 0.1, 0.2):
-                    s = n * mu + n * t
-                    exact = binomial_sf(BinomialSpec(n, mu), math.ceil(s))
-                    assert exact <= hoeffding_tail(n, t) + 1e-15
-
-
 def _log_uniform(lo: float, hi: float):
     return st.floats(math.log(lo), math.log(hi)).map(math.exp)
 
@@ -81,7 +43,7 @@ def _valid_designs(draw):
     la, lu = draw(_log_uniform(0.1, 1e3)), draw(_log_uniform(0.1, 1e3))
     lb, w = draw(_log_uniform(1e-6, 0.1)), draw(_log_uniform(1e-3, 0.3))
     n = draw(st.integers(1, 512))
-    rates = swiss_hitomi_rates(ChannelModel(w))
+    rates = swiss_hitomi_rates(w)
     lo, hi = n * rates.user_ceiling, n * rates.attacker_floor
     tau = min(hi, lo + draw(st.floats(0.0, 1.0)) * (hi - lo))
     return la, lu, lb, w, n, tau
@@ -142,7 +104,7 @@ class TestLossBoundAt:
     def test_dominates_exact_worst_case_over_random_designs(self, design):
         la, lu, lb, w, n, tau = design
         params = LossParameters(la, lu, lb)
-        rates = swiss_hitomi_rates(ChannelModel(w))
+        rates = swiss_hitomi_rates(w)
         report = loss_bound_at(params, rates, n, tau)
         assert report.valid
         assert exact_worst_case_losses(params, rates, [n], [tau])[0] <= report.bound_value
@@ -192,13 +154,13 @@ class TestThresholdLossBound:
         )
 
     def test_matches_concentration_form(self):
-        # same quantity assembled from the tail helper: the equalized
-        # bound decays like a deviation of half the rate gap
+        # same quantity assembled from Hoeffding's tail exp(-2 n t^2):
+        # the equalized bound decays like a deviation t of half the gap
         for rates in (SWISS_01, SWISS_001):
             for n in (1, 5, 40, 333):
                 direct = threshold_loss_bound(BENCH, rates, n)
-                assembled = n * BENCH.per_round + hoeffding_tail(
-                    n, rates.gap / 2.0
+                assembled = n * BENCH.per_round + math.exp(
+                    -2.0 * n * (rates.gap / 2.0) ** 2
                 ) * math.sqrt(BENCH.false_accept * BENCH.false_reject)
                 assert direct == pytest.approx(assembled, rel=1e-14)
 

@@ -14,30 +14,40 @@ from conftest import enumerated_cdf
 from threshauth import channel
 from threshauth.bounds import threshold_loss_bound
 from threshauth.channel import (
-    ChannelModel,
-    UserErrorModel,
     _cdf_table,
     attacker_per_round_error,
     score_counts,
     simulate_error_counts,
     swiss_hitomi_rates,
+    user_per_round_error,
 )
 from threshauth.exact import BinomialSpec
-from threshauth.loss import GapCollapseError, LossParameters, ProverIdentity
+from threshauth.loss import GapCollapseError, LossParameters, ProverIdentity, rejected_count_min
+from threshauth.noise import TransparentCode, simulate_coded_phase
 
 BENCH = LossParameters(false_accept=10.0, false_reject=1.0, per_round=1e-2)
 
 
+def _coded_phase(w):
+    return simulate_coded_phase(w, TransparentCode(8, 2), np.random.Generator(np.random.PCG64(0)))
+
+
 class TestChannelModel:
+    # a channel is its flip probability; both entry points that take one
+    # check that it lies in [0,1]
     def test_accepts_valid_probabilities(self):
-        assert ChannelModel(0.0).flip_probability == 0.0
-        assert ChannelModel(1.0).flip_probability == 1.0
+        assert swiss_hitomi_rates(0.0).user_ceiling == 0.0
+        assert _coded_phase(0.0) == (0, False)
+        assert _coded_phase(1.0) == (8, True)
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            ChannelModel(-0.1)
-        with pytest.raises(ValueError):
-            ChannelModel(1.5)
+        # 1.5 and nan are no channel at all, not a channel whose rate
+        # bounds collapse: the range check runs before the gap check
+        for w in (-0.1, 1.5, math.nan):
+            for call in (swiss_hitomi_rates, _coded_phase):
+                with pytest.raises(ValueError, match=r"not in \[0,1\]") as caught:
+                    call(w)
+                assert not isinstance(caught.value, GapCollapseError)
 
 
 class TestPerRoundErrorRates:
@@ -46,50 +56,50 @@ class TestPerRoundErrorRates:
         assert attacker_per_round_error(0.0) == pytest.approx(0.5)
 
     def test_user_rate_at_bound(self):
-        assert UserErrorModel.AT_BOUND.per_round_error(0.1) == pytest.approx(0.2)
-        assert UserErrorModel.AT_BOUND.per_round_error(0.6) == 1.0
+        # the ceiling the bounds are designed against: twice the flip
+        # probability
+        for w in (0.0, 0.01, 0.1, 0.3):
+            assert swiss_hitomi_rates(w).user_ceiling == 2.0 * w
 
     def test_user_rate_physical(self):
-        assert UserErrorModel.PHYSICAL.per_round_error(0.1) == pytest.approx(0.19)
-        assert UserErrorModel.PHYSICAL.per_round_error(0.0) == 0.0
+        assert user_per_round_error(0.1) == pytest.approx(0.19)
+        assert user_per_round_error(0.0) == 0.0
+        assert user_per_round_error(1.0) == 1.0
 
     def test_physical_never_exceeds_bound(self):
-        for w in np.linspace(0.0, 0.5, 26):
-            assert (
-                UserErrorModel.PHYSICAL.per_round_error(w)
-                <= UserErrorModel.AT_BOUND.per_round_error(w) + 1e-15
-            )
+        for w in np.linspace(0.0, 1.0 / 3.0, 26, endpoint=False):
+            assert user_per_round_error(w) <= swiss_hitomi_rates(w).user_ceiling
 
 
 class TestSwissHitomiRates:
     def test_frozen_examples(self):
-        r = swiss_hitomi_rates(ChannelModel(0.1))
+        r = swiss_hitomi_rates(0.1)
         assert r.attacker_floor == pytest.approx(0.55)
         assert r.user_ceiling == pytest.approx(0.2)
         assert r.gap == pytest.approx(0.35)
 
-        r = swiss_hitomi_rates(ChannelModel(0.0))
+        r = swiss_hitomi_rates(0.0)
         assert (r.attacker_floor, r.user_ceiling) == (0.5, 0.0)
 
-        r = swiss_hitomi_rates(ChannelModel(0.01))
+        r = swiss_hitomi_rates(0.01)
         assert r.attacker_floor == pytest.approx(0.505)
         assert r.user_ceiling == pytest.approx(0.02)
         assert r.gap == pytest.approx(0.485)
 
     def test_collapses_at_one_third(self):
         with pytest.raises(GapCollapseError):
-            swiss_hitomi_rates(ChannelModel(1.0 / 3.0))
+            swiss_hitomi_rates(1.0 / 3.0)
         with pytest.raises(GapCollapseError):
-            swiss_hitomi_rates(ChannelModel(0.4))
+            swiss_hitomi_rates(0.4)
 
     def test_survives_just_below_one_third(self):
-        r = swiss_hitomi_rates(ChannelModel(1.0 / 3.0 - 1e-9))
+        r = swiss_hitomi_rates(1.0 / 3.0 - 1e-9)
         assert r.gap > 0.0
 
 
 def _swiss_bound(w, rounds):
     # the protocol family's loss bound: the generic bound on its rates
-    return threshold_loss_bound(BENCH, swiss_hitomi_rates(ChannelModel(w)), rounds)
+    return threshold_loss_bound(BENCH, swiss_hitomi_rates(w), rounds)
 
 
 class TestSwissLossBound:
@@ -122,10 +132,16 @@ class TestSwissLossBound:
             _swiss_bound(0.1, 0)
 
 
+def _score(counts, threshold, identity, per_round_error):
+    # scores the rule "accept when count < threshold" through its cut
+    cut = rejected_count_min(threshold, 8)
+    return score_counts(counts, cut, 8, BENCH, identity, per_round_error)
+
+
 class TestLossesFromCounts:
     def test_threshold_comparison_is_strict(self):
         # zero threshold rejects even an error-free run
-        mean, _ = score_counts(np.array([0]), 0.0, 8, BENCH, ProverIdentity.USER, 0.2)
+        mean, _ = _score(np.array([0]), 0.0, ProverIdentity.USER, 0.2)
         assert mean == pytest.approx(0.08 + 1.0)
 
     def test_saturated_thresholds_give_exact_means(self):
@@ -135,14 +151,10 @@ class TestLossesFromCounts:
         use = simulate_error_counts(8, 0.2, 300, 5, ProverIdentity.USER)
         base = 8 * BENCH.per_round
         reject, accept = -3.0, 13.0
-        assert score_counts(att, reject, 8, BENCH, ProverIdentity.ATTACKER, 0.55)[0] == base
-        assert score_counts(use, reject, 8, BENCH, ProverIdentity.USER, 0.2)[0] == (
-            base + BENCH.false_reject
-        )
-        assert score_counts(att, accept, 8, BENCH, ProverIdentity.ATTACKER, 0.55)[0] == (
-            base + BENCH.false_accept
-        )
-        assert score_counts(use, accept, 8, BENCH, ProverIdentity.USER, 0.2)[0] == base
+        assert _score(att, reject, ProverIdentity.ATTACKER, 0.55)[0] == base
+        assert _score(use, reject, ProverIdentity.USER, 0.2)[0] == base + BENCH.false_reject
+        assert _score(att, accept, ProverIdentity.ATTACKER, 0.55)[0] == base + BENCH.false_accept
+        assert _score(use, accept, ProverIdentity.USER, 0.2)[0] == base
 
     def test_constant_counts_give_exact_round_cost(self):
         # per-round errors of 0 and 1 make every count equal: the user is
@@ -150,11 +162,8 @@ class TestLossesFromCounts:
         # are exactly the round cost with no sampling error
         never_wrong = simulate_error_counts(8, 0.0, 500, 11, ProverIdentity.USER)
         always_wrong = simulate_error_counts(8, 1.0, 500, 11, ProverIdentity.ATTACKER)
-        assert score_counts(never_wrong, 4.0, 8, BENCH, ProverIdentity.USER, 0.0) == (0.08, 0.0)
-        assert score_counts(always_wrong, 4.0, 8, BENCH, ProverIdentity.ATTACKER, 1.0) == (
-            0.08,
-            0.0,
-        )
+        assert _score(never_wrong, 4.0, ProverIdentity.USER, 0.0) == (0.08, 0.0)
+        assert _score(always_wrong, 4.0, ProverIdentity.ATTACKER, 1.0) == (0.08, 0.0)
 
 
 def _binomial_moment_sigmas(rounds, p, size=200_000):
@@ -300,7 +309,7 @@ class TestInversionSampler:
 
 
 def _stderr(counts, threshold, identity, per_round_error):
-    return score_counts(counts, threshold, 8, BENCH, identity, per_round_error)[1]
+    return _score(counts, threshold, identity, per_round_error)[1]
 
 
 class TestLossStderr:

@@ -197,6 +197,16 @@ class TestErrorPaths:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize("command", ["bounds", "exact", "estimate-noise"])
+    @pytest.mark.parametrize("omega", ["1.5", "-0.1", "nan"])
+    def test_flip_probability_outside_unit_interval_is_rejected(self, command, omega, capsys):
+        rc = main([command, "--omega", omega])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "not in [0,1]" in captured.err
+
     @pytest.mark.parametrize("command", ["bounds", "fig1a", "fig1b", "fig3", "duel"])
     def test_zero_round_cost_is_rejected_before_any_work(self, command, tmp_path, capsys):
         out = tmp_path / "out.csv"

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import enumerated_mass
-from threshauth.channel import ChannelModel, swiss_hitomi_rates
+from threshauth.channel import swiss_hitomi_rates
 from threshauth.exact import (
     _BLOCK_ENTRIES,
     BinomialSpec,
@@ -334,7 +334,7 @@ class TestExpectedLossesProperties:
         self._check(params, designs, attacker_rate, user_rate)
 
     def test_worst_case_is_the_larger_loss(self):
-        rates = swiss_hitomi_rates(ChannelModel(0.05))
+        rates = swiss_hitomi_rates(0.05)
         ns, taus = [4, 9, 30], [1.5, -math.inf, 12.0]
         att, use = exact_expected_losses(BENCH, ns, taus, rates.attacker_floor, rates.user_ceiling)
         worst = exact_worst_case_losses(BENCH, rates, ns, taus)
@@ -397,7 +397,7 @@ class TestRoundGridKernel:
     def test_batched_loss_matches_scalar_losses_across_blocks(self):
         # 300 round counts up to 600 span several blocks; thresholds cover
         # sure rejection, sure acceptance and the fractional cuts between
-        rates = swiss_hitomi_rates(ChannelModel(0.05))
+        rates = swiss_hitomi_rates(0.05)
         ns = list(range(1, 601, 2))
         for frac in (-1.0, 0.0, 0.17, 0.5, 0.999, 1.0, 1.5):
             taus = [frac * n + 0.25 * (n % 4) for n in ns]
@@ -515,7 +515,7 @@ class TestBruteForce:
         # with lu up to 1e12 the optimum's user rejection probability is far
         # below eps, where a tail taken as 1 - cdf keeps no digits
         params = LossParameters(la, lu, lb)
-        rates = swiss_hitomi_rates(ChannelModel(w))
+        rates = swiss_hitomi_rates(w)
         res = brute_force_optimal(params, rates, 128)
         n, t = res.rounds, res.threshold
         base = n * Fraction(lb)
@@ -539,8 +539,8 @@ class TestBruteForce:
         # from one block up to 17 blocks of padded tail rows
         cases = [
             (BENCH, SWISS_01),
-            (LossParameters(10.0, 1.0, 1e-4), swiss_hitomi_rates(ChannelModel(0.05))),
-            (LossParameters(1.0, 1e9, 1e-3), swiss_hitomi_rates(ChannelModel(0.01))),
+            (LossParameters(10.0, 1.0, 1e-4), swiss_hitomi_rates(0.05)),
+            (LossParameters(1.0, 1e9, 1e-3), swiss_hitomi_rates(0.01)),
             (LossParameters(2.0, 7.0, 0.0), ErrorRateBounds(attacker_floor=0.6, user_ceiling=0.0)),
             (LossParameters(5.0, 3.0, 0.0), ErrorRateBounds(attacker_floor=1.0, user_ceiling=0.4)),
         ]

@@ -9,7 +9,7 @@ import pytest
 
 from threshauth.asymptotic import asymptotic_threshold
 from threshauth.bounds import optimal_rounds, optimal_threshold
-from threshauth.channel import ChannelModel, score_counts, simulate_error_counts, swiss_hitomi_rates
+from threshauth.channel import score_counts, simulate_error_counts, swiss_hitomi_rates
 from threshauth.exact import exact_expected_losses
 from threshauth.experiments import (
     CSV_HEADER,
@@ -25,7 +25,7 @@ from threshauth.experiments import (
     parse_csv,
     threshold_duel,
 )
-from threshauth.loss import LossParameters, ProverIdentity
+from threshauth.loss import LossParameters, ProverIdentity, rejected_count_min
 
 
 def _blank_row(**overrides):
@@ -191,7 +191,7 @@ class TestFigure1a:
         rows = figure1a_sweep(spec)
         assert len(rows) == 4 * 256
         for r in rows:
-            rates = swiss_hitomi_rates(ChannelModel(r.omega))
+            rates = swiss_hitomi_rates(r.omega)
             tau = optimal_threshold(spec.params, rates, r.n).raw
             att, use = exact_expected_losses(
                 spec.params, [r.n], [tau], rates.attacker_floor, rates.user_ceiling
@@ -319,7 +319,7 @@ class TestFigure3:
         )
         rows = figure3_comparison(spec)
         for r in rows:
-            rates = swiss_hitomi_rates(ChannelModel(r.omega))
+            rates = swiss_hitomi_rates(r.omega)
             assert r.n == min(optimal_rounds(DEFAULT_LOSSES, rates).value, 50)
         assert [r.n for r in rows] == [47, 50]
 
@@ -424,7 +424,7 @@ class TestThresholdDuel:
         rows = iter(threshold_duel(spec))
         winners = set()
         for wi, w in enumerate(spec.noise_grid):
-            rates = swiss_hitomi_rates(ChannelModel(w))
+            rates = swiss_hitomi_rates(w)
             sides = (
                 (ProverIdentity.ATTACKER, rates.attacker_floor),
                 (ProverIdentity.USER, rates.user_ceiling),
@@ -442,7 +442,7 @@ class TestThresholdDuel:
                 for tau in taus:
                     row = next(rows)
                     scores = [
-                        score_counts(c, tau, n, spec.params, identity, p)
+                        score_counts(c, rejected_count_min(tau, n), n, spec.params, identity, p)
                         for c, (identity, p) in zip(counts, sides)
                     ]
                     worst = 0 if scores[0][0] >= scores[1][0] else 1

@@ -11,9 +11,14 @@ from threshauth.asymptotic import (
     bayes_risk,
     bayes_threshold,
 )
-from threshauth.bounds import hoeffding_tail, loss_bound_at, optimal_threshold, threshold_loss_bound
+from threshauth.bounds import loss_bound_at, optimal_threshold, threshold_loss_bound
 from threshauth.channel import simulate_error_counts
-from threshauth.exact import BinomialSpec, brute_force_optimal, exact_expected_losses
+from threshauth.exact import (
+    BinomialSpec,
+    brute_force_optimal,
+    exact_expected_losses,
+    exact_worst_case_losses,
+)
 from threshauth.experiments import ExperimentSpec
 from threshauth.loss import (
     ErrorRateBounds,
@@ -98,7 +103,7 @@ COUNT_ENTRY_POINTS = {
     "ExperimentSpec.trials": lambda n: ExperimentSpec(trials=n),
     "ExperimentSpec.codeword_length": lambda n: ExperimentSpec(codeword_length=n),
     "exact_expected_losses": lambda n: exact_expected_losses(BENCH, [3, n], [2.0, 2.5], 0.55, 0.2),
-    "hoeffding_tail": lambda n: hoeffding_tail(n, 0.1),
+    "exact_worst_case_losses": lambda n: exact_worst_case_losses(BENCH, SWISS_01, [3, n], [2.0, 2.5]),
     "loss_bound_at": lambda n: loss_bound_at(BENCH, SWISS_01, n, 2.0),
     "optimal_threshold": lambda n: optimal_threshold(BENCH, SWISS_01, n),
     "threshold_loss_bound": lambda n: threshold_loss_bound(BENCH, SWISS_01, n),

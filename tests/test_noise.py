@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from threshauth.channel import ChannelModel
+from threshauth.channel import _STREAM_TAG, CODED_PHASE_TAG
 from threshauth.loss import GapCollapseError
 from threshauth.noise import (
+    NoiseEstimate,
     TransparentCode,
+    coded_phase_stream,
     default_transparent_code,
-    estimate_noise,
     high_probability_rates,
     simulate_coded_phase,
 )
@@ -40,40 +41,40 @@ class TestTransparentCode:
 
 class TestNoiseEstimate:
     def test_frozen_example(self):
-        est = estimate_noise(102, 1024, 0.01)
+        est = NoiseEstimate(102, 1024, 0.01)
         assert est.point_estimate == pytest.approx(POINT_102, abs=1e-15)
         assert est.half_width == pytest.approx(HALF_WIDTH_102, abs=1e-15)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            estimate_noise(-1, 1024, 0.01)
+            NoiseEstimate(-1, 1024, 0.01)
         with pytest.raises(ValueError):
-            estimate_noise(1025, 1024, 0.01)
+            NoiseEstimate(1025, 1024, 0.01)
         with pytest.raises(ValueError):
-            estimate_noise(10, 1024, 0.0)
+            NoiseEstimate(10, 1024, 0.0)
         with pytest.raises(ValueError):
-            estimate_noise(10, 1024, 1.0)
+            NoiseEstimate(10, 1024, 1.0)
 
     def test_half_width_shrinks_with_block_length(self):
-        widths = [estimate_noise(0, k, 0.01).half_width for k in (256, 1024, 4096)]
+        widths = [NoiseEstimate(0, k, 0.01).half_width for k in (256, 1024, 4096)]
         assert widths[0] > widths[1] > widths[2]
 
     def test_half_width_grows_as_confidence_tightens(self):
-        loose = estimate_noise(0, 1024, 0.1).half_width
-        tight = estimate_noise(0, 1024, 0.001).half_width
+        loose = NoiseEstimate(0, 1024, 0.1).half_width
+        tight = NoiseEstimate(0, 1024, 0.001).half_width
         assert tight > loose
 
 
 class TestHighProbabilityRates:
     def test_frozen_example(self):
-        rates = high_probability_rates(estimate_noise(102, 1024, 0.01))
+        rates = high_probability_rates(NoiseEstimate(102, 1024, 0.01))
         assert rates.attacker_floor == pytest.approx(HP_ATTACKER_102, abs=1e-15)
         assert rates.user_ceiling == pytest.approx(HP_USER_102, abs=1e-15)
 
     def test_widening_margins(self):
         # the attacker floor moves up from the plug-in value and the user
         # ceiling moves down, each by the frozen estimation margin
-        rates = high_probability_rates(estimate_noise(102, 1024, 0.01))
+        rates = high_probability_rates(NoiseEstimate(102, 1024, 0.01))
         plug_attacker = (1.0 + POINT_102) / 2.0
         plug_user = 2.0 * POINT_102
         assert rates.attacker_floor - plug_attacker == pytest.approx(
@@ -84,19 +85,19 @@ class TestHighProbabilityRates:
         )
 
     def test_user_ceiling_clamps_at_zero(self):
-        rates = high_probability_rates(estimate_noise(0, 64, 0.01))
+        rates = high_probability_rates(NoiseEstimate(0, 64, 0.01))
         assert rates.user_ceiling == 0.0
         assert rates.attacker_floor > 0.5
 
     def test_collapse_raises(self):
         with pytest.raises(GapCollapseError):
-            high_probability_rates(estimate_noise(615, 1024, 0.01))
+            high_probability_rates(NoiseEstimate(615, 1024, 0.01))
 
     def test_longer_blocks_approach_plug_in_rates(self):
         # both margins scale like 1/sqrt(k), so the widened bounds close
         # in on the plug-in mapping of the same point estimate
-        wide = high_probability_rates(estimate_noise(40, 400, 0.01))
-        narrow = high_probability_rates(estimate_noise(1000, 10_000, 0.01))
+        wide = high_probability_rates(NoiseEstimate(40, 400, 0.01))
+        narrow = high_probability_rates(NoiseEstimate(1000, 10_000, 0.01))
         assert narrow.attacker_floor < wide.attacker_floor
         assert narrow.user_ceiling > wide.user_ceiling
         plug_gap = (1.0 + 0.1) / 2.0 - 2.0 * 0.1
@@ -107,22 +108,22 @@ class TestSimulateCodedPhase:
     def test_noiseless_channel_never_aborts(self):
         rng = np.random.Generator(np.random.PCG64(0))
         theta, aborted = simulate_coded_phase(
-            ChannelModel(0.0), default_transparent_code(1024), rng
+            0.0, default_transparent_code(1024), rng
         )
         assert (theta, aborted) == (0, False)
 
     def test_certain_flips_overwhelm_small_code(self):
         rng = np.random.Generator(np.random.PCG64(0))
-        theta, aborted = simulate_coded_phase(ChannelModel(1.0), TransparentCode(3, 1), rng)
+        theta, aborted = simulate_coded_phase(1.0, TransparentCode(3, 1), rng)
         assert (theta, aborted) == (3, True)
 
     def test_deterministic_under_fixed_seed(self):
         code = default_transparent_code(1024)
         a = simulate_coded_phase(
-            ChannelModel(0.1), code, np.random.Generator(np.random.PCG64(42))
+            0.1, code, np.random.Generator(np.random.PCG64(42))
         )
         b = simulate_coded_phase(
-            ChannelModel(0.1), code, np.random.Generator(np.random.PCG64(42))
+            0.1, code, np.random.Generator(np.random.PCG64(42))
         )
         assert a == b
 
@@ -132,7 +133,7 @@ class TestSimulateCodedPhase:
         runs = 20_000
         thetas = np.empty(runs)
         for i in range(runs):
-            thetas[i], _ = simulate_coded_phase(ChannelModel(0.1), code, rng)
+            thetas[i], _ = simulate_coded_phase(0.1, code, rng)
         sigma_mean = math.sqrt(1024 * 0.1 * 0.9) / math.sqrt(runs)
         assert abs(thetas.mean() - 102.4) < 3.0 * sigma_mean
 
@@ -145,9 +146,21 @@ class TestSimulateCodedPhase:
             runs = 5_000
             kept = []
             for _ in range(runs):
-                theta, aborted = simulate_coded_phase(ChannelModel(w), code, rng)
+                theta, aborted = simulate_coded_phase(w, code, rng)
                 if not aborted:
                     kept.append(theta / 1024.0)
             assert len(kept) == runs
             stderr = math.sqrt(w * (1 - w) / 1024.0) / math.sqrt(runs)
             assert abs(np.mean(kept) - w) < 3.0 * stderr
+
+
+class TestCodedPhaseStream:
+    def test_one_stream_per_seed_and_index(self):
+        def draws(seed, index):
+            return tuple(coded_phase_stream(seed, index).random(4))
+
+        assert draws(7, 0) == draws(7, 0)
+        assert len({draws(seed, index) for seed in (7, 8) for index in (0, 1)}) == 4
+
+    def test_tag_is_disjoint_from_identity_tags(self):
+        assert CODED_PHASE_TAG not in _STREAM_TAG.values()
