@@ -4,10 +4,11 @@ Maps channel noise to the per-round error-rate bounds of the analyzed
 challenge-response protocols, and runs deterministic Monte Carlo trials
 of the rapid bit-exchange phase for both prover identities: each trial's
 error count is one uniform from a per-identity random stream, mapped
-through the inverse of the binomial cdf, and one set of counts can be
-scored under any number of threshold rules. The cdf table is built here
-from log-factorials, not taken from ``exact``, so the Monte Carlo stays
-an independent check of the exact oracle.
+through the inverse of the binomial cdf. The trials come back as a
+histogram of their error counts, tallied from the sorted uniforms, and
+one histogram can be scored under any number of threshold rules. The
+cdf table is built here from log-factorials, not taken from ``exact``,
+so the Monte Carlo stays an independent check of the exact oracle.
 """
 
 from __future__ import annotations
@@ -111,16 +112,22 @@ def simulate_error_counts(
     master_seed: int | Sequence[int],
     identity: ProverIdentity,
 ) -> np.ndarray:
-    """Error counts of ``trials`` independent runs of ``rounds`` rounds.
+    """Histogram of the error counts of ``trials`` runs of ``rounds`` rounds.
 
-    Each count is a Binomial(rounds, per_round_error) variate drawn by
-    inversion (Devroye 1986, ch. X): one uniform u per trial, all from a
-    single vectorized draw on the stream derived from the master seed
-    and the identity, maps to the least k with cdf(k) > u in a table of
-    the binomial cdf built once per call, which lies within
-    16 * rounds * eps of the exact cdf. The result depends only on these
-    arguments and the two identities never share draws. A per-round
-    error of 0 or 1 gives constant counts.
+    Entry k of the returned int64 array, of length ``rounds + 1``, is the
+    number of trials with exactly k errors. Each trial's count is a
+    Binomial(rounds, per_round_error) variate drawn by inversion
+    (Devroye 1986, ch. X): one uniform u per trial, all from a single
+    vectorized draw on the stream derived from the master seed and the
+    identity, maps to the least k with cdf(k) > u in a table of the
+    binomial cdf built once per call, which lies within
+    16 * rounds * eps of the exact cdf. The counts are tallied without
+    being formed: once the uniforms are sorted, the number of them below
+    cdf(k) is the number of trials with at most k errors, so placing the
+    rounds + 1 table entries among them costs O(T log T + n log T) in
+    all, ties included. The result depends only on these arguments and
+    the two identities never share draws. A per-round error of 0 or 1
+    puts every trial at 0 or ``rounds`` errors.
     """
     if not _is_count(rounds, least=0):
         raise ValueError(f"rounds must be an integer >= 0, got {rounds!r}")
@@ -129,24 +136,33 @@ def simulate_error_counts(
     if not _is_count(trials):
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     if per_round_error in (0.0, 1.0):
-        return np.full(trials, rounds if per_round_error == 1.0 else 0, dtype=np.int64)
+        histogram = np.zeros(rounds + 1, dtype=np.int64)
+        histogram[rounds if per_round_error == 1.0 else 0] = trials
+        return histogram
     uniforms = _identity_stream(master_seed, identity).random(trials)
-    return np.searchsorted(_cdf_table(rounds, per_round_error), uniforms, side="right")
+    uniforms.sort()
+    # #{u < cdf(k)} = #{count <= k}: the cumulative histogram
+    at_most = np.searchsorted(uniforms, _cdf_table(rounds, per_round_error), side="left")
+    return np.diff(at_most, prepend=0)
 
 
 def score_counts(
-    counts: np.ndarray,
+    histogram: np.ndarray,
     cut: int,
     rounds: int,
     params: LossParameters,
     identity: ProverIdentity,
     per_round_error: float,
 ) -> tuple[float, float]:
-    """Mean loss of runs with these error counts, and its standard error.
+    """Mean loss of runs with this error-count histogram, and its standard error.
 
-    A run is accepted when its count lies below ``cut``, the least
-    rejected count that ``loss.rejected_count_min`` derives from a
-    threshold. Every run pays ``rounds * per_round``; a fraction
+    ``histogram`` is what ``simulate_error_counts`` returns: entry k
+    counts the runs with exactly k errors, k = 0..rounds. A run is
+    accepted when its count lies below ``cut``, the least rejected count
+    that ``loss.rejected_count_min`` derives from a threshold, so 0
+    rejects every run and ``rounds + 1`` accepts every run; a histogram
+    of another length or a cut outside 0..rounds + 1 raises ValueError.
+    Every run pays ``rounds * per_round``; a fraction
     p = hits / T of the T runs also pays the decision loss ``weight``
     (false_accept on accepted attacker runs, false_reject on rejected
     user runs), so the mean is ``rounds * per_round + weight * p``. The
@@ -161,8 +177,14 @@ def score_counts(
     error of 0 or 1 makes every count equal, the mean exact, and the
     error 0.
     """
-    trials = counts.size
-    accepts = int(np.count_nonzero(counts < cut))
+    if len(histogram) != rounds + 1:
+        raise ValueError(
+            f"histogram must have rounds + 1 = {rounds + 1} entries, got {len(histogram)}"
+        )
+    if not 0 <= cut <= rounds + 1:
+        raise ValueError(f"cut not in 0..{rounds + 1}: {cut}")
+    trials = int(histogram.sum())
+    accepts = int(histogram[:cut].sum())
     if identity is ProverIdentity.ATTACKER:
         hits, weight = accepts, params.false_accept
     else:

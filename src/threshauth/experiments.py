@@ -299,10 +299,10 @@ def _score_level(
     ``fields`` are the row's other columns. One ``exact_expected_losses``
     call scores every design; exact_worst is the larger of its two
     losses. The decision rule turns every threshold into its least
-    rejected count in one call. Monte Carlo error counts are drawn once
-    per seed, one seed at a time, ``spec.trials`` per identity, and
-    scored under each threshold that shares the seed, so those designs
-    are compared on the same trials.
+    rejected count in one call. A Monte Carlo histogram of error counts
+    is drawn once per seed, one seed at a time, ``spec.trials`` trials
+    per identity, and scored under each threshold that shares the seed,
+    so those designs are compared on the same trials.
     mc_worst is the larger Monte Carlo mean and mc_stderr the error of
     the identity that attains it (the attacker on ties).
     """
@@ -320,12 +320,14 @@ def _score_level(
     scored = [None] * len(designs)
     for seed, members in sharing.items():
         n = ns[members[0]]
-        counts = [simulate_error_counts(n, p, spec.trials, seed, identity) for identity, p in sides]
+        histograms = [
+            simulate_error_counts(n, p, spec.trials, seed, identity) for identity, p in sides
+        ]
         for i in members:
             mc_worst, mc_stderr = max(
                 (
-                    score_counts(c, cuts[i], n, spec.params, identity, p)
-                    for c, (identity, p) in zip(counts, sides)
+                    score_counts(h, cuts[i], n, spec.params, identity, p)
+                    for h, (identity, p) in zip(histograms, sides)
                 ),
                 key=lambda mc: mc[0],
             )
@@ -349,8 +351,8 @@ def figure3_comparison(spec: ExperimentSpec) -> list[SweepRow]:
     computed exactly for all designs of a noise level in one batched
     call, and estimated by Monte Carlo. These true rates need not be
     separated: above w = 1/2 the physical user errs more often than the
-    attacker. The error counts are drawn once per noise level and round
-    count and scored under every threshold that uses them, so strategies
+    attacker. The error-count histogram is drawn once per noise level and
+    round count and scored under every threshold that uses it, so strategies
     choosing the same round count are compared on the same trials.
     Strategies that cannot proceed (hopeless coded phase, collapsed rate
     bounds, rates outside the threshold formula's domain) yield rows
@@ -406,8 +408,8 @@ def threshold_duel(spec: ExperimentSpec) -> list[SweepRow]:
     Sweeps the noise grid in the given order and a grid of round counts.
     The exact losses of all designs of a noise level, both identities at
     their rate bounds, come from one batched call. The Monte Carlo
-    simulates both identities once per grid point and scores the same
-    error counts under both thresholds, so the comparison is paired and
+    draws each identity's error-count histogram once per grid point and
+    scores it under both thresholds, so the comparison is paired and
     equal decision rules tie exactly. A threshold whose formula rejects
     the rates (the asymptotic one at zero noise) yields an invalid-rates
     abort row in its place.

@@ -168,8 +168,9 @@ def test_criterion_04_frozen_design_values():
 
 def test_criterion_05_monte_carlo_matches_enumeration():
     trials = 100_000
-    counts = simulate_error_counts(4, 0.55, trials, DEFAULT_SEED, ProverIdentity.ATTACKER)
-    rate = float((counts < 2).mean())
+    histogram = simulate_error_counts(4, 0.55, trials, DEFAULT_SEED, ProverIdentity.ATTACKER)
+    assert histogram.sum() == trials
+    rate = float(histogram[:2].sum() / trials)
     target = 0.2414813
     sigma = math.sqrt(target * (1.0 - target) / trials)
     z = abs(rate - target) / sigma

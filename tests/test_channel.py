@@ -132,16 +132,21 @@ class TestSwissLossBound:
             _swiss_bound(0.1, 0)
 
 
-def _score(counts, threshold, identity, per_round_error):
+def _hist(counts, rounds=8):
+    # the histogram that simulate_error_counts would return for these counts
+    return np.bincount(counts, minlength=rounds + 1)
+
+
+def _score(histogram, threshold, identity, per_round_error):
     # scores the rule "accept when count < threshold" through its cut
     cut = rejected_count_min(threshold, 8)
-    return score_counts(counts, cut, 8, BENCH, identity, per_round_error)
+    return score_counts(histogram, cut, 8, BENCH, identity, per_round_error)
 
 
 class TestLossesFromCounts:
     def test_threshold_comparison_is_strict(self):
         # zero threshold rejects even an error-free run
-        mean, _ = _score(np.array([0]), 0.0, ProverIdentity.USER, 0.2)
+        mean, _ = _score(_hist([0]), 0.0, ProverIdentity.USER, 0.2)
         assert mean == pytest.approx(0.08 + 1.0)
 
     def test_saturated_thresholds_give_exact_means(self):
@@ -165,16 +170,34 @@ class TestLossesFromCounts:
         assert _score(never_wrong, 4.0, ProverIdentity.USER, 0.0) == (0.08, 0.0)
         assert _score(always_wrong, 4.0, ProverIdentity.ATTACKER, 1.0) == (0.08, 0.0)
 
+    def test_rejects_misshapen_histogram_and_out_of_range_cut(self):
+        # a histogram of 8 rounds has 9 entries; a cut runs from 0 (reject
+        # all) to 9 (accept all), and a negative one must not slice from
+        # the end
+        histogram = _hist([0, 3, 8])
+        for bad in (histogram[:-1], np.append(histogram, 0)):
+            with pytest.raises(ValueError, match="entries"):
+                score_counts(bad, 4, 8, BENCH, ProverIdentity.USER, 0.2)
+        for cut in (-1, 10):
+            with pytest.raises(ValueError, match="cut"):
+                score_counts(histogram, cut, 8, BENCH, ProverIdentity.USER, 0.2)
+        assert score_counts(histogram, 0, 8, BENCH, ProverIdentity.ATTACKER, 0.55)[0] == 0.08
+        assert score_counts(histogram, 9, 8, BENCH, ProverIdentity.USER, 0.2)[0] == 0.08
+
 
 def _binomial_moment_sigmas(rounds, p, size=200_000):
     """|mean - n p| and |variance - n p q| of simulated counts, in sigmas."""
-    counts = simulate_error_counts(rounds, p, size, 1729, ProverIdentity.USER)
-    assert counts.min() >= 0 and counts.max() <= rounds
+    histogram = simulate_error_counts(rounds, p, size, 1729, ProverIdentity.USER)
+    assert histogram.shape == (rounds + 1,)
+    assert histogram.min() >= 0 and histogram.sum() == size
+    k = np.arange(rounds + 1)
+    mean = k @ histogram / size
+    sample_var = (k - mean) ** 2 @ histogram / (size - 1)
     var = rounds * p * (1.0 - p)
     # central fourth moment of a binomial: n p q (1 + 3 (n - 2) p q)
     mu4 = var * (1.0 + 3.0 * (rounds - 2) * p * (1.0 - p))
-    z_mean = (counts.mean() - rounds * p) / math.sqrt(var / size)
-    z_var = (counts.var(ddof=1) - var) / math.sqrt((mu4 - var**2) / size)
+    z_mean = (mean - rounds * p) / math.sqrt(var / size)
+    z_var = (sample_var - var) / math.sqrt((mu4 - var**2) / size)
     return abs(z_mean), abs(z_var)
 
 
@@ -182,10 +205,11 @@ class TestStreamLayout:
     def test_degenerate_rates_give_constant_counts(self):
         zeros = simulate_error_counts(8, 0.0, 100, 7, ProverIdentity.USER)
         ones = simulate_error_counts(8, 1.0, 100, 7, ProverIdentity.ATTACKER)
-        assert zeros.tolist() == [0] * 100
-        assert ones.tolist() == [8] * 100
+        assert zeros.dtype == ones.dtype == np.int64
+        assert zeros.tolist() == [100] + [0] * 8
+        assert ones.tolist() == [0] * 8 + [100]
         # zero rounds can make no error, whatever the rate
-        assert simulate_error_counts(0, 0.3, 5, 7, ProverIdentity.USER).tolist() == [0] * 5
+        assert simulate_error_counts(0, 0.3, 5, 7, ProverIdentity.USER).tolist() == [5]
 
     def test_counts_have_binomial_moments_by_inversion(self):
         # n p = 12.8: a short table whose mass sits well inside it
@@ -248,8 +272,8 @@ def _chi_square_excess(rounds, p, trials=100_000):
     Counts with fewer than five expected hits are pooled into the end
     bins; the quantile is the Wilson-Hilferty (1931) approximation.
     """
-    counts = simulate_error_counts(rounds, p, trials, 1729, ProverIdentity.USER)
-    observed = np.bincount(counts, minlength=rounds + 1)
+    observed = simulate_error_counts(rounds, p, trials, 1729, ProverIdentity.USER)
+    assert observed.shape == (rounds + 1,) and observed.sum() == trials
     expected = trials * np.diff(enumerated_cdf(BinomialSpec(rounds, p)), prepend=0.0)
     kept = np.flatnonzero(expected >= 5.0)
     lo, hi = kept[0], kept[-1]
@@ -285,14 +309,49 @@ class TestInversionSampler:
         below_one = np.nextafter(1.0, 0.0)
         monkeypatch.setattr(channel, "_identity_stream", lambda *_: _FixedUniforms(below_one))
         for rounds, p in ((4, 0.5), (64, 0.53), (200, 0.9999), (1024, 0.002)):
-            counts = simulate_error_counts(rounds, p, 3, 1, ProverIdentity.USER)
-            assert 0 <= counts.max() <= rounds
+            histogram = simulate_error_counts(rounds, p, 3, 1, ProverIdentity.USER)
+            # every trial lands on a count in 0..rounds
+            assert histogram.shape == (rounds + 1,) and histogram.sum() == 3
         # Pr(X <= 3) = 15/16 < u, so only the last count is left
-        assert simulate_error_counts(4, 0.5, 3, 1, ProverIdentity.USER).tolist() == [4] * 3
+        assert simulate_error_counts(4, 0.5, 3, 1, ProverIdentity.USER).tolist() == [0] * 4 + [3]
 
     def test_smallest_uniform_maps_to_zero(self, monkeypatch):
         monkeypatch.setattr(channel, "_identity_stream", lambda *_: _FixedUniforms(0.0))
-        assert simulate_error_counts(64, 0.53, 3, 1, ProverIdentity.USER).tolist() == [0] * 3
+        assert simulate_error_counts(64, 0.53, 3, 1, ProverIdentity.USER).tolist() == [3] + [0] * 64
+
+    def test_uniform_on_a_cdf_entry_tallies_above_it(self, monkeypatch):
+        # inversion maps u to the least k with cdf(k) > u, so a u equal to
+        # cdf(2) counts 3 errors: the tally must not place it at 2. The
+        # table's cdf(2) sits a few ulps below the exact 11/16, and both
+        # are checked.
+        table_entry = _cdf_table(4, 0.5)[2]
+        for u in (table_entry, 11 / 16):
+            monkeypatch.setattr(channel, "_identity_stream", lambda *_, u=u: _FixedUniforms(u))
+            histogram = simulate_error_counts(4, 0.5, 3, 1, ProverIdentity.USER)
+            assert histogram.tolist() == [0, 0, 0, 3, 0]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 1024),
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        st.integers(1, 5_000),
+        st.one_of(
+            st.integers(0, 2**63), st.tuples(st.integers(0, 2**32), st.integers(0, 64))
+        ),
+    )
+    def test_histogram_tallies_per_trial_inversion(self, rounds, p, trials, seed):
+        # the same draws as mapping each uniform through the table one by
+        # one and counting the results; the end rates draw nothing
+        identity = ProverIdentity.ATTACKER
+        if p in (0.0, 1.0):
+            counts = np.full(trials, rounds if p == 1.0 else 0)
+        else:
+            uniforms = channel._identity_stream(seed, identity).random(trials)
+            counts = np.searchsorted(_cdf_table(rounds, p), uniforms, side="right")
+        expected = np.bincount(counts, minlength=rounds + 1)
+        got = simulate_error_counts(rounds, p, trials, seed, identity)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, expected)
 
     def test_channel_does_not_import_the_exact_oracle(self):
         # the Monte Carlo checks the exact oracle, so it must not sample from it
@@ -308,15 +367,15 @@ class TestInversionSampler:
                 assert "exact" not in module.split("."), ast.unparse(node)
 
 
-def _stderr(counts, threshold, identity, per_round_error):
-    return _score(counts, threshold, identity, per_round_error)[1]
+def _stderr(histogram, threshold, identity, per_round_error):
+    return _score(histogram, threshold, identity, per_round_error)[1]
 
 
 class TestLossStderr:
     def test_zero_hits_give_half_over_trials_plus_one(self):
         trials = 500
-        never_accepted = np.full(trials, 8)
-        never_rejected = np.zeros(trials, dtype=np.int64)
+        never_accepted = _hist(np.full(trials, 8))
+        never_rejected = _hist(np.zeros(trials, dtype=np.int64))
         att = _stderr(never_accepted, 4.0, ProverIdentity.ATTACKER, 0.55)
         use = _stderr(never_rejected, 4.0, ProverIdentity.USER, 0.2)
         assert att == pytest.approx(10.0 / (2 * (trials + 1)), rel=1e-12)
@@ -328,10 +387,10 @@ class TestLossStderr:
         trials, p = 10**6, 0.3
         hits = int(p * trials)
         counts = np.concatenate([np.zeros(hits, dtype=np.int64), np.full(trials - hits, 5)])
-        att = _stderr(counts, 1.0, ProverIdentity.ATTACKER, 0.55)
+        att = _stderr(_hist(counts), 1.0, ProverIdentity.ATTACKER, 0.55)
         assert att == pytest.approx(10.0 * math.sqrt(p * (1.0 - p) / trials), rel=1e-5)
 
     def test_degenerate_rates_are_exact(self):
         counts = np.zeros(10, dtype=np.int64)
-        assert _stderr(counts, 4.0, ProverIdentity.USER, 0.0) == 0.0
-        assert _stderr(counts + 8, 4.0, ProverIdentity.ATTACKER, 1.0) == 0.0
+        assert _stderr(_hist(counts), 4.0, ProverIdentity.USER, 0.0) == 0.0
+        assert _stderr(_hist(counts + 8), 4.0, ProverIdentity.ATTACKER, 1.0) == 0.0

@@ -39,6 +39,10 @@ GOLDEN = {
         ["fig3", "--omega", "0.4", "--omega", "0.5", "--omega", "0.9"],
         "9e36a952b590e83952f8950d1c0f7516fc728f97637311c535855185fefc2fbb",
     ),
+    "fig3-quiet-noise": (
+        ["fig3", "--omega", "0", "--omega", "1e-9"],
+        "11b86c518c88d9f4de16620ca5300afbb6250679a2103753d4b505b0b4a84244",
+    ),
     "duel-edge-noise": (
         ["duel", "--omega", "0", "--omega", "0.3"],
         "1d884f381dd2f4818d40b9d63daf392feba07ad5ee9f4cf632365b9adaa32568",
