@@ -149,7 +149,6 @@ def simulate_error_counts(
 def score_counts(
     histogram: np.ndarray,
     cut: int,
-    rounds: int,
     params: LossParameters,
     identity: ProverIdentity,
     per_round_error: float,
@@ -157,15 +156,16 @@ def score_counts(
     """Mean loss of runs with this error-count histogram, and its standard error.
 
     ``histogram`` is what ``simulate_error_counts`` returns: entry k
-    counts the runs with exactly k errors, k = 0..rounds. A run is
-    accepted when its count lies below ``cut``, the least rejected count
-    that ``loss.rejected_count_min`` derives from a threshold, so 0
-    rejects every run and ``rounds + 1`` accepts every run; a histogram
-    of another length or a cut outside 0..rounds + 1 raises ValueError.
-    Every run pays ``rounds * per_round``; a fraction
-    p = hits / T of the T runs also pays the decision loss ``weight``
-    (false_accept on accepted attacker runs, false_reject on rejected
-    user runs), so the mean is ``rounds * per_round + weight * p``. The
+    counts the runs with exactly k errors, k = 0..rounds, so the runs
+    had ``rounds = len(histogram) - 1`` rounds each. A run is accepted
+    when its count lies below ``cut``, the least rejected count that
+    ``loss.rejected_count_min`` derives from a threshold, so 0 rejects
+    every run and ``rounds + 1`` accepts every run; a cut outside
+    0..rounds + 1 raises ValueError. Every run pays
+    ``rounds * per_round``; a fraction p = hits / T of the T runs also
+    pays the decision loss ``weight`` (false_accept on accepted attacker
+    runs, false_reject on rejected user runs), so the mean is
+    ``rounds * per_round + weight * p``. The
     error is weight times the half-width of the Wilson (1927) score
     interval for p at z = 1:
 
@@ -177,10 +177,7 @@ def score_counts(
     error of 0 or 1 makes every count equal, the mean exact, and the
     error 0.
     """
-    if len(histogram) != rounds + 1:
-        raise ValueError(
-            f"histogram must have rounds + 1 = {rounds + 1} entries, got {len(histogram)}"
-        )
+    rounds = len(histogram) - 1
     if not 0 <= cut <= rounds + 1:
         raise ValueError(f"cut not in 0..{rounds + 1}: {cut}")
     trials = int(histogram.sum())

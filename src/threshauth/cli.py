@@ -9,10 +9,10 @@ from .bounds import optimal_rounds, optimal_threshold, rounds_loss_bound, thresh
 from .channel import swiss_hitomi_rates
 from .exact import brute_force_optimal
 from .experiments import (
+    _THRESHOLD_RULES,
     DEFAULT_SEED,
     ExperimentSpec,
     LossParameters,
-    ThresholdStrategy,
     emit_csv,
     figure1a_sweep,
     figure1b_sweep,
@@ -87,33 +87,29 @@ def _cmd_estimate_noise(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_overrides(args: argparse.Namespace, kind: str) -> dict:
-    overrides: dict = {}
-    if getattr(args, "la", None) is not None:
-        overrides["params"] = _losses(args)
-    if getattr(args, "omega", None):
+def _sweep_overrides(args: argparse.Namespace) -> dict:
+    # each sweep's parser defines only the flags that apply to it
+    overrides = dict(params=_losses(args), master_seed=args.seed)
+    if args.omega:
         overrides["noise_grid"] = tuple(args.omega)
-    if kind == "fig1b" and args.n is not None:
-        overrides["n_max"] = args.n
-    if kind in ("fig3", "duel") and args.trials is not None:
-        overrides["trials"] = args.trials
-    if kind == "fig3":
-        if args.k is not None:
-            overrides["codeword_length"] = args.k
-        if args.strategy != "all":
-            overrides["threshold_strategies"] = (ThresholdStrategy(args.strategy),)
+    for flag, field in (("n", "n_max"), ("trials", "trials"), ("k", "codeword_length")):
+        value = getattr(args, flag, None)
+        if value is not None:
+            overrides[field] = value
+    if getattr(args, "strategy", "all") != "all":
+        overrides["threshold_strategies"] = (args.strategy,)
     return overrides
 
 
 def _cmd_sweep(args: argparse.Namespace, kind: str) -> int:
     # built per call, so each sweep is looked up in this module's globals
     build, run = {
-        "fig1a": (ExperimentSpec.figure1a, figure1a_sweep),
+        "fig1a": (ExperimentSpec, figure1a_sweep),
         "fig1b": (ExperimentSpec.figure1b, figure1b_sweep),
         "fig3": (ExperimentSpec.figure3, figure3_comparison),
         "duel": (ExperimentSpec.duel, threshold_duel),
     }[kind]
-    rows = run(build(seed=args.seed, **_sweep_overrides(args, kind)))
+    rows = run(build(**_sweep_overrides(args)))
     out = args.out if args.out else f"{kind}.csv"
     emit_csv(rows, out)
     print(f"wrote {len(rows)} rows to {out}")
@@ -164,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--k", type=int, default=None, help="codeword length (default 1024)")
             p.add_argument(
                 "--strategy", type=str, default="all",
-                choices=["all", "finite-sample", "asymptotic"],
+                choices=["all", *_THRESHOLD_RULES],
                 help="restrict the threshold strategy (default: all configured)",
             )
         p.set_defaults(func=lambda a, kind=kind: _cmd_sweep(a, kind))

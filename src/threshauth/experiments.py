@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import Field, dataclass, fields
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -82,11 +81,6 @@ class SweepRow:
 CSV_HEADER = tuple(f.name for f in fields(SweepRow))
 
 
-class ThresholdStrategy(Enum):
-    FINITE = "finite-sample"
-    ASYMPTOTIC = "asymptotic"
-
-
 # Rate strategies by label kind: whether the kind reads the coded-phase
 # error count, and how it derives rate bounds from (argument, true noise,
 # observed errors, codeword length). A label is "true-omega" (oracle),
@@ -111,6 +105,17 @@ def _rate_strategy(label: str) -> tuple:
     return needs_estimate, derive, float(arg) if arg else None
 
 
+# Threshold strategies by CSV label, in the order a design's rows take:
+# each maps (params, rates, rounds) to a raw threshold, and raises
+# ValueError on rates outside its formula's domain. The formulas are
+# looked up when a rule is called, so a wrapper later installed on this
+# module's names (the tracer of bench/spans.py) sees every call.
+_THRESHOLD_RULES = {
+    "finite-sample": lambda params, rates, n: optimal_threshold(params, rates, n).raw,
+    "asymptotic": lambda params, rates, n: asymptotic_threshold(params, rates, n),
+}
+
+
 def default_noise_grid(points: int = 24) -> tuple[float, ...]:
     """Log-spaced noise grid spanning quiet channels to near gap collapse."""
     return tuple(float(w) for w in np.geomspace(1e-3, 0.3, points))
@@ -125,7 +130,7 @@ class ExperimentSpec:
     n_grid: tuple[int, ...] = tuple(range(1, 257))
     n_max: int = 512
     trials: int = 10_000
-    threshold_strategies: tuple[ThresholdStrategy, ...] = (ThresholdStrategy.FINITE,)
+    threshold_strategies: tuple[str, ...] = ("finite-sample",)
     rate_strategies: tuple[str, ...] = ("true-omega",)
     codeword_length: int = 1024
     master_seed: int = DEFAULT_SEED
@@ -147,35 +152,33 @@ class ExperimentSpec:
             value = getattr(self, name)
             if not _is_count(value):
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        for label in self.threshold_strategies:
+            if label not in _THRESHOLD_RULES:
+                raise ValueError(f"unknown threshold strategy {label!r}")
         for label in self.rate_strategies:
             _rate_strategy(label)
 
-    # Each factory sets only what differs from the class defaults.
+    # Each factory sets only what differs from the class defaults, which
+    # are fig1a's; the keyword overrides win over both.
     @classmethod
-    def figure1a(cls, seed: int = DEFAULT_SEED, **overrides) -> "ExperimentSpec":
-        return cls(**(dict(master_seed=seed) | overrides))
+    def figure1b(cls, **overrides) -> "ExperimentSpec":
+        return cls(**(dict(noise_grid=default_noise_grid()) | overrides))
 
     @classmethod
-    def figure1b(cls, seed: int = DEFAULT_SEED, **overrides) -> "ExperimentSpec":
-        return cls(**(dict(noise_grid=default_noise_grid(), master_seed=seed) | overrides))
-
-    @classmethod
-    def figure3(cls, seed: int = DEFAULT_SEED, **overrides) -> "ExperimentSpec":
+    def figure3(cls, **overrides) -> "ExperimentSpec":
         defaults = dict(
             noise_grid=default_noise_grid(),
-            threshold_strategies=(ThresholdStrategy.FINITE, ThresholdStrategy.ASYMPTOTIC),
+            threshold_strategies=tuple(_THRESHOLD_RULES),
             rate_strategies=("guess:0.1", "guess:0.01", "guess:0.001", "ml", "hp:0.1", "hp:0.01"),
-            master_seed=seed,
         )
         return cls(**(defaults | overrides))
 
     @classmethod
-    def duel(cls, seed: int = DEFAULT_SEED, **overrides) -> "ExperimentSpec":
+    def duel(cls, **overrides) -> "ExperimentSpec":
         defaults = dict(
             # channel noise at rate gaps 0.05, 0.10, 0.15 and 0.20
             noise_grid=tuple((1.0 - 2.0 * g) / 3.0 for g in (0.05, 0.10, 0.15, 0.20)),
             n_grid=(4, 8, 16, 32),
-            master_seed=seed,
         )
         return cls(**(defaults | overrides))
 
@@ -211,7 +214,7 @@ def figure1a_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     """
     rows = []
     for w in sorted(spec.noise_grid):
-        rates = _true_rates(w, (ThresholdStrategy.FINITE.value,), rows)
+        rates = _true_rates(w, ("finite-sample",), rows)
         if rates is None:
             continue
         elb2 = rounds_loss_bound(spec.params, rates)
@@ -223,7 +226,7 @@ def figure1a_sweep(spec: ExperimentSpec) -> list[SweepRow]:
                     omega=w,
                     n=n,
                     tau=tau,
-                    threshold_strategy=ThresholdStrategy.FINITE.value,
+                    threshold_strategy="finite-sample",
                     rate_strategy="true-omega",
                     exact_worst=exact_worst,
                     elb1=threshold_loss_bound(spec.params, rates, n),
@@ -242,7 +245,7 @@ def figure1b_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     """
     rows = []
     for w in sorted(spec.noise_grid):
-        rates = _true_rates(w, ("brute-force", ThresholdStrategy.FINITE.value), rows)
+        rates = _true_rates(w, ("brute-force", "finite-sample"), rows)
         if rates is None:
             continue
         best = brute_force_optimal(spec.params, rates, spec.n_max)
@@ -263,7 +266,7 @@ def figure1b_sweep(spec: ExperimentSpec) -> list[SweepRow]:
                 omega=w,
                 n=n_hat,
                 tau=tau_hat,
-                threshold_strategy=ThresholdStrategy.FINITE.value,
+                threshold_strategy="finite-sample",
                 rate_strategy="true-omega",
                 exact_worst=float(
                     exact_worst_case_losses(spec.params, rates, [n_hat], [tau_hat])[0]
@@ -273,17 +276,6 @@ def figure1b_sweep(spec: ExperimentSpec) -> list[SweepRow]:
             )
         )
     return rows
-
-
-def _strategy_threshold(
-    strategy: ThresholdStrategy,
-    params: LossParameters,
-    rates: ErrorRateBounds,
-    rounds: int,
-) -> float:
-    if strategy is ThresholdStrategy.FINITE:
-        return optimal_threshold(params, rates, rounds).raw
-    return asymptotic_threshold(params, rates, rounds)
 
 
 def _score_level(
@@ -299,44 +291,47 @@ def _score_level(
     ``fields`` are the row's other columns. One ``exact_expected_losses``
     call scores every design; exact_worst is the larger of its two
     losses. The decision rule turns every threshold into its least
-    rejected count in one call. A Monte Carlo histogram of error counts
-    is drawn once per seed, one seed at a time, ``spec.trials`` trials
-    per identity, and scored under each threshold that shares the seed,
-    so those designs are compared on the same trials.
-    mc_worst is the larger Monte Carlo mean and mc_stderr the error of
-    the identity that attains it (the attacker on ties).
+    rejected count in one call. The entries are then walked in order.
+    A seed's Monte Carlo histograms of error counts, ``spec.trials``
+    trials per identity, are drawn the first time the seed appears and
+    scored under each threshold that shares it, so those designs are
+    compared on the same trials. mc_worst is the larger Monte Carlo mean
+    and mc_stderr the error of the identity that attains it (the
+    attacker on ties).
     """
     designs = [e for e in entries if not isinstance(e, SweepRow)]
     if not designs:
         return entries
-    ns, taus, seeds, _ = zip(*designs)
+    ns, taus, _, _ = zip(*designs)
     losses = exact_expected_losses(spec.params, ns, taus, attacker_rate, user_rate)
-    exact = np.maximum(*losses).tolist()
-    cuts = rejected_count_min(taus, ns).tolist()
+    scores = zip(np.maximum(*losses).tolist(), rejected_count_min(taus, ns).tolist())
     sides = ((ProverIdentity.ATTACKER, attacker_rate), (ProverIdentity.USER, user_rate))
-    sharing: dict[tuple[int, ...], list[int]] = {}
-    for i, seed in enumerate(seeds):
-        sharing.setdefault(seed, []).append(i)
-    scored = [None] * len(designs)
-    for seed, members in sharing.items():
-        n = ns[members[0]]
-        histograms = [
-            simulate_error_counts(n, p, spec.trials, seed, identity) for identity, p in sides
-        ]
-        for i in members:
-            mc_worst, mc_stderr = max(
-                (
-                    score_counts(h, cuts[i], n, spec.params, identity, p)
-                    for h, (identity, p) in zip(histograms, sides)
-                ),
-                key=lambda mc: mc[0],
+    histograms: dict[tuple[int, ...], list[np.ndarray]] = {}
+    rows = []
+    for entry in entries:
+        if isinstance(entry, SweepRow):
+            rows.append(entry)
+            continue
+        n, tau, seed, fields = entry
+        exact_worst, cut = next(scores)
+        if seed not in histograms:
+            histograms[seed] = [
+                simulate_error_counts(n, p, spec.trials, seed, identity) for identity, p in sides
+            ]
+        mc_worst, mc_stderr = max(
+            (
+                score_counts(h, cut, spec.params, identity, p)
+                for h, (identity, p) in zip(histograms[seed], sides)
+            ),
+            key=lambda mc: mc[0],
+        )
+        rows.append(
+            SweepRow(
+                n=n, tau=tau, exact_worst=exact_worst, mc_worst=mc_worst, mc_stderr=mc_stderr,
+                **fields,
             )
-            scored[i] = SweepRow(
-                n=n, tau=taus[i], exact_worst=exact[i], mc_worst=mc_worst, mc_stderr=mc_stderr,
-                **designs[i][3],
-            )
-    rows = iter(scored)
-    return [e if isinstance(e, SweepRow) else next(rows) for e in entries]
+        )
+    return rows
 
 
 def figure3_comparison(spec: ExperimentSpec) -> list[SweepRow]:
@@ -369,16 +364,14 @@ def figure3_comparison(spec: ExperimentSpec) -> list[SweepRow]:
             needs_estimate, derive, arg = _rate_strategy(rstrat)
             if needs_estimate and phase_hopeless:
                 entries.extend(
-                    _abort_row(w, t.value, rstrat, "coded-abort")
-                    for t in spec.threshold_strategies
+                    _abort_row(w, t, rstrat, "coded-abort") for t in spec.threshold_strategies
                 )
                 continue
             try:
                 rates = derive(arg, w, theta, spec.codeword_length)
             except GapCollapseError:
                 entries.extend(
-                    _abort_row(w, t.value, rstrat, "gap-collapse")
-                    for t in spec.threshold_strategies
+                    _abort_row(w, t, rstrat, "gap-collapse") for t in spec.threshold_strategies
                 )
                 continue
             n = min(optimal_rounds(spec.params, rates).value, spec.codeword_length)
@@ -388,13 +381,11 @@ def figure3_comparison(spec: ExperimentSpec) -> list[SweepRow]:
             )
             for tstrat in spec.threshold_strategies:
                 try:
-                    tau = _strategy_threshold(tstrat, spec.params, rates, n)
+                    tau = _THRESHOLD_RULES[tstrat](spec.params, rates, n)
                 except ValueError:
-                    entries.append(_abort_row(w, tstrat.value, rstrat, "invalid-rates"))
+                    entries.append(_abort_row(w, tstrat, rstrat, "invalid-rates"))
                     continue
-                fields = dict(
-                    omega=w, threshold_strategy=tstrat.value, rate_strategy=rstrat, **bounds
-                )
+                fields = dict(omega=w, threshold_strategy=tstrat, rate_strategy=rstrat, **bounds)
                 entries.append((n, tau, (spec.master_seed, wi, n), fields))
         rows.extend(
             _score_level(spec, entries, attacker_per_round_error(w), user_per_round_error(w))
@@ -415,20 +406,19 @@ def threshold_duel(spec: ExperimentSpec) -> list[SweepRow]:
     abort row in its place.
     """
     rows = []
-    strategies = (ThresholdStrategy.FINITE, ThresholdStrategy.ASYMPTOTIC)
     for wi, w in enumerate(spec.noise_grid):
-        rates = _true_rates(w, tuple(t.value for t in strategies), rows)
+        rates = _true_rates(w, tuple(_THRESHOLD_RULES), rows)
         if rates is None:
             continue
         entries = []
         for ni, n in enumerate(spec.n_grid):
-            for tstrat in strategies:
+            for tstrat, rule in _THRESHOLD_RULES.items():
                 try:
-                    tau = _strategy_threshold(tstrat, spec.params, rates, n)
+                    tau = rule(spec.params, rates, n)
                 except ValueError:
-                    entries.append(_abort_row(w, tstrat.value, "true-omega", "invalid-rates"))
+                    entries.append(_abort_row(w, tstrat, "true-omega", "invalid-rates"))
                     continue
-                fields = dict(omega=w, threshold_strategy=tstrat.value, rate_strategy="true-omega")
+                fields = dict(omega=w, threshold_strategy=tstrat, rate_strategy="true-omega")
                 entries.append((n, tau, (spec.master_seed, wi, ni), fields))
         rows.extend(_score_level(spec, entries, rates.attacker_floor, rates.user_ceiling))
     return rows

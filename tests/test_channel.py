@@ -102,7 +102,7 @@ def _swiss_bound(w, rounds):
     return threshold_loss_bound(BENCH, swiss_hitomi_rates(w), rounds)
 
 
-class TestSwissLossBound:
+class TestLossBoundOnSwissRates:
     def test_frozen_value(self):
         assert _swiss_bound(0.1, 64) == pytest.approx(0.7027430506634064, abs=1e-12)
 
@@ -140,10 +140,10 @@ def _hist(counts, rounds=8):
 def _score(histogram, threshold, identity, per_round_error):
     # scores the rule "accept when count < threshold" through its cut
     cut = rejected_count_min(threshold, 8)
-    return score_counts(histogram, cut, 8, BENCH, identity, per_round_error)
+    return score_counts(histogram, cut, BENCH, identity, per_round_error)
 
 
-class TestLossesFromCounts:
+class TestScoreCounts:
     def test_threshold_comparison_is_strict(self):
         # zero threshold rejects even an error-free run
         mean, _ = _score(_hist([0]), 0.0, ProverIdentity.USER, 0.2)
@@ -170,19 +170,16 @@ class TestLossesFromCounts:
         assert _score(never_wrong, 4.0, ProverIdentity.USER, 0.0) == (0.08, 0.0)
         assert _score(always_wrong, 4.0, ProverIdentity.ATTACKER, 1.0) == (0.08, 0.0)
 
-    def test_rejects_misshapen_histogram_and_out_of_range_cut(self):
+    def test_rejects_out_of_range_cut(self):
         # a histogram of 8 rounds has 9 entries; a cut runs from 0 (reject
         # all) to 9 (accept all), and a negative one must not slice from
         # the end
         histogram = _hist([0, 3, 8])
-        for bad in (histogram[:-1], np.append(histogram, 0)):
-            with pytest.raises(ValueError, match="entries"):
-                score_counts(bad, 4, 8, BENCH, ProverIdentity.USER, 0.2)
         for cut in (-1, 10):
             with pytest.raises(ValueError, match="cut"):
-                score_counts(histogram, cut, 8, BENCH, ProverIdentity.USER, 0.2)
-        assert score_counts(histogram, 0, 8, BENCH, ProverIdentity.ATTACKER, 0.55)[0] == 0.08
-        assert score_counts(histogram, 9, 8, BENCH, ProverIdentity.USER, 0.2)[0] == 0.08
+                score_counts(histogram, cut, BENCH, ProverIdentity.USER, 0.2)
+        assert score_counts(histogram, 0, BENCH, ProverIdentity.ATTACKER, 0.55)[0] == 0.08
+        assert score_counts(histogram, 9, BENCH, ProverIdentity.USER, 0.2)[0] == 0.08
 
 
 def _binomial_moment_sigmas(rounds, p, size=200_000):
@@ -217,7 +214,7 @@ class TestStreamLayout:
         assert z_mean < 5.0
         assert z_var < 5.0
 
-    def test_counts_have_binomial_moments_by_btpe(self):
+    def test_counts_have_binomial_moments_on_a_saturating_table(self):
         # n p = 307.2: a 1025-entry table that rounds to 1.0 long before its end
         z_mean, z_var = _binomial_moment_sigmas(1024, 0.3)
         assert z_mean < 5.0

@@ -59,6 +59,19 @@ class TestCalculatorCommands:
         main(["estimate-noise", "--omega", "0.1", "--k", "1024", "--seed", "8"])
         assert capsys.readouterr().out != first
 
+    def test_estimate_noise_reports_collapsed_widened_bounds(self, capsys):
+        # at w = 0.5 the estimate's widened rate bounds cross: the point
+        # estimate is still printed, and the missing bounds are reported
+        # on stdout, not as an error
+        rc = main(["estimate-noise", "--omega", "0.5"])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert lines[0].startswith("observed_errors")
+        assert lines[-1].startswith("hp_rates          unavailable (widened bounds collapse: ")
+        assert not any(line.startswith("hp_attacker_floor") for line in lines)
+
 
 class TestSweepCommands:
     def test_fig1a_writes_reproducible_csv(self, tmp_path, capsys):
@@ -90,6 +103,10 @@ class TestSweepCommands:
         assert main(args + ["--strategy", "asymptotic"]) == 0
         rows = parse_csv(out)
         assert {r.threshold_strategy for r in rows} == {"asymptotic"}
+        assert main(args + ["--strategy", "all"]) == 0
+        rows = parse_csv(out)
+        assert len(rows) == 12  # both threshold strategies per rate strategy
+        assert {r.threshold_strategy for r in rows} == {"finite-sample", "asymptotic"}
 
     def test_fig3_seed_matters(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -16,7 +16,6 @@ from threshauth.experiments import (
     DEFAULT_LOSSES,
     ExperimentSpec,
     SweepRow,
-    ThresholdStrategy,
     default_noise_grid,
     emit_csv,
     figure1a_sweep,
@@ -84,7 +83,7 @@ class TestRateStrategyLabels:
         spec = ExperimentSpec.figure3(
             noise_grid=(0.05,),
             trials=50,
-            threshold_strategies=(ThresholdStrategy.FINITE,),
+            threshold_strategies=("finite-sample",),
             rate_strategies=("true-omega",) + FIG3_RATE_LABELS,
         )
         rows = figure3_comparison(spec)
@@ -96,7 +95,7 @@ class TestRateStrategyLabels:
         spec = ExperimentSpec.figure3(
             noise_grid=(0.3,),
             trials=50,
-            threshold_strategies=(ThresholdStrategy.FINITE,),
+            threshold_strategies=("finite-sample",),
             rate_strategies=("true-omega", "guess:0.1", "ml", "hp:0.1"),
         )
         aborted = {r.rate_strategy: r.aborted for r in figure3_comparison(spec)}
@@ -108,6 +107,10 @@ class TestRateStrategyLabels:
         for label in ("oracle", "guess", "guess:", "guess:x", "hp", "ml:0.1", "true-omega:0.1"):
             with pytest.raises(ValueError):
                 ExperimentSpec(rate_strategies=(label,))
+        # threshold strategies are labels too, checked when the spec is built
+        for label in ("bayes", "Finite-Sample", ""):
+            with pytest.raises(ValueError, match="threshold strategy"):
+                ExperimentSpec(threshold_strategies=(label,))
 
 
 class TestNoiseGrid:
@@ -144,20 +147,23 @@ class TestExperimentSpec:
         # caught before any work: duel would otherwise write abort rows for
         # them and fig1a would fail mid-sweep
         for grid in ((0,), (2.5,), (True,), (4, -1), (4, "8")):
-            for factory in (ExperimentSpec.figure1a, ExperimentSpec.duel):
+            for factory in (ExperimentSpec, ExperimentSpec.duel):
                 with pytest.raises(ValueError, match="round counts"):
                     factory(n_grid=grid)
 
     def test_factory_overrides(self):
-        spec = ExperimentSpec.figure3(seed=5, trials=123, noise_grid=(0.1,))
+        spec = ExperimentSpec.figure3(master_seed=5, trials=123, noise_grid=(0.1,))
         assert spec.master_seed == 5
         assert spec.trials == 123
         assert spec.noise_grid == (0.1,)
+        # the seed has one spelling, so no alias can silently lose to it
+        with pytest.raises(TypeError):
+            ExperimentSpec.figure3(seed=5, master_seed=7)
 
 
 class TestFigure1a:
     def test_structure_and_domination(self):
-        rows = figure1a_sweep(ExperimentSpec.figure1a())
+        rows = figure1a_sweep(ExperimentSpec())
         assert len(rows) == 512
         # sorted by noise level, then by round count
         keys = [(r.omega, r.n) for r in rows]
@@ -170,7 +176,7 @@ class TestFigure1a:
             assert r.elb1 >= r.exact_worst - 1e-9
 
     def test_noisier_channel_loses_more_at_every_round_count(self):
-        rows = figure1a_sweep(ExperimentSpec.figure1a())
+        rows = figure1a_sweep(ExperimentSpec())
         low = {r.n: r for r in rows if r.omega == pytest.approx(0.01)}
         high = {r.n: r for r in rows if r.omega == pytest.approx(0.1)}
         assert set(low) == set(high) == set(range(1, 257))
@@ -179,7 +185,7 @@ class TestFigure1a:
             assert high[n].elb1 > low[n].elb1
 
     def test_round_count_cap_is_constant_per_noise_level(self):
-        rows = figure1a_sweep(ExperimentSpec.figure1a())
+        rows = figure1a_sweep(ExperimentSpec())
         for w in (0.01, 0.1):
             group = [r for r in rows if r.omega == pytest.approx(w)]
             assert len({r.elb2 for r in group}) == 1
@@ -187,7 +193,7 @@ class TestFigure1a:
 
 
     def test_exact_losses_match_the_per_row_scalar_losses(self):
-        spec = ExperimentSpec.figure1a(noise_grid=(0.0, 0.01, 0.1, 0.3))
+        spec = ExperimentSpec(noise_grid=(0.0, 0.01, 0.1, 0.3))
         rows = figure1a_sweep(spec)
         assert len(rows) == 4 * 256
         for r in rows:
@@ -199,9 +205,9 @@ class TestFigure1a:
             assert r == dataclasses.replace(r, exact_worst=max(att[0], use[0]))
 
     def test_memory_stays_small_on_the_default_noise_grid(self):
-        spec = ExperimentSpec.figure1a(noise_grid=default_noise_grid())
+        spec = ExperimentSpec(noise_grid=default_noise_grid())
         # a first small sweep keeps one-time allocations out of the peak
-        figure1a_sweep(ExperimentSpec.figure1a(noise_grid=(0.1,), n_grid=(1, 2)))
+        figure1a_sweep(ExperimentSpec(noise_grid=(0.1,), n_grid=(1, 2)))
         tracemalloc.start()
         try:
             rows = figure1a_sweep(spec)
@@ -253,10 +259,10 @@ class TestFigure3:
             noise_grid=(0.1,),
             trials=400,
             rate_strategies=("ml",),
-            threshold_strategies=(ThresholdStrategy.FINITE,),
+            threshold_strategies=("finite-sample",),
         )
-        a = figure3_comparison(ExperimentSpec.figure3(seed=1, **kw))
-        b = figure3_comparison(ExperimentSpec.figure3(seed=2, **kw))
+        a = figure3_comparison(ExperimentSpec.figure3(master_seed=1, **kw))
+        b = figure3_comparison(ExperimentSpec.figure3(master_seed=2, **kw))
         assert a[0].mc_worst != b[0].mc_worst
 
     def test_default_sweep_structure_and_abort_markers(self):
@@ -300,7 +306,7 @@ class TestFigure3:
             noise_grid=(0.05, 0.2),
             trials=2_000,
             rate_strategies=("hp:0.01",),
-            threshold_strategies=(ThresholdStrategy.FINITE,),
+            threshold_strategies=("finite-sample",),
         )
         quiet, noisy = figure3_comparison(spec)
         assert quiet.aborted == "" and noisy.aborted == ""
@@ -315,7 +321,7 @@ class TestFigure3:
             trials=50,
             codeword_length=50,
             rate_strategies=("true-omega",),
-            threshold_strategies=(ThresholdStrategy.FINITE,),
+            threshold_strategies=("finite-sample",),
         )
         rows = figure3_comparison(spec)
         for r in rows:
@@ -340,7 +346,7 @@ class TestFigure3:
             noise_grid=(0.1,),
             trials=400,
             rate_strategies=("true-omega", "guess:0.1"),
-            threshold_strategies=(ThresholdStrategy.FINITE,),
+            threshold_strategies=("finite-sample",),
         )
         oracle, guess = figure3_comparison(spec)
         assert (oracle.n, oracle.tau) == (guess.n, guess.tau)
@@ -373,7 +379,7 @@ class TestFigure3:
                 noise_grid=(0.001, 0.05, 0.1),
                 trials=trials,
                 rate_strategies=("true-omega",),
-                seed=seed,
+                master_seed=seed,
             )
             for r in figure3_comparison(spec):
                 assert r.aborted == ""
@@ -442,7 +448,7 @@ class TestThresholdDuel:
                 for tau in taus:
                     row = next(rows)
                     scores = [
-                        score_counts(c, rejected_count_min(tau, n), n, spec.params, identity, p)
+                        score_counts(c, rejected_count_min(tau, n), spec.params, identity, p)
                         for c, (identity, p) in zip(counts, sides)
                     ]
                     worst = 0 if scores[0][0] >= scores[1][0] else 1
@@ -468,7 +474,7 @@ class TestThresholdDuel:
 class TestCsvRoundTrip:
     def test_numpy_round_counts_write_the_same_csv(self, tmp_path):
         grid = (1, 2, 5, 64, 256)
-        for sweep, factory in ((figure1a_sweep, ExperimentSpec.figure1a),
+        for sweep, factory in ((figure1a_sweep, ExperimentSpec),
                                (threshold_duel, ExperimentSpec.duel)):
             written = []
             for n_grid in (grid, tuple(np.array(grid))):

@@ -47,6 +47,20 @@ GOLDEN = {
         ["duel", "--omega", "0", "--omega", "0.3"],
         "1d884f381dd2f4818d40b9d63daf392feba07ad5ee9f4cf632365b9adaa32568",
     ),
+    # the CLI's override flags: --strategy, --trials, --k and --n
+    "fig3-asymptotic-overrides": (
+        ["fig3", "--strategy", "asymptotic", "--omega", "0.05", "--omega", "0.2",
+         "--trials", "500", "--k", "256"],
+        "465fec5ea18b379d3bc39c352c413860a893df8a071d13b5fae3fe559c5de959",
+    ),
+    "fig1b-search-limit": (
+        ["fig1b", "--n", "64", "--omega", "0.1", "--omega", "0.01"],
+        "db1aa8b0a25cf0616df88348eea40c838bb8dc8781c3a57f2a74933e0cc2bcc5",
+    ),
+    "duel-trials": (
+        ["duel", "--trials", "300", "--omega", "0.1"],
+        "e0a8fb30df50e7d127304e53fa46d1178b7b3143ab1f60d23440f453e8f88c2a",
+    ),
 }
 
 
