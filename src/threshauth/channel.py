@@ -2,13 +2,13 @@
 
 Maps channel noise to the per-round error-rate bounds of the analyzed
 challenge-response protocols, and runs deterministic Monte Carlo trials
-of the rapid bit-exchange phase for both prover identities: each trial's
-error count is one uniform from a per-identity random stream, mapped
-through the inverse of the binomial cdf. The trials come back as a
-histogram of their error counts, tallied from the sorted uniforms, and
-one histogram can be scored under any number of threshold rules. The
-cdf table is built here from log-factorials, not taken from ``exact``,
-so the Monte Carlo stays an independent check of the exact oracle.
+of the rapid bit-exchange phase for both prover identities. The trials
+come back as a histogram of their error counts, drawn as one multinomial
+sample over the binomial pmf from a per-identity random stream, and one
+histogram can be scored under any number of threshold rules. The pmf is
+taken from a cdf table built here from log-factorials, not from
+``exact``, so the Monte Carlo stays an independent check of the exact
+oracle.
 """
 
 from __future__ import annotations
@@ -115,19 +115,22 @@ def simulate_error_counts(
     """Histogram of the error counts of ``trials`` runs of ``rounds`` rounds.
 
     Entry k of the returned int64 array, of length ``rounds + 1``, is the
-    number of trials with exactly k errors. Each trial's count is a
-    Binomial(rounds, per_round_error) variate drawn by inversion
-    (Devroye 1986, ch. X): one uniform u per trial, all from a single
-    vectorized draw on the stream derived from the master seed and the
-    identity, maps to the least k with cdf(k) > u in a table of the
-    binomial cdf built once per call, which lies within
-    16 * rounds * eps of the exact cdf. The counts are tallied without
-    being formed: once the uniforms are sorted, the number of them below
-    cdf(k) is the number of trials with at most k errors, so placing the
-    rounds + 1 table entries among them costs O(T log T + n log T) in
-    all, ties included. The result depends only on these arguments and
-    the two identities never share draws. A per-round error of 0 or 1
-    puts every trial at 0 or ``rounds`` errors.
+    number of trials with exactly k errors, each trial's count being a
+    Binomial(rounds, per_round_error) variate. The histogram is one
+    multinomial draw of ``trials`` over the pmf that the differences of
+    a cdf table give, the table lying within 16 * rounds * eps of the
+    exact cdf; numpy draws it by conditional binomials, one per entry
+    until the trials run out (Devroye 1986, ch. XI). So a call costs
+    O(rounds) for the table plus at most rounds + 1 binomial draws, and
+    neither its time nor its memory grows with ``trials``; no per-trial
+    count is formed. The draw comes from a stream derived from the
+    master seed and the identity, so the result depends only on these
+    arguments and the two identities never share draws. Counts before
+    the first positive table mass are never drawn, and counts past the
+    entry where the table reaches 1 only with a chance of order
+    trials * eps, through the rounding of numpy's running remainder of
+    the masses. A per-round error of 0 or 1 puts every trial at 0 or
+    ``rounds`` errors.
     """
     if not _is_count(rounds, least=0):
         raise ValueError(f"rounds must be an integer >= 0, got {rounds!r}")
@@ -139,11 +142,10 @@ def simulate_error_counts(
         histogram = np.zeros(rounds + 1, dtype=np.int64)
         histogram[rounds if per_round_error == 1.0 else 0] = trials
         return histogram
-    uniforms = _identity_stream(master_seed, identity).random(trials)
-    uniforms.sort()
-    # #{u < cdf(k)} = #{count <= k}: the cumulative histogram
-    at_most = np.searchsorted(uniforms, _cdf_table(rounds, per_round_error), side="left")
-    return np.diff(at_most, prepend=0)
+    # the table is clipped to 1, so the masses before the last sum to at
+    # most 1, as the multinomial's check of its probabilities requires
+    pmf = np.diff(_cdf_table(rounds, per_round_error), prepend=0.0)
+    return _identity_stream(master_seed, identity).multinomial(trials, pmf)
 
 
 def score_counts(

@@ -152,6 +152,12 @@ class ExperimentSpec:
             value = getattr(self, name)
             if not _is_count(value):
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        for name in ("threshold_strategies", "rate_strategies"):
+            labels = getattr(self, name)
+            if not labels:
+                raise ValueError(f"{name} must be nonempty")
+            if len(set(labels)) != len(labels):
+                raise ValueError(f"{name} repeats a label: {labels!r}")
         for label in self.threshold_strategies:
             if label not in _THRESHOLD_RULES:
                 raise ValueError(f"unknown threshold strategy {label!r}")

@@ -3,11 +3,12 @@
 import ast
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import enumerated_cdf
@@ -252,16 +253,6 @@ class TestStreamLayout:
 EPS = sys.float_info.epsilon
 
 
-class _FixedUniforms:
-    """Stands in for a stream whose every uniform is ``u``."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self, size):
-        return np.full(size, self.u)
-
-
 def _chi_square_excess(rounds, p, trials=100_000):
     """Pearson's statistic of simulated counts against enumerated
     expectations, in units of its 1e-7 upper quantile.
@@ -302,54 +293,6 @@ class TestInversionSampler:
     def test_counts_fit_the_binomial_for_rare_errors(self):
         assert _chi_square_excess(1024, 0.002) < 1.0
 
-    def test_largest_uniform_maps_to_at_most_rounds(self, monkeypatch):
-        below_one = np.nextafter(1.0, 0.0)
-        monkeypatch.setattr(channel, "_identity_stream", lambda *_: _FixedUniforms(below_one))
-        for rounds, p in ((4, 0.5), (64, 0.53), (200, 0.9999), (1024, 0.002)):
-            histogram = simulate_error_counts(rounds, p, 3, 1, ProverIdentity.USER)
-            # every trial lands on a count in 0..rounds
-            assert histogram.shape == (rounds + 1,) and histogram.sum() == 3
-        # Pr(X <= 3) = 15/16 < u, so only the last count is left
-        assert simulate_error_counts(4, 0.5, 3, 1, ProverIdentity.USER).tolist() == [0] * 4 + [3]
-
-    def test_smallest_uniform_maps_to_zero(self, monkeypatch):
-        monkeypatch.setattr(channel, "_identity_stream", lambda *_: _FixedUniforms(0.0))
-        assert simulate_error_counts(64, 0.53, 3, 1, ProverIdentity.USER).tolist() == [3] + [0] * 64
-
-    def test_uniform_on_a_cdf_entry_tallies_above_it(self, monkeypatch):
-        # inversion maps u to the least k with cdf(k) > u, so a u equal to
-        # cdf(2) counts 3 errors: the tally must not place it at 2. The
-        # table's cdf(2) sits a few ulps below the exact 11/16, and both
-        # are checked.
-        table_entry = _cdf_table(4, 0.5)[2]
-        for u in (table_entry, 11 / 16):
-            monkeypatch.setattr(channel, "_identity_stream", lambda *_, u=u: _FixedUniforms(u))
-            histogram = simulate_error_counts(4, 0.5, 3, 1, ProverIdentity.USER)
-            assert histogram.tolist() == [0, 0, 0, 3, 0]
-
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(
-        st.integers(0, 1024),
-        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
-        st.integers(1, 5_000),
-        st.one_of(
-            st.integers(0, 2**63), st.tuples(st.integers(0, 2**32), st.integers(0, 64))
-        ),
-    )
-    def test_histogram_tallies_per_trial_inversion(self, rounds, p, trials, seed):
-        # the same draws as mapping each uniform through the table one by
-        # one and counting the results; the end rates draw nothing
-        identity = ProverIdentity.ATTACKER
-        if p in (0.0, 1.0):
-            counts = np.full(trials, rounds if p == 1.0 else 0)
-        else:
-            uniforms = channel._identity_stream(seed, identity).random(trials)
-            counts = np.searchsorted(_cdf_table(rounds, p), uniforms, side="right")
-        expected = np.bincount(counts, minlength=rounds + 1)
-        got = simulate_error_counts(rounds, p, trials, seed, identity)
-        assert got.dtype == np.int64
-        np.testing.assert_array_equal(got, expected)
-
     def test_channel_does_not_import_the_exact_oracle(self):
         # the Monte Carlo checks the exact oracle, so it must not sample from it
         tree = ast.parse(Path(channel.__file__).read_text())
@@ -362,6 +305,50 @@ class TestInversionSampler:
                 continue
             for module in modules:
                 assert "exact" not in module.split("."), ast.unparse(node)
+
+
+class TestMultinomialDraw:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 1024),
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        st.integers(1, 5_000),
+        st.one_of(
+            st.integers(0, 2**63), st.tuples(st.integers(0, 2**32), st.integers(0, 64))
+        ),
+    )
+    # tables that round to 1.0 long before their end, and that start
+    # with masses that underflow to 0
+    @example(1024, 0.3, 5_000, 1729)
+    @example(1024, 0.999, 5_000, (7, 3))
+    def test_histogram_is_a_seeded_draw_over_the_table(self, rounds, p, trials, seed):
+        identity = ProverIdentity.ATTACKER
+        got = simulate_error_counts(rounds, p, trials, seed, identity)
+        assert got.dtype == np.int64 and got.shape == (rounds + 1,)
+        assert got.min() >= 0 and got.sum() == trials
+        if p in (0.0, 1.0):
+            mass = np.zeros(rounds + 1)
+            mass[rounds if p == 1.0 else 0] = 1.0
+        else:
+            mass = np.diff(_cdf_table(rounds, p), prepend=0.0)
+        # the analogue of "no count past rounds": nothing lands where the
+        # table has no mass, such as past the entry where it reaches 1.0
+        assert not got[mass == 0.0].any()
+        np.testing.assert_array_equal(simulate_error_counts(rounds, p, trials, seed, identity), got)
+
+    def test_counts_fit_the_binomial_on_a_long_table(self):
+        # 1025 entries and n p = 542.7: many conditional binomials per draw
+        assert _chi_square_excess(1024, 0.53) < 1.0
+
+    def test_memory_does_not_grow_with_trials(self):
+        # a per-trial array of a million 8-byte values would take 7.6 MiB
+        tracemalloc.start()
+        try:
+            simulate_error_counts(1024, 0.5, 10**6, 1, ProverIdentity.ATTACKER)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def _stderr(histogram, threshold, identity, per_round_error):

@@ -151,6 +151,19 @@ class TestExperimentSpec:
                 with pytest.raises(ValueError, match="round counts"):
                     factory(n_grid=grid)
 
+    def test_rejects_empty_or_repeated_strategy_labels(self):
+        # caught before any work: fig3 would write a header-only CSV for an
+        # empty tuple and duplicated rows for a repeated label
+        cases = {
+            "threshold_strategies": ((), ("asymptotic", "finite-sample", "asymptotic")),
+            "rate_strategies": ((), ("ml", "ml")),
+        }
+        for field, bad_values in cases.items():
+            for bad in bad_values:
+                for factory in (ExperimentSpec, ExperimentSpec.figure3, ExperimentSpec.duel):
+                    with pytest.raises(ValueError, match=field):
+                        factory(**{field: bad})
+
     def test_factory_overrides(self):
         spec = ExperimentSpec.figure3(master_seed=5, trials=123, noise_grid=(0.1,))
         assert spec.master_seed == 5

@@ -5,9 +5,16 @@ for byte as they were. The digests were recorded with numpy 2.4.6 on
 x86-64 Linux (Python 3.11); another numpy build may round a last bit
 differently and then needs its own digests, recorded before any source
 edit.
+
+The Monte Carlo columns ``mc_worst`` and ``mc_stderr`` move whenever the
+sampler's draws change. ``MC_PROJECTION`` freezes each Monte Carlo
+golden with those two cells blanked, so such a change can show that it
+moved nothing else.
 """
 
+import csv
 import hashlib
+import io
 
 import numpy as np
 import pytest
@@ -25,11 +32,11 @@ GOLDEN = {
     ),
     "fig3": (
         ["fig3"],
-        "75d5e9061a95ede9a0f3b92b992d662af73c18c8e57471c445c958a2703c03e9",
+        "7f6b30359e9dbdd9a1bc23cef43d502496d1964ab132884455f509a007b23680",
     ),
     "duel": (
         ["duel"],
-        "9a25d6ea214dfac7007d32215594a8691f22733ac8d26904d974783d9e110d0b",
+        "e9ffe39cf952034c59663eecb646e5afd808222cc751dc6fde4655da6e584096",
     ),
     "fig1a-edge-noise": (
         ["fig1a", "--omega", "0", "--omega", "1e-9", "--omega", "0.2", "--omega", "0.33"],
@@ -41,17 +48,17 @@ GOLDEN = {
     ),
     "fig3-quiet-noise": (
         ["fig3", "--omega", "0", "--omega", "1e-9"],
-        "11b86c518c88d9f4de16620ca5300afbb6250679a2103753d4b505b0b4a84244",
+        "b658ce9e7ed0c0b4d160803d2d0e7ba483d311dcd7076240b36950e2fab0b8d7",
     ),
     "duel-edge-noise": (
         ["duel", "--omega", "0", "--omega", "0.3"],
-        "1d884f381dd2f4818d40b9d63daf392feba07ad5ee9f4cf632365b9adaa32568",
+        "605e9eaa13041810c24e7e259df69a191950eb413b3c0ec63bcced20fe05cd6a",
     ),
     # the CLI's override flags: --strategy, --trials, --k and --n
     "fig3-asymptotic-overrides": (
         ["fig3", "--strategy", "asymptotic", "--omega", "0.05", "--omega", "0.2",
          "--trials", "500", "--k", "256"],
-        "465fec5ea18b379d3bc39c352c413860a893df8a071d13b5fae3fe559c5de959",
+        "04276f8faca2bac699ba5ddaf0257d5d388d2a843a1e16f87e67a8a342a83220",
     ),
     "fig1b-search-limit": (
         ["fig1b", "--n", "64", "--omega", "0.1", "--omega", "0.01"],
@@ -59,16 +66,50 @@ GOLDEN = {
     ),
     "duel-trials": (
         ["duel", "--trials", "300", "--omega", "0.1"],
-        "e0a8fb30df50e7d127304e53fa46d1178b7b3143ab1f60d23440f453e8f88c2a",
+        "54d5d99d5cb7406fbf88da35b6b85754356c99122d76cd44463d9967bd7749fe",
     ),
 }
 
 
-@pytest.mark.parametrize("name", list(GOLDEN))
-def test_sweep_csv_matches_frozen_digest(name, tmp_path, capsys):
-    argv, digest = GOLDEN[name]
+# SHA-256 of each golden CSV that carries Monte Carlo rows, rewritten
+# with its mc_worst and mc_stderr cells emptied
+MC_PROJECTION = {
+    "fig3": "a225f729a6b9251fccf541039b904aec25d19ae936523e347b92e86dd28428e2",
+    "duel": "d703a6073d14cf89cf0401d35b03e6e71a7ac193d6d17ccbdd80c29172493e3f",
+    "fig3-quiet-noise": "2f80afe9b42bee857db1e5dd4cb03c16557723d47f684546cfccce20b2a7da61",
+    "duel-edge-noise": "5a58b918e750d5fc32507851ece0b9fe7e5eb3f67debd0cb14d86f9a75afda30",
+    "fig3-asymptotic-overrides": "6b393ef659352feea8e6a974985443b3a49282cd058dfe4f6f3a905f0f4945cb",
+    "duel-trials": "791be7e902a89212df106c4649e37e32e4d5dedcb63724c9b1031e527ef5e97a",
+}
+
+
+def _sweep_csv(name, tmp_path, capsys):
+    argv, _ = GOLDEN[name]
     out = tmp_path / f"{name}.csv"
     assert main(argv + ["--out", str(out)]) == 0
     capsys.readouterr()
-    got = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert got == digest, f"{name}: CSV bytes changed (numpy {np.__version__})"
+    return out.read_bytes()
+
+
+def _without_monte_carlo(data):
+    header, *records = csv.reader(io.StringIO(data.decode()))
+    blank = {header.index("mc_worst"), header.index("mc_stderr")}
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for rec in records:
+        writer.writerow(["" if i in blank else cell for i, cell in enumerate(rec)])
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_sweep_csv_matches_frozen_digest(name, tmp_path, capsys):
+    got = hashlib.sha256(_sweep_csv(name, tmp_path, capsys)).hexdigest()
+    assert got == GOLDEN[name][1], f"{name}: CSV bytes changed (numpy {np.__version__})"
+
+
+@pytest.mark.parametrize("name", list(MC_PROJECTION))
+def test_sweep_csv_outside_monte_carlo_matches_frozen_digest(name, tmp_path, capsys):
+    data = _without_monte_carlo(_sweep_csv(name, tmp_path, capsys))
+    got = hashlib.sha256(data).hexdigest()
+    assert got == MC_PROJECTION[name], f"{name}: non-Monte-Carlo cells changed"
