@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .bounds import optimal_rounds, optimal_threshold, rounds_loss_bound, threshold_loss_bound
@@ -116,7 +117,86 @@ def _cmd_sweep(args: argparse.Namespace, kind: str) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _configure_bounds(p: argparse.ArgumentParser) -> None:
+    _add_loss_flags(p)
+    p.add_argument("--omega", type=float, required=True, help="channel flip probability")
+    p.add_argument("--n", type=int, default=None, help="evaluate threshold at this n")
+    p.set_defaults(func=_cmd_bounds)
+
+
+def _configure_exact(p: argparse.ArgumentParser) -> None:
+    _add_loss_flags(p)
+    p.add_argument("--omega", type=float, required=True, help="channel flip probability")
+    p.add_argument("--n", type=int, default=512, help="search rounds up to n (default 512)")
+    p.set_defaults(func=_cmd_exact)
+
+
+def _configure_sweep(kind: str, p: argparse.ArgumentParser) -> None:
+    _add_loss_flags(p)
+    p.add_argument(
+        "--omega", type=float, action="append", default=None,
+        help="noise grid point, repeatable (default: built-in grid)",
+    )
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed")
+    p.add_argument("--out", type=str, default=None, help="output CSV path")
+    if kind == "fig1b":
+        p.add_argument("--n", type=int, default=None, help="brute-force search limit")
+    if kind in ("fig3", "duel"):
+        p.add_argument("--trials", type=int, default=None, help="Monte Carlo trials per identity")
+    if kind == "fig3":
+        p.add_argument("--k", type=int, default=None, help="codeword length (default 1024)")
+        p.add_argument(
+            "--strategy", type=str, default="all",
+            choices=["all", *_THRESHOLD_RULES],
+            help="restrict the threshold strategy (default: all configured)",
+        )
+    p.set_defaults(func=lambda a: _cmd_sweep(a, kind))
+
+
+def _configure_estimate_noise(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--omega", type=float, required=True, help="channel flip probability")
+    p.add_argument("--k", type=int, default=1024, help="codeword length (default 1024)")
+    p.add_argument("--delta", type=float, default=0.01, help="confidence parameter (default 0.01)")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed")
+    p.set_defaults(func=_cmd_estimate_noise)
+
+
+# Subcommand name -> (help, configure), in the order usage lists them.
+# Only private callables, so every command still looks up the functions
+# it runs in this module's globals when it runs.
+_COMMANDS = {
+    "bounds": ("closed-form threshold, rounds, and bounds", _configure_bounds),
+    "exact": ("brute-force optimal rounds and threshold", _configure_exact),
+    "fig1a": (
+        "bound vs exact worst-case loss over round counts",
+        functools.partial(_configure_sweep, "fig1a"),
+    ),
+    "fig1b": (
+        "brute-force optimum vs closed-form design over noise",
+        functools.partial(_configure_sweep, "fig1b"),
+    ),
+    "fig3": (
+        "noise-estimation strategy comparison with Monte Carlo",
+        functools.partial(_configure_sweep, "fig3"),
+    ),
+    "duel": (
+        "finite-sample vs asymptotic threshold at small designs",
+        functools.partial(_configure_sweep, "duel"),
+    ),
+    "estimate-noise": (
+        "simulate a coded phase and estimate the noise",
+        _configure_estimate_noise,
+    ),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; with a known ``command``, only that subcommand is built.
+
+    Any other ``command`` builds all of them, so help, usage and the
+    unknown-command error list every subcommand. A one-subcommand
+    parser keeps the full list in its usage line too.
+    """
     parser = argparse.ArgumentParser(
         prog="threshauth",
         description=(
@@ -124,60 +204,18 @@ def build_parser() -> argparse.ArgumentParser:
             "challenge-response authentication over noisy channels."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bounds", help="closed-form threshold, rounds, and bounds")
-    _add_loss_flags(p)
-    p.add_argument("--omega", type=float, required=True, help="channel flip probability")
-    p.add_argument("--n", type=int, default=None, help="evaluate threshold at this n")
-    p.set_defaults(func=_cmd_bounds)
-
-    p = sub.add_parser("exact", help="brute-force optimal rounds and threshold")
-    _add_loss_flags(p)
-    p.add_argument("--omega", type=float, required=True, help="channel flip probability")
-    p.add_argument("--n", type=int, default=512, help="search rounds up to n (default 512)")
-    p.set_defaults(func=_cmd_exact)
-
-    for kind, desc in (
-        ("fig1a", "bound vs exact worst-case loss over round counts"),
-        ("fig1b", "brute-force optimum vs closed-form design over noise"),
-        ("fig3", "noise-estimation strategy comparison with Monte Carlo"),
-        ("duel", "finite-sample vs asymptotic threshold at small designs"),
-    ):
-        p = sub.add_parser(kind, help=desc)
-        _add_loss_flags(p)
-        p.add_argument(
-            "--omega", type=float, action="append", default=None,
-            help="noise grid point, repeatable (default: built-in grid)",
-        )
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed")
-        p.add_argument("--out", type=str, default=None, help="output CSV path")
-        if kind == "fig1b":
-            p.add_argument("--n", type=int, default=None, help="brute-force search limit")
-        if kind in ("fig3", "duel"):
-            p.add_argument("--trials", type=int, default=None, help="Monte Carlo trials per identity")
-        if kind == "fig3":
-            p.add_argument("--k", type=int, default=None, help="codeword length (default 1024)")
-            p.add_argument(
-                "--strategy", type=str, default="all",
-                choices=["all", *_THRESHOLD_RULES],
-                help="restrict the threshold strategy (default: all configured)",
-            )
-        p.set_defaults(func=lambda a, kind=kind: _cmd_sweep(a, kind))
-
-    p = sub.add_parser("estimate-noise", help="simulate a coded phase and estimate the noise")
-    p.add_argument("--omega", type=float, required=True, help="channel flip probability")
-    p.add_argument("--k", type=int, default=1024, help="codeword length (default 1024)")
-    p.add_argument("--delta", type=float, default=0.01, help="confidence parameter (default 0.01)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed")
-    p.set_defaults(func=_cmd_estimate_noise)
-
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, configure = _COMMANDS[name]
+        configure(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

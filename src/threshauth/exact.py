@@ -5,13 +5,18 @@ decision probabilities, expected losses, and the best (rounds,
 threshold) pair can all be computed exactly. The functions here serve
 as ground truth for the closed-form bounds.
 
-Every pmf comes from ``_pmf_rows``, which builds zero-padded rows for a
-set of round counts, and every tail from ``_tail``, which turns those
-rows into running sums along their last axis. The expected losses of
-both identities (``exact_expected_losses``) and the brute-force search
-walk their round counts in blocks (``_tail_blocks``), so a whole set of
-designs costs one numpy pass per block and identity instead of one
-pmf per design. The decision rule's cut comes from
+Every pmf comes from a ``_PmfBlock``, which builds the rate-free part
+of zero-padded pmf rows for a set of round counts (the log binomial
+coefficients, n - k and the padding mask) and adds one rate's terms
+per call, and every tail from ``_tail``, which turns those rows into
+running sums along their last axis. The expected losses of both
+identities (``exact_expected_losses``) and the brute-force search walk
+their round counts in blocks (``_tail_blocks``) that share one
+rate-free block between the two identities, so a whole set of designs
+costs one numpy pass per block instead of one pmf per design. The
+brute-force search adds the round cost after taking the larger of the
+two weighted error probabilities, which is bitwise equal to the larger
+of the two losses. The decision rule's cut comes from
 ``loss.rejected_count_min``.
 """
 
@@ -54,34 +59,48 @@ class BruteForceResult:
 _BLOCK_ENTRIES = 1 << 14
 
 
-def _pmf_rows(rounds: np.ndarray, mu: float) -> np.ndarray:
-    """Binomial(n, mu) pmf rows for each n of ``rounds``, zero-padded to max + 1.
+class _PmfBlock:
+    """The rate-free part of the Binomial(n, mu) pmf rows of a set of round counts.
 
-    Computed in log space with cumulative binomial-coefficient sums, so
-    no factorial overflow occurs for round counts into the thousands.
-    Columns past a row's n get log-mass -inf, where their own formula
-    could overflow the exp; they hold exactly 0.0 and add exactly +0.0
-    to any running sum, so a row does not depend on its padding.
+    Row i belongs to ``rounds[i]`` and is zero-padded to max + 1
+    columns; ``pad`` marks the columns past each row's n. ``pmf`` adds a
+    rate's terms in log space to cumulative binomial-coefficient sums,
+    so no factorial overflow occurs for round counts into the thousands.
+    Padding columns get log-mass -inf, where their own formula could
+    overflow the exp; they hold exactly 0.0 and add exactly +0.0 to any
+    running sum, so a row does not depend on its padding.
     """
-    rows, width = len(rounds), int(rounds.max()) + 1
-    if mu == 0.0 or mu == 1.0:
-        out = np.zeros((rows, width))
-        out[np.arange(rows), rounds if mu == 1.0 else 0] = 1.0
-        return out
-    n = rounds[:, None].astype(np.float64)
-    ks = np.arange(0, width, dtype=np.float64)
-    # log C(n,k) - log C(n,k-1) = log((n-k+1)/k); past n any finite
-    # ratio will do, as those columns are masked below
-    log_comb = np.zeros((rows, width))
-    np.cumsum(np.log(np.maximum(n - ks[1:] + 1.0, 1.0) / ks[1:]), axis=-1, out=log_comb[:, 1:])
-    log_pmf = log_comb + ks * math.log(mu) + (n - ks) * math.log1p(-mu)
-    return np.exp(np.where(ks > n, -np.inf, log_pmf))
+
+    def __init__(self, rounds: np.ndarray) -> None:
+        n = rounds[:, None].astype(np.float64)
+        self.rounds = rounds
+        self.ks = np.arange(0, int(rounds.max()) + 1, dtype=np.float64)
+        self.n_minus_k = n - self.ks
+        self.pad = self.ks > n
+        # log C(n,k) - log C(n,k-1) = log((n-k+1)/k); past n any finite
+        # ratio will do, as those columns are set to -inf
+        ratios = self.n_minus_k[:, 1:] + 1.0
+        np.maximum(ratios, 1.0, out=ratios)
+        ratios /= self.ks[1:]
+        self.log_comb = np.zeros(self.pad.shape)
+        np.cumsum(np.log(ratios, out=ratios), axis=-1, out=self.log_comb[:, 1:])
+        np.copyto(self.log_comb, -np.inf, where=self.pad)
+
+    def pmf(self, mu: float) -> np.ndarray:
+        """The Binomial(n, mu) pmf row of every round count."""
+        if mu == 0.0 or mu == 1.0:
+            out = np.zeros(self.pad.shape)
+            out[np.arange(len(self.rounds)), self.rounds if mu == 1.0 else 0] = 1.0
+            return out
+        log_pmf = self.log_comb + self.ks * math.log(mu)
+        log_pmf += self.n_minus_k * math.log1p(-mu)
+        return np.exp(log_pmf, out=log_pmf)
 
 
 def binomial_pmf(trials: int, success_prob: float) -> np.ndarray:
     """Full probability mass function as an array of length trials + 1."""
     spec = BinomialSpec(trials, success_prob)
-    return _pmf_rows(np.array([spec.trials]), spec.success_prob)[0]
+    return _PmfBlock(np.array([spec.trials])).pmf(spec.success_prob)[0]
 
 
 def _tail(pmf: np.ndarray, upper: bool) -> np.ndarray:
@@ -100,19 +119,28 @@ def _tail(pmf: np.ndarray, upper: bool) -> np.ndarray:
 
 
 def _tail_blocks(
-    rounds: np.ndarray, mu: float, upper: bool
-) -> Iterator[tuple[slice, np.ndarray]]:
-    """The tails of every round count, in order, one block at a time.
+    rounds: np.ndarray, attacker_rate: float, user_rate: float
+) -> Iterator[tuple[slice, _PmfBlock, np.ndarray, np.ndarray]]:
+    """Both identities' tails of every round count, in order, one block at a time.
 
     Yields each block, of at most about ``_BLOCK_ENTRIES`` padded pmf
-    entries, as a slice of ``rounds`` with the ``_tail`` of its
-    zero-padded pmf rows: row i holds the tails of ``rounds[block][i]``
-    at t = 0..n+1 bitwise as a one-row call gives them, then padding.
+    entries, as a slice of ``rounds``, its ``_PmfBlock``, and the
+    ``_tail`` of its pmf rows at each rate: Pr(count < t) at
+    ``attacker_rate`` and Pr(count >= t) at ``user_rate``. Row i holds
+    the tails of ``rounds[block][i]`` at t = 0..n+1 bitwise as a one-row
+    call gives them, then padding. Both tails share the block's
+    rate-free terms, which are built once.
     """
     step = max(1, _BLOCK_ENTRIES // (int(rounds.max()) + 2))
     for lo in range(0, len(rounds), step):
         block = slice(lo, lo + step)
-        yield block, _tail(_pmf_rows(rounds[block], mu), upper)
+        terms = _PmfBlock(rounds[block])
+        yield (
+            block,
+            terms,
+            _tail(terms.pmf(attacker_rate), upper=False),
+            _tail(terms.pmf(user_rate), upper=True),
+        )
 
 
 def binomial_cdf(spec: BinomialSpec, count: int) -> float:
@@ -151,8 +179,8 @@ def exact_expected_losses(
     The rates are plain per-round error probabilities in [0, 1], in
     either order. A threshold at or below 0 rejects every count and one
     above the round count accepts every count, infinite ones included;
-    a sure decision costs exactly its loss. Each identity's pmfs are
-    built in blocks over all pairs and read at the rule's cut.
+    a sure decision costs exactly its loss. Both identities' tails are
+    built in shared blocks over all pairs and read at the rule's cut.
     """
     ns, taus = np.asarray(rounds), np.asarray(thresholds, dtype=np.float64)
     if ns.ndim != 1 or ns.size == 0 or ns.shape != taus.shape:
@@ -165,9 +193,9 @@ def exact_expected_losses(
             raise ValueError(f"{name} not in [0,1]: {rate}")
     cuts = rejected_count_min(taus, ns)
     acc_att, rej_use = np.empty(len(ns)), np.empty(len(ns))
-    for out, mu, upper in ((acc_att, attacker_rate, False), (rej_use, user_rate, True)):
-        for block, tails in _tail_blocks(ns, mu, upper):
-            out[block] = tails[np.arange(tails.shape[0]), cuts[block]]
+    for block, _, acc, rej in _tail_blocks(ns, attacker_rate, user_rate):
+        rows = np.arange(len(acc))
+        acc_att[block], rej_use[block] = acc[rows, cuts[block]], rej[rows, cuts[block]]
     # a sure decision is exactly 1, not the pmf's float total
     acc_att = np.where(cuts > ns, 1.0, np.minimum(1.0, acc_att))
     rej_use = np.where(cuts == 0, 1.0, np.minimum(1.0, rej_use))
@@ -201,28 +229,30 @@ def brute_force_optimal(
     """Exhaustive search for the loss-minimizing rounds and threshold.
 
     Scores every round count up to ``n_max`` and every integer threshold
-    0..n, walking the round counts in blocks of padded tail rows; integer
-    thresholds suffice because with {0,1} per-round errors only they
-    change the decision rule. Ties break toward the smallest round
-    count, then the smallest threshold.
+    0..n, walking the round counts in blocks that build their rate-free
+    pmf terms once for both identities; integer thresholds suffice
+    because with {0,1} per-round errors only they change the decision
+    rule. The round cost is added after the larger of the two weighted
+    error probabilities is taken, which is bitwise the larger of the two
+    losses, as rounding is monotone. Ties break toward the smallest
+    round count, then the smallest threshold.
     """
     if not _is_count(n_max):
         raise ValueError(f"n_max must be an integer >= 1, got {n_max!r}")
     best = BruteForceResult(1, 0, math.inf)
     la, lu, lb = params.false_accept, params.false_reject, params.per_round
     ns = np.arange(1, n_max + 1)
-    blocks = zip(
-        _tail_blocks(ns, rates.attacker_floor, upper=False),
-        _tail_blocks(ns, rates.user_ceiling, upper=True),
-    )
-    for (block, acc_att), (_, rej_use) in blocks:
+    for block, terms, acc_att, rej_use in _tail_blocks(
+        ns, rates.attacker_floor, rates.user_ceiling
+    ):
         # Pr(attacker accepted) and Pr(user rejected) at thresholds t = 0..max n
-        n = ns[block, None]
-        worst = np.maximum(n * lb + acc_att[:, :-1] * la, n * lb + rej_use[:, :-1] * lu)
-        worst[np.arange(worst.shape[1]) > n] = np.inf  # padding, not a threshold of row n
+        worst = acc_att[:, :-1] * la
+        np.maximum(worst, rej_use[:, :-1] * lu, out=worst)
+        worst += ns[block, None] * lb
+        np.copyto(worst, np.inf, where=terms.pad)  # padding, not a threshold of row n
         ts = np.argmin(worst, axis=1)  # argmin returns the first, smallest-t, minimum
-        row_min = worst.min(axis=1)
+        row_min = worst[np.arange(len(ts)), ts]
         i = int(np.argmin(row_min))  # and the first, smallest-n, row
         if row_min[i] < best.worst_loss:
-            best = BruteForceResult(int(n[i, 0]), int(ts[i]), float(row_min[i]))
+            best = BruteForceResult(int(ns[block][i]), int(ts[i]), float(row_min[i]))
     return best

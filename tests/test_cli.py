@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from threshauth.cli import main
+from threshauth.cli import build_parser, main
 from threshauth.experiments import parse_csv
 
 
@@ -71,6 +71,74 @@ class TestCalculatorCommands:
         assert lines[0].startswith("observed_errors")
         assert lines[-1].startswith("hp_rates          unavailable (widened bounds collapse: ")
         assert not any(line.startswith("hp_attacker_floor") for line in lines)
+
+
+COMMANDS = ("bounds", "exact", "fig1a", "fig1b", "fig3", "duel", "estimate-noise")
+
+# one argv per subcommand that sets most of its flags
+REPRESENTATIVE_ARGV = {
+    "bounds": ["bounds", "--omega", "0.1", "--n", "64", "--la", "2"],
+    "exact": ["exact", "--omega", "0.05", "--n", "100", "--lb", "0.001"],
+    "fig1a": ["fig1a", "--omega", "0.1", "--omega", "0.2", "--seed", "3", "--out", "a.csv"],
+    "fig1b": ["fig1b", "--omega", "0.1", "--n", "64", "--lu", "2"],
+    "fig3": ["fig3", "--omega", "0.05", "--trials", "200", "--k", "512", "--strategy", "asymptotic"],
+    "duel": ["duel", "--trials", "10", "--lb", "0.05"],
+    "estimate-noise": ["estimate-noise", "--omega", "0.1", "--k", "256", "--delta", "0.05",
+                       "--seed", "9"],
+}
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_one_subcommand_parser_parses_as_the_full_parser(self, command):
+        argv = REPRESENTATIVE_ARGV[command]
+        full = vars(build_parser().parse_args(argv))
+        one = vars(build_parser(command).parse_args(argv))
+        assert callable(full.pop("func")) and callable(one.pop("func"))
+        assert one == full
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "{" + ",".join(COMMANDS) + "}" in out
+        for command in COMMANDS:
+            assert f"\n    {command} " in out
+
+    def test_unknown_command_names_every_choice(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bogus"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bogus'" in err
+        assert "(choose from " + ", ".join(f"'{c}'" for c in COMMANDS) + ")" in err
+
+    def test_missing_command_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([])
+        assert exc.value.code == 2
+        assert "required: command" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_help_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: threshauth {command} ")
+
+    def test_error_after_a_known_command_prints_the_full_usage(self, capsys):
+        # the one-subcommand parser still lists every command in its usage
+        argv = ["bounds", "--omega", "0.1", "--bogus"]
+        errors = []
+        for parser in (build_parser(), build_parser("bounds")):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            assert exc.value.code == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert "{" + ",".join(COMMANDS) + "}" in errors[0]
+        assert "unrecognized arguments: --bogus" in errors[0]
 
 
 class TestSweepCommands:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import enumerated_mass
@@ -16,7 +16,7 @@ from threshauth.exact import (
     _BLOCK_ENTRIES,
     BinomialSpec,
     BruteForceResult,
-    _pmf_rows,
+    _PmfBlock,
     _tail,
     _tail_blocks,
     binomial_cdf,
@@ -359,26 +359,58 @@ class TestExpectedLossesProperties:
 
 class TestRoundGridKernel:
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(grid=st.lists(st.integers(1, 600), min_size=1, max_size=80), mu=_MU)
-    def test_block_matches_scalar_kernel_bitwise(self, grid, mu):
-        # a row's pmf and tails do not depend on the rows padded with it
+    @given(
+        grid=st.lists(st.integers(1, 600), min_size=1, max_size=80),
+        attacker_rate=_MU,
+        user_rate=_MU,
+    )
+    @example(grid=[3, 1, 600, 17], attacker_rate=0.0, user_rate=1.0)
+    @example(grid=[600, 2, 1], attacker_rate=1.0, user_rate=0.0)
+    def test_block_matches_scalar_kernel_bitwise(self, grid, attacker_rate, user_rate):
+        # a row's pmf and tails depend neither on the rows padded with it
+        # nor on the other identity's rate
         ns = np.array(grid)
-        rows = _pmf_rows(ns, mu)
-        assert rows.shape == (len(grid), max(grid) + 1)
-        for n, row in zip(grid, rows):
-            assert row[: n + 1].tobytes() == binomial_pmf(n, mu).tobytes()
-            assert row[n + 1 :].tobytes() == bytes(8 * (max(grid) - n))  # +0.0 only
-        for upper in (False, True):
-            seen = 0
-            for block, tails in _tail_blocks(ns, mu, upper):
-                assert block.start == seen and block.stop > seen
-                block_ns = grid[block]
-                seen += len(block_ns)
+        terms = _PmfBlock(ns)
+        assert terms.pad.tolist() == [[k > n for k in range(max(grid) + 1)] for n in grid]
+        for mu in (attacker_rate, user_rate):
+            rows = terms.pmf(mu)
+            assert rows.shape == (len(grid), max(grid) + 1)
+            for n, row in zip(grid, rows):
+                assert row[: n + 1].tobytes() == binomial_pmf(n, mu).tobytes()
+                assert row[n + 1 :].tobytes() == bytes(8 * (max(grid) - n))  # +0.0 only
+        seen = 0
+        for block, terms, acc_att, rej_use in _tail_blocks(ns, attacker_rate, user_rate):
+            assert block.start == seen and block.stop > seen
+            block_ns = grid[block]
+            seen += len(block_ns)
+            assert terms.rounds.tolist() == block_ns
+            for tails in (acc_att, rej_use):
                 assert tails.shape == (len(block_ns), max(block_ns) + 2)
                 assert tails.size <= _BLOCK_ENTRIES
-                for n, row in zip(block_ns, tails):
-                    assert row[: n + 2].tobytes() == _tail(binomial_pmf(n, mu), upper).tobytes()
-            assert seen == len(grid)
+            for n, acc, rej in zip(block_ns, acc_att, rej_use):
+                want_acc = _tail(binomial_pmf(n, attacker_rate), upper=False)
+                want_rej = _tail(binomial_pmf(n, user_rate), upper=True)
+                assert acc[: n + 2].tobytes() == want_acc.tobytes()
+                assert rej[: n + 2].tobytes() == want_rej.tobytes()
+        assert seen == len(grid)
+
+    def test_rate_free_terms_are_built_once_per_block(self, monkeypatch):
+        built = []
+
+        class CountingBlock(_PmfBlock):
+            def __init__(self, rounds):
+                built.append(len(rounds))
+                super().__init__(rounds)
+
+        monkeypatch.setattr("threshauth.exact._PmfBlock", CountingBlock)
+        # _BLOCK_ENTRIES // (512 + 2) = 31 round counts a block: 17 blocks,
+        # each built once for both identities
+        brute_force_optimal(BENCH, SWISS_01, 512)
+        assert len(built) == 17 and sum(built) == 512
+        built.clear()
+        ns = list(range(1, 513))
+        exact_expected_losses(BENCH, ns, [n / 2 for n in ns], 0.55, 0.2)
+        assert len(built) == 17 and sum(built) == 512
 
     def test_tail_along_last_axis_matches_one_row_at_a_time(self):
         pmfs = np.stack([binomial_pmf(9, mu) for mu in (0.0, 0.3, 0.55, 1.0)])
