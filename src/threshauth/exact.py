@@ -11,13 +11,13 @@ coefficients, n - k and the padding mask) and adds one rate's terms
 per call, and every tail from ``_tail``, which turns those rows into
 running sums along their last axis. The expected losses of both
 identities (``exact_expected_losses``) and the brute-force search walk
-their round counts in blocks (``_tail_blocks``) that share one
-rate-free block between the two identities, so a whole set of designs
-costs one numpy pass per block instead of one pmf per design. The
-brute-force search adds the round cost after taking the larger of the
-two weighted error probabilities, which is bitwise equal to the larger
-of the two losses. The decision rule's cut comes from
-``loss.rejected_count_min``.
+their round counts in blocks (``_pmf_blocks``) built once and shared by
+both identities and, for the losses, by every noise level, looped over
+one at a time inside each block; a whole sweep costs one numpy pass per
+block and rate instead of one pmf per design. The brute-force search
+adds the round cost after taking the larger of the two weighted error
+probabilities, which is bitwise equal to the larger of the two losses.
+The decision rule's cut comes from ``loss.rejected_count_min``.
 """
 
 from __future__ import annotations
@@ -118,23 +118,27 @@ def _tail(pmf: np.ndarray, upper: bool) -> np.ndarray:
     return out
 
 
+def _pmf_blocks(rounds: np.ndarray) -> Iterator[tuple[slice, _PmfBlock]]:
+    """Slices of ``rounds``, in order, with their ``_PmfBlock`` of about ``_BLOCK_ENTRIES``."""
+    step = max(1, _BLOCK_ENTRIES // (int(rounds.max()) + 2))
+    for lo in range(0, len(rounds), step):
+        block = slice(lo, lo + step)
+        yield block, _PmfBlock(rounds[block])
+
+
 def _tail_blocks(
     rounds: np.ndarray, attacker_rate: float, user_rate: float
 ) -> Iterator[tuple[slice, _PmfBlock, np.ndarray, np.ndarray]]:
     """Both identities' tails of every round count, in order, one block at a time.
 
-    Yields each block, of at most about ``_BLOCK_ENTRIES`` padded pmf
-    entries, as a slice of ``rounds``, its ``_PmfBlock``, and the
-    ``_tail`` of its pmf rows at each rate: Pr(count < t) at
-    ``attacker_rate`` and Pr(count >= t) at ``user_rate``. Row i holds
-    the tails of ``rounds[block][i]`` at t = 0..n+1 bitwise as a one-row
-    call gives them, then padding. Both tails share the block's
-    rate-free terms, which are built once.
+    Yields each block of ``_pmf_blocks`` with the ``_tail`` of its pmf
+    rows at each rate: Pr(count < t) at ``attacker_rate`` and
+    Pr(count >= t) at ``user_rate``. Row i holds the tails of
+    ``rounds[block][i]`` at t = 0..n+1 bitwise as a one-row call gives
+    them, then padding. Both tails share the block's rate-free terms,
+    which are built once.
     """
-    step = max(1, _BLOCK_ENTRIES // (int(rounds.max()) + 2))
-    for lo in range(0, len(rounds), step):
-        block = slice(lo, lo + step)
-        terms = _PmfBlock(rounds[block])
+    for block, terms in _pmf_blocks(rounds):
         yield (
             block,
             terms,
@@ -166,9 +170,9 @@ def binomial_sf(spec: BinomialSpec, count: int) -> float:
 def exact_expected_losses(
     params: LossParameters,
     rounds: Sequence[int],
-    thresholds: Sequence[float],
-    attacker_rate: float,
-    user_rate: float,
+    thresholds: Sequence[float] | Sequence[Sequence[float]],
+    attacker_rate: float | Sequence[float],
+    user_rate: float | Sequence[float],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact expected loss of each identity at each (rounds, threshold) pair:
 
@@ -179,26 +183,36 @@ def exact_expected_losses(
     The rates are plain per-round error probabilities in [0, 1], in
     either order. A threshold at or below 0 rejects every count and one
     above the round count accepts every count, infinite ones included;
-    a sure decision costs exactly its loss. Both identities' tails are
-    built in shared blocks over all pairs and read at the rule's cut.
+    a sure decision costs exactly its loss. Rates given as two 1-D
+    arrays, one pair per level, with thresholds of shape (levels,
+    len(rounds)) give losses of that shape, row j bitwise the call at
+    level j. Each block of round counts is built once, its levels looped
+    over inside it, and its tails read at the rule's cut.
     """
     ns, taus = np.asarray(rounds), np.asarray(thresholds, dtype=np.float64)
-    if ns.ndim != 1 or ns.size == 0 or ns.shape != taus.shape:
-        raise ValueError("rounds and thresholds must be nonempty and of one length")
+    rates = np.asarray(attacker_rate, dtype=np.float64), np.asarray(user_rate, dtype=np.float64)
+    if ns.ndim != 1 or ns.size == 0 or rates[0].ndim > 1 or rates[0].shape != rates[1].shape:
+        raise ValueError("rounds must be nonempty and the rates scalars or 1-D of one length")
+    if taus.shape != rates[0].shape + ns.shape:
+        raise ValueError("thresholds must hold one threshold per round count and level")
     if not all(_is_count(n) for n in rounds):
         raise ValueError("rounds must be integers >= 1")
     ns = ns.astype(np.int64)
-    for name, rate in (("attacker_rate", attacker_rate), ("user_rate", user_rate)):
-        if not 0.0 <= rate <= 1.0:  # also false for nan
+    for name, rate in zip(("attacker_rate", "user_rate"), rates):
+        if not np.all((rate >= 0.0) & (rate <= 1.0)):  # also false for nan
             raise ValueError(f"{name} not in [0,1]: {rate}")
-    cuts = rejected_count_min(taus, ns)
-    acc_att, rej_use = np.empty(len(ns)), np.empty(len(ns))
-    for block, _, acc, rej in _tail_blocks(ns, attacker_rate, user_rate):
-        rows = np.arange(len(acc))
-        acc_att[block], rej_use[block] = acc[rows, cuts[block]], rej[rows, cuts[block]]
+    levels = list(zip(rates[0].ravel().tolist(), rates[1].ravel().tolist()))
+    cuts = rejected_count_min(taus, ns).reshape(len(levels), len(ns))
+    acc_att, rej_use = np.empty(cuts.shape), np.empty(cuts.shape)
+    for block, terms in _pmf_blocks(ns):
+        rows = np.arange(len(terms.rounds))
+        for j, (mu_att, mu_use) in enumerate(levels):
+            cut = cuts[j, block]
+            acc_att[j, block] = _tail(terms.pmf(mu_att), upper=False)[rows, cut]
+            rej_use[j, block] = _tail(terms.pmf(mu_use), upper=True)[rows, cut]
     # a sure decision is exactly 1, not the pmf's float total
-    acc_att = np.where(cuts > ns, 1.0, np.minimum(1.0, acc_att))
-    rej_use = np.where(cuts == 0, 1.0, np.minimum(1.0, rej_use))
+    acc_att = np.where(cuts > ns, 1.0, np.minimum(1.0, acc_att)).reshape(taus.shape)
+    rej_use = np.where(cuts == 0, 1.0, np.minimum(1.0, rej_use)).reshape(taus.shape)
     base = ns * params.per_round
     return base + acc_att * params.false_accept, base + rej_use * params.false_reject
 

@@ -10,6 +10,7 @@ reproduces the file byte for byte.
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import Field, dataclass, fields
 from pathlib import Path
 
@@ -45,14 +46,6 @@ DEFAULT_LOSSES = LossParameters(false_accept=10.0, false_reject=1.0, per_round=1
 DEFAULT_SEED = 1729
 
 
-def _canon(value: float | None) -> float | None:
-    # rows store reals at the 12-significant-digit resolution of the
-    # CSV schema, making emit/parse an exact round trip
-    if value is None:
-        return None
-    return float(f"{value:.12g}")
-
-
 @dataclass(frozen=True, slots=True, kw_only=True)
 class SweepRow:
     """One output record; its fields, in order, are the CSV columns.
@@ -74,8 +67,12 @@ class SweepRow:
     aborted: str = ""
 
     def __post_init__(self) -> None:
+        # rows store reals at the 12-significant-digit resolution of the
+        # CSV schema, making emit/parse an exact round trip
         for name in ("omega", "tau", "exact_worst", "elb1", "elb2", "mc_worst", "mc_stderr"):
-            object.__setattr__(self, name, _canon(getattr(self, name)))
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, float(f"{value:.12g}"))
 
 
 CSV_HEADER = tuple(f.name for f in fields(SweepRow))
@@ -214,31 +211,43 @@ def figure1a_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     For each noise level and each round count, evaluates the loss bound
     at its minimizing round-independent form and the exact worst-case
     loss at the closed-form threshold (unclamped, so very small round
-    counts fall back to an always-reject rule). The exact losses of one
-    noise level are computed for the whole round grid in one batched
-    call, which gives the same numbers as one call per round count.
+    counts fall back to an always-reject rule). The exact losses of the
+    whole sweep, every noise level at every round count, come from one
+    level-batched call, which gives the same numbers as one call per
+    level or per round count.
     """
-    rows = []
+    rows, levels = [], []  # levels: (position in rows, noise level, rates, thresholds)
     for w in sorted(spec.noise_grid):
         rates = _true_rates(w, ("finite-sample",), rows)
-        if rates is None:
-            continue
+        if rates is not None:
+            taus = [optimal_threshold(spec.params, rates, n).raw for n in spec.n_grid]
+            levels.append((len(rows), w, rates, taus))
+    if not levels:
+        return rows
+    _, _, rates, taus = zip(*levels)
+    losses = exact_expected_losses(
+        spec.params,
+        spec.n_grid,
+        taus,
+        [r.attacker_floor for r in rates],
+        [r.user_ceiling for r in rates],
+    )
+    # last level first, so the positions of the earlier ones stay put
+    for (at, w, rates, taus), exact in reversed(list(zip(levels, np.maximum(*losses).tolist()))):
         elb2 = rounds_loss_bound(spec.params, rates)
-        taus = [optimal_threshold(spec.params, rates, n).raw for n in spec.n_grid]
-        exact = exact_worst_case_losses(spec.params, rates, spec.n_grid, taus).tolist()
-        for n, tau, exact_worst in zip(spec.n_grid, taus, exact):
-            rows.append(
-                SweepRow(
-                    omega=w,
-                    n=n,
-                    tau=tau,
-                    threshold_strategy="finite-sample",
-                    rate_strategy="true-omega",
-                    exact_worst=exact_worst,
-                    elb1=threshold_loss_bound(spec.params, rates, n),
-                    elb2=elb2,
-                )
+        rows[at:at] = [
+            SweepRow(
+                omega=w,
+                n=n,
+                tau=tau,
+                threshold_strategy="finite-sample",
+                rate_strategy="true-omega",
+                exact_worst=exact_worst,
+                elb1=threshold_loss_bound(spec.params, rates, n),
+                elb2=elb2,
             )
+            for n, tau, exact_worst in zip(spec.n_grid, taus, exact)
+        ]
     return rows
 
 
@@ -430,25 +439,22 @@ def threshold_duel(spec: ExperimentSpec) -> list[SweepRow]:
     return rows
 
 
-def _format_field(value: float | int | str | None) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    return f"{value:.12g}"
-
-
 def emit_csv(rows: list[SweepRow], path: str | Path) -> None:
-    """Write rows under the fixed header, reals at 12 significant digits."""
+    """Write rows under the fixed header, reals at 12 significant digits.
+
+    One ``writerows`` call takes every row; only its reals are formatted
+    here, as ``csv`` writes None empty and integers and strings by str.
+    """
     path = Path(path)
+    columns = operator.attrgetter(*CSV_HEADER)
     try:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_HEADER)
-            for row in rows:
-                writer.writerow([_format_field(getattr(row, name)) for name in CSV_HEADER])
+            writer.writerows(
+                [f"{v:.12g}" if isinstance(v, float) else v for v in columns(row)]
+                for row in rows
+            )
     except OSError as exc:
         raise OSError(f"cannot write sweep CSV to {path}: {exc}") from exc
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import CODED_PHASE_TAG
-from .loss import ErrorRateBounds, GapCollapseError
+from .loss import ErrorRateBounds, GapCollapseError, _is_count
 
 
 @dataclass(frozen=True)
@@ -31,10 +31,11 @@ class TransparentCode:
     correction_radius: int
 
     def __post_init__(self) -> None:
-        if self.codeword_length < 1:
-            raise ValueError("codeword_length must be positive")
-        if not 0 <= self.correction_radius <= self.codeword_length:
-            raise ValueError("correction_radius out of range")
+        k, radius = self.codeword_length, self.correction_radius
+        if not _is_count(k):
+            raise ValueError(f"codeword_length must be an integer >= 1, got {k!r}")
+        if not (_is_count(radius, 0) and radius <= k):
+            raise ValueError(f"correction_radius not an integer in [0, {k}]: {radius!r}")
 
 
 def default_transparent_code(codeword_length: int) -> TransparentCode:
@@ -58,20 +59,16 @@ class NoiseEstimate:
     half_width: float = field(init=False)
 
     def __post_init__(self) -> None:
+        theta, k = self.observed_errors, self.codeword_length
+        if not _is_count(k):
+            raise ValueError(f"codeword_length must be an integer >= 1, got {k!r}")
+        if not (_is_count(theta, 0) and theta <= k):
+            raise ValueError(f"observed_errors not an integer in [0, {k}]: {theta!r}")
         if not 0 < self.confidence < 1:
             raise ValueError(f"confidence must lie in (0,1), got {self.confidence}")
-        if not 0 <= self.observed_errors <= self.codeword_length:
-            raise ValueError(
-                f"observed_errors {self.observed_errors} outside "
-                f"[0, {self.codeword_length}]"
-            )
+        object.__setattr__(self, "point_estimate", theta / k)
         object.__setattr__(
-            self, "point_estimate", self.observed_errors / self.codeword_length
-        )
-        object.__setattr__(
-            self,
-            "half_width",
-            math.sqrt(math.log(2.0 / self.confidence) / (2.0 * self.codeword_length)),
+            self, "half_width", math.sqrt(math.log(2.0 / self.confidence) / (2.0 * k))
         )
 
 

@@ -3,6 +3,7 @@
 import itertools
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -454,6 +455,86 @@ class TestRoundGridKernel:
             exact_worst_case_losses(BENCH, SWISS_01, [3], [math.nan])
         with pytest.raises(ValueError, match="nan"):
             exact_expected_losses(BENCH, [3, 4], [1.0, math.nan], 0.55, 0.2)
+
+
+@st.composite
+def _level_batches(draw):
+    """Unsorted round counts with repeats, 1-30 rate pairs, and thresholds per level."""
+    ns = draw(st.lists(st.integers(1, 600), min_size=1, max_size=70))
+    levels = draw(st.integers(1, 30))
+    rates = st.lists(_MU, min_size=levels, max_size=levels)
+    attacker, user = draw(rates), draw(rates)
+    # thresholds from a drawn seed: fractional, integer and infinite,
+    # inside and outside [0, n + 1]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    taus = rng.uniform(-3.0, np.array(ns) + 4.0, size=(levels, len(ns)))
+    kind = rng.integers(0, 4, size=taus.shape)
+    taus = np.where(kind == 1, np.round(taus), taus)
+    taus = np.where(kind == 2, np.copysign(math.inf, taus - 1.0), taus)
+    return ns, taus.tolist(), attacker, user
+
+
+class TestLevelBatch:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(batch=_level_batches())
+    @example(batch=([600] * 30 + [5, 1, 5], [[2.5] * 33, [math.inf] * 33], [0.0, 1.0], [1.0, 0.0]))
+    def test_equals_one_call_per_level_bitwise(self, batch):
+        ns, taus, attacker, user = batch
+        att, use = exact_expected_losses(BENCH, ns, taus, attacker, user)
+        assert att.shape == use.shape == (len(attacker), len(ns))
+        for j, (a, u) in enumerate(zip(attacker, user)):
+            want_att, want_use = exact_expected_losses(BENCH, ns, taus[j], a, u)
+            assert att[j].tobytes() == want_att.tobytes()
+            assert use[j].tobytes() == want_use.tobytes()
+
+    def test_builds_each_block_once_for_all_levels(self, monkeypatch):
+        built = []
+
+        class CountingBlock(_PmfBlock):
+            def __init__(self, rounds):
+                built.append(len(rounds))
+                super().__init__(rounds)
+
+        monkeypatch.setattr("threshauth.exact._PmfBlock", CountingBlock)
+        ns = list(range(1, 257))
+        taus = [[n / 2 for n in ns]] * 24
+        exact_expected_losses(BENCH, ns, taus, [0.55] * 24, [0.2] * 24)
+        # _BLOCK_ENTRIES // (256 + 2) = 63 round counts a block
+        assert built == [63, 63, 63, 63, 4]
+
+    def test_transient_memory_does_not_scale_with_levels(self):
+        # the levels share each block's arrays one at a time rather than
+        # stacking a (levels, rows, columns) array
+        ns = list(range(1, 257))
+        rates = [swiss_hitomi_rates(w) for w in np.geomspace(1e-3, 0.3, 24)]
+        taus = [[n * 0.4 for n in ns]] * len(rates)
+        att = [r.attacker_floor for r in rates]
+        use = [r.user_ceiling for r in rates]
+
+        def peak(call):
+            call()  # one-time allocations stay out of the peak
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(lambda: exact_expected_losses(BENCH, ns, taus[0], att[0], use[0]))
+        every = peak(lambda: exact_expected_losses(BENCH, ns, taus, att, use))
+        assert every <= 1.5 * one
+
+    def test_rejects_mismatched_levels(self):
+        with pytest.raises(ValueError):
+            exact_expected_losses(BENCH, [3, 4], [[1.0, 2.0]], [0.55, 0.6], [0.2, 0.1])
+        with pytest.raises(ValueError):
+            exact_expected_losses(BENCH, [3, 4], [[1.0, 2.0]], [0.55], [0.2, 0.1])
+        with pytest.raises(ValueError):
+            exact_expected_losses(BENCH, [3, 4], [1.0, 2.0], [0.55], [0.2])
+        with pytest.raises(ValueError):
+            exact_expected_losses(BENCH, [3], [[1.0]], [[0.55]], [[0.2]])
+        with pytest.raises(ValueError, match="user_rate"):
+            exact_expected_losses(BENCH, [3], [[1.0], [1.0]], [0.55, 0.6], [0.2, math.nan])
 
 
 def _reference_brute_force(params, rates, n_max):

@@ -1,11 +1,16 @@
 """Tests for the sweep drivers and their CSV round trip."""
 
+import csv
 import dataclasses
+import io
 import math
+import string
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from threshauth.asymptotic import asymptotic_threshold
 from threshauth.bounds import optimal_rounds, optimal_threshold
@@ -484,7 +489,56 @@ class TestThresholdDuel:
         assert threshold_duel(spec) == threshold_duel(spec)
 
 
+def _reference_field(value):
+    """Each cell formatted on its own, as the CSV schema defines it."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    return f"{value:.12g}"
+
+
+_REAL = st.one_of(
+    st.sampled_from([-0.0, 0.0, 1e-300, -1e-300, 1e12, 123456789012.5, math.inf, -math.inf]),
+    st.floats(),
+    st.integers(-10**6, 10**6),
+)
+# printable ASCII with the CSV specials: comma, quote, newline, carriage return
+_LABEL = st.text(alphabet=string.printable, max_size=12)
+
+
+@st.composite
+def _rows(draw):
+    # round counts stay below 1e12, where both spellings of an integer agree
+    n = draw(st.one_of(st.none(), st.integers(0, 10**11), st.integers(0, 10**11).map(np.int64)))
+    reals = ("tau", "exact_worst", "elb1", "elb2", "mc_worst", "mc_stderr")
+    return SweepRow(
+        omega=draw(_REAL),
+        n=n,
+        threshold_strategy=draw(_LABEL),
+        rate_strategy=draw(_LABEL),
+        aborted=draw(_LABEL),
+        **{name: draw(st.none() | _REAL) for name in reals},
+    )
+
+
 class TestCsvRoundTrip:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(rows=st.lists(_rows(), max_size=5))
+    @example(rows=[_blank_row(rate_strategy="guess:0.1\n", tau=-0.0, threshold_strategy='a,"b')])
+    def test_bytes_equal_the_per_field_formatter(self, rows, tmp_path_factory):
+        out = tmp_path_factory.getbasetemp() / "emit-vs-reference.csv"
+        emit_csv(rows, out)
+        want = io.StringIO(newline="")
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        for row in rows:
+            writer.writerow([_reference_field(getattr(row, name)) for name in CSV_HEADER])
+        with open(out, newline="") as fh:
+            assert fh.read() == want.getvalue()
+
     def test_numpy_round_counts_write_the_same_csv(self, tmp_path):
         grid = (1, 2, 5, 64, 256)
         for sweep, factory in ((figure1a_sweep, ExperimentSpec),

@@ -68,6 +68,11 @@ GOLDEN = {
         ["duel", "--trials", "300", "--omega", "0.1"],
         "54d5d99d5cb7406fbf88da35b6b85754356c99122d76cd44463d9967bd7749fe",
     ),
+    # the 24-point default grid passed explicitly, spelled repr(float(w))
+    "fig1a-default-grid": (
+        ["fig1a", *(a for w in np.geomspace(1e-3, 0.3, 24) for a in ("--omega", repr(float(w))))],
+        "ce1e5ef0a893f53c450c66383d78e4b77498e84dbde44adba5b8e7381c530aec",
+    ),
 }
 
 

@@ -38,6 +38,19 @@ class TestTransparentCode:
         with pytest.raises(ValueError):
             TransparentCode(8, -1)
 
+    @pytest.mark.parametrize(
+        "length, radius", [(2.5, 0), (8.0, 2), (True, 0), (8, 2.0), (8, True)]
+    )
+    def test_rejects_non_integer_counts(self, length, radius):
+        # a float length would pass construction and fail later in the coded phase
+        with pytest.raises(ValueError):
+            TransparentCode(length, radius)
+
+    def test_accepts_numpy_integers(self):
+        code = TransparentCode(np.int64(8), np.int64(2))
+        theta, _ = simulate_coded_phase(0.5, code, coded_phase_stream(1, 0))
+        assert 0 <= theta <= 8
+
 
 class TestNoiseEstimate:
     def test_frozen_example(self):
@@ -54,6 +67,19 @@ class TestNoiseEstimate:
             NoiseEstimate(10, 1024, 0.0)
         with pytest.raises(ValueError):
             NoiseEstimate(10, 1024, 1.0)
+
+    @pytest.mark.parametrize(
+        "errors, length",
+        [(0, 0), (0, -4), (1, 2.5), (1, 4.0), (True, 4), (1.0, 4), (0, True), (math.nan, 4)],
+    )
+    def test_rejects_non_integer_counts(self, errors, length):
+        # (0, 0) used to divide by zero; the others were accepted
+        with pytest.raises(ValueError):
+            NoiseEstimate(errors, length, 0.01)
+
+    def test_accepts_numpy_integers(self):
+        est = NoiseEstimate(np.int64(102), np.int64(1024), 0.01)
+        assert est == NoiseEstimate(102, 1024, 0.01)
 
     def test_half_width_shrinks_with_block_length(self):
         widths = [NoiseEstimate(0, k, 0.01).half_width for k in (256, 1024, 4096)]
