@@ -129,8 +129,10 @@ def optimal_rounds(params: LossParameters, rates: ErrorRateBounds) -> RoundsChoi
     """Closed-form round count for the equalized loss bound.
 
     The real value (sqrt(1 + 2 C K) - 1) / C, with C = gap^2 and
-    K = sqrt(false_accept * false_reject) / per_round, is not the
-    minimizer of threshold_loss_bound. It is the balance point where
+    K = sqrt(false_accept * false_reject) / per_round, is computed as
+    the equal 2 K / (sqrt(1 + 2 C K) + 1), which tends to K as the gap
+    closes where the first form cancels to 0. It is not the minimizer
+    of threshold_loss_bound. It is the balance point where
 
         n * per_round = sqrt(false_accept * false_reject) / (1 + n C / 2),
 
@@ -146,7 +148,7 @@ def optimal_rounds(params: LossParameters, rates: ErrorRateBounds) -> RoundsChoi
         raise ValueError("per_round must be positive to optimize the round count")
     c = rates.gap * rates.gap
     k = math.sqrt(params.false_accept * params.false_reject) / params.per_round
-    real = (math.sqrt(1.0 + 2.0 * c * k) - 1.0) / c
+    real = 2.0 * k / (math.sqrt(1.0 + 2.0 * c * k) + 1.0)
     lo = max(1, math.floor(real))
     hi = max(1, math.ceil(real))
     if threshold_loss_bound(params, rates, lo) <= threshold_loss_bound(params, rates, hi):

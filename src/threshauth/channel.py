@@ -4,11 +4,12 @@ Maps channel noise to the per-round error-rate bounds of the analyzed
 challenge-response protocols, and runs deterministic Monte Carlo trials
 of the rapid bit-exchange phase for both prover identities. The trials
 come back as a histogram of their error counts, drawn as one multinomial
-sample over the binomial pmf from a per-identity random stream, and one
-histogram can be scored under any number of threshold rules. The pmf is
-taken from a cdf table built here from log-factorials, not from
-``exact``, so the Monte Carlo stays an independent check of the exact
-oracle.
+sample over the binomial pmf, and one histogram can be scored under any
+number of threshold rules. The pmf is taken from a cdf table built here
+from log-factorials, not from ``exact``, so the Monte Carlo stays an
+independent check of the exact oracle. Every random stream, of an
+identity's trials here or of a coded phase in ``noise``, is ``_stream``
+over the master seed and the stream's tags.
 """
 
 from __future__ import annotations
@@ -65,22 +66,10 @@ def swiss_hitomi_rates(flip_probability: float) -> ErrorRateBounds:
     )
 
 
-def _seed_entropy(master_seed: int | Sequence[int]) -> tuple[int, ...]:
-    if isinstance(master_seed, (int, np.integer)):
-        return (int(master_seed),)
-    return tuple(int(s) for s in master_seed)
-
-
-def _identity_stream(
-    master_seed: int | Sequence[int], identity: ProverIdentity
-) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.PCG64(
-            np.random.SeedSequence(
-                _seed_entropy(master_seed) + (_STREAM_TAG[identity],)
-            )
-        )
-    )
+def _stream(*entropy: int | Sequence[int]) -> np.random.Generator:
+    """PCG64 over a ``SeedSequence`` of the entropy, int or sequence parts flattened in order."""
+    flat = [s for e in entropy for s in ((e,) if isinstance(e, (int, np.integer)) else e)]
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(tuple(map(int, flat)))))
 
 
 def _cdf_table(rounds: int, p: float) -> np.ndarray:
@@ -145,7 +134,7 @@ def simulate_error_counts(
     # the table is clipped to 1, so the masses before the last sum to at
     # most 1, as the multinomial's check of its probabilities requires
     pmf = np.diff(_cdf_table(rounds, per_round_error), prepend=0.0)
-    return _identity_stream(master_seed, identity).multinomial(trials, pmf)
+    return _stream(master_seed, _STREAM_TAG[identity]).multinomial(trials, pmf)
 
 
 def score_counts(

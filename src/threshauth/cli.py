@@ -11,16 +11,16 @@ from .channel import swiss_hitomi_rates
 from .exact import brute_force_optimal
 from .experiments import (
     _THRESHOLD_RULES,
+    DEFAULT_LOSSES,
     DEFAULT_SEED,
     ExperimentSpec,
-    LossParameters,
     emit_csv,
     figure1a_sweep,
     figure1b_sweep,
     figure3_comparison,
     threshold_duel,
 )
-from .loss import GapCollapseError
+from .loss import GapCollapseError, LossParameters
 from .noise import (
     NoiseEstimate,
     coded_phase_stream,
@@ -31,9 +31,10 @@ from .noise import (
 
 
 def _add_loss_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--la", type=float, default=10.0, help="false-accept loss (default 10)")
-    p.add_argument("--lu", type=float, default=1.0, help="false-reject loss (default 1)")
-    p.add_argument("--lb", type=float, default=1e-2, help="per-round loss (default 0.01)")
+    la, lu, lb = DEFAULT_LOSSES.false_accept, DEFAULT_LOSSES.false_reject, DEFAULT_LOSSES.per_round
+    p.add_argument("--la", type=float, default=la, help=f"false-accept loss (default {la:g})")
+    p.add_argument("--lu", type=float, default=lu, help=f"false-reject loss (default {lu:g})")
+    p.add_argument("--lb", type=float, default=lb, help=f"per-round loss (default {lb:g})")
 
 
 def _losses(args: argparse.Namespace) -> LossParameters:
@@ -127,7 +128,8 @@ def _configure_bounds(p: argparse.ArgumentParser) -> None:
 def _configure_exact(p: argparse.ArgumentParser) -> None:
     _add_loss_flags(p)
     p.add_argument("--omega", type=float, required=True, help="channel flip probability")
-    p.add_argument("--n", type=int, default=512, help="search rounds up to n (default 512)")
+    n_max = ExperimentSpec.n_max
+    p.add_argument("--n", type=int, default=n_max, help=f"search rounds up to n (default {n_max})")
     p.set_defaults(func=_cmd_exact)
 
 
@@ -144,7 +146,8 @@ def _configure_sweep(kind: str, p: argparse.ArgumentParser) -> None:
     if kind in ("fig3", "duel"):
         p.add_argument("--trials", type=int, default=None, help="Monte Carlo trials per identity")
     if kind == "fig3":
-        p.add_argument("--k", type=int, default=None, help="codeword length (default 1024)")
+        k = ExperimentSpec.codeword_length
+        p.add_argument("--k", type=int, default=None, help=f"codeword length (default {k})")
         p.add_argument(
             "--strategy", type=str, default="all",
             choices=["all", *_THRESHOLD_RULES],
@@ -155,7 +158,8 @@ def _configure_sweep(kind: str, p: argparse.ArgumentParser) -> None:
 
 def _configure_estimate_noise(p: argparse.ArgumentParser) -> None:
     p.add_argument("--omega", type=float, required=True, help="channel flip probability")
-    p.add_argument("--k", type=int, default=1024, help="codeword length (default 1024)")
+    k = ExperimentSpec.codeword_length
+    p.add_argument("--k", type=int, default=k, help=f"codeword length (default {k})")
     p.add_argument("--delta", type=float, default=0.01, help="confidence parameter (default 0.01)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed")
     p.set_defaults(func=_cmd_estimate_noise)

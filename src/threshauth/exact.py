@@ -126,27 +126,6 @@ def _pmf_blocks(rounds: np.ndarray) -> Iterator[tuple[slice, _PmfBlock]]:
         yield block, _PmfBlock(rounds[block])
 
 
-def _tail_blocks(
-    rounds: np.ndarray, attacker_rate: float, user_rate: float
-) -> Iterator[tuple[slice, _PmfBlock, np.ndarray, np.ndarray]]:
-    """Both identities' tails of every round count, in order, one block at a time.
-
-    Yields each block of ``_pmf_blocks`` with the ``_tail`` of its pmf
-    rows at each rate: Pr(count < t) at ``attacker_rate`` and
-    Pr(count >= t) at ``user_rate``. Row i holds the tails of
-    ``rounds[block][i]`` at t = 0..n+1 bitwise as a one-row call gives
-    them, then padding. Both tails share the block's rate-free terms,
-    which are built once.
-    """
-    for block, terms in _pmf_blocks(rounds):
-        yield (
-            block,
-            terms,
-            _tail(terms.pmf(attacker_rate), upper=False),
-            _tail(terms.pmf(user_rate), upper=True),
-        )
-
-
 def binomial_cdf(spec: BinomialSpec, count: int) -> float:
     """Pr(X <= count), summed up from X = 0: 0 for count < 0, 1 for count >= n."""
     if count < 0:
@@ -255,13 +234,12 @@ def brute_force_optimal(
         raise ValueError(f"n_max must be an integer >= 1, got {n_max!r}")
     best = BruteForceResult(1, 0, math.inf)
     la, lu, lb = params.false_accept, params.false_reject, params.per_round
+    mu_att, mu_use = rates.attacker_floor, rates.user_ceiling
     ns = np.arange(1, n_max + 1)
-    for block, terms, acc_att, rej_use in _tail_blocks(
-        ns, rates.attacker_floor, rates.user_ceiling
-    ):
+    for block, terms in _pmf_blocks(ns):
         # Pr(attacker accepted) and Pr(user rejected) at thresholds t = 0..max n
-        worst = acc_att[:, :-1] * la
-        np.maximum(worst, rej_use[:, :-1] * lu, out=worst)
+        worst = _tail(terms.pmf(mu_att), upper=False)[:, :-1] * la
+        np.maximum(worst, _tail(terms.pmf(mu_use), upper=True)[:, :-1] * lu, out=worst)
         worst += ns[block, None] * lb
         np.copyto(worst, np.inf, where=terms.pad)  # padding, not a threshold of row n
         ts = np.argmin(worst, axis=1)  # argmin returns the first, smallest-t, minimum

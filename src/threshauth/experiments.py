@@ -469,15 +469,24 @@ def _parse_field(f: Field, cell: str) -> float | int | str | None:
 
 
 def parse_csv(path: str | Path) -> list[SweepRow]:
-    """Read rows previously written by emit_csv."""
+    """Read rows previously written by emit_csv.
+
+    A malformed file raises ValueError naming its path and line: empty,
+    another header, a record of another width or a cell that does not parse.
+    """
     path = Path(path)
+    columns = fields(SweepRow)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
         if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header in {path}: {header}")
-        columns = fields(SweepRow)
-        return [
-            SweepRow(**{f.name: _parse_field(f, cell) for f, cell in zip(columns, rec)})
-            for rec in reader
-        ]
+            raise ValueError(f"{path}, line 1: unexpected CSV header {header}")
+        rows = []
+        for rec in reader:
+            try:
+                if len(rec) != len(columns):
+                    raise ValueError(f"{len(rec)} cells, want {len(columns)}")
+                rows.append(SweepRow(**{f.name: _parse_field(f, c) for f, c in zip(columns, rec)}))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from exc
+        return rows

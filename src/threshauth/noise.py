@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import CODED_PHASE_TAG
+from .channel import CODED_PHASE_TAG, _stream
 from .loss import ErrorRateBounds, GapCollapseError, _is_count
 
 
@@ -100,9 +100,7 @@ def coded_phase_stream(master_seed: int, index: int) -> np.random.Generator:
     Tagged apart from the Monte Carlo identity streams of ``channel``,
     so a coded phase never shares draws with the trials it informs.
     """
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence((master_seed, CODED_PHASE_TAG, index)))
-    )
+    return _stream(master_seed, CODED_PHASE_TAG, index)
 
 
 def simulate_coded_phase(

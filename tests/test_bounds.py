@@ -5,6 +5,7 @@ precision script before being pinned here.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import example, given, settings
@@ -226,6 +227,27 @@ class TestOptimalRounds:
             )
             assert choice.real * params.per_round == pytest.approx(relaxed, rel=1e-12)
             assert 2.0 * choice.real * params.per_round <= cap
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        user=st.floats(0.0, 0.9),
+        gap=_log_uniform(1e-12, 0.1),
+        la=_log_uniform(0.1, 1000.0),
+        lu=_log_uniform(0.1, 1000.0),
+        lb=_log_uniform(1e-6, 1.0),
+    )
+    @example(user=2 * 0.333333333, gap=5e-10, la=10.0, lu=1.0, lb=1e-2)
+    def test_real_value_keeps_full_precision_as_the_gap_closes(self, user, gap, la, lu, lb):
+        # (sqrt(1 + 2 C K) - 1) / C at 80 digits from the same float inputs
+        params = LossParameters(la, lu, lb)
+        rates = ErrorRateBounds(attacker_floor=user + gap, user_ceiling=user)
+        with localcontext() as ctx:
+            ctx.prec = 80
+            c = Decimal(rates.gap) ** 2
+            k = (Decimal(la) * Decimal(lu)).sqrt() / Decimal(lb)
+            want = ((1 + 2 * c * k).sqrt() - 1) / c
+        real = optimal_rounds(params, rates).real
+        assert abs(Decimal(real) - want) <= Decimal(1e-12) * want
 
     def test_huge_round_cost_forces_single_round(self):
         params = LossParameters(1.0, 1.0, 1e6)

@@ -4,8 +4,8 @@ import warnings
 
 import pytest
 
-from threshauth.cli import build_parser, main
-from threshauth.experiments import parse_csv
+from threshauth.cli import _losses, _sweep_overrides, build_parser, main
+from threshauth.experiments import DEFAULT_LOSSES, ExperimentSpec, parse_csv
 
 
 class TestCalculatorCommands:
@@ -17,6 +17,13 @@ class TestCalculatorCommands:
         assert "22.35529636" in out
         assert "0.7027430507" in out
         assert "1.437066777" in out
+
+    def test_bounds_keeps_the_balance_point_as_the_gap_closes(self, capsys):
+        # gap 5e-10: the balance point tends to sqrt(la * lu) / lb
+        rc = main(["bounds", "--omega", "0.333333333"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "n_hat             316 (real 316.227766)" in out
 
     def test_bounds_respects_loss_flags(self, capsys):
         rc = main(["bounds", "--omega", "0.1", "--n", "64", "--la", "1", "--lu", "1"])
@@ -96,6 +103,28 @@ class TestParser:
         one = vars(build_parser(command).parse_args(argv))
         assert callable(full.pop("func")) and callable(one.pop("func"))
         assert one == full
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_no_flags_give_the_library_defaults(self, command):
+        required = ["--omega", "0.1"] if command in ("bounds", "exact", "estimate-noise") else []
+        args = build_parser(command).parse_args([command, *required])
+        spec = ExperimentSpec()
+        assert getattr(args, "seed", spec.master_seed) == spec.master_seed
+        if command != "estimate-noise":
+            assert _losses(args) == DEFAULT_LOSSES
+        if command == "exact":
+            assert args.n == spec.n_max
+        if command == "estimate-noise":
+            assert args.k == spec.codeword_length
+        if command in ("fig1a", "fig1b", "fig3", "duel"):
+            assert set(_sweep_overrides(args)) == {"params", "master_seed"}
+
+    @pytest.mark.parametrize("command", ("fig3", "estimate-noise"))
+    def test_codeword_length_help_names_the_library_default(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"codeword length (default {ExperimentSpec().codeword_length})" in help_text
 
     def test_help_lists_every_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

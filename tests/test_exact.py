@@ -18,8 +18,8 @@ from threshauth.exact import (
     BinomialSpec,
     BruteForceResult,
     _PmfBlock,
+    _pmf_blocks,
     _tail,
-    _tail_blocks,
     binomial_cdf,
     binomial_pmf,
     binomial_sf,
@@ -380,11 +380,13 @@ class TestRoundGridKernel:
                 assert row[: n + 1].tobytes() == binomial_pmf(n, mu).tobytes()
                 assert row[n + 1 :].tobytes() == bytes(8 * (max(grid) - n))  # +0.0 only
         seen = 0
-        for block, terms, acc_att, rej_use in _tail_blocks(ns, attacker_rate, user_rate):
+        for block, terms in _pmf_blocks(ns):
             assert block.start == seen and block.stop > seen
             block_ns = grid[block]
             seen += len(block_ns)
             assert terms.rounds.tolist() == block_ns
+            acc_att = _tail(terms.pmf(attacker_rate), upper=False)
+            rej_use = _tail(terms.pmf(user_rate), upper=True)
             for tails in (acc_att, rej_use):
                 assert tails.shape == (len(block_ns), max(block_ns) + 2)
                 assert tails.size <= _BLOCK_ENTRIES

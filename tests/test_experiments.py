@@ -576,3 +576,31 @@ class TestCsvRoundTrip:
         target = tmp_path / "missing-dir" / "out.csv"
         with pytest.raises(OSError, match="out.csv"):
             emit_csv([], target)
+
+    def test_rejects_an_empty_file_naming_the_path(self, tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        with pytest.raises(ValueError, match=r"empty\.csv, line 1: unexpected CSV header"):
+            parse_csv(empty)
+
+    @pytest.mark.parametrize("cells", [1, -1])
+    def test_rejects_a_record_of_the_wrong_width_naming_its_line(self, cells, tmp_path):
+        # an extra cell, or one missing, on the second of two records
+        good = tmp_path / "good.csv"
+        emit_csv([_blank_row(), _blank_row(n=9)], good)
+        lines = good.read_text().splitlines()
+        lines[2] = lines[2] + ",extra" if cells > 0 else lines[2].rsplit(",", 1)[0]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        width = len(CSV_HEADER) + cells
+        with pytest.raises(ValueError, match=rf"bad\.csv, line 3: {width} cells, want "):
+            parse_csv(bad)
+
+    def test_rejects_an_unparsable_cell_naming_its_line(self, tmp_path):
+        good = tmp_path / "good.csv"
+        emit_csv([_blank_row()], good)
+        header, record = good.read_text().splitlines()
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"{header}\n{record.replace(',8,', ',eight,', 1)}\n")
+        with pytest.raises(ValueError, match=r"bad\.csv, line 2: invalid literal"):
+            parse_csv(bad)
