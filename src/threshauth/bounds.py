@@ -11,7 +11,10 @@ on the bound it achieves.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from .loss import ErrorRateBounds, LossParameters, _is_count
 
@@ -99,9 +102,8 @@ def optimal_threshold(
     if not _is_count(rounds):
         raise ValueError(f"rounds must be an integer >= 1, got {rounds!r}")
     n = float(rounds)
-    pa, pu = rates.attacker_floor, rates.user_ceiling
-    raw = n * (pa + pu) / 2.0 - math.log(params.ratio) / (4.0 * rates.gap)
-    value = min(max(raw, n * pu), n * pa)
+    raw = _raw_threshold(params, rates, n)
+    value = min(max(raw, n * rates.user_ceiling), n * rates.attacker_floor)
     return ThresholdChoice(value=value, clamped=(value != raw), raw=raw)
 
 
@@ -119,10 +121,46 @@ def threshold_loss_bound(
     """
     if not _is_count(rounds):
         raise ValueError(f"rounds must be an integer >= 1, got {rounds!r}")
+    return _equalized_bound(params, rates, rounds, math.exp)
+
+
+# The two closed forms in n, written once for a scalar n and for a float
+# array of round counts: numpy applies the same IEEE operations in the
+# same order, so an array entry equals the scalar value bit for bit.
+def _raw_threshold(params: LossParameters, rates: ErrorRateBounds, n):
+    pa, pu = rates.attacker_floor, rates.user_ceiling
+    return n * (pa + pu) / 2.0 - math.log(params.ratio) / (4.0 * rates.gap)
+
+
+def _equalized_bound(params: LossParameters, rates: ErrorRateBounds, n, exp):
     gap = rates.gap
-    return rounds * params.per_round + math.exp(
-        -rounds * gap * gap / 2.0
-    ) * math.sqrt(params.false_accept * params.false_reject)
+    return n * params.per_round + exp(-n * gap * gap / 2.0) * math.sqrt(
+        params.false_accept * params.false_reject
+    )
+
+
+def _exp_each(x: np.ndarray) -> np.ndarray:
+    # math.exp per entry: np.exp can differ from it in the last bit
+    return np.fromiter(map(math.exp, x.tolist()), np.float64, x.size)
+
+
+def threshold_curve(
+    params: LossParameters,
+    rates: ErrorRateBounds,
+    rounds: Sequence[int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Raw equalizing thresholds and their loss bounds over a round grid.
+
+    Entry i of the two arrays is ``optimal_threshold(params, rates,
+    rounds[i]).raw`` and ``threshold_loss_bound(params, rates,
+    rounds[i])``, bit for bit, for round counts in any order and with
+    repeats; each formula is evaluated once over the whole grid.
+    """
+    if not all(map(_is_count, rounds)):
+        bad = next(n for n in rounds if not _is_count(n))
+        raise ValueError(f"rounds must be integers >= 1, got {bad!r}")
+    n = np.array(rounds, dtype=np.float64)
+    return _raw_threshold(params, rates, n), _equalized_bound(params, rates, n, _exp_each)
 
 
 def optimal_rounds(params: LossParameters, rates: ErrorRateBounds) -> RoundsChoice:

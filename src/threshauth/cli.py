@@ -69,8 +69,10 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate_noise(args: argparse.Namespace) -> int:
+    # the stream first: it checks the seed before any other work
+    rng = coded_phase_stream(args.seed, 0)
     code = default_transparent_code(args.k)
-    theta, hopeless = simulate_coded_phase(args.omega, code, coded_phase_stream(args.seed, 0))
+    theta, hopeless = simulate_coded_phase(args.omega, code, rng)
     est = NoiseEstimate(theta, args.k, args.delta)
     print(f"observed_errors   {theta}")
     print(f"decode_hopeless   {hopeless}")

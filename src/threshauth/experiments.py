@@ -11,13 +11,21 @@ from __future__ import annotations
 
 import csv
 import operator
+from collections import deque
 from dataclasses import Field, dataclass, fields
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .asymptotic import asymptotic_threshold
-from .bounds import optimal_rounds, optimal_threshold, rounds_loss_bound, threshold_loss_bound
+from .bounds import (
+    optimal_rounds,
+    optimal_threshold,
+    rounds_loss_bound,
+    threshold_curve,
+    threshold_loss_bound,
+)
 from .channel import (
     attacker_per_round_error,
     score_counts,
@@ -45,6 +53,17 @@ from .noise import (
 DEFAULT_LOSSES = LossParameters(false_accept=10.0, false_reject=1.0, per_round=1e-2)
 DEFAULT_SEED = 1729
 
+_REALS = ("omega", "tau", "exact_worst", "elb1", "elb2", "mc_worst", "mc_stderr")
+
+
+def _canonical(values: list) -> list[float]:
+    """The values as reals at the 12-significant-digit resolution of the CSV.
+
+    Rows hold their reals so, which makes emit/parse an exact round trip.
+    The whole list is formatted in one ``%`` pass and parsed back.
+    """
+    return list(map(float, ("%.12g " * len(values) % tuple(values)).split()))
+
 
 @dataclass(frozen=True, slots=True, kw_only=True)
 class SweepRow:
@@ -67,15 +86,29 @@ class SweepRow:
     aborted: str = ""
 
     def __post_init__(self) -> None:
-        # rows store reals at the 12-significant-digit resolution of the
-        # CSV schema, making emit/parse an exact round trip
-        for name in ("omega", "tau", "exact_worst", "elb1", "elb2", "mc_worst", "mc_stderr"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, float(f"{value:.12g}"))
+        names = [name for name in _REALS if getattr(self, name) is not None]
+        for name, value in zip(names, _canonical([getattr(self, name) for name in names])):
+            object.__setattr__(self, name, value)
 
 
 CSV_HEADER = tuple(f.name for f in fields(SweepRow))
+
+
+def _column_rows(columns: dict[str, list], **shared) -> list[SweepRow]:
+    """Rows set column by column.
+
+    ``columns`` maps fields to equal-length lists, ``shared`` gives the
+    fields every row holds, and any other field takes its default, so
+    every field without a default must be in one of the two. The frozen
+    slots are set directly, as the dataclass ``__init__`` sets them, so
+    ``__post_init__`` does not run: every real given must already be
+    canonical (``_canonical``).
+    """
+    rows = list(map(object.__new__, repeat(SweepRow, len(next(iter(columns.values()))))))
+    for f in fields(SweepRow):
+        column = columns[f.name] if f.name in columns else repeat(shared.get(f.name, f.default))
+        deque(map(getattr(SweepRow, f.name).__set__, rows, column), maxlen=0)
+    return rows
 
 
 # Rate strategies by label kind: whether the kind reads the coded-phase
@@ -149,6 +182,8 @@ class ExperimentSpec:
             value = getattr(self, name)
             if not _is_count(value):
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if not _is_count(self.master_seed, least=0):
+            raise ValueError(f"master_seed must be an integer >= 0, got {self.master_seed!r}")
         for name in ("threshold_strategies", "rate_strategies"):
             labels = getattr(self, name)
             if not labels:
@@ -211,20 +246,24 @@ def figure1a_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     For each noise level and each round count, evaluates the loss bound
     at its minimizing round-independent form and the exact worst-case
     loss at the closed-form threshold (unclamped, so very small round
-    counts fall back to an always-reject rule). The exact losses of the
-    whole sweep, every noise level at every round count, come from one
-    level-batched call, which gives the same numbers as one call per
-    level or per round count.
+    counts fall back to an always-reject rule). Each level's thresholds
+    and round-dependent bounds come from one ``threshold_curve`` call
+    over the round grid. The exact losses of the whole sweep, every
+    noise level at every round count, come from one level-batched call,
+    which gives the same numbers as one call per level or per round
+    count. A level's rows are then built column by column: its varying
+    reals canonicalised in one pass, its noise level and round-count cap
+    once, and no row canonicalised again, so the rows equal those of
+    the public constructor.
     """
-    rows, levels = [], []  # levels: (position in rows, noise level, rates, thresholds)
+    rows, levels = [], []  # levels: (position in rows, noise level, rates, thresholds, elb1)
     for w in sorted(spec.noise_grid):
         rates = _true_rates(w, ("finite-sample",), rows)
         if rates is not None:
-            taus = [optimal_threshold(spec.params, rates, n).raw for n in spec.n_grid]
-            levels.append((len(rows), w, rates, taus))
+            levels.append((len(rows), w, rates, *threshold_curve(spec.params, rates, spec.n_grid)))
     if not levels:
         return rows
-    _, _, rates, taus = zip(*levels)
+    _, _, rates, taus, _ = zip(*levels)
     losses = exact_expected_losses(
         spec.params,
         spec.n_grid,
@@ -232,22 +271,18 @@ def figure1a_sweep(spec: ExperimentSpec) -> list[SweepRow]:
         [r.attacker_floor for r in rates],
         [r.user_ceiling for r in rates],
     )
+    k = len(spec.n_grid)
     # last level first, so the positions of the earlier ones stay put
-    for (at, w, rates, taus), exact in reversed(list(zip(levels, np.maximum(*losses).tolist()))):
-        elb2 = rounds_loss_bound(spec.params, rates)
-        rows[at:at] = [
-            SweepRow(
-                omega=w,
-                n=n,
-                tau=tau,
-                threshold_strategy="finite-sample",
-                rate_strategy="true-omega",
-                exact_worst=exact_worst,
-                elb1=threshold_loss_bound(spec.params, rates, n),
-                elb2=elb2,
-            )
-            for n, tau, exact_worst in zip(spec.n_grid, taus, exact)
-        ]
+    for (at, w, rates, taus, elb1), exact in reversed(list(zip(levels, np.maximum(*losses)))):
+        omega, elb2 = _canonical([w, rounds_loss_bound(spec.params, rates)])
+        reals = _canonical(np.concatenate((taus, exact, elb1)).tolist())
+        rows[at:at] = _column_rows(
+            dict(n=spec.n_grid, tau=reals[:k], exact_worst=reals[k:2 * k], elb1=reals[2 * k:]),
+            omega=omega,
+            threshold_strategy="finite-sample",
+            rate_strategy="true-omega",
+            elb2=elb2,
+        )
     return rows
 
 

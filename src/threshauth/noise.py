@@ -99,7 +99,10 @@ def coded_phase_stream(master_seed: int, index: int) -> np.random.Generator:
 
     Tagged apart from the Monte Carlo identity streams of ``channel``,
     so a coded phase never shares draws with the trials it informs.
+    The master seed must be an integer >= 0.
     """
+    if not _is_count(master_seed, least=0):
+        raise ValueError(f"master_seed must be an integer >= 0, got {master_seed!r}")
     return _stream(master_seed, CODED_PHASE_TAG, index)
 
 

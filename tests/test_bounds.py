@@ -17,6 +17,7 @@ from threshauth.bounds import (
     optimal_rounds,
     optimal_threshold,
     rounds_loss_bound,
+    threshold_curve,
     threshold_loss_bound,
 )
 from threshauth.channel import swiss_hitomi_rates
@@ -177,6 +178,34 @@ class TestThresholdLossBound:
     def test_rejects_nonpositive_rounds(self):
         with pytest.raises(ValueError):
             threshold_loss_bound(BENCH, SWISS_01, 0)
+
+
+class TestThresholdCurve:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        user=st.floats(0.0, 0.9),
+        gap=_log_uniform(1e-9, 0.1),
+        la=_log_uniform(0.1, 1000.0),
+        lu=_log_uniform(0.1, 1000.0),
+        lb=_log_uniform(1e-6, 1.0),
+        rounds=st.lists(st.integers(1, 10_000), min_size=1, max_size=40),
+    )
+    @example(user=0.2, gap=0.35, la=10.0, lu=1.0, lb=1e-2, rounds=[64, 1, 64, 10_000, 2, 1])
+    def test_equals_the_scalar_formulas_bitwise(self, user, gap, la, lu, lb, rounds):
+        params = LossParameters(la, lu, lb)
+        rates = ErrorRateBounds(attacker_floor=user + gap, user_ceiling=user)
+        taus, elb1 = threshold_curve(params, rates, rounds)
+        assert [t.hex() for t in taus.tolist()] == [
+            optimal_threshold(params, rates, n).raw.hex() for n in rounds
+        ]
+        assert [b.hex() for b in elb1.tolist()] == [
+            threshold_loss_bound(params, rates, n).hex() for n in rounds
+        ]
+
+    def test_rejects_a_round_count_below_one_or_not_an_integer(self):
+        for bad in (0, -3, 2.0, True):
+            with pytest.raises(ValueError, match="rounds"):
+                threshold_curve(BENCH, SWISS_01, [1, bad, 5])
 
 
 class TestOptimalRounds:

@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+import threshauth.cli as cli
 from threshauth.cli import _losses, _sweep_overrides, build_parser, main
 from threshauth.experiments import DEFAULT_LOSSES, ExperimentSpec, parse_csv
 
@@ -354,6 +355,26 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "n_max" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fig1a", "fig1b", "fig3", "duel", "estimate-noise"])
+    def test_negative_seed_is_rejected_before_any_work(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before the seed was checked")
+
+        for name in ("figure1a_sweep", "figure1b_sweep", "figure3_comparison", "threshold_duel",
+                     "default_transparent_code", "simulate_coded_phase"):
+            monkeypatch.setattr(cli, name, no_work)
+        out = tmp_path / "out.csv"
+        args = [command, "--omega", "0.1", "--seed", "-1"]
+        if command != "estimate-noise":
+            args += ["--out", str(out)]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: master_seed must be an integer >= 0, got -1\n"
         assert not out.exists()
 
     def test_unwritable_output_reports_error(self, tmp_path, capsys):

@@ -1,7 +1,6 @@
 """Tests for the sweep drivers and their CSV round trip."""
 
 import csv
-import dataclasses
 import io
 import math
 import string
@@ -12,8 +11,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import threshauth.experiments as experiments
 from threshauth.asymptotic import asymptotic_threshold
-from threshauth.bounds import optimal_rounds, optimal_threshold
+from threshauth.bounds import (
+    optimal_rounds,
+    optimal_threshold,
+    rounds_loss_bound,
+    threshold_loss_bound,
+)
 from threshauth.channel import score_counts, simulate_error_counts, swiss_hitomi_rates
 from threshauth.exact import exact_expected_losses
 from threshauth.experiments import (
@@ -21,6 +26,8 @@ from threshauth.experiments import (
     DEFAULT_LOSSES,
     ExperimentSpec,
     SweepRow,
+    _canonical,
+    _column_rows,
     default_noise_grid,
     emit_csv,
     figure1a_sweep,
@@ -169,6 +176,16 @@ class TestExperimentSpec:
                     with pytest.raises(ValueError, match=field):
                         factory(**{field: bad})
 
+    def test_rejects_a_master_seed_that_is_not_an_integer_at_least_zero(self):
+        # caught before any work: duel would run seed 2 for 2.5 and fig3
+        # would fail at its first coded phase
+        for bad in (2.5, -1, True, "7", None):
+            for factory in (ExperimentSpec, ExperimentSpec.figure3, ExperimentSpec.duel):
+                with pytest.raises(ValueError, match="master_seed"):
+                    factory(master_seed=bad)
+        for good in (0, np.int64(3), 2**70):
+            assert ExperimentSpec.duel(master_seed=good).master_seed == good
+
     def test_factory_overrides(self):
         spec = ExperimentSpec.figure3(master_seed=5, trials=123, noise_grid=(0.1,))
         assert spec.master_seed == 5
@@ -211,16 +228,48 @@ class TestFigure1a:
 
 
     def test_exact_losses_match_the_per_row_scalar_losses(self):
-        spec = ExperimentSpec(noise_grid=(0.0, 0.01, 0.1, 0.3))
-        rows = figure1a_sweep(spec)
-        assert len(rows) == 4 * 256
-        for r in rows:
-            rates = swiss_hitomi_rates(r.omega)
-            tau = optimal_threshold(spec.params, rates, r.n).raw
-            att, use = exact_expected_losses(
-                spec.params, [r.n], [tau], rates.attacker_floor, rates.user_ceiling
-            )
-            assert r == dataclasses.replace(r, exact_worst=max(att[0], use[0]))
+        # whole rows, built one at a time from the scalar formulas; collapsed
+        # levels between live ones, round counts unsorted and repeated
+        spec = ExperimentSpec(
+            noise_grid=(0.4, 0.1, 0.0, 1 / 3, 0.01, 0.3), n_grid=(256, *range(1, 257), 5, 1000)
+        )
+        want = []
+        for w in sorted(spec.noise_grid):
+            if w >= 1 / 3:
+                want.append(SweepRow(omega=w, threshold_strategy="finite-sample",
+                                     rate_strategy="true-omega", aborted="gap-collapse"))
+                continue
+            rates = swiss_hitomi_rates(w)
+            for n in spec.n_grid:
+                tau = optimal_threshold(spec.params, rates, n).raw
+                att, use = exact_expected_losses(
+                    spec.params, [n], [tau], rates.attacker_floor, rates.user_ceiling
+                )
+                want.append(SweepRow(
+                    omega=w, n=n, tau=tau, threshold_strategy="finite-sample",
+                    rate_strategy="true-omega", exact_worst=max(att[0], use[0]),
+                    elb1=threshold_loss_bound(spec.params, rates, n),
+                    elb2=rounds_loss_bound(spec.params, rates),
+                ))
+        assert repr(figure1a_sweep(spec)) == repr(want)
+
+    def test_default_grid_makes_no_scalar_bounds_call_per_round_count(self, monkeypatch):
+        calls = {"optimal_threshold": 0, "threshold_loss_bound": 0, "threshold_curve": 0}
+
+        def counted(name):
+            original = getattr(experiments, name)
+
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return spy
+
+        for name in calls:
+            monkeypatch.setattr(experiments, name, counted(name))
+        rows = figure1a_sweep(ExperimentSpec(noise_grid=default_noise_grid()))
+        assert len(rows) == 24 * 256
+        assert calls == {"optimal_threshold": 0, "threshold_loss_bound": 0, "threshold_curve": 24}
 
     def test_memory_stays_small_on_the_default_noise_grid(self):
         spec = ExperimentSpec(noise_grid=default_noise_grid())
@@ -604,3 +653,49 @@ class TestCsvRoundTrip:
         bad.write_text(f"{header}\n{record.replace(',8,', ',eight,', 1)}\n")
         with pytest.raises(ValueError, match=r"bad\.csv, line 2: invalid literal"):
             parse_csv(bad)
+
+
+_ANY_REAL = st.one_of(_REAL, st.just(math.nan), st.floats().map(np.float64))
+
+
+class TestColumnRows:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        shared=st.tuples(_ANY_REAL, _ANY_REAL),
+        varying=st.lists(
+            st.tuples(st.integers(1, 10**6), _ANY_REAL, _ANY_REAL, _ANY_REAL),
+            min_size=1,
+            max_size=8,
+        ),
+        labels=st.tuples(_LABEL, _LABEL),
+    )
+    @example(
+        shared=(np.float64(0.1), 7),
+        varying=[(1, -0.0, 1e-300, math.inf), (2, math.nan, -math.inf, 1e12)],
+        labels=("finite-sample", "true-omega"),
+    )
+    def test_equal_the_public_constructor_in_repr_and_csv(
+        self, shared, varying, labels, tmp_path_factory
+    ):
+        # fig1a's build: shared reals and each varying column canonicalised
+        # in one pass, then set without a second canonicalisation
+        omega, elb2 = _canonical(list(shared))
+        ns, taus, worsts, elb1s = (list(c) for c in zip(*varying))
+        k = len(ns)
+        reals = _canonical(taus + worsts + elb1s)
+        got = _column_rows(
+            dict(n=ns, tau=reals[:k], exact_worst=reals[k:2 * k], elb1=reals[2 * k:]),
+            omega=omega, threshold_strategy=labels[0], rate_strategy=labels[1], elb2=elb2,
+        )
+        want = [
+            SweepRow(
+                omega=shared[0], n=n, tau=tau, threshold_strategy=labels[0],
+                rate_strategy=labels[1], exact_worst=worst, elb1=elb1, elb2=shared[1],
+            )
+            for n, tau, worst, elb1 in varying
+        ]
+        assert repr(got) == repr(want)
+        out = tmp_path_factory.getbasetemp()
+        emit_csv(got, out / "columns.csv")
+        emit_csv(want, out / "constructor.csv")
+        assert (out / "columns.csv").read_bytes() == (out / "constructor.csv").read_bytes()

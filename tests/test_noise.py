@@ -190,3 +190,8 @@ class TestCodedPhaseStream:
 
     def test_tag_is_disjoint_from_identity_tags(self):
         assert CODED_PHASE_TAG not in _STREAM_TAG.values()
+
+    def test_rejects_a_master_seed_that_is_not_an_integer_at_least_zero(self):
+        for bad in (-1, 2.5, True, "7"):
+            with pytest.raises(ValueError, match="master_seed"):
+                coded_phase_stream(bad, 0)
