@@ -160,13 +160,15 @@ def exact_expected_losses(
 
     with the count Binomial(n, attacker_rate) or Binomial(n, user_rate).
     The rates are plain per-round error probabilities in [0, 1], in
-    either order. A threshold at or below 0 rejects every count and one
-    above the round count accepts every count, infinite ones included;
-    a sure decision costs exactly its loss. Rates given as two 1-D
-    arrays, one pair per level, with thresholds of shape (levels,
-    len(rounds)) give losses of that shape, row j bitwise the call at
-    level j. Each block of round counts is built once, its levels looped
-    over inside it, and its tails read at the rule's cut.
+    either order. Round counts are integers from 1 to the int64 maximum;
+    any other is rejected before any work. A threshold at or below 0
+    rejects every count and one above the round count accepts every
+    count, infinite ones included; a sure decision costs exactly its
+    loss. Rates given as two 1-D arrays, one pair per level, with
+    thresholds of shape (levels, len(rounds)) give losses of that shape,
+    row j bitwise the call at level j. Each block of round counts is
+    built once, its levels looped over inside it, and its tails read at
+    the rule's cut.
     """
     ns, taus = np.asarray(rounds), np.asarray(thresholds, dtype=np.float64)
     rates = np.asarray(attacker_rate, dtype=np.float64), np.asarray(user_rate, dtype=np.float64)
@@ -174,8 +176,10 @@ def exact_expected_losses(
         raise ValueError("rounds must be nonempty and the rates scalars or 1-D of one length")
     if taus.shape != rates[0].shape + ns.shape:
         raise ValueError("thresholds must hold one threshold per round count and level")
-    if not all(_is_count(n) for n in rounds):
-        raise ValueError("rounds must be integers >= 1")
+    # the kernel counts in int64, which a larger count would overflow
+    limit = np.iinfo(np.int64).max
+    if not all(_is_count(n) and n <= limit for n in rounds):
+        raise ValueError(f"rounds must be integers in [1, {limit}]")
     ns = ns.astype(np.int64)
     for name, rate in zip(("attacker_rate", "user_rate"), rates):
         if not np.all((rate >= 0.0) & (rate <= 1.0)):  # also false for nan

@@ -12,8 +12,9 @@ from __future__ import annotations
 import csv
 import operator
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import Field, dataclass, fields
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from .channel import (
     swiss_hitomi_rates,
     user_per_round_error,
 )
-from .exact import brute_force_optimal, exact_expected_losses, exact_worst_case_losses
+from .exact import brute_force_optimal, exact_expected_losses
 from .loss import (
     ErrorRateBounds,
     GapCollapseError,
@@ -94,19 +95,28 @@ class SweepRow:
 CSV_HEADER = tuple(f.name for f in fields(SweepRow))
 
 
-def _column_rows(columns: dict[str, list], **shared) -> list[SweepRow]:
-    """Rows set column by column.
+def _column_rows(columns: dict[str, Sequence], **shared) -> list[SweepRow]:
+    """Rows set column by column, equal to the public constructor's rows.
 
-    ``columns`` maps fields to equal-length lists, ``shared`` gives the
-    fields every row holds, and any other field takes its default, so
-    every field without a default must be in one of the two. The frozen
-    slots are set directly, as the dataclass ``__init__`` sets them, so
-    ``__post_init__`` does not run: every real given must already be
-    canonical (``_canonical``).
+    ``columns`` maps fields to equal-length sequences, ``shared`` gives
+    the fields every row holds, and any other field takes its default,
+    so every field without a default must be in one of the two. Every
+    real given, shared or in a column, is a number, and all of them are
+    canonicalised in one ``_canonical`` pass. The frozen slots are then
+    set directly, as the dataclass ``__init__`` sets them, so
+    ``__post_init__`` does not canonicalise them again.
     """
+    given = shared | columns
+    reals = [name for name in _REALS if name in given]
+    flat = [np.ravel(given[name]) for name in reals]
+    canonical = iter(_canonical(np.concatenate(flat).tolist()))
+    for name, values in zip(reals, flat):
+        values = list(islice(canonical, values.size))
+        given[name] = values if name in columns else values[0]
     rows = list(map(object.__new__, repeat(SweepRow, len(next(iter(columns.values()))))))
     for f in fields(SweepRow):
-        column = columns[f.name] if f.name in columns else repeat(shared.get(f.name, f.default))
+        value = given.get(f.name, f.default)
+        column = value if f.name in columns else repeat(value)
         deque(map(getattr(SweepRow, f.name).__set__, rows, column), maxlen=0)
     return rows
 
@@ -240,62 +250,65 @@ def _true_rates(
         return None
 
 
+def _closed_form_rows(
+    params: LossParameters, levels: list[tuple[float, ErrorRateBounds]], n_grid: Sequence[int]
+) -> list[SweepRow]:
+    """The closed-form design's rows, level by level, each over ``n_grid`` in its order.
+
+    ``levels`` holds (noise level, rate bounds) pairs. A row holds the
+    unclamped closed-form threshold (so very small round counts fall
+    back to an always-reject rule), its exact worst-case loss and both
+    bound values. A level costs one ``threshold_curve`` call and one
+    ``_column_rows`` call with its noise level and round-count cap
+    shared; one level-batched ``exact_expected_losses`` call scores all
+    levels, bitwise as one call per level or round count would.
+    """
+    if not levels:
+        return []
+    curves = [threshold_curve(params, rates, n_grid) for _, rates in levels]
+    losses = exact_expected_losses(
+        params, n_grid, [taus for taus, _ in curves],
+        [r.attacker_floor for _, r in levels], [r.user_ceiling for _, r in levels],
+    )
+    rows = []
+    for (w, rates), (taus, elb1), exact in zip(levels, curves, np.maximum(*losses)):
+        rows += _column_rows(
+            dict(n=n_grid, tau=taus, exact_worst=exact, elb1=elb1),
+            omega=w,
+            threshold_strategy="finite-sample",
+            rate_strategy="true-omega",
+            elb2=rounds_loss_bound(params, rates),
+        )
+    return rows
+
+
 def figure1a_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     """Bound vs exact worst-case loss as the round count grows.
 
-    For each noise level and each round count, evaluates the loss bound
-    at its minimizing round-independent form and the exact worst-case
-    loss at the closed-form threshold (unclamped, so very small round
-    counts fall back to an always-reject rule). Each level's thresholds
-    and round-dependent bounds come from one ``threshold_curve`` call
-    over the round grid. The exact losses of the whole sweep, every
-    noise level at every round count, come from one level-batched call,
-    which gives the same numbers as one call per level or per round
-    count. A level's rows are then built column by column: its varying
-    reals canonicalised in one pass, its noise level and round-count cap
-    once, and no row canonicalised again, so the rows equal those of
-    the public constructor.
+    The closed-form rows (``_closed_form_rows``) of every live noise
+    level at every round count, built in one call, then a gap-collapse
+    abort row per collapsed level. The levels are sorted and their rate
+    bounds collapse exactly when w >= 1/3, so all rows are in noise order.
     """
-    rows, levels = [], []  # levels: (position in rows, noise level, rates, thresholds, elb1)
+    aborts, levels = [], []
     for w in sorted(spec.noise_grid):
-        rates = _true_rates(w, ("finite-sample",), rows)
+        rates = _true_rates(w, ("finite-sample",), aborts)
         if rates is not None:
-            levels.append((len(rows), w, rates, *threshold_curve(spec.params, rates, spec.n_grid)))
-    if not levels:
-        return rows
-    _, _, rates, taus, _ = zip(*levels)
-    losses = exact_expected_losses(
-        spec.params,
-        spec.n_grid,
-        taus,
-        [r.attacker_floor for r in rates],
-        [r.user_ceiling for r in rates],
-    )
-    k = len(spec.n_grid)
-    # last level first, so the positions of the earlier ones stay put
-    for (at, w, rates, taus, elb1), exact in reversed(list(zip(levels, np.maximum(*losses)))):
-        omega, elb2 = _canonical([w, rounds_loss_bound(spec.params, rates)])
-        reals = _canonical(np.concatenate((taus, exact, elb1)).tolist())
-        rows[at:at] = _column_rows(
-            dict(n=spec.n_grid, tau=reals[:k], exact_worst=reals[k:2 * k], elb1=reals[2 * k:]),
-            omega=omega,
-            threshold_strategy="finite-sample",
-            rate_strategy="true-omega",
-            elb2=elb2,
-        )
-    return rows
+            levels.append((w, rates))
+    return _closed_form_rows(spec.params, levels, spec.n_grid) + aborts
 
 
 def figure1b_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     """Best-possible vs formula-chosen round count across noise levels.
 
-    Per noise level: the exhaustive-search optimum (rounds, integer
-    threshold, loss) and the closed-form design with its exact loss and
-    both bound values.
+    Per live noise level: the exhaustive-search optimum (rounds, integer
+    threshold, loss), then the closed-form row (``_closed_form_rows``)
+    at the formula's round count. Two gap-collapse abort rows per
+    collapsed level come last, as in ``figure1a_sweep``.
     """
-    rows = []
+    rows, aborts = [], []
     for w in sorted(spec.noise_grid):
-        rates = _true_rates(w, ("brute-force", "finite-sample"), rows)
+        rates = _true_rates(w, ("brute-force", "finite-sample"), aborts)
         if rates is None:
             continue
         best = brute_force_optimal(spec.params, rates, spec.n_max)
@@ -310,22 +323,8 @@ def figure1b_sweep(spec: ExperimentSpec) -> list[SweepRow]:
             )
         )
         n_hat = optimal_rounds(spec.params, rates).value
-        tau_hat = optimal_threshold(spec.params, rates, n_hat).raw
-        rows.append(
-            SweepRow(
-                omega=w,
-                n=n_hat,
-                tau=tau_hat,
-                threshold_strategy="finite-sample",
-                rate_strategy="true-omega",
-                exact_worst=float(
-                    exact_worst_case_losses(spec.params, rates, [n_hat], [tau_hat])[0]
-                ),
-                elb1=threshold_loss_bound(spec.params, rates, n_hat),
-                elb2=rounds_loss_bound(spec.params, rates),
-            )
-        )
-    return rows
+        rows += _closed_form_rows(spec.params, [(w, rates)], (n_hat,))
+    return rows + aborts
 
 
 def _score_level(

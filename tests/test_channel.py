@@ -93,6 +93,20 @@ class TestSwissHitomiRates:
         with pytest.raises(GapCollapseError):
             swiss_hitomi_rates(0.4)
 
+    # the k-th double below 1/3 is 1/3 - k * 2**-54, its spacing there
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(w=st.floats(0.0, 1.0) | st.integers(1, 2**20).map(lambda k: 1.0 / 3.0 - k * 2.0**-54))
+    @example(w=math.nextafter(1.0 / 3.0, 0.0))
+    @example(w=1.0 / 3.0)
+    def test_collapses_exactly_from_one_third(self, w):
+        # fig1a and fig1b write their gap-collapse rows after every live
+        # level's, which holds for a sorted grid only if no w below 1/3 collapses
+        if w >= 1.0 / 3.0:
+            with pytest.raises(GapCollapseError):
+                swiss_hitomi_rates(w)
+        else:
+            assert swiss_hitomi_rates(w).gap > 0.0
+
     def test_survives_just_below_one_third(self):
         r = swiss_hitomi_rates(1.0 / 3.0 - 1e-9)
         assert r.gap > 0.0

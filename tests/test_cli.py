@@ -377,6 +377,17 @@ class TestErrorPaths:
         assert captured.err == "error: master_seed must be an integer >= 0, got -1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("omega", ["0", "0.001", "0.01", "0.1", "0.3"])
+    @pytest.mark.parametrize("losses", [["--la", "1e300"], ["--lb", "1e-300"]])
+    def test_closed_form_round_count_past_int64_is_an_error(self, omega, losses, tmp_path, capsys):
+        # n_hat is 1e76 to 1e150 rounds here, more than the exact kernel can count
+        out = tmp_path / "fig1b.csv"
+        assert main(["fig1b", "--omega", omega, *losses, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: rounds must be integers in [1, 9223372036854775807]\n"
+        assert not out.exists()
+
     def test_unwritable_output_reports_error(self, tmp_path, capsys):
         target = tmp_path / "no-such-dir" / "x.csv"
         rc = main(["fig1b", "--omega", "0.1", "--out", str(target)])

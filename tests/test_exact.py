@@ -243,6 +243,18 @@ class TestExactExpectedLoss:
         with pytest.raises(ValueError, match="rounds"):
             exact_expected_losses(BENCH, [0], [2.0], 0.55, 0.2)
 
+    def test_rejects_round_counts_past_int64_before_any_work(self, monkeypatch):
+        # int64 would wrap np.uint64(2**63) negative and overflow on 10**80
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before the round counts were checked")
+
+        monkeypatch.setattr("threshauth.exact._pmf_blocks", no_work)
+        monkeypatch.setattr("threshauth.exact.rejected_count_min", no_work)
+        limit = r"rounds must be integers in \[1, 9223372036854775807\]"
+        for n in (2**63, np.uint64(2**63), 10**80):
+            with pytest.raises(ValueError, match=limit):
+                exact_expected_losses(BENCH, [3, n], [1.0, 1.0], 0.55, 0.2)
+
 
 def _scalar_worst(params, rates, n, tau):
     """The worst-case loss from the scalar tails at the cut of the rule."""

@@ -20,13 +20,12 @@ from threshauth.bounds import (
     threshold_loss_bound,
 )
 from threshauth.channel import score_counts, simulate_error_counts, swiss_hitomi_rates
-from threshauth.exact import exact_expected_losses
+from threshauth.exact import brute_force_optimal, exact_expected_losses, exact_worst_case_losses
 from threshauth.experiments import (
     CSV_HEADER,
     DEFAULT_LOSSES,
     ExperimentSpec,
     SweepRow,
-    _canonical,
     _column_rows,
     default_noise_grid,
     emit_csv,
@@ -37,6 +36,24 @@ from threshauth.experiments import (
     threshold_duel,
 )
 from threshauth.loss import LossParameters, ProverIdentity, rejected_count_min
+
+
+def _count_calls(monkeypatch, names):
+    """Calls made from here on to each named function of the experiments module."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name):
+        original = getattr(experiments, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return spy
+
+    for name in names:
+        monkeypatch.setattr(experiments, name, counted(name))
+    return calls
 
 
 def _blank_row(**overrides):
@@ -254,19 +271,8 @@ class TestFigure1a:
         assert repr(figure1a_sweep(spec)) == repr(want)
 
     def test_default_grid_makes_no_scalar_bounds_call_per_round_count(self, monkeypatch):
-        calls = {"optimal_threshold": 0, "threshold_loss_bound": 0, "threshold_curve": 0}
-
-        def counted(name):
-            original = getattr(experiments, name)
-
-            def spy(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            return spy
-
-        for name in calls:
-            monkeypatch.setattr(experiments, name, counted(name))
+        names = ("optimal_threshold", "threshold_loss_bound", "threshold_curve")
+        calls = _count_calls(monkeypatch, names)
         rows = figure1a_sweep(ExperimentSpec(noise_grid=default_noise_grid()))
         assert len(rows) == 24 * 256
         assert calls == {"optimal_threshold": 0, "threshold_loss_bound": 0, "threshold_curve": 24}
@@ -303,6 +309,43 @@ class TestFigure1b:
             # formula design spends at least as many rounds here
             assert finite.n >= brute.n
             assert finite.elb2 >= finite.elb1
+
+    def test_closed_form_rows_match_the_per_row_scalar_build(self):
+        # whole rows, each closed-form one built from the scalar formulas
+        # through the public constructor; collapsed levels between live ones
+        spec = ExperimentSpec.figure1b(noise_grid=(0.4, 0.1, 0.0, 1 / 3, 0.01, 0.3), n_max=64)
+        want, aborts = [], []
+        for w in sorted(spec.noise_grid):
+            if w >= 1 / 3:
+                aborts += [
+                    SweepRow(omega=w, threshold_strategy=t, rate_strategy="true-omega",
+                             aborted="gap-collapse")
+                    for t in ("brute-force", "finite-sample")
+                ]
+                continue
+            rates = swiss_hitomi_rates(w)
+            best = brute_force_optimal(spec.params, rates, spec.n_max)
+            n_hat = optimal_rounds(spec.params, rates).value
+            tau_hat = optimal_threshold(spec.params, rates, n_hat).raw
+            want += [
+                SweepRow(omega=w, n=best.rounds, tau=float(best.threshold),
+                         threshold_strategy="brute-force", rate_strategy="true-omega",
+                         exact_worst=best.worst_loss),
+                SweepRow(omega=w, n=n_hat, tau=tau_hat, threshold_strategy="finite-sample",
+                         rate_strategy="true-omega",
+                         exact_worst=float(
+                             exact_worst_case_losses(spec.params, rates, [n_hat], [tau_hat])[0]
+                         ),
+                         elb1=threshold_loss_bound(spec.params, rates, n_hat),
+                         elb2=rounds_loss_bound(spec.params, rates)),
+            ]
+        assert repr(figure1b_sweep(spec)) == repr(want + aborts)
+
+    def test_makes_no_scalar_threshold_or_bound_call(self, monkeypatch):
+        calls = _count_calls(monkeypatch, ("optimal_threshold", "threshold_loss_bound"))
+        rows = figure1b_sweep(ExperimentSpec.figure1b())
+        assert len(rows) == 2 * 24
+        assert calls == {"optimal_threshold": 0, "threshold_loss_bound": 0}
 
     def test_frozen_brute_force_point(self):
         spec = ExperimentSpec.figure1b(noise_grid=(0.1,))
@@ -668,24 +711,32 @@ class TestColumnRows:
             max_size=8,
         ),
         labels=st.tuples(_LABEL, _LABEL),
+        arrays=st.booleans(),
     )
     @example(
         shared=(np.float64(0.1), 7),
         varying=[(1, -0.0, 1e-300, math.inf), (2, math.nan, -math.inf, 1e12)],
         labels=("finite-sample", "true-omega"),
+        arrays=False,
+    )
+    @example(
+        shared=(0.1 + 0.2, 2 / 3),
+        varying=[(1, 1 / 3, np.float64(0.1) * 3, 123456789012.5), (3, 1e-7 / 3, 7, -2 / 3)],
+        labels=("finite-sample", "true-omega"),
+        arrays=True,
     )
     def test_equal_the_public_constructor_in_repr_and_csv(
-        self, shared, varying, labels, tmp_path_factory
+        self, shared, varying, labels, arrays, tmp_path_factory
     ):
-        # fig1a's build: shared reals and each varying column canonicalised
-        # in one pass, then set without a second canonicalisation
-        omega, elb2 = _canonical(list(shared))
-        ns, taus, worsts, elb1s = (list(c) for c in zip(*varying))
-        k = len(ns)
-        reals = _canonical(taus + worsts + elb1s)
+        # raw reals go in, shared and in columns given as lists or as the
+        # numpy arrays the closed-form sweeps pass; the builder canonicalises
+        # all of them itself, in one pass
+        ns, *reals = (list(c) for c in zip(*varying))
+        taus, worsts, elb1s = (np.array(c) if arrays else c for c in reals)
         got = _column_rows(
-            dict(n=ns, tau=reals[:k], exact_worst=reals[k:2 * k], elb1=reals[2 * k:]),
-            omega=omega, threshold_strategy=labels[0], rate_strategy=labels[1], elb2=elb2,
+            dict(n=ns, tau=taus, exact_worst=worsts, elb1=elb1s),
+            omega=shared[0], threshold_strategy=labels[0], rate_strategy=labels[1],
+            elb2=shared[1],
         )
         want = [
             SweepRow(

@@ -68,6 +68,16 @@ GOLDEN = {
         ["duel", "--trials", "300", "--omega", "0.1"],
         "54d5d99d5cb7406fbf88da35b6b85754356c99122d76cd44463d9967bd7749fe",
     ),
+    # collapsed levels given before and between live ones: their
+    # gap-collapse rows follow every live level's rows
+    "fig1a-collapsed-noise": (
+        ["fig1a", "--omega", "0.5", "--omega", "0.1", "--omega", "0.34", "--omega", "0"],
+        "8504f9bab6fe3042447cbf5300add4bfd4cb85ee37c6440bd5ddc347671f218e",
+    ),
+    "fig1b-collapsed-noise": (
+        ["fig1b", "--omega", "0.5", "--omega", "0.1", "--omega", "0.34", "--omega", "0"],
+        "bc7dee7ca17e95bf87f6d16295d0c2ed7708eb6da985374c98ad34f090806f7d",
+    ),
     # the 24-point default grid passed explicitly, spelled repr(float(w))
     "fig1a-default-grid": (
         ["fig1a", *(a for w in np.geomspace(1e-3, 0.3, 24) for a in ("--omega", repr(float(w))))],
