@@ -54,6 +54,9 @@ class BruteForceResult:
     worst_loss: float
 
 
+# Largest round count the kernels take: they count in int64.
+_MAX_ROUNDS = int(np.iinfo(np.int64).max)
+
 # Largest block of padded pmf entries built at once by the round-grid
 # kernel; keeps its transient arrays under a megabyte.
 _BLOCK_ENTRIES = 1 << 14
@@ -176,10 +179,8 @@ def exact_expected_losses(
         raise ValueError("rounds must be nonempty and the rates scalars or 1-D of one length")
     if taus.shape != rates[0].shape + ns.shape:
         raise ValueError("thresholds must hold one threshold per round count and level")
-    # the kernel counts in int64, which a larger count would overflow
-    limit = np.iinfo(np.int64).max
-    if not all(_is_count(n) and n <= limit for n in rounds):
-        raise ValueError(f"rounds must be integers in [1, {limit}]")
+    if not all(_is_count(n) and n <= _MAX_ROUNDS for n in rounds):
+        raise ValueError(f"rounds must be integers in [1, {_MAX_ROUNDS}]")
     ns = ns.astype(np.int64)
     for name, rate in zip(("attacker_rate", "user_rate"), rates):
         if not np.all((rate >= 0.0) & (rate <= 1.0)):  # also false for nan
@@ -198,24 +199,6 @@ def exact_expected_losses(
     rej_use = np.where(cuts == 0, 1.0, np.minimum(1.0, rej_use)).reshape(taus.shape)
     base = ns * params.per_round
     return base + acc_att * params.false_accept, base + rej_use * params.false_reject
-
-
-def exact_worst_case_losses(
-    params: LossParameters,
-    rates: ErrorRateBounds,
-    rounds: Sequence[int],
-    thresholds: Sequence[float],
-) -> np.ndarray:
-    """The larger exact expected loss at each (rounds, threshold) pair.
-
-    The attacker plays at its error floor and the user at its ceiling;
-    those are the extremal behaviors the bounds are designed against.
-    """
-    return np.maximum(
-        *exact_expected_losses(
-            params, rounds, thresholds, rates.attacker_floor, rates.user_ceiling
-        )
-    )
 
 
 def brute_force_optimal(

@@ -14,7 +14,7 @@ import operator
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import Field, dataclass, fields
-from itertools import islice, repeat
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,7 @@ from .channel import (
     swiss_hitomi_rates,
     user_per_round_error,
 )
-from .exact import brute_force_optimal, exact_expected_losses
+from .exact import _MAX_ROUNDS, brute_force_optimal, exact_expected_losses
 from .loss import (
     ErrorRateBounds,
     GapCollapseError,
@@ -54,24 +54,15 @@ from .noise import (
 DEFAULT_LOSSES = LossParameters(false_accept=10.0, false_reject=1.0, per_round=1e-2)
 DEFAULT_SEED = 1729
 
-_REALS = ("omega", "tau", "exact_worst", "elb1", "elb2", "mc_worst", "mc_stderr")
-
-
-def _canonical(values: list) -> list[float]:
-    """The values as reals at the 12-significant-digit resolution of the CSV.
-
-    Rows hold their reals so, which makes emit/parse an exact round trip.
-    The whole list is formatted in one ``%`` pass and parsed back.
-    """
-    return list(map(float, ("%.12g " * len(values) % tuple(values)).split()))
-
 
 @dataclass(frozen=True, slots=True, kw_only=True)
 class SweepRow:
     """One output record; its fields, in order, are the CSV columns.
 
     A field a row does not set stays empty: numbers default to None and
-    the abort marker to "".
+    the abort marker to "". Reals are held as the sweep computed them,
+    full doubles; ``emit_csv`` writes them at 12 significant digits, so
+    a row read back by ``parse_csv`` holds those 12-digit values.
     """
 
     omega: float
@@ -86,11 +77,6 @@ class SweepRow:
     mc_stderr: float | None = None
     aborted: str = ""
 
-    def __post_init__(self) -> None:
-        names = [name for name in _REALS if getattr(self, name) is not None]
-        for name, value in zip(names, _canonical([getattr(self, name) for name in names])):
-            object.__setattr__(self, name, value)
-
 
 CSV_HEADER = tuple(f.name for f in fields(SweepRow))
 
@@ -98,21 +84,14 @@ CSV_HEADER = tuple(f.name for f in fields(SweepRow))
 def _column_rows(columns: dict[str, Sequence], **shared) -> list[SweepRow]:
     """Rows set column by column, equal to the public constructor's rows.
 
-    ``columns`` maps fields to equal-length sequences, ``shared`` gives
-    the fields every row holds, and any other field takes its default,
-    so every field without a default must be in one of the two. Every
-    real given, shared or in a column, is a number, and all of them are
-    canonicalised in one ``_canonical`` pass. The frozen slots are then
-    set directly, as the dataclass ``__init__`` sets them, so
-    ``__post_init__`` does not canonicalise them again.
+    ``columns`` maps fields to equal-length sequences or numpy arrays,
+    each turned into built-in numbers by one ``tolist``; ``shared`` gives
+    the values every row holds, as given. Any other field takes its
+    default, so every field without a default must be in one of the
+    two. The frozen slots are set directly, as the dataclass
+    ``__init__`` sets them.
     """
-    given = shared | columns
-    reals = [name for name in _REALS if name in given]
-    flat = [np.ravel(given[name]) for name in reals]
-    canonical = iter(_canonical(np.concatenate(flat).tolist()))
-    for name, values in zip(reals, flat):
-        values = list(islice(canonical, values.size))
-        given[name] = values if name in columns else values[0]
+    given = shared | {name: np.asarray(values).tolist() for name, values in columns.items()}
     rows = list(map(object.__new__, repeat(SweepRow, len(next(iter(columns.values()))))))
     for f in fields(SweepRow):
         value = given.get(f.name, f.default)
@@ -304,13 +283,24 @@ def figure1b_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     Per live noise level: the exhaustive-search optimum (rounds, integer
     threshold, loss), then the closed-form row (``_closed_form_rows``)
     at the formula's round count. Two gap-collapse abort rows per
-    collapsed level come last, as in ``figure1a_sweep``.
+    collapsed level come last, as in ``figure1a_sweep``. Every level's
+    formula round count is checked before any search: one past the
+    exact kernel's int64 limit raises ValueError naming its level.
     """
-    rows, aborts = [], []
+    levels, aborts = [], []
     for w in sorted(spec.noise_grid):
         rates = _true_rates(w, ("brute-force", "finite-sample"), aborts)
         if rates is None:
             continue
+        n_hat = optimal_rounds(spec.params, rates).value
+        if n_hat > _MAX_ROUNDS:
+            raise ValueError(
+                f"omega {w!r}: closed-form n_hat {n_hat} is past the exact kernel's "
+                f"limit of {_MAX_ROUNDS} rounds"
+            )
+        levels.append((w, rates, n_hat))
+    rows = []
+    for w, rates, n_hat in levels:
         best = brute_force_optimal(spec.params, rates, spec.n_max)
         rows.append(
             SweepRow(
@@ -322,7 +312,6 @@ def figure1b_sweep(spec: ExperimentSpec) -> list[SweepRow]:
                 exact_worst=best.worst_loss,
             )
         )
-        n_hat = optimal_rounds(spec.params, rates).value
         rows += _closed_form_rows(spec.params, [(w, rates)], (n_hat,))
     return rows + aborts
 
@@ -476,8 +465,10 @@ def threshold_duel(spec: ExperimentSpec) -> list[SweepRow]:
 def emit_csv(rows: list[SweepRow], path: str | Path) -> None:
     """Write rows under the fixed header, reals at 12 significant digits.
 
-    One ``writerows`` call takes every row; only its reals are formatted
-    here, as ``csv`` writes None empty and integers and strings by str.
+    This is the one place a row's real becomes text: each is formatted
+    once here, from the double the row holds. One ``writerows`` call
+    takes every row, and ``csv`` writes None empty and integers and
+    strings by str.
     """
     path = Path(path)
     columns = operator.attrgetter(*CSV_HEADER)
@@ -505,8 +496,10 @@ def _parse_field(f: Field, cell: str) -> float | int | str | None:
 def parse_csv(path: str | Path) -> list[SweepRow]:
     """Read rows previously written by emit_csv.
 
-    A malformed file raises ValueError naming its path and line: empty,
-    another header, a record of another width or a cell that does not parse.
+    Each real is the value of its 12-digit cell, so re-emitting the rows
+    writes the same bytes. A malformed file raises ValueError naming its
+    path and line: empty, another header, a record of another width or a
+    cell that does not parse.
     """
     path = Path(path)
     columns = fields(SweepRow)

@@ -1,11 +1,14 @@
-"""Helpers shared by the test modules: binomial masses by integer enumeration."""
+"""Helpers shared by the test modules: binomial masses by integer enumeration
+and the worst-case exact loss the tests use as their oracle."""
 
 import functools
 import itertools
 import math
 from fractions import Fraction
 
-from threshauth.exact import BinomialSpec
+import numpy as np
+
+from threshauth.exact import BinomialSpec, exact_expected_losses
 
 
 @functools.lru_cache(maxsize=8)
@@ -30,3 +33,14 @@ def enumerated_cdf(spec: BinomialSpec) -> list[float]:
     """Pr(X <= k), k = 0..n, each correctly rounded from its integer sum."""
     terms, denom = _enumerated_terms(spec)
     return [running / denom for running in itertools.accumulate(terms)]
+
+
+def exact_worst_case_losses(params, rates, rounds, thresholds):
+    """The larger exact expected loss at each (rounds, threshold) pair.
+
+    The attacker plays at its error floor and the user at its ceiling,
+    the extremal behaviors the bounds are designed against.
+    """
+    return np.maximum(
+        *exact_expected_losses(params, rounds, thresholds, rates.attacker_floor, rates.user_ceiling)
+    )

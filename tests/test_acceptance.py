@@ -18,6 +18,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import exact_worst_case_losses
 from threshauth.asymptotic import (
     HypothesisPrior,
     approx_threshold,
@@ -32,7 +33,7 @@ from threshauth.channel import (
     swiss_hitomi_rates,
 )
 from threshauth.cli import main
-from threshauth.exact import brute_force_optimal, exact_worst_case_losses
+from threshauth.exact import brute_force_optimal
 from threshauth.experiments import (
     DEFAULT_SEED,
     DEFAULT_LOSSES,

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from conftest import exact_worst_case_losses
 from threshauth.asymptotic import (
     HypothesisPrior,
     approx_threshold,
@@ -11,7 +12,6 @@ from threshauth.asymptotic import (
     bayes_risk,
     bayes_threshold,
 )
-from threshauth.exact import exact_worst_case_losses
 from threshauth.loss import ErrorRateBounds, LossParameters
 
 BENCH = LossParameters(false_accept=10.0, false_reject=1.0, per_round=1e-2)

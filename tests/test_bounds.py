@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import exact_worst_case_losses
 from threshauth.bounds import (
     ThresholdChoice,
     loss_bound_at,
@@ -21,7 +22,6 @@ from threshauth.bounds import (
     threshold_loss_bound,
 )
 from threshauth.channel import swiss_hitomi_rates
-from threshauth.exact import exact_worst_case_losses
 from threshauth.loss import ErrorRateBounds, LossParameters
 
 BENCH = LossParameters(false_accept=10.0, false_reject=1.0, per_round=1e-2)

@@ -5,6 +5,9 @@ import warnings
 import pytest
 
 import threshauth.cli as cli
+import threshauth.experiments as experiments
+from threshauth.bounds import optimal_rounds
+from threshauth.channel import swiss_hitomi_rates
 from threshauth.cli import _losses, _sweep_overrides, build_parser, main
 from threshauth.experiments import DEFAULT_LOSSES, ExperimentSpec, parse_csv
 
@@ -381,11 +384,31 @@ class TestErrorPaths:
     @pytest.mark.parametrize("losses", [["--la", "1e300"], ["--lb", "1e-300"]])
     def test_closed_form_round_count_past_int64_is_an_error(self, omega, losses, tmp_path, capsys):
         # n_hat is 1e76 to 1e150 rounds here, more than the exact kernel can count
+        params = _losses(build_parser("fig1b").parse_args(["fig1b", *losses]))
+        n_hat = optimal_rounds(params, swiss_hitomi_rates(float(omega))).value
         out = tmp_path / "fig1b.csv"
         assert main(["fig1b", "--omega", omega, *losses, "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: rounds must be integers in [1, 9223372036854775807]\n"
+        assert captured.err == (
+            f"error: omega {float(omega)!r}: closed-form n_hat {n_hat} is past the exact "
+            "kernel's limit of 9223372036854775807 rounds\n"
+        )
+        assert not out.exists()
+
+    def test_closed_form_round_count_past_int64_fails_before_any_search(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        searches, search = [], experiments.brute_force_optimal
+        monkeypatch.setattr(
+            experiments, "brute_force_optimal", lambda *args: searches.append(args) or search(*args)
+        )
+        out = tmp_path / "fig1b.csv"
+        args = ["fig1b", "--omega", "0.01", "--omega", "0.1", "--omega", "0.3", "--la", "1e300"]
+        assert main([*args, "--out", str(out)]) == 1
+        assert searches == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: omega 0.01: closed-form n_hat ")
         assert not out.exists()
 
     def test_unwritable_output_reports_error(self, tmp_path, capsys):

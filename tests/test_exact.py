@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import enumerated_mass
+from conftest import enumerated_mass, exact_worst_case_losses
 from threshauth.channel import swiss_hitomi_rates
 from threshauth.exact import (
     _BLOCK_ENTRIES,
@@ -25,7 +25,6 @@ from threshauth.exact import (
     binomial_sf,
     brute_force_optimal,
     exact_expected_losses,
-    exact_worst_case_losses,
 )
 from threshauth.loss import ErrorRateBounds, LossParameters, ProverIdentity, rejected_count_min
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import exact_worst_case_losses
 import threshauth.experiments as experiments
 from threshauth.asymptotic import asymptotic_threshold
 from threshauth.bounds import (
@@ -20,7 +21,7 @@ from threshauth.bounds import (
     threshold_loss_bound,
 )
 from threshauth.channel import score_counts, simulate_error_counts, swiss_hitomi_rates
-from threshauth.exact import brute_force_optimal, exact_expected_losses, exact_worst_case_losses
+from threshauth.exact import brute_force_optimal, exact_expected_losses
 from threshauth.experiments import (
     CSV_HEADER,
     DEFAULT_LOSSES,
@@ -70,16 +71,6 @@ def _blank_row(**overrides):
 
 
 class TestSweepRow:
-    def test_floats_canonicalized_to_twelve_digits(self):
-        row = _blank_row(tau=0.1234567890123456789, exact_worst=2.00000000000004)
-        assert row.tau == float("0.123456789012")
-        assert row.exact_worst == float("2.0")
-
-    def test_canonicalization_is_idempotent(self):
-        row = _blank_row(tau=1.0 / 3.0)
-        again = _blank_row(tau=row.tau)
-        assert again.tau == row.tau
-
     def test_none_and_strings_untouched(self):
         row = _blank_row(n=None, mc_worst=None, aborted="gap-collapse")
         assert row.n is None
@@ -100,6 +91,25 @@ class TestSweepRow:
         assert out.read_text().splitlines()[1] == "0.25,,,asymptotic,ml,,,,,,"
         with pytest.raises(TypeError):
             SweepRow(0.25, None, None, "asymptotic", "ml", None, None, None, None, None, "")
+
+    @pytest.mark.parametrize("sweep, factory", [
+        (figure1a_sweep, ExperimentSpec),
+        (figure1b_sweep, ExperimentSpec.figure1b),
+        (figure3_comparison, ExperimentSpec.figure3),
+        (threshold_duel, ExperimentSpec.duel),
+    ])
+    def test_default_sweeps_and_their_parse_hold_only_built_in_values(
+        self, sweep, factory, tmp_path
+    ):
+        # nothing coerces a row's values, so a numpy scalar would reach its
+        # repr (np.float64(...)) and the CSV as it is
+        rows = sweep(factory())
+        path = tmp_path / "rows.csv"
+        emit_csv(rows, path)
+        for got in (rows, parse_csv(path)):
+            kinds = {type(getattr(row, name)) for row in got for name in CSV_HEADER}
+            assert kinds <= {float, int, str, type(None)}
+            assert "np." not in repr(got)
 
 
 FIG3_RATE_LABELS = ("guess:0.1", "guess:0.01", "guess:0.001", "ml", "hp:0.1", "hp:0.01")
@@ -264,7 +274,7 @@ class TestFigure1a:
                 )
                 want.append(SweepRow(
                     omega=w, n=n, tau=tau, threshold_strategy="finite-sample",
-                    rate_strategy="true-omega", exact_worst=max(att[0], use[0]),
+                    rate_strategy="true-omega", exact_worst=float(max(att[0], use[0])),
                     elb1=threshold_loss_bound(spec.params, rates, n),
                     elb2=rounds_loss_bound(spec.params, rates),
                 ))
@@ -592,11 +602,11 @@ def _reference_field(value):
     return f"{value:.12g}"
 
 
-_REAL = st.one_of(
+_FLOAT = st.one_of(
     st.sampled_from([-0.0, 0.0, 1e-300, -1e-300, 1e12, 123456789012.5, math.inf, -math.inf]),
     st.floats(),
-    st.integers(-10**6, 10**6),
 )
+_REAL = st.one_of(_FLOAT, st.integers(-10**6, 10**6))
 # printable ASCII with the CSV specials: comma, quote, newline, carriage return
 _LABEL = st.text(alphabet=string.printable, max_size=12)
 
@@ -653,7 +663,15 @@ class TestCsvRoundTrip:
         first = tmp_path / "first.csv"
         emit_csv(rows, first)
         parsed = parse_csv(first)
-        assert parsed == rows
+        # rows hold full doubles; the parse holds each real's 12-digit value
+        assert parsed != rows
+        assert len(parsed) == len(rows)
+        for got, row in zip(parsed, rows):
+            for name in CSV_HEADER:
+                value = getattr(row, name)
+                if isinstance(value, float):
+                    value = float(f"{value:.12g}")
+                assert getattr(got, name) == value
         second = tmp_path / "second.csv"
         emit_csv(parsed, second)
         assert first.read_bytes() == second.read_bytes()
@@ -698,15 +716,16 @@ class TestCsvRoundTrip:
             parse_csv(bad)
 
 
-_ANY_REAL = st.one_of(_REAL, st.just(math.nan), st.floats().map(np.float64))
+# a column may hold numpy scalars, which the builder turns into Python floats
+_COLUMN_REAL = st.one_of(_FLOAT, st.floats().map(np.float64))
 
 
 class TestColumnRows:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
-        shared=st.tuples(_ANY_REAL, _ANY_REAL),
+        shared=st.tuples(_FLOAT, _FLOAT),
         varying=st.lists(
-            st.tuples(st.integers(1, 10**6), _ANY_REAL, _ANY_REAL, _ANY_REAL),
+            st.tuples(st.integers(1, 10**6), _COLUMN_REAL, _COLUMN_REAL, _COLUMN_REAL),
             min_size=1,
             max_size=8,
         ),
@@ -714,23 +733,23 @@ class TestColumnRows:
         arrays=st.booleans(),
     )
     @example(
-        shared=(np.float64(0.1), 7),
+        shared=(0.1, 7.0),
         varying=[(1, -0.0, 1e-300, math.inf), (2, math.nan, -math.inf, 1e12)],
         labels=("finite-sample", "true-omega"),
         arrays=False,
     )
     @example(
         shared=(0.1 + 0.2, 2 / 3),
-        varying=[(1, 1 / 3, np.float64(0.1) * 3, 123456789012.5), (3, 1e-7 / 3, 7, -2 / 3)],
+        varying=[(1, 1 / 3, np.float64(0.1) * 3, 123456789012.5), (3, 1e-7 / 3, 7.0, -2 / 3)],
         labels=("finite-sample", "true-omega"),
         arrays=True,
     )
     def test_equal_the_public_constructor_in_repr_and_csv(
         self, shared, varying, labels, arrays, tmp_path_factory
     ):
-        # raw reals go in, shared and in columns given as lists or as the
-        # numpy arrays the closed-form sweeps pass; the builder canonicalises
-        # all of them itself, in one pass
+        # columns go in as lists or as the numpy arrays the closed-form
+        # sweeps pass, and come out as the Python floats the constructor
+        # holds, every double kept in full
         ns, *reals = (list(c) for c in zip(*varying))
         taus, worsts, elb1s = (np.array(c) if arrays else c for c in reals)
         got = _column_rows(
@@ -740,8 +759,9 @@ class TestColumnRows:
         )
         want = [
             SweepRow(
-                omega=shared[0], n=n, tau=tau, threshold_strategy=labels[0],
-                rate_strategy=labels[1], exact_worst=worst, elb1=elb1, elb2=shared[1],
+                omega=shared[0], n=n, tau=float(tau), threshold_strategy=labels[0],
+                rate_strategy=labels[1], exact_worst=float(worst), elb1=float(elb1),
+                elb2=shared[1],
             )
             for n, tau, worst, elb1 in varying
         ]

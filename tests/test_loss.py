@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import exact_worst_case_losses
 from threshauth.asymptotic import (
     HypothesisPrior,
     approx_threshold,
@@ -13,12 +14,7 @@ from threshauth.asymptotic import (
 )
 from threshauth.bounds import loss_bound_at, optimal_threshold, threshold_loss_bound
 from threshauth.channel import simulate_error_counts
-from threshauth.exact import (
-    BinomialSpec,
-    brute_force_optimal,
-    exact_expected_losses,
-    exact_worst_case_losses,
-)
+from threshauth.exact import BinomialSpec, brute_force_optimal, exact_expected_losses
 from threshauth.experiments import ExperimentSpec
 from threshauth.loss import (
     ErrorRateBounds,
@@ -94,7 +90,8 @@ class TestExpectedLoss:
 
 
 # Every entry point that takes a round, trial or symbol count, as a call
-# on that count alone.
+# on that count alone. exact_worst_case_losses is the tests' oracle
+# (conftest), which must take counts as the program's entry points do.
 COUNT_ENTRY_POINTS = {
     "BinomialSpec": lambda n: BinomialSpec(n, 0.3),
     "brute_force_optimal": lambda n: brute_force_optimal(BENCH, SWISS_01, n),
