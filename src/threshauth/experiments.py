@@ -10,11 +10,10 @@ reproduces the file byte for byte.
 from __future__ import annotations
 
 import csv
+import numbers
 import operator
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import Field, dataclass, fields
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -55,14 +54,16 @@ DEFAULT_LOSSES = LossParameters(false_accept=10.0, false_reject=1.0, per_round=1
 DEFAULT_SEED = 1729
 
 
-@dataclass(frozen=True, slots=True, kw_only=True)
+@dataclass(slots=True, kw_only=True)
 class SweepRow:
     """One output record; its fields, in order, are the CSV columns.
 
-    A field a row does not set stays empty: numbers default to None and
-    the abort marker to "". Reals are held as the sweep computed them,
-    full doubles; ``emit_csv`` writes them at 12 significant digits, so
-    a row read back by ``parse_csv`` holds those 12-digit values.
+    A slotted, keyword-only record, built only by its constructor: by
+    the sweeps and by ``parse_csv``. A field a row does not set stays
+    empty: numbers default to None and the abort marker to "". Reals
+    are held as the sweep computed them, full doubles; ``emit_csv``
+    writes them at 12 significant digits, so a row read back by
+    ``parse_csv`` holds those 12-digit values.
     """
 
     omega: float
@@ -79,25 +80,6 @@ class SweepRow:
 
 
 CSV_HEADER = tuple(f.name for f in fields(SweepRow))
-
-
-def _column_rows(columns: dict[str, Sequence], **shared) -> list[SweepRow]:
-    """Rows set column by column, equal to the public constructor's rows.
-
-    ``columns`` maps fields to equal-length sequences or numpy arrays,
-    each turned into built-in numbers by one ``tolist``; ``shared`` gives
-    the values every row holds, as given. Any other field takes its
-    default, so every field without a default must be in one of the
-    two. The frozen slots are set directly, as the dataclass
-    ``__init__`` sets them.
-    """
-    given = shared | {name: np.asarray(values).tolist() for name, values in columns.items()}
-    rows = list(map(object.__new__, repeat(SweepRow, len(next(iter(columns.values()))))))
-    for f in fields(SweepRow):
-        value = given.get(f.name, f.default)
-        column = value if f.name in columns else repeat(value)
-        deque(map(getattr(SweepRow, f.name).__set__, rows, column), maxlen=0)
-    return rows
 
 
 # Rate strategies by label kind: whether the kind reads the coded-phase
@@ -160,6 +142,8 @@ class ExperimentSpec:
         if not self.noise_grid:
             raise ValueError("noise_grid must be nonempty")
         for w in self.noise_grid:
+            if isinstance(w, bool) or not isinstance(w, numbers.Real):
+                raise ValueError(f"noise level not a real number: {w!r}")
             if not 0.0 <= w <= 1.0:  # also false for nan
                 raise ValueError(f"noise level not in [0,1]: {w}")
         if not self.n_grid:
@@ -171,6 +155,10 @@ class ExperimentSpec:
             value = getattr(self, name)
             if not _is_count(value):
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        # rows carry these values, so numpy scalars become built-in numbers
+        object.__setattr__(self, "noise_grid", tuple(map(float, self.noise_grid)))
+        object.__setattr__(self, "n_grid", tuple(map(int, self.n_grid)))
         if not _is_count(self.master_seed, least=0):
             raise ValueError(f"master_seed must be an integer >= 0, got {self.master_seed!r}")
         for name in ("threshold_strategies", "rate_strategies"):
@@ -237,10 +225,10 @@ def _closed_form_rows(
     ``levels`` holds (noise level, rate bounds) pairs. A row holds the
     unclamped closed-form threshold (so very small round counts fall
     back to an always-reject rule), its exact worst-case loss and both
-    bound values. A level costs one ``threshold_curve`` call and one
-    ``_column_rows`` call with its noise level and round-count cap
-    shared; one level-batched ``exact_expected_losses`` call scores all
-    levels, bitwise as one call per level or round count would.
+    bound values. A level costs one ``threshold_curve`` call, and its
+    arrays become built-in numbers by ``tolist``; one level-batched
+    ``exact_expected_losses`` call scores all levels, bitwise as one
+    call per level or round count would.
     """
     if not levels:
         return []
@@ -251,13 +239,14 @@ def _closed_form_rows(
     )
     rows = []
     for (w, rates), (taus, elb1), exact in zip(levels, curves, np.maximum(*losses)):
-        rows += _column_rows(
-            dict(n=n_grid, tau=taus, exact_worst=exact, elb1=elb1),
-            omega=w,
-            threshold_strategy="finite-sample",
-            rate_strategy="true-omega",
-            elb2=rounds_loss_bound(params, rates),
-        )
+        elb2 = rounds_loss_bound(params, rates)
+        rows += [
+            SweepRow(
+                omega=w, n=n, tau=tau, threshold_strategy="finite-sample",
+                rate_strategy="true-omega", exact_worst=worst, elb1=bound, elb2=elb2,
+            )
+            for n, tau, worst, bound in zip(n_grid, taus.tolist(), exact.tolist(), elb1.tolist())
+        ]
     return rows
 
 

@@ -27,7 +27,6 @@ from threshauth.experiments import (
     DEFAULT_LOSSES,
     ExperimentSpec,
     SweepRow,
-    _column_rows,
     default_noise_grid,
     emit_csv,
     figure1a_sweep,
@@ -92,6 +91,13 @@ class TestSweepRow:
         with pytest.raises(TypeError):
             SweepRow(0.25, None, None, "asymptotic", "ml", None, None, None, None, None, "")
 
+    @pytest.mark.parametrize("overrides", [
+        {},
+        dict(noise_grid=tuple(np.array((0.1, 0.01))), trials=200),
+        dict(noise_grid=tuple(np.array((0.1, 0.01), dtype=np.float32)), trials=200),
+        dict(n_grid=tuple(np.array((4, 8, 16))), trials=200),
+        dict(codeword_length=np.int64(16), trials=200),
+    ], ids=["defaults", "float64-noise", "float32-noise", "int64-rounds", "int64-codeword"])
     @pytest.mark.parametrize("sweep, factory", [
         (figure1a_sweep, ExperimentSpec),
         (figure1b_sweep, ExperimentSpec.figure1b),
@@ -99,11 +105,13 @@ class TestSweepRow:
         (threshold_duel, ExperimentSpec.duel),
     ])
     def test_default_sweeps_and_their_parse_hold_only_built_in_values(
-        self, sweep, factory, tmp_path
+        self, sweep, factory, overrides, tmp_path
     ):
-        # nothing coerces a row's values, so a numpy scalar would reach its
-        # repr (np.float64(...)) and the CSV as it is
-        rows = sweep(factory())
+        # the spec turns numpy inputs into built-in numbers and nothing
+        # else coerces a row's values, so a numpy scalar would reach its repr
+        # (np.float64(...)) and the CSV as it is: an np.float32 is written by
+        # str, at its own shortest digits rather than the double's 12
+        rows = sweep(factory(**overrides))
         path = tmp_path / "rows.csv"
         emit_csv(rows, path)
         for got in (rows, parse_csv(path)):
@@ -174,7 +182,7 @@ class TestExperimentSpec:
             for bad in (0, 2.5, True):
                 with pytest.raises(ValueError, match=field):
                     ExperimentSpec(**{field: bad})
-        for w in (-0.1, 1.5, math.nan, math.inf):
+        for w in (-0.1, 1.5, math.nan, math.inf, True, "0.1"):
             with pytest.raises(ValueError, match="noise level"):
                 ExperimentSpec(noise_grid=(0.1, w))
         with pytest.raises(ValueError, match="per_round"):
@@ -714,59 +722,3 @@ class TestCsvRoundTrip:
         bad.write_text(f"{header}\n{record.replace(',8,', ',eight,', 1)}\n")
         with pytest.raises(ValueError, match=r"bad\.csv, line 2: invalid literal"):
             parse_csv(bad)
-
-
-# a column may hold numpy scalars, which the builder turns into Python floats
-_COLUMN_REAL = st.one_of(_FLOAT, st.floats().map(np.float64))
-
-
-class TestColumnRows:
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(
-        shared=st.tuples(_FLOAT, _FLOAT),
-        varying=st.lists(
-            st.tuples(st.integers(1, 10**6), _COLUMN_REAL, _COLUMN_REAL, _COLUMN_REAL),
-            min_size=1,
-            max_size=8,
-        ),
-        labels=st.tuples(_LABEL, _LABEL),
-        arrays=st.booleans(),
-    )
-    @example(
-        shared=(0.1, 7.0),
-        varying=[(1, -0.0, 1e-300, math.inf), (2, math.nan, -math.inf, 1e12)],
-        labels=("finite-sample", "true-omega"),
-        arrays=False,
-    )
-    @example(
-        shared=(0.1 + 0.2, 2 / 3),
-        varying=[(1, 1 / 3, np.float64(0.1) * 3, 123456789012.5), (3, 1e-7 / 3, 7.0, -2 / 3)],
-        labels=("finite-sample", "true-omega"),
-        arrays=True,
-    )
-    def test_equal_the_public_constructor_in_repr_and_csv(
-        self, shared, varying, labels, arrays, tmp_path_factory
-    ):
-        # columns go in as lists or as the numpy arrays the closed-form
-        # sweeps pass, and come out as the Python floats the constructor
-        # holds, every double kept in full
-        ns, *reals = (list(c) for c in zip(*varying))
-        taus, worsts, elb1s = (np.array(c) if arrays else c for c in reals)
-        got = _column_rows(
-            dict(n=ns, tau=taus, exact_worst=worsts, elb1=elb1s),
-            omega=shared[0], threshold_strategy=labels[0], rate_strategy=labels[1],
-            elb2=shared[1],
-        )
-        want = [
-            SweepRow(
-                omega=shared[0], n=n, tau=float(tau), threshold_strategy=labels[0],
-                rate_strategy=labels[1], exact_worst=float(worst), elb1=float(elb1),
-                elb2=shared[1],
-            )
-            for n, tau, worst, elb1 in varying
-        ]
-        assert repr(got) == repr(want)
-        out = tmp_path_factory.getbasetemp()
-        emit_csv(got, out / "columns.csv")
-        emit_csv(want, out / "constructor.csv")
-        assert (out / "columns.csv").read_bytes() == (out / "constructor.csv").read_bytes()

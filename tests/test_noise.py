@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from threshauth.channel import _STREAM_TAG, CODED_PHASE_TAG
+from threshauth.channel import _STREAM_TAG, CODED_PHASE_TAG, swiss_hitomi_rates
 from threshauth.loss import GapCollapseError
 from threshauth.noise import (
     NoiseEstimate,
@@ -118,6 +118,29 @@ class TestHighProbabilityRates:
     def test_collapse_raises(self):
         with pytest.raises(GapCollapseError):
             high_probability_rates(NoiseEstimate(615, 1024, 0.01))
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 1: the margins narrow the bounds they claim to widen",
+    )
+    @pytest.mark.parametrize("w", [0.001, 0.05, 0.2])
+    def test_bounds_cover_the_true_rates_with_probability_one_minus_delta(self, w):
+        # the error count of a k-symbol coded phase is Bin(k, w); the bounds
+        # hold when the attacker floor is at most the true attacker rate and
+        # the user ceiling at least the true user rate
+        k, delta, draws = 1024, 0.01, 2000
+        true = swiss_hitomi_rates(w)
+        covered = 0
+        for theta in np.random.default_rng(2010).binomial(k, w, draws).tolist():
+            rates = high_probability_rates(NoiseEstimate(theta, k, delta))
+            covered += (
+                rates.attacker_floor <= true.attacker_floor
+                and rates.user_ceiling >= true.user_ceiling
+            )
+        # a 3-sigma binomial margin below the promised 1 - delta
+        least = draws * (1 - delta) - 3 * math.sqrt(draws * delta * (1 - delta))
+        assert covered >= least, f"covered in {covered} of {draws} draws"
 
     def test_longer_blocks_approach_plug_in_rates(self):
         # both margins scale like 1/sqrt(k), so the widened bounds close
