@@ -14,9 +14,10 @@ identities (``exact_expected_losses``) and the brute-force search walk
 their round counts in blocks (``_pmf_blocks``) built once and shared by
 both identities and, for the losses, by every noise level, looped over
 one at a time inside each block; a whole sweep costs one numpy pass per
-block and rate instead of one pmf per design. The brute-force search
-adds the round cost after taking the larger of the two weighted error
-probabilities, which is bitwise equal to the larger of the two losses.
+block and rate instead of one pmf per design, and the losses build only
+the pmf columns their tails sum. The brute-force search, which reads
+every threshold, adds the round cost after taking the larger of the two
+weighted error probabilities, bitwise the larger of the two losses.
 The decision rule's cut comes from ``loss.rejected_count_min``.
 """
 
@@ -89,14 +90,14 @@ class _PmfBlock:
         np.cumsum(np.log(ratios, out=ratios), axis=-1, out=self.log_comb[:, 1:])
         np.copyto(self.log_comb, -np.inf, where=self.pad)
 
-    def pmf(self, mu: float) -> np.ndarray:
-        """The Binomial(n, mu) pmf row of every round count."""
+    def pmf(self, mu: float, cols: slice = slice(None)) -> np.ndarray:
+        """Columns ``cols`` of the Binomial(n, mu) pmf rows, each entry bitwise a whole row's."""
         if mu == 0.0 or mu == 1.0:
             out = np.zeros(self.pad.shape)
             out[np.arange(len(self.rounds)), self.rounds if mu == 1.0 else 0] = 1.0
-            return out
-        log_pmf = self.log_comb + self.ks * math.log(mu)
-        log_pmf += self.n_minus_k * math.log1p(-mu)
+            return out[:, cols]
+        log_pmf = self.log_comb[:, cols] + self.ks[cols] * math.log(mu)
+        log_pmf += self.n_minus_k[:, cols] * math.log1p(-mu)
         return np.exp(log_pmf, out=log_pmf)
 
 
@@ -171,7 +172,9 @@ def exact_expected_losses(
     thresholds of shape (levels, len(rounds)) give losses of that shape,
     row j bitwise the call at level j. Each block of round counts is
     built once, its levels looped over inside it, and its tails read at
-    the rule's cut.
+    the rule's cut. The attacker's Pr(X < cut), summed up from 0, needs
+    only the columns below the block's largest cut, and the user's
+    Pr(X >= cut), summed down from n, only those from its smallest cut.
     """
     ns, taus = np.asarray(rounds), np.asarray(thresholds, dtype=np.float64)
     rates = np.asarray(attacker_rate, dtype=np.float64), np.asarray(user_rate, dtype=np.float64)
@@ -192,8 +195,9 @@ def exact_expected_losses(
         rows = np.arange(len(terms.rounds))
         for j, (mu_att, mu_use) in enumerate(levels):
             cut = cuts[j, block]
-            acc_att[j, block] = _tail(terms.pmf(mu_att), upper=False)[rows, cut]
-            rej_use[j, block] = _tail(terms.pmf(mu_use), upper=True)[rows, cut]
+            below, above = slice(cut.max()), slice(cut.min(), None)
+            acc_att[j, block] = _tail(terms.pmf(mu_att, below), upper=False)[rows, cut]
+            rej_use[j, block] = _tail(terms.pmf(mu_use, above), upper=True)[rows, cut - above.start]
     # a sure decision is exactly 1, not the pmf's float total
     acc_att = np.where(cuts > ns, 1.0, np.minimum(1.0, acc_att)).reshape(taus.shape)
     rej_use = np.where(cuts == 0, 1.0, np.minimum(1.0, rej_use)).reshape(taus.shape)

@@ -10,9 +10,10 @@ reproduces the file byte for byte.
 from __future__ import annotations
 
 import csv
+import io
 import numbers
 import operator
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import Field, dataclass, fields
 from pathlib import Path
 
@@ -100,7 +101,8 @@ def _rate_strategy(label: str) -> tuple:
     kind, _, arg = label.partition(":")
     if kind not in _RATE_KINDS:
         raise ValueError(f"unknown rate strategy {label!r}")
-    if (kind in ("guess", "hp")) != bool(arg):
+    # float() would strip the whitespace a label carries into the CSV as given
+    if (kind in ("guess", "hp")) != bool(arg) or arg != arg.strip():
         raise ValueError(f"malformed rate strategy {label!r}")
     needs_estimate, derive = _RATE_KINDS[kind]
     return needs_estimate, derive, float(arg) if arg else None
@@ -451,24 +453,47 @@ def threshold_duel(spec: ExperimentSpec) -> list[SweepRow]:
     return rows
 
 
+_EMIT_CHUNK = 1024  # rows emit_csv turns into text at once
+
+
+def _cell(value: object) -> str:
+    """A cell: a real at 12 significant digits, else (None empty) as ``csv`` writes it."""
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerow((value, None))
+    return text.getvalue()[:-2]  # without the empty cell after it and the newline
+
+
+def _column_cells(column: tuple) -> Iterable[str]:
+    """A column's cells, in one pass when every value has one type."""
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        return map("{:.12g}".format, column)
+    if kinds == {int}:
+        return map(str, column)
+    if kinds <= {str, type(None)}:  # labels: each distinct one quoted once
+        return map({label: _cell(label) for label in set(column)}.__getitem__, column)
+    return map(_cell, column)
+
+
 def emit_csv(rows: list[SweepRow], path: str | Path) -> None:
     """Write rows under the fixed header, reals at 12 significant digits.
 
     This is the one place a row's real becomes text: each is formatted
-    once here, from the double the row holds. One ``writerows`` call
-    takes every row, and ``csv`` writes None empty and integers and
-    strings by str.
+    once here, from the double the row holds. Rows go out in chunks of
+    ``_EMIT_CHUNK``, each turned into text a column at a time and written
+    at once; labels are quoted by ``csv`` itself, so every byte is as
+    ``csv.writer`` writes it.
     """
     path = Path(path)
     columns = operator.attrgetter(*CSV_HEADER)
     try:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CSV_HEADER)
-            writer.writerows(
-                [f"{v:.12g}" if isinstance(v, float) else v for v in columns(row)]
-                for row in rows
-            )
+            fh.write(",".join(CSV_HEADER) + "\n")
+            for lo in range(0, len(rows), _EMIT_CHUNK):
+                cells = map(_column_cells, zip(*map(columns, rows[lo : lo + _EMIT_CHUNK])))
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write sweep CSV to {path}: {exc}") from exc
 

@@ -487,6 +487,50 @@ def _level_batches(draw):
     return ns, taus.tolist(), attacker, user
 
 
+@st.composite
+def _cut_batches(draw):
+    """Unsorted, repeated round grids over several blocks, with thresholds at
+    cuts 0, 1, n and n + 1 and fractional ones, and 1-3 rate pairs."""
+    ns = draw(st.lists(st.integers(1, 600), min_size=30, max_size=70))
+    ns += [600, ns[0]]  # 600 rounds make blocks of 27 round counts
+    levels = draw(st.integers(1, 3))
+    rates = st.lists(_MU, min_size=levels, max_size=levels)
+    attacker, user = draw(rates), draw(rates)
+    taus = [
+        [
+            draw(
+                st.one_of(
+                    st.sampled_from([-1.0, 0.0, 0.5, 1.0, n - 0.5, float(n), n + 1.0, math.inf]),
+                    st.floats(0.0, n + 1.0),
+                )
+            )
+            for n in ns
+        ]
+        for _ in range(levels)
+    ]
+    return ns, taus, attacker, user
+
+
+class TestColumnRangedTails:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(batch=_cut_batches())
+    @example(batch=([600] * 28 + [1, 2, 1], [[0.0] * 28 + [1.0, 3.0, 2.0]], [0.0], [1.0]))
+    @example(batch=([600] * 28 + [5, 1, 5], [[601.0] * 28 + [6.0, 0.5, 5.0]], [1.0], [0.3]))
+    def test_equal_the_tails_of_full_rows_bitwise(self, batch):
+        ns, taus, attacker, user = batch
+        att, use = exact_expected_losses(BENCH, ns, taus, attacker, user)
+        la, lu, lb = BENCH.false_accept, BENCH.false_reject, BENCH.per_round
+        for j, (a, u) in enumerate(zip(attacker, user)):
+            for i, n in enumerate(ns):
+                cut = int(rejected_count_min(taus[j][i], n))
+                acc = _tail(binomial_pmf(n, a), upper=False)[cut]
+                rej = _tail(binomial_pmf(n, u), upper=True)[cut]
+                acc = 1.0 if cut > n else min(1.0, acc)
+                rej = 1.0 if cut == 0 else min(1.0, rej)
+                assert att[j, i].tobytes() == np.float64(n * lb + acc * la).tobytes()
+                assert use[j, i].tobytes() == np.float64(n * lb + rej * lu).tobytes()
+
+
 class TestLevelBatch:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(batch=_level_batches())

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import exact_worst_case_losses
+import threshauth.exact as exact
 import threshauth.experiments as experiments
 from threshauth.asymptotic import asymptotic_threshold
 from threshauth.bounds import (
@@ -159,6 +160,13 @@ class TestRateStrategyLabels:
             with pytest.raises(ValueError, match="threshold strategy"):
                 ExperimentSpec(threshold_strategies=(label,))
 
+    @pytest.mark.parametrize("label", ["guess:0.1\r", "guess: 0.1", "hp:0.01\t"])
+    def test_rejects_an_argument_with_surrounding_whitespace(self, label):
+        # float() strips it, but the CSV would carry the label as given:
+        # a lone "\r" is written unquoted and the file no longer parses
+        with pytest.raises(ValueError, match="malformed rate strategy"):
+            ExperimentSpec.figure3(rate_strategies=(label,))
+
 
 class TestNoiseGrid:
     def test_default_grid_shape(self):
@@ -294,6 +302,22 @@ class TestFigure1a:
         rows = figure1a_sweep(ExperimentSpec(noise_grid=default_noise_grid()))
         assert len(rows) == 24 * 256
         assert calls == {"optimal_threshold": 0, "threshold_loss_bound": 0, "threshold_curve": 24}
+
+    def test_default_grid_builds_only_the_pmf_columns_its_tails_sum(self, monkeypatch):
+        built, full = [0], [0]
+        pmf = exact._PmfBlock.pmf
+
+        def spy(self, mu, *columns):
+            out = pmf(self, mu, *columns)
+            built[0] += out.size
+            full[0] += self.pad.size
+            return out
+
+        monkeypatch.setattr(exact._PmfBlock, "pmf", spy)
+        figure1a_sweep(ExperimentSpec(noise_grid=default_noise_grid()))
+        # 24 levels x 2 identities x 5 blocks of full rows: 1,966,560 entries
+        assert full[0] == 1_966_560
+        assert built[0] <= 0.6 * full[0]
 
     def test_memory_stays_small_on_the_default_noise_grid(self):
         spec = ExperimentSpec(noise_grid=default_noise_grid())
@@ -648,6 +672,48 @@ class TestCsvRoundTrip:
             writer.writerow([_reference_field(getattr(row, name)) for name in CSV_HEADER])
         with open(out, newline="") as fh:
             assert fh.read() == want.getvalue()
+
+    def test_labels_and_mixed_columns_span_chunks_as_csv_writes_them(self, tmp_path):
+        # the first chunk's reals and counts are of one type each; later
+        # chunks mix None with signed zeros, nan and infinities in a column
+        labels = ("a,b", 'say "hi"', '"', "lone\rcr", "\r", "line\nfeed", "crlf\r\n", " lead", "")
+        reals = (-0.0, 0.0, math.nan, math.inf, -math.inf, None, 0.1, 1e-300, 123456789012.5)
+        chunk = experiments._EMIT_CHUNK
+        rows = [
+            SweepRow(
+                omega=0.25 if i < chunk else reals[i % len(reals)],
+                n=i if i < chunk or i % 3 else None,
+                tau=i / 7 if i < chunk else reals[(i // 2) % len(reals)],
+                threshold_strategy=labels[i % len(labels)],
+                rate_strategy=labels[(i // 3) % len(labels)] if i >= chunk else "true-omega",
+                elb2=None if i < chunk else -0.0,
+                mc_worst=math.nan if i % 2 else None,
+                aborted="" if i < chunk else labels[(i // 5) % len(labels)],
+            )
+            for i in range(2 * chunk + 17)
+        ]
+        out = tmp_path / "labels.csv"
+        emit_csv(rows, out)
+        want = io.StringIO(newline="")
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        for row in rows:
+            writer.writerow([_reference_field(getattr(row, name)) for name in CSV_HEADER])
+        assert out.read_bytes() == want.getvalue().encode()
+
+    def test_emit_memory_is_bounded_by_its_chunk(self, tmp_path):
+        rows = figure1a_sweep(ExperimentSpec(noise_grid=default_noise_grid()))
+        out = tmp_path / "fig1a.csv"
+        emit_csv(rows[:10], out)  # one-time allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            emit_csv(rows, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 24 * 256
+        # about 0.7 MB in chunks; the text of all 6,144 rows at once made 3.7 MB
+        assert peak <= 1_000_000
 
     def test_numpy_round_counts_write_the_same_csv(self, tmp_path):
         grid = (1, 2, 5, 64, 256)
