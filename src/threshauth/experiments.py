@@ -2,9 +2,13 @@
 
 Each sweep produces rows of one fixed CSV schema so every experiment
 (bound curves, minimizer comparison, estimation-strategy comparison,
-threshold duel) lands in the same plottable format. All randomness is
-derived from one master seed; rerunning a sweep with the same seed
-reproduces the file byte for byte.
+threshold duel) lands in the same plottable format. A sweep returns its
+rows as a read-only ``SweepRows`` sequence of blocks: a closed-form
+block holds one noise level's shared values once and its per-round-count
+values as columns, and other rows join as all-varying blocks. A
+``SweepRow`` is built only when a row is read; ``emit_csv`` writes the
+blocks as they are. All randomness is derived from one master seed;
+rerunning a sweep with the same seed reproduces the file byte for byte.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ import csv
 import io
 import numbers
 import operator
-from collections.abc import Iterable, Sequence
-from dataclasses import Field, dataclass, fields
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import MISSING, Field, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -60,11 +64,12 @@ class SweepRow:
     """One output record; its fields, in order, are the CSV columns.
 
     A slotted, keyword-only record, built only by its constructor: by
-    the sweeps and by ``parse_csv``. A field a row does not set stays
-    empty: numbers default to None and the abort marker to "". Reals
-    are held as the sweep computed them, full doubles; ``emit_csv``
-    writes them at 12 significant digits, so a row read back by
-    ``parse_csv`` holds those 12-digit values.
+    ``parse_csv``, and by a sweep's ``SweepRows`` when a row is read
+    from its blocks. A field a row does not set stays empty: numbers
+    default to None and the abort marker to "". Reals are held as the
+    sweep computed them, full doubles; ``emit_csv`` writes them at 12
+    significant digits, so a row read back by ``parse_csv`` holds those
+    12-digit values.
     """
 
     omega: float
@@ -81,6 +86,72 @@ class SweepRow:
 
 
 CSV_HEADER = tuple(f.name for f in fields(SweepRow))
+_DEFAULTS = {f.name: f.default for f in fields(SweepRow) if f.default is not MISSING}
+_FIELDS = operator.attrgetter(*CSV_HEADER)  # a row's values in CSV order
+
+
+@dataclass(frozen=True, slots=True)
+class _Block:
+    """Consecutive rows of a sweep: ``fixed`` values shared by all of
+    them, and ``columns`` of one value per row. A field in neither takes
+    its ``SweepRow`` default."""
+
+    fixed: dict[str, object]
+    columns: dict[str, Sequence]
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values()), ()))
+
+    def row(self, i: int) -> SweepRow:
+        return SweepRow(**self.fixed, **{name: col[i] for name, col in self.columns.items()})
+
+
+def _rows_block(rows: Sequence[SweepRow]) -> _Block:
+    """The rows as one all-varying block: a column for every field."""
+    return _Block({}, dict(zip(CSV_HEADER, zip(*map(_FIELDS, rows)))))
+
+
+class SweepRows(Sequence):
+    """A sweep's rows, read-only, held as a list of blocks.
+
+    Reading a row, by index, slice or iteration, builds its ``SweepRow``
+    from its block; ``len`` builds none, and ``emit_csv`` writes the
+    blocks without building any. A slice is a list of rows. Equality
+    with a list of rows, or another ``SweepRows``, and ``repr`` are
+    those of the list of its rows.
+    """
+
+    __slots__ = ("_blocks",)
+
+    def __init__(self, blocks: Iterable[_Block]) -> None:
+        self._blocks = [block for block in blocks if len(block)]
+
+    def __len__(self) -> int:
+        return sum(map(len, self._blocks))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        for block in self._blocks if i >= 0 else ():
+            if i < len(block):
+                return block.row(i)
+            i -= len(block)
+        raise IndexError("sweep row index out of range")
+
+    def __iter__(self) -> Iterator[SweepRow]:
+        for block in self._blocks:
+            yield from map(block.row, range(len(block)))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (list, SweepRows)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 # Rate strategies by label kind: whether the kind reads the coded-phase
@@ -221,16 +292,18 @@ def _true_rates(
 
 def _closed_form_rows(
     params: LossParameters, levels: list[tuple[float, ErrorRateBounds]], n_grid: Sequence[int]
-) -> list[SweepRow]:
-    """The closed-form design's rows, level by level, each over ``n_grid`` in its order.
+) -> list[_Block]:
+    """The closed-form design's rows: one block per level, each over ``n_grid`` in its order.
 
     ``levels`` holds (noise level, rate bounds) pairs. A row holds the
     unclamped closed-form threshold (so very small round counts fall
     back to an always-reject rule), its exact worst-case loss and both
-    bound values. A level costs one ``threshold_curve`` call, and its
-    arrays become built-in numbers by ``tolist``; one level-batched
-    ``exact_expected_losses`` call scores all levels, bitwise as one
-    call per level or round count would.
+    bound values. A level's block holds omega, the strategy labels and
+    elb2 once, and n, tau, exact_worst and elb1 as columns. A level
+    costs one ``threshold_curve`` call, and its arrays become built-in
+    numbers by ``tolist``; one level-batched ``exact_expected_losses``
+    call scores all levels, bitwise as one call per level or round
+    count would.
     """
     if not levels:
         return []
@@ -239,24 +312,21 @@ def _closed_form_rows(
         params, n_grid, [taus for taus, _ in curves],
         [r.attacker_floor for _, r in levels], [r.user_ceiling for _, r in levels],
     )
-    rows = []
-    for (w, rates), (taus, elb1), exact in zip(levels, curves, np.maximum(*losses)):
-        elb2 = rounds_loss_bound(params, rates)
-        rows += [
-            SweepRow(
-                omega=w, n=n, tau=tau, threshold_strategy="finite-sample",
-                rate_strategy="true-omega", exact_worst=worst, elb1=bound, elb2=elb2,
-            )
-            for n, tau, worst, bound in zip(n_grid, taus.tolist(), exact.tolist(), elb1.tolist())
-        ]
-    return rows
+    return [
+        _Block(
+            dict(omega=w, threshold_strategy="finite-sample", rate_strategy="true-omega",
+                 elb2=rounds_loss_bound(params, rates)),
+            dict(n=n_grid, tau=taus.tolist(), exact_worst=exact.tolist(), elb1=elb1.tolist()),
+        )
+        for (w, rates), (taus, elb1), exact in zip(levels, curves, np.maximum(*losses))
+    ]
 
 
-def figure1a_sweep(spec: ExperimentSpec) -> list[SweepRow]:
+def figure1a_sweep(spec: ExperimentSpec) -> SweepRows:
     """Bound vs exact worst-case loss as the round count grows.
 
-    The closed-form rows (``_closed_form_rows``) of every live noise
-    level at every round count, built in one call, then a gap-collapse
+    The closed-form block (``_closed_form_rows``) of every live noise
+    level over every round count, built in one call, then a gap-collapse
     abort row per collapsed level. The levels are sorted and their rate
     bounds collapse exactly when w >= 1/3, so all rows are in noise order.
     """
@@ -265,10 +335,10 @@ def figure1a_sweep(spec: ExperimentSpec) -> list[SweepRow]:
         rates = _true_rates(w, ("finite-sample",), aborts)
         if rates is not None:
             levels.append((w, rates))
-    return _closed_form_rows(spec.params, levels, spec.n_grid) + aborts
+    return SweepRows([*_closed_form_rows(spec.params, levels, spec.n_grid), _rows_block(aborts)])
 
 
-def figure1b_sweep(spec: ExperimentSpec) -> list[SweepRow]:
+def figure1b_sweep(spec: ExperimentSpec) -> SweepRows:
     """Best-possible vs formula-chosen round count across noise levels.
 
     Per live noise level: the exhaustive-search optimum (rounds, integer
@@ -290,21 +360,20 @@ def figure1b_sweep(spec: ExperimentSpec) -> list[SweepRow]:
                 f"limit of {_MAX_ROUNDS} rounds"
             )
         levels.append((w, rates, n_hat))
-    rows = []
+    blocks = []
     for w, rates, n_hat in levels:
         best = brute_force_optimal(spec.params, rates, spec.n_max)
-        rows.append(
-            SweepRow(
-                omega=w,
-                n=best.rounds,
-                tau=float(best.threshold),
-                threshold_strategy="brute-force",
-                rate_strategy="true-omega",
-                exact_worst=best.worst_loss,
-            )
+        best_row = SweepRow(
+            omega=w,
+            n=best.rounds,
+            tau=float(best.threshold),
+            threshold_strategy="brute-force",
+            rate_strategy="true-omega",
+            exact_worst=best.worst_loss,
         )
-        rows += _closed_form_rows(spec.params, [(w, rates)], (n_hat,))
-    return rows + aborts
+        blocks.append(_rows_block([best_row]))
+        blocks += _closed_form_rows(spec.params, [(w, rates)], (n_hat,))
+    return SweepRows([*blocks, _rows_block(aborts)])
 
 
 def _score_level(
@@ -363,7 +432,7 @@ def _score_level(
     return rows
 
 
-def figure3_comparison(spec: ExperimentSpec) -> list[SweepRow]:
+def figure3_comparison(spec: ExperimentSpec) -> SweepRows:
     """Noise-estimation and threshold strategies under a real channel.
 
     For each noise level one coded phase is simulated and its error
@@ -419,10 +488,10 @@ def figure3_comparison(spec: ExperimentSpec) -> list[SweepRow]:
         rows.extend(
             _score_level(spec, entries, attacker_per_round_error(w), user_per_round_error(w))
         )
-    return rows
+    return SweepRows([_rows_block(rows)])
 
 
-def threshold_duel(spec: ExperimentSpec) -> list[SweepRow]:
+def threshold_duel(spec: ExperimentSpec) -> SweepRows:
     """Finite-sample vs asymptotic threshold at small designs.
 
     Sweeps the noise grid in the given order and a grid of round counts.
@@ -450,7 +519,7 @@ def threshold_duel(spec: ExperimentSpec) -> list[SweepRow]:
                 fields = dict(omega=w, threshold_strategy=tstrat, rate_strategy="true-omega")
                 entries.append((n, tau, (spec.master_seed, wi, ni), fields))
         rows.extend(_score_level(spec, entries, rates.attacker_floor, rates.user_ceiling))
-    return rows
+    return SweepRows([_rows_block(rows)])
 
 
 _EMIT_CHUNK = 1024  # rows emit_csv turns into text at once
@@ -460,40 +529,74 @@ def _cell(value: object) -> str:
     """A cell: a real at 12 significant digits, else (None empty) as ``csv`` writes it."""
     if isinstance(value, float):
         return f"{value:.12g}"
+    if value is None:
+        return ""
+    if isinstance(value, int):  # its text needs no quoting
+        return str(value)
     text = io.StringIO()
     csv.writer(text, lineterminator="\n").writerow((value, None))
     return text.getvalue()[:-2]  # without the empty cell after it and the newline
 
 
-def _column_cells(column: tuple) -> Iterable[str]:
-    """A column's cells, in one pass when every value has one type."""
+def _column_field(column: Sequence) -> tuple[str, Iterable]:
+    """A column's format field and the values it formats, in one pass
+    when every value has one type."""
     kinds = set(map(type, column))
     if kinds == {float}:
-        return map("{:.12g}".format, column)
+        return "{:.12g}", column
     if kinds == {int}:
-        return map(str, column)
+        return "{}", column
     if kinds <= {str, type(None)}:  # labels: each distinct one quoted once
-        return map({label: _cell(label) for label in set(column)}.__getitem__, column)
-    return map(_cell, column)
+        return "{}", map({label: _cell(label) for label in set(column)}.__getitem__, column)
+    return "{}", map(_cell, column)
 
 
-def emit_csv(rows: list[SweepRow], path: str | Path) -> None:
+def _write_block(fh, block: _Block) -> None:
+    """Write a block's rows, ``_EMIT_CHUNK`` at a time, through one line template.
+
+    Each fixed cell is rendered once and inlined into the template, its
+    braces escaped; each column is a format field of the template.
+    """
+    fixed = _DEFAULTS | block.fixed
+    texts = {
+        name: _cell(fixed[name]).replace("{", "{{").replace("}", "}}")
+        for name in CSV_HEADER if name not in block.columns
+    }
+    for lo in range(0, len(block), _EMIT_CHUNK):
+        cells, columns = [], []
+        for name in CSV_HEADER:
+            if name in texts:
+                cells.append(texts[name])
+                continue
+            field, column = _column_field(block.columns[name][lo : lo + _EMIT_CHUNK])
+            cells.append(field)
+            columns.append(column)
+        fh.write("".join(map((",".join(cells) + "\n").format, *columns)))
+
+
+def emit_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
     """Write rows under the fixed header, reals at 12 significant digits.
 
     This is the one place a row's real becomes text: each is formatted
-    once here, from the double the row holds. Rows go out in chunks of
-    ``_EMIT_CHUNK``, each turned into text a column at a time and written
-    at once; labels are quoted by ``csv`` itself, so every byte is as
-    ``csv.writer`` writes it.
+    once here, from the double the row holds. A sweep's ``SweepRows``
+    is written block by block, building no row; a plain list of rows is
+    written as all-varying blocks of ``_EMIT_CHUNK`` rows. A block's
+    shared cells are rendered once, and its columns go through one line
+    template: an all-float column as ``{:.12g}``, an all-int one as
+    ``{}``, others as cells rendered first. Labels are quoted by ``csv``
+    itself, so every byte is as ``csv.writer`` writes it.
     """
     path = Path(path)
-    columns = operator.attrgetter(*CSV_HEADER)
+    if isinstance(rows, SweepRows):
+        blocks = rows._blocks
+    else:
+        chunks = range(0, len(rows), _EMIT_CHUNK)
+        blocks = (_rows_block(rows[lo : lo + _EMIT_CHUNK]) for lo in chunks)
     try:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(CSV_HEADER) + "\n")
-            for lo in range(0, len(rows), _EMIT_CHUNK):
-                cells = map(_column_cells, zip(*map(columns, rows[lo : lo + _EMIT_CHUNK])))
-                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            for block in blocks:
+                _write_block(fh, block)
     except OSError as exc:
         raise OSError(f"cannot write sweep CSV to {path}: {exc}") from exc
 

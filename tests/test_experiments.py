@@ -57,6 +57,18 @@ def _count_calls(monkeypatch, names):
     return calls
 
 
+def _count_built_rows(monkeypatch):
+    """SweepRow objects constructed from here on, in a one-item list."""
+    built, init = [0], SweepRow.__init__
+
+    def spy(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SweepRow, "__init__", spy)
+    return built
+
+
 def _blank_row(**overrides):
     base = dict(
         omega=0.1,
@@ -318,6 +330,15 @@ class TestFigure1a:
         # 24 levels x 2 identities x 5 blocks of full rows: 1,966,560 entries
         assert full[0] == 1_966_560
         assert built[0] <= 0.6 * full[0]
+
+    def test_default_grid_sweep_and_emit_build_no_row(self, monkeypatch, tmp_path):
+        built = _count_built_rows(monkeypatch)
+        rows = figure1a_sweep(ExperimentSpec(noise_grid=default_noise_grid()))
+        emit_csv(rows, tmp_path / "fig1a.csv")
+        assert len(rows) == 24 * 256
+        assert built == [0]
+        assert rows[-1].n == 256  # reading a row builds it
+        assert built == [1]
 
     def test_memory_stays_small_on_the_default_noise_grid(self):
         spec = ExperimentSpec(noise_grid=default_noise_grid())
@@ -623,6 +644,41 @@ class TestThresholdDuel:
         assert threshold_duel(spec) == threshold_duel(spec)
 
 
+class TestSweepRows:
+    def test_reads_as_the_list_of_its_rows(self, monkeypatch):
+        # a gap-collapse row after two closed-form blocks of three rows
+        spec = ExperimentSpec(noise_grid=(0.4, 0.1, 0.01), n_grid=(3, 1, 3))
+        rows = figure1a_sweep(spec)
+        built = _count_built_rows(monkeypatch)
+        assert len(rows) == 7
+        assert built == [0]
+        want = list(rows)
+        assert len(want) == 7 and built == [7]
+        assert [r.omega for r in want] == [0.01] * 3 + [0.1] * 3 + [0.4]
+        assert [r.n for r in want] == [3, 1, 3, 3, 1, 3, None]
+        assert want[-1] == SweepRow(omega=0.4, threshold_strategy="finite-sample",
+                                    rate_strategy="true-omega", aborted="gap-collapse")
+        for i in range(-7, 7):
+            assert rows[i] == want[i]
+        for i in (7, -8):
+            with pytest.raises(IndexError):
+                rows[i]
+        assert rows[np.int64(4)] == want[4]
+        for cut in (slice(None), slice(2, 5), slice(-3, None), slice(None, None, -2),
+                    slice(5, 100), slice(4, 1)):
+            assert rows[cut] == want[cut]
+            assert type(rows[cut]) is list
+        assert rows == want and want == rows
+        assert not rows != want and not want != rows
+        assert rows != want[:-1] and want[:-1] != rows
+        assert rows != tuple(want) and rows != want[0]
+        assert rows == figure1a_sweep(spec)
+        assert repr(rows) == repr(want)
+        assert want[3] in rows and rows.index(want[3]) == 3
+        with pytest.raises(TypeError):
+            rows[0] = want[0]
+
+
 def _reference_field(value):
     """Each cell formatted on its own, as the CSV schema defines it."""
     if value is None:
@@ -632,6 +688,16 @@ def _reference_field(value):
     if isinstance(value, int):
         return str(value)
     return f"{value:.12g}"
+
+
+def _reference_bytes(rows):
+    """The CSV of the rows, each cell formatted on its own by ``_reference_field``."""
+    want = io.StringIO(newline="")
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for row in rows:
+        writer.writerow([_reference_field(getattr(row, name)) for name in CSV_HEADER])
+    return want.getvalue().encode()
 
 
 _FLOAT = st.one_of(
@@ -701,6 +767,46 @@ class TestCsvRoundTrip:
             writer.writerow([_reference_field(getattr(row, name)) for name in CSV_HEADER])
         assert out.read_bytes() == want.getvalue().encode()
 
+    @pytest.mark.parametrize("label", ["{", "}", "{0}", 'a,"b', '"'])
+    @pytest.mark.parametrize("real", [-0.0, math.nan, math.inf, -math.inf])
+    def test_blocks_write_the_bytes_of_their_rows(self, label, real, tmp_path):
+        # a block past one chunk, fixed cells that need quoting or escaping,
+        # then loose all-varying rows, some with the same label
+        size = experiments._EMIT_CHUNK + 5
+        block = experiments._Block(
+            dict(omega=real, threshold_strategy=label, rate_strategy="{}", elb2=real),
+            dict(
+                n=list(range(1, size + 1)),
+                tau=[i / 7 for i in range(size)],
+                exact_worst=[None if i % 3 else -i / 3 for i in range(size)],
+                elb1=[real] * size,
+                aborted=[label if i % 2 else "{1}" for i in range(size)],
+            ),
+        )
+        loose = [
+            _blank_row(threshold_strategy=label, rate_strategy="{0}", tau=real),
+            _blank_row(omega=real, n=None, tau=None, exact_worst=None, aborted="gap-collapse"),
+            _blank_row(rate_strategy=label, elb2=-0.0, mc_stderr=math.nan),
+        ]
+        rows = experiments.SweepRows([block, experiments._rows_block(loose)])
+        assert len(rows) == size + 3
+        out = tmp_path / "blocks.csv"
+        emit_csv(rows, out)
+        assert out.read_bytes() == _reference_bytes(list(rows))
+
+    @pytest.mark.parametrize("sweep, spec", [
+        (figure1a_sweep, ExperimentSpec(
+            noise_grid=(0.4, 0.1, 0.0, 1 / 3, 0.01, 0.3), n_grid=(256, 5, 1, 5, 64, 1000, 1))),
+        (figure1b_sweep, ExperimentSpec.figure1b(
+            noise_grid=(0.4, 0.1, 0.0, 1 / 3, 0.01, 0.3), n_max=64)),
+    ], ids=["fig1a", "fig1b"])
+    def test_closed_form_blocks_write_the_bytes_of_their_rows(self, sweep, spec, tmp_path):
+        # collapsed levels between live ones, round counts unsorted and repeated
+        rows = sweep(spec)
+        out = tmp_path / "sweep.csv"
+        emit_csv(rows, out)
+        assert out.read_bytes() == _reference_bytes(list(rows))
+
     def test_emit_memory_is_bounded_by_its_chunk(self, tmp_path):
         rows = figure1a_sweep(ExperimentSpec(noise_grid=default_noise_grid()))
         out = tmp_path / "fig1a.csv"
@@ -732,8 +838,10 @@ class TestCsvRoundTrip:
         assert out.read_text() == ",".join(CSV_HEADER) + "\n"
 
     def test_round_trip_equality_and_stable_bytes(self, tmp_path):
-        rows = figure1b_sweep(ExperimentSpec.figure1b(noise_grid=(0.1, 0.01)))
-        rows.append(_blank_row(n=None, tau=None, exact_worst=None, aborted="gap-collapse"))
+        rows = [
+            *figure1b_sweep(ExperimentSpec.figure1b(noise_grid=(0.1, 0.01))),
+            _blank_row(n=None, tau=None, exact_worst=None, aborted="gap-collapse"),
+        ]
         first = tmp_path / "first.csv"
         emit_csv(rows, first)
         parsed = parse_csv(first)
