@@ -69,7 +69,8 @@ class SweepRow:
     default to None and the abort marker to "". Reals are held as the
     sweep computed them, full doubles; ``emit_csv`` writes them at 12
     significant digits, so a row read back by ``parse_csv`` holds those
-    12-digit values.
+    12-digit values. A label (a strategy or the abort marker) holding
+    a line break raises ValueError.
     """
 
     omega: float
@@ -84,8 +85,16 @@ class SweepRow:
     mc_stderr: float | None = None
     aborted: str = ""
 
+    def __post_init__(self) -> None:
+        # emit_csv would write a lone \r unquoted, which parse_csv cannot read
+        for name in _LABELS:
+            label = getattr(self, name)
+            if "\r" in label or "\n" in label:
+                raise ValueError(f"{name} holds a line break: {label!r}")
+
 
 CSV_HEADER = tuple(f.name for f in fields(SweepRow))
+_LABELS = tuple(f.name for f in fields(SweepRow) if f.type == "str")
 _DEFAULTS = {f.name: f.default for f in fields(SweepRow) if f.default is not MISSING}
 _FIELDS = operator.attrgetter(*CSV_HEADER)  # a row's values in CSV order
 

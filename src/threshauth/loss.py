@@ -54,6 +54,9 @@ class ProverIdentity(enum.Enum):
 class LossParameters:
     """The three unit losses and their derived ratio.
 
+    Each loss is finite, and so is the product of the two decision
+    losses, which the loss bounds take the square root of.
+
     Attributes
     ----------
     false_accept : float
@@ -76,6 +79,12 @@ class LossParameters:
             raise ValueError(f"false_reject must be positive, got {self.false_reject}")
         if not (self.per_round >= 0 and math.isfinite(self.per_round)):
             raise ValueError(f"per_round must be nonnegative, got {self.per_round}")
+        # the bounds scale with sqrt(false_accept * false_reject)
+        if not math.isfinite(self.false_accept * self.false_reject):
+            raise ValueError(
+                f"false_accept * false_reject overflows: false_accept {self.false_accept}, "
+                f"false_reject {self.false_reject}"
+            )
 
     @property
     def ratio(self) -> float:

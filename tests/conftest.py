@@ -1,5 +1,6 @@
-"""Helpers shared by the test modules: binomial masses by integer enumeration
-and the worst-case exact loss the tests use as their oracle."""
+"""Helpers shared by the test modules: binomial masses by integer enumeration,
+the one-shot Monte Carlo cdf table and the worst-case exact loss the tests
+use as their oracles."""
 
 import functools
 import itertools
@@ -44,3 +45,19 @@ def exact_worst_case_losses(params, rates, rounds, thresholds):
     return np.maximum(
         *exact_expected_losses(params, rounds, thresholds, rates.attacker_floor, rates.user_ceiling)
     )
+
+
+def one_shot_cdf_table(rounds: int, p: float) -> np.ndarray:
+    """``channel._cdf_table`` as one expression, its log-factorials built per call.
+
+    Each entry of the table the channel builds must carry these bits.
+    """
+    k = np.arange(rounds + 1)
+    log_fact = np.fromiter(map(math.lgamma, range(1, rounds + 2)), float, rounds + 1)
+    log_mass = (
+        log_fact[rounds] - log_fact - log_fact[::-1]
+        + k * math.log(p) + (rounds - k) * math.log1p(-p)
+    )
+    cdf = np.minimum(np.cumsum(np.exp(log_mass)), 1.0)
+    cdf[-1] = 1.0
+    return cdf

@@ -1,6 +1,7 @@
 """Tests for the channel mapping and the deterministic Monte Carlo layer."""
 
 import ast
+import contextlib
 import math
 import sys
 import tracemalloc
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import enumerated_cdf
+from conftest import enumerated_cdf, one_shot_cdf_table
 from threshauth import channel
 from threshauth.bounds import threshold_loss_bound
 from threshauth.channel import (
@@ -319,6 +320,82 @@ class TestInversionSampler:
                 continue
             for module in modules:
                 assert "exact" not in module.split("."), ast.unparse(node)
+
+
+@contextlib.contextmanager
+def _fresh_log_factorials():
+    """Run with the shared log-factorial table back at its start, log 0! alone."""
+    saved = channel._log_factorials
+    channel._log_factorials = saved[:1]
+    try:
+        yield
+    finally:
+        channel._log_factorials = saved
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+class TestLogFactorialTable:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 2048),
+                st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.sampled_from(["ascending", "descending", "random"]),
+    )
+    @example([(0, 0.5), (2048, 0.3), (1, 1e-300)], "random")
+    def test_tables_are_the_one_shot_bits_whatever_order_the_table_grew_in(self, calls, order):
+        if order != "random":
+            calls = sorted(calls, reverse=order == "descending")
+        with _fresh_log_factorials():
+            for rounds, p in calls:
+                assert _bits(_cdf_table(rounds, p)) == _bits(one_shot_cdf_table(rounds, p))
+            table = channel._log_factorials
+            # grown to the largest count asked for, each entry lgamma(k + 1)
+            assert len(table) == max(rounds for rounds, _ in calls) + 1
+            assert _bits(table) == _bits([math.lgamma(k + 1) for k in range(len(table))])
+
+    def test_each_growth_computes_only_the_new_entries(self, monkeypatch):
+        computed = []
+        lgamma = math.lgamma
+        monkeypatch.setattr(channel.math, "lgamma", lambda x: computed.append(x) or lgamma(x))
+        with _fresh_log_factorials():
+            for rounds in (10, 4, 10, 25):
+                _cdf_table(rounds, 0.25)
+        # log 0! is there from the start; log k! is lgamma(k + 1), so the
+        # first growth asks for 2..11, the next two for nothing, the last for 12..26
+        assert computed == list(range(2, 27))
+
+    def test_views_of_the_table_are_read_only(self):
+        view = channel._log_factorial_table(16)
+        assert len(view) == 17 and not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[3] = 0.0
+        with pytest.raises(ValueError):
+            view.flags.writeable = True
+
+    def test_mutating_a_returned_table_leaves_the_next_call_unchanged(self):
+        table = _cdf_table(300, 0.2)
+        want = _bits(table)
+        assert not np.shares_memory(table, channel._log_factorials)
+        table[:] = -1.0
+        assert _bits(_cdf_table(300, 0.2)) == want
+        assert _bits(_cdf_table(120, 0.7)) == _bits(one_shot_cdf_table(120, 0.7))
+
+    def test_mutating_a_returned_histogram_leaves_the_next_call_unchanged(self):
+        args = (300, 0.2, 5_000, 1729, ProverIdentity.USER)
+        histogram = simulate_error_counts(*args)
+        want = histogram.copy()
+        assert not np.shares_memory(histogram, channel._log_factorials)
+        histogram[:] = 7
+        np.testing.assert_array_equal(simulate_error_counts(*args), want)
 
 
 class TestMultinomialDraw:

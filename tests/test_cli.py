@@ -337,6 +337,25 @@ class TestErrorPaths:
         assert captured.err.startswith("error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["bounds", "exact", "fig1a", "fig3"])
+    @pytest.mark.parametrize("losses", [("1e170", "1e170"), ("1e300", "1e300")])
+    def test_loss_product_that_overflows_is_rejected(self, command, losses, tmp_path, capsys):
+        # sqrt(la * lu) scales the bounds: unchecked, fig1a wrote inf in
+        # every row and bounds failed converting nan to an integer
+        la, lu = losses
+        out = tmp_path / "out.csv"
+        args = [command, "--omega", "0.1", "--la", la, "--lu", lu]
+        if command in ("fig1a", "fig3"):
+            args += ["--out", str(out)]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: false_accept * false_reject overflows: false_accept {float(la)}, "
+            f"false_reject {float(lu)}\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("sweep", ["fig1a", "fig1b", "fig3", "duel"])
     @pytest.mark.parametrize("grid", [["0.1", "1.5"], ["nan"]], ids=["out-of-range", "nan"])
     def test_bad_noise_level_is_rejected_before_any_work(self, sweep, grid, tmp_path, capsys):

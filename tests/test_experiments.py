@@ -705,8 +705,9 @@ _FLOAT = st.one_of(
     st.floats(),
 )
 _REAL = st.one_of(_FLOAT, st.integers(-10**6, 10**6))
-# printable ASCII with the CSV specials: comma, quote, newline, carriage return
-_LABEL = st.text(alphabet=string.printable, max_size=12)
+# printable ASCII with the CSV specials comma and quote; a row rejects a
+# label holding a newline or carriage return
+_LABEL = st.text(alphabet=string.printable.translate({10: None, 13: None}), max_size=12)
 
 
 @st.composite
@@ -727,7 +728,7 @@ def _rows(draw):
 class TestCsvRoundTrip:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(rows=st.lists(_rows(), max_size=5))
-    @example(rows=[_blank_row(rate_strategy="guess:0.1\n", tau=-0.0, threshold_strategy='a,"b')])
+    @example(rows=[_blank_row(rate_strategy="guess:0.1\t", tau=-0.0, threshold_strategy='a,"b')])
     def test_bytes_equal_the_per_field_formatter(self, rows, tmp_path_factory):
         out = tmp_path_factory.getbasetemp() / "emit-vs-reference.csv"
         emit_csv(rows, out)
@@ -742,7 +743,7 @@ class TestCsvRoundTrip:
     def test_labels_and_mixed_columns_span_chunks_as_csv_writes_them(self, tmp_path):
         # the first chunk's reals and counts are of one type each; later
         # chunks mix None with signed zeros, nan and infinities in a column
-        labels = ("a,b", 'say "hi"', '"', "lone\rcr", "\r", "line\nfeed", "crlf\r\n", " lead", "")
+        labels = ("a,b", 'say "hi"', '"', "tab\tcell", "\x0b", "form\x0cfeed", '",', " lead", "")
         reals = (-0.0, 0.0, math.nan, math.inf, -math.inf, None, 0.1, 1e-300, 123456789012.5)
         chunk = experiments._EMIT_CHUNK
         rows = [
@@ -886,6 +887,26 @@ class TestCsvRoundTrip:
         bad.write_text("\n".join(lines) + "\n")
         width = len(CSV_HEADER) + cells
         with pytest.raises(ValueError, match=rf"bad\.csv, line 3: {width} cells, want "):
+            parse_csv(bad)
+
+    @pytest.mark.parametrize("name", ["threshold_strategy", "rate_strategy", "aborted"])
+    @pytest.mark.parametrize("label", ["a\rb", "\n", "crlf\r\n"])
+    def test_a_label_with_a_line_break_is_rejected_before_any_file(self, name, label, tmp_path):
+        # emit_csv would write a lone "\r" unquoted, as csv.writer does on
+        # Python 3.11, and parse_csv could not read the file back
+        out = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match=f"{name} holds a line break"):
+            emit_csv([_blank_row(**{name: label})], out)
+        assert not out.exists()
+
+    def test_rejects_a_quoted_line_break_naming_its_line(self, tmp_path):
+        good = tmp_path / "good.csv"
+        emit_csv([_blank_row(), _blank_row(aborted="gap-collapse")], good)
+        text = good.read_text()
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text.replace(",gap-collapse\n", ',"gap\ncollapse"\n'))
+        # the record spans lines 3 and 4; csv's line count ends at its last line
+        with pytest.raises(ValueError, match=r"bad\.csv, line 4: aborted holds a line break"):
             parse_csv(bad)
 
     def test_rejects_an_unparsable_cell_naming_its_line(self, tmp_path):

@@ -1,6 +1,7 @@
 """Tests for the loss parameters, the error-rate bounds and the expected loss."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +47,16 @@ class TestLossParameters:
             LossParameters(10.0, -1.0, 1e-2)
         with pytest.raises(ValueError):
             LossParameters(math.inf, 1.0, 1e-2)
+
+    @pytest.mark.parametrize("la, lu", [(1e170, 1e170), (1e300, 1e300), (1e308, 2.0)])
+    def test_rejects_losses_whose_product_overflows(self, la, lu):
+        # each loss is finite, but sqrt(false_accept * false_reject) is not
+        with pytest.raises(ValueError, match=re.escape(f"false_accept {la}, false_reject {lu}")):
+            LossParameters(la, lu, 1e-2)
+
+    def test_accepts_a_finite_product_of_large_losses(self):
+        assert LossParameters(1e154, 1e154, 1e-2).false_accept == 1e154
+        assert LossParameters(1e308, 1.0, 1e-2).false_reject == 1.0
 
 
 class TestErrorRateBounds:
