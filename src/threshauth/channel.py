@@ -3,9 +3,11 @@
 Maps channel noise to the per-round error-rate bounds of the analyzed
 challenge-response protocols, and runs deterministic Monte Carlo trials
 of the rapid bit-exchange phase for both prover identities. The trials
-come back as a histogram of their error counts, drawn as one multinomial
-sample over the binomial pmf, and one histogram can be scored under any
-number of threshold rules. The pmf is taken from a cdf table built here
+of a design come back as a histogram of their error counts, drawn as one
+multinomial sample over the binomial pmf, and one histogram can be
+scored under any number of threshold rules. A noise level's designs are
+drawn in one call, over one block of cdf rows, and scored in one
+vectorized pass per identity. The pmf is taken from cdf rows built here
 from log-factorials, not from ``exact``, so the Monte Carlo stays an
 independent check of the exact oracle. Every random stream, of an
 identity's trials here or of a coded phase in ``noise``, is ``_stream``
@@ -15,6 +17,7 @@ over the master seed and the stream's tags.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -66,10 +69,38 @@ def swiss_hitomi_rates(flip_probability: float) -> ErrorRateBounds:
     )
 
 
+def _seed_words(entropy: Sequence[int | Sequence[int]]) -> list[int]:
+    """The uint32 words numpy's ``SeedSequence`` makes of these parts.
+
+    Int or sequence parts are flattened in order; each int becomes its
+    32-bit words, least significant first, and 0 one zero word, as numpy
+    coerces an int. A negative part raises ValueError.
+    """
+    words = []
+    for part in entropy:
+        for value in (part,) if isinstance(part, (int, np.integer)) else part:
+            value = operator.index(value)
+            if value < 0:
+                raise ValueError(f"seed parts must be integers >= 0, got {value}")
+            words.append(value & 0xFFFFFFFF)
+            while value := value >> 32:
+                words.append(value & 0xFFFFFFFF)
+    return words
+
+
+def _generator(words: list[int]) -> np.random.Generator:
+    """PCG64 over a ``SeedSequence`` of these uint32 words."""
+    seeds = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    return np.random.Generator(np.random.PCG64(seeds))
+
+
 def _stream(*entropy: int | Sequence[int]) -> np.random.Generator:
-    """PCG64 over a ``SeedSequence`` of the entropy, int or sequence parts flattened in order."""
-    flat = [s for e in entropy for s in ((e,) if isinstance(e, (int, np.integer)) else e)]
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(tuple(map(int, flat)))))
+    """PCG64 over a ``SeedSequence`` of the entropy, int or sequence parts flattened in order.
+
+    Bitwise the stream of ``SeedSequence(tuple(parts))``, seeded from
+    the parts' uint32 words, which numpy reads without coercing each int.
+    """
+    return _generator(_seed_words(entropy))
 
 
 # log k! for k = 0..len - 1, as math.lgamma(k + 1): each entry is a
@@ -97,30 +128,103 @@ def _log_factorial_table(rounds: int) -> np.ndarray:
     return _log_factorials[: rounds + 1]
 
 
-def _cdf_table(rounds: int, p: float) -> np.ndarray:
-    """Pr(X <= k) for X ~ Binomial(rounds, p), k = 0..rounds.
+def _cdf_rows(rounds: np.ndarray, rates: Sequence[float]) -> list[np.ndarray]:
+    """For each rate p, Pr(X <= k) for X ~ Binomial(rounds[i], p) as row i of one block.
 
-    Each mass is exp(log n! - log k! - log (n-k)! + k log p + (n-k)
-    log(1-p)), evaluated left to right into one fresh array, with the
-    log-factorials read from one read-only table of ``math.lgamma``
-    values in this module that grows on demand; their running sum is
-    clipped to 1 and its last entry set to exactly 1, so the table never
-    decreases and no count can exceed ``rounds``. The returned array is
-    the caller's own. For 0 < p < 1 it lies within 16 n eps of the exact
-    cdf at every k (measured: at most 4.6 n eps over 2,000 random draws
-    with n <= 200, and 2.0 n eps at n from 512 to 2048).
+    ``rounds`` is a nonempty 1-D int array and each rate lies in (0, 1).
+    A block has max(rounds) + 1 columns; row i is ``rounds[i]``'s cdf at
+    k = 0..rounds[i], and its columns past ``rounds[i]`` are padding. Each
+    mass is exp(log n! - log k! - log (n-k)! + k log p + (n-k) log(1-p)),
+    evaluated left to right, with the log-factorials read from one
+    read-only table of ``math.lgamma`` values in this module that grows
+    on demand. The rate-free part is built once for all rates, with
+    log-mass -inf in the padding, so no exp there can overflow. A row's
+    running sum is clipped to 1 and its entry at ``rounds[i]`` set to
+    exactly 1, so the table never decreases and no count can exceed
+    ``rounds[i]``. Every block is the caller's own. For 0 < p < 1 a row
+    lies within 16 n eps of the exact cdf at every k (measured: at most
+    4.6 n eps over 2,000 random draws with n <= 200, and 2.0 n eps at n
+    from 512 to 2048).
     """
-    log_fact = _log_factorial_table(rounds)
-    k = np.arange(rounds + 1)
-    cdf = np.subtract(log_fact[rounds], log_fact)
-    cdf -= log_fact[::-1]
-    cdf += k * math.log(p)
-    cdf += k[::-1] * math.log1p(-p)  # k[::-1] is rounds - k
-    np.exp(cdf, out=cdf)
-    np.cumsum(cdf, out=cdf)
-    np.minimum(cdf, 1.0, out=cdf)
-    cdf[-1] = 1.0
-    return cdf
+    log_fact = _log_factorial_table(int(rounds.max()))
+    k = np.arange(len(log_fact))
+    n_minus_k = rounds[:, None] - k
+    padding = n_minus_k < 0
+    np.maximum(n_minus_k, 0, out=n_minus_k)
+    rate_free = np.subtract.outer(log_fact[rounds], log_fact)
+    rate_free -= log_fact[n_minus_k]
+    rate_free[padding] = -np.inf
+    last = (np.arange(len(rounds)), rounds)
+    blocks = []
+    for p in rates:
+        cdf = rate_free + k * math.log(p)
+        cdf += n_minus_k * math.log1p(-p)
+        np.exp(cdf, out=cdf)
+        np.cumsum(cdf, axis=1, out=cdf)
+        np.minimum(cdf, 1.0, out=cdf)
+        cdf[last] = 1.0
+        blocks.append(cdf)
+    return blocks
+
+
+def _cdf_table(rounds: int, p: float) -> np.ndarray:
+    """Pr(X <= k) for X ~ Binomial(rounds, p), k = 0..rounds: the one row of ``_cdf_rows``."""
+    return _cdf_rows(np.array([rounds]), (p,))[0][0]
+
+
+def simulate_error_histograms(
+    rounds: Sequence[int],
+    sides: Sequence[tuple[ProverIdentity, float]],
+    trials: int,
+    master_seeds: Sequence[int | Sequence[int]],
+) -> list[list[np.ndarray]]:
+    """Error-count histograms of several designs, for each side.
+
+    Design i runs ``rounds[i]`` rounds on the streams of
+    ``master_seeds[i]``; a side is an (identity, per_round_error) pair.
+    Entry [s][i] of the result is bitwise
+    ``simulate_error_counts(rounds[i], per_round_error, trials,
+    master_seeds[i], identity)`` for side s: one stream per (seed,
+    identity), seeded from the uint32 words of the seed and the
+    identity's tag. Every input is checked before any stream is built.
+    One ``_cdf_rows`` call builds the cdf rows of every design at every
+    side's rate, its rate-free part shared by the sides, and one in-place
+    subtraction per side turns them into pmf rows.
+    """
+    if len(rounds) != len(master_seeds):
+        raise ValueError(f"{len(rounds)} round counts for {len(master_seeds)} seeds")
+    for n in rounds:
+        if not _is_count(n, least=0):
+            raise ValueError(f"rounds must be an integer >= 0, got {n!r}")
+    for _, p in sides:
+        if not 0.0 <= p <= 1.0:  # also false for nan
+            raise ValueError(f"per_round_error not in [0,1]: {p}")
+    if not _is_count(trials):
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    words = [_seed_words((seed,)) for seed in master_seeds]
+    ns = [operator.index(n) for n in rounds]
+    if not ns:
+        return [[] for _ in sides]
+    # the rows are clipped to 1, so the masses before a row's last sum to
+    # at most 1, as the multinomial's check of its probabilities requires
+    rates = [p for _, p in sides if p not in (0.0, 1.0)]
+    pmfs = iter(_cdf_rows(np.array(ns), rates) if rates else ())
+    histograms = []
+    for identity, p in sides:
+        if p in (0.0, 1.0):
+            side = [np.zeros(n + 1, dtype=np.int64) for n in ns]
+            for n, histogram in zip(ns, side):
+                histogram[n if p == 1.0 else 0] = trials
+        else:
+            pmf = next(pmfs)
+            np.subtract(pmf[:, 1:], pmf[:, :-1], out=pmf[:, 1:])  # np.diff(cdf, prepend=0.0)
+            tag = _STREAM_TAG[identity]
+            side = [
+                _generator(seed + [tag]).multinomial(trials, row[: n + 1])
+                for seed, n, row in zip(words, ns, pmf)
+            ]
+        histograms.append(side)
+    return histograms
 
 
 def simulate_error_counts(
@@ -141,33 +245,71 @@ def simulate_error_counts(
     until the trials run out (Devroye 1986, ch. XI). The table takes its
     log-factorials from one read-only table in this module that grows on
     demand, so a call computes only those past the largest ``rounds``
-    asked for so far, and the pmf is formed in place in the fresh cdf
-    table. So a call costs O(rounds) for the table plus at most
-    rounds + 1 binomial draws, and neither its time nor its memory grows
-    with ``trials``; no per-trial count is formed. The draw comes from a
-    stream derived from the master seed and the identity, so the result
-    depends only on these arguments and the two identities never share
-    draws. Counts before the first positive table mass are never drawn,
-    and counts past the entry where the table reaches 1 only with a
-    chance of order trials * eps, through the rounding of numpy's
+    asked for so far. So a call costs O(rounds) for the table plus at
+    most rounds + 1 binomial draws, and neither its time nor its memory
+    grows with ``trials``; no per-trial count is formed. The draw comes
+    from a stream derived from the master seed and the identity, so the
+    result depends only on these arguments and the two identities never
+    share draws. Counts before the first positive table mass are never
+    drawn, and counts past the entry where the table reaches 1 only with
+    a chance of order trials * eps, through the rounding of numpy's
     running remainder of the masses. A per-round error of 0 or 1 puts
-    every trial at 0 or ``rounds`` errors.
+    every trial at 0 or ``rounds`` errors. This is the one-design case of
+    ``simulate_error_histograms``.
     """
-    if not _is_count(rounds, least=0):
-        raise ValueError(f"rounds must be an integer >= 0, got {rounds!r}")
-    if not 0.0 <= per_round_error <= 1.0:  # also false for nan
-        raise ValueError(f"per_round_error not in [0,1]: {per_round_error}")
-    if not _is_count(trials):
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    sides = ((identity, per_round_error),)
+    return simulate_error_histograms((rounds,), sides, trials, (master_seed,))[0][0]
+
+
+def score_histograms(
+    histograms: Sequence[np.ndarray],
+    which: Sequence[int],
+    cuts: Sequence[int],
+    params: LossParameters,
+    identity: ProverIdentity,
+    per_round_error: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean losses and standard errors of several designs, one identity's histograms scored.
+
+    Design i scores ``histograms[which[i]]`` under ``cuts[i]``, each
+    result bitwise ``score_counts`` of that histogram and cut. The
+    histograms are integer, all of one positive total, the trials; a cut
+    outside 0..rounds + 1 of its histogram raises ValueError. One
+    integer running sum over the histograms end to end gives every
+    design's accepted runs, and the means and errors are one vectorized
+    pass, the Wilson terms 0.25 / T^2 and 1 + 1 / T taken as Python
+    scalars as ``score_counts`` takes them.
+    """
+    sizes = np.array([len(h) for h in histograms])  # rounds + 1 each
+    which = np.asarray(which, dtype=np.intp)
+    cuts = np.asarray(cuts).astype(np.int64, casting="same_kind")
+    limits = sizes[which]
+    outside = (cuts < 0) | (cuts > limits)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise ValueError(f"cut not in 0..{limits[i]}: {cuts[i]}")
+    # running[starts[j] + c] - running[starts[j]] counts histogram j's runs below c
+    running = np.zeros(int(sizes.sum()) + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(histograms, dtype=np.int64), out=running[1:])
+    starts = np.zeros(len(sizes) + 1, dtype=np.intp)
+    np.cumsum(sizes, out=starts[1:])
+    totals = running[starts[1:]] - running[starts[:-1]]
+    trials = int(totals[0])
+    if trials < 1 or (totals != trials).any():
+        raise ValueError(f"histograms must share a positive total, got {totals.tolist()}")
+    first = running[starts[which]]
+    accepts = running[starts[which] + cuts] - first
+    if identity is ProverIdentity.ATTACKER:
+        hits, weight = accepts, params.false_accept
+    else:
+        hits, weight = trials - accepts, params.false_reject
+    p = hits / trials
+    means = (limits - 1) * params.per_round + weight * p
     if per_round_error in (0.0, 1.0):
-        histogram = np.zeros(rounds + 1, dtype=np.int64)
-        histogram[rounds if per_round_error == 1.0 else 0] = trials
-        return histogram
-    # the table is clipped to 1, so the masses before the last sum to at
-    # most 1, as the multinomial's check of its probabilities requires
-    pmf = _cdf_table(rounds, per_round_error)
-    np.subtract(pmf[1:], pmf[:-1], out=pmf[1:])  # np.diff(cdf, prepend=0.0), bit for bit
-    return _stream(master_seed, _STREAM_TAG[identity]).multinomial(trials, pmf)
+        return means, np.zeros(len(means))
+    stderrs = weight * np.sqrt(p * (1.0 - p) / trials + 0.25 / trials**2)
+    stderrs /= 1.0 + 1.0 / trials
+    return means, stderrs
 
 
 def score_counts(
@@ -199,21 +341,9 @@ def score_counts(
     honest for rare events: at zero hits it is weight / (2 (T + 1)), so
     six of them are about the rule-of-three bound 3 / T. A per-round
     error of 0 or 1 makes every count equal, the mean exact, and the
-    error 0.
+    error 0. This is the one-design case of ``score_histograms``.
     """
-    rounds = len(histogram) - 1
-    if not 0 <= cut <= rounds + 1:
-        raise ValueError(f"cut not in 0..{rounds + 1}: {cut}")
-    trials = int(np.add.reduce(histogram))
-    accepts = int(np.add.reduce(histogram[:cut]))
-    if identity is ProverIdentity.ATTACKER:
-        hits, weight = accepts, params.false_accept
-    else:
-        hits, weight = trials - accepts, params.false_reject
-    p = hits / trials
-    mean = rounds * params.per_round + weight * p
-    if per_round_error in (0.0, 1.0):
-        return mean, 0.0
-    return mean, weight * math.sqrt(p * (1.0 - p) / trials + 0.25 / trials**2) / (
-        1.0 + 1.0 / trials
+    means, stderrs = score_histograms(
+        (histogram,), (0,), (cut,), params, identity, per_round_error
     )
+    return float(means[0]), float(stderrs[0])

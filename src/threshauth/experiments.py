@@ -33,8 +33,8 @@ from .bounds import (
 )
 from .channel import (
     attacker_per_round_error,
-    score_counts,
-    simulate_error_counts,
+    score_histograms,
+    simulate_error_histograms,
     swiss_hitomi_rates,
     user_per_round_error,
 )
@@ -86,17 +86,26 @@ class SweepRow:
     aborted: str = ""
 
     def __post_init__(self) -> None:
-        # emit_csv would write a lone \r unquoted, which parse_csv cannot read
         for name in _LABELS:
-            label = getattr(self, name)
-            if "\r" in label or "\n" in label:
-                raise ValueError(f"{name} holds a line break: {label!r}")
+            _check_labels(name, (getattr(self, name),))
+
+
+def _check_labels(name: str, labels: Iterable[str]) -> None:
+    """Raise ValueError if a label holds a line break.
+
+    emit_csv would write a lone \\r unquoted, which parse_csv cannot read.
+    """
+    for label in labels:
+        if "\r" in label or "\n" in label:
+            raise ValueError(f"{name} holds a line break: {label!r}")
 
 
 CSV_HEADER = tuple(f.name for f in fields(SweepRow))
 _LABELS = tuple(f.name for f in fields(SweepRow) if f.type == "str")
 _DEFAULTS = {f.name: f.default for f in fields(SweepRow) if f.default is not MISSING}
 _FIELDS = operator.attrgetter(*CSV_HEADER)  # a row's values in CSV order
+_ROW_DEFAULTS = {name: _DEFAULTS.get(name) for name in CSV_HEADER}
+_ROW_VALUES = operator.itemgetter(*CSV_HEADER)  # a full dict of fields' values in CSV order
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,9 +124,14 @@ class _Block:
         return SweepRow(**self.fixed, **{name: col[i] for name, col in self.columns.items()})
 
 
+def _values_block(rows: Iterable[tuple]) -> _Block:
+    """Rows given as tuples of their values in CSV order, as one all-varying block."""
+    return _Block({}, dict(zip(CSV_HEADER, zip(*rows))))
+
+
 def _rows_block(rows: Sequence[SweepRow]) -> _Block:
     """The rows as one all-varying block: a column for every field."""
-    return _Block({}, dict(zip(CSV_HEADER, zip(*map(_FIELDS, rows)))))
+    return _values_block(map(_FIELDS, rows))
 
 
 class SweepRows(Sequence):
@@ -280,10 +294,6 @@ class ExperimentSpec:
         return cls(**(defaults | overrides))
 
 
-def _abort_row(w: float, tstrat: str, rstrat: str, reason: str) -> SweepRow:
-    return SweepRow(omega=w, threshold_strategy=tstrat, rate_strategy=rstrat, aborted=reason)
-
-
 def _true_rates(
     w: float, labels: tuple[str, ...], rows: list[SweepRow]
 ) -> ErrorRateBounds | None:
@@ -295,7 +305,11 @@ def _true_rates(
     try:
         return swiss_hitomi_rates(w)
     except GapCollapseError:
-        rows.extend(_abort_row(w, label, "true-omega", "gap-collapse") for label in labels)
+        rows.extend(
+            SweepRow(omega=w, threshold_strategy=label, rate_strategy="true-omega",
+                     aborted="gap-collapse")
+            for label in labels
+        )
         return None
 
 
@@ -387,58 +401,60 @@ def figure1b_sweep(spec: ExperimentSpec) -> SweepRows:
 
 def _score_level(
     spec: ExperimentSpec,
-    entries: list,
+    w: float,
+    entries: list[tuple[dict, tuple | None]],
     attacker_rate: float,
     user_rate: float,
-) -> list[SweepRow]:
+) -> list[tuple]:
     """The rows of one noise level, its designs scored at the given rates.
 
-    ``entries`` holds the level's rows in output order: abort rows,
-    which pass through, and designs ``(n, tau, seed, fields)``, where
-    ``fields`` are the row's other columns. One ``exact_expected_losses``
-    call scores every design; exact_worst is the larger of its two
-    losses. The decision rule turns every threshold into its least
-    rejected count in one call. The entries are then walked in order.
-    A seed's Monte Carlo histograms of error counts, ``spec.trials``
-    trials per identity, are drawn the first time the seed appears and
-    scored under each threshold that shares it, so those designs are
-    compared on the same trials. mc_worst is the larger Monte Carlo mean
-    and mc_stderr the error of the identity that attains it (the
-    attacker on ties).
+    ``entries`` holds the level's rows in output order as (fields, seed)
+    pairs: an abort row's fields and None, which pass through, or a
+    design's fields, holding its n and tau, and the seed of its Monte
+    Carlo streams; the design's scored fields are added to its dict. A
+    row is returned as the tuple of its values in CSV order, omega
+    ``w``. One ``exact_expected_losses`` call scores every design;
+    exact_worst is the larger of its two losses. The decision rule
+    turns every threshold into its least rejected count in one call. A
+    seed's Monte Carlo histograms of error counts, ``spec.trials``
+    trials per identity, are drawn once, all of the level's in one
+    ``simulate_error_histograms`` call, and scored under each threshold
+    that shares the seed, so those designs are compared on the same
+    trials; one ``score_histograms`` call per identity scores every
+    design. mc_worst is the larger Monte Carlo mean and mc_stderr the
+    error of the identity that attains it (the attacker on ties).
     """
-    designs = [e for e in entries if not isinstance(e, SweepRow)]
-    if not designs:
-        return entries
-    ns, taus, _, _ = zip(*designs)
-    losses = exact_expected_losses(spec.params, ns, taus, attacker_rate, user_rate)
-    scores = zip(np.maximum(*losses).tolist(), rejected_count_min(taus, ns).tolist())
-    sides = ((ProverIdentity.ATTACKER, attacker_rate), (ProverIdentity.USER, user_rate))
-    histograms: dict[tuple[int, ...], list[np.ndarray]] = {}
-    rows = []
-    for entry in entries:
-        if isinstance(entry, SweepRow):
-            rows.append(entry)
-            continue
-        n, tau, seed, fields = entry
-        exact_worst, cut = next(scores)
-        if seed not in histograms:
-            histograms[seed] = [
-                simulate_error_counts(n, p, spec.trials, seed, identity) for identity, p in sides
-            ]
-        mc_worst, mc_stderr = max(
-            (
-                score_counts(h, cut, spec.params, identity, p)
-                for h, (identity, p) in zip(histograms[seed], sides)
-            ),
-            key=lambda mc: mc[0],
+    designs = [(fields, seed) for fields, seed in entries if seed is not None]
+    if designs:
+        ns = [fields["n"] for fields, _ in designs]
+        taus = [fields["tau"] for fields, _ in designs]
+        draws: dict[tuple, int] = {}  # seed -> its histograms' index, in first-seen order
+        which = [draws.setdefault(seed, len(draws)) for _, seed in designs]
+        rounds = [0] * len(draws)
+        for n, j in zip(ns, which):
+            rounds[j] = n
+        sides = ((ProverIdentity.ATTACKER, attacker_rate), (ProverIdentity.USER, user_rate))
+        histograms = simulate_error_histograms(rounds, sides, spec.trials, list(draws))
+        cuts = rejected_count_min(taus, ns)
+        (attacker, attacker_err), (user, user_err) = (
+            score_histograms(h, which, cuts, spec.params, identity, p)
+            for h, (identity, p) in zip(histograms, sides)
         )
-        rows.append(
-            SweepRow(
-                n=n, tau=tau, exact_worst=exact_worst, mc_worst=mc_worst, mc_stderr=mc_stderr,
-                **fields,
-            )
+        attacker_worse = attacker >= user
+        losses = exact_expected_losses(spec.params, ns, taus, attacker_rate, user_rate)
+        scored = zip(
+            np.maximum(*losses).tolist(),
+            np.where(attacker_worse, attacker, user).tolist(),
+            np.where(attacker_worse, attacker_err, user_err).tolist(),
         )
-    return rows
+        for (fields, _), (exact_worst, mc_worst, mc_stderr) in zip(designs, scored):
+            fields.update(exact_worst=exact_worst, mc_worst=mc_worst, mc_stderr=mc_stderr)
+    base = _ROW_DEFAULTS | {"omega": w}
+    return [_ROW_VALUES(base | fields) for fields, _ in entries]
+
+
+def _abort_entry(tstrat: str, rstrat: str, reason: str) -> tuple[dict, None]:
+    return dict(threshold_strategy=tstrat, rate_strategy=rstrat, aborted=reason), None
 
 
 def figure3_comparison(spec: ExperimentSpec) -> SweepRows:
@@ -458,7 +474,8 @@ def figure3_comparison(spec: ExperimentSpec) -> SweepRows:
     choosing the same round count are compared on the same trials.
     Strategies that cannot proceed (hopeless coded phase, collapsed rate
     bounds, rates outside the threshold formula's domain) yield rows
-    carrying an abort marker instead of numbers.
+    carrying an abort marker instead of numbers. The rows are returned
+    as one block, built from the value tuples of ``_score_level``.
     """
     rows = []
     code = default_transparent_code(spec.codeword_length)
@@ -471,14 +488,14 @@ def figure3_comparison(spec: ExperimentSpec) -> SweepRows:
             needs_estimate, derive, arg = _rate_strategy(rstrat)
             if needs_estimate and phase_hopeless:
                 entries.extend(
-                    _abort_row(w, t, rstrat, "coded-abort") for t in spec.threshold_strategies
+                    _abort_entry(t, rstrat, "coded-abort") for t in spec.threshold_strategies
                 )
                 continue
             try:
                 rates = derive(arg, w, theta, spec.codeword_length)
             except GapCollapseError:
                 entries.extend(
-                    _abort_row(w, t, rstrat, "gap-collapse") for t in spec.threshold_strategies
+                    _abort_entry(t, rstrat, "gap-collapse") for t in spec.threshold_strategies
                 )
                 continue
             n = min(optimal_rounds(spec.params, rates).value, spec.codeword_length)
@@ -490,14 +507,14 @@ def figure3_comparison(spec: ExperimentSpec) -> SweepRows:
                 try:
                     tau = _THRESHOLD_RULES[tstrat](spec.params, rates, n)
                 except ValueError:
-                    entries.append(_abort_row(w, tstrat, rstrat, "invalid-rates"))
+                    entries.append(_abort_entry(tstrat, rstrat, "invalid-rates"))
                     continue
-                fields = dict(omega=w, threshold_strategy=tstrat, rate_strategy=rstrat, **bounds)
-                entries.append((n, tau, (spec.master_seed, wi, n), fields))
-        rows.extend(
-            _score_level(spec, entries, attacker_per_round_error(w), user_per_round_error(w))
+                fields = dict(n=n, tau=tau, threshold_strategy=tstrat, rate_strategy=rstrat)
+                entries.append((fields | bounds, (spec.master_seed, wi, n)))
+        rows += _score_level(
+            spec, w, entries, attacker_per_round_error(w), user_per_round_error(w)
         )
-    return SweepRows([_rows_block(rows)])
+    return SweepRows([_values_block(rows)])
 
 
 def threshold_duel(spec: ExperimentSpec) -> SweepRows:
@@ -514,8 +531,10 @@ def threshold_duel(spec: ExperimentSpec) -> SweepRows:
     """
     rows = []
     for wi, w in enumerate(spec.noise_grid):
-        rates = _true_rates(w, tuple(_THRESHOLD_RULES), rows)
+        aborts = []
+        rates = _true_rates(w, tuple(_THRESHOLD_RULES), aborts)
         if rates is None:
+            rows += map(_FIELDS, aborts)
             continue
         entries = []
         for ni, n in enumerate(spec.n_grid):
@@ -523,12 +542,12 @@ def threshold_duel(spec: ExperimentSpec) -> SweepRows:
                 try:
                     tau = rule(spec.params, rates, n)
                 except ValueError:
-                    entries.append(_abort_row(w, tstrat, "true-omega", "invalid-rates"))
+                    entries.append(_abort_entry(tstrat, "true-omega", "invalid-rates"))
                     continue
-                fields = dict(omega=w, threshold_strategy=tstrat, rate_strategy="true-omega")
-                entries.append((n, tau, (spec.master_seed, wi, ni), fields))
-        rows.extend(_score_level(spec, entries, rates.attacker_floor, rates.user_ceiling))
-    return SweepRows([_rows_block(rows)])
+                fields = dict(n=n, tau=tau, threshold_strategy=tstrat, rate_strategy="true-omega")
+                entries.append((fields, (spec.master_seed, wi, ni)))
+        rows += _score_level(spec, w, entries, rates.attacker_floor, rates.user_ceiling)
+    return SweepRows([_values_block(rows)])
 
 
 _EMIT_CHUNK = 1024  # rows emit_csv turns into text at once
@@ -598,7 +617,15 @@ def emit_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
     path = Path(path)
     if isinstance(rows, SweepRows):
         blocks = rows._blocks
+        for block in blocks:
+            for name in _LABELS:
+                if name in block.columns:
+                    _check_labels(name, set(block.columns[name]))
+                else:
+                    _check_labels(name, ((_DEFAULTS | block.fixed)[name],))
     else:
+        for name in _LABELS:
+            _check_labels(name, set(map(operator.attrgetter(name), rows)))
         chunks = range(0, len(rows), _EMIT_CHUNK)
         blocks = (_rows_block(rows[lo : lo + _EMIT_CHUNK]) for lo in chunks)
     try:

@@ -1,6 +1,7 @@
 """Helpers shared by the test modules: binomial masses by integer enumeration,
-the one-shot Monte Carlo cdf table and the worst-case exact loss the tests
-use as their oracles."""
+the one-shot Monte Carlo cdf table, numpy's own seeding of a stream, the
+one-design Monte Carlo draw and score, and the worst-case exact loss the
+tests use as their oracles."""
 
 import functools
 import itertools
@@ -9,7 +10,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from threshauth.channel import _STREAM_TAG
 from threshauth.exact import BinomialSpec, exact_expected_losses
+from threshauth.loss import ProverIdentity
 
 
 @functools.lru_cache(maxsize=8)
@@ -61,3 +64,44 @@ def one_shot_cdf_table(rounds: int, p: float) -> np.ndarray:
     cdf = np.minimum(np.cumsum(np.exp(log_mass)), 1.0)
     cdf[-1] = 1.0
     return cdf
+
+
+def seeded_bits(parts) -> np.random.PCG64:
+    """The bit generator numpy seeds from the tuple of the int parts itself.
+
+    ``channel._stream`` over the same parts must draw these bits.
+    """
+    return np.random.PCG64(np.random.SeedSequence(tuple(parts)))
+
+
+def one_design_counts(rounds, p, trials, seed_parts, identity) -> np.ndarray:
+    """One design's error-count histogram, drawn on its own.
+
+    A multinomial of ``trials`` over the differences of the one-shot
+    table, on the stream of the seed's parts and the identity's tag; a
+    rate of 0 or 1 puts every trial at 0 or ``rounds`` errors.
+    """
+    if p in (0.0, 1.0):
+        histogram = np.zeros(rounds + 1, dtype=np.int64)
+        histogram[rounds if p == 1.0 else 0] = trials
+        return histogram
+    stream = np.random.Generator(seeded_bits((*seed_parts, _STREAM_TAG[identity])))
+    return stream.multinomial(trials, np.diff(one_shot_cdf_table(rounds, p), prepend=0.0))
+
+
+def one_design_score(histogram, cut, params, identity, p) -> tuple[float, float]:
+    """Mean loss and Wilson standard error of one histogram under one cut, in Python floats."""
+    rounds = len(histogram) - 1
+    trials = int(histogram.sum())
+    accepts = int(histogram[:cut].sum())
+    if identity is ProverIdentity.ATTACKER:
+        hits, weight = accepts, params.false_accept
+    else:
+        hits, weight = trials - accepts, params.false_reject
+    q = hits / trials
+    mean = rounds * params.per_round + weight * q
+    if p in (0.0, 1.0):
+        return mean, 0.0
+    return mean, weight * math.sqrt(q * (1.0 - q) / trials + 0.25 / trials**2) / (
+        1.0 + 1.0 / trials
+    )

@@ -12,14 +12,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import enumerated_cdf, one_shot_cdf_table
+from conftest import (
+    enumerated_cdf,
+    one_design_counts,
+    one_design_score,
+    one_shot_cdf_table,
+    seeded_bits,
+)
 from threshauth import channel
 from threshauth.bounds import threshold_loss_bound
 from threshauth.channel import (
     _cdf_table,
+    _stream,
     attacker_per_round_error,
     score_counts,
+    score_histograms,
     simulate_error_counts,
+    simulate_error_histograms,
     swiss_hitomi_rates,
     user_per_round_error,
 )
@@ -362,6 +371,20 @@ class TestLogFactorialTable:
             assert len(table) == max(rounds for rounds, _ in calls) + 1
             assert _bits(table) == _bits([math.lgamma(k + 1) for k in range(len(table))])
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.integers(0, 2048), min_size=1, max_size=8),
+        st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1, max_size=2),
+    )
+    @example([2048, 0, 1], [1e-300, 0.999])
+    def test_each_row_of_a_block_is_the_one_shot_table(self, rounds, rates):
+        blocks = channel._cdf_rows(np.array(rounds), rates)
+        assert len(blocks) == len(rates)
+        for p, block in zip(rates, blocks):
+            assert block.shape == (len(rounds), max(rounds) + 1)
+            for n, row in zip(rounds, block):
+                assert _bits(row[: n + 1]) == _bits(one_shot_cdf_table(n, p))
+
     def test_each_growth_computes_only_the_new_entries(self, monkeypatch):
         computed = []
         lgamma = math.lgamma
@@ -469,3 +492,112 @@ class TestLossStderr:
         counts = np.zeros(10, dtype=np.int64)
         assert _stderr(_hist(counts), 4.0, ProverIdentity.USER, 0.0) == 0.0
         assert _stderr(_hist(counts + 8), 4.0, ProverIdentity.ATTACKER, 1.0) == 0.0
+
+
+# seed parts weighted toward the word boundaries of numpy's int coercion,
+# as Python and numpy integers
+_SEED_PART = st.one_of(
+    st.sampled_from([0, 2**32 - 1, 2**32, 2**64]),
+    st.integers(0, 2**130 - 1),
+    st.sampled_from([0, 2**32 - 1, 2**32, 2**63 - 1]).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.integers(0, 2**32 - 1).map(np.uint32),
+)
+
+
+class TestStreamSeeding:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(_SEED_PART, min_size=1, max_size=5))
+    @example([0])
+    @example([2**64, 0, 2**32 - 1])
+    def test_draws_are_those_of_numpys_seeding_of_the_parts(self, parts):
+        want = seeded_bits(parts).random_raw(4)
+        np.testing.assert_array_equal(_stream(*parts).bit_generator.random_raw(4), want)
+        # a sequence part is its elements, in order
+        nested = _stream(tuple(parts[:2]), *parts[2:])
+        np.testing.assert_array_equal(nested.bit_generator.random_raw(4), want)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        st.lists(_SEED_PART, min_size=1, max_size=5),
+        st.integers(-(2**130), -1) | st.just(-1).map(np.int64),
+        st.integers(0, 5),
+    )
+    def test_a_negative_part_raises(self, parts, negative, at):
+        parts.insert(min(at, len(parts)), negative)
+        with pytest.raises(ValueError):
+            _stream(*parts)
+        with pytest.raises(ValueError):
+            _stream(tuple(parts))
+
+
+# 94,906,267 is the least trial count whose square is past 2**53
+_TRIALS = st.one_of(st.sampled_from([1, 94_906_267, 10**8]), st.integers(1, 10**8))
+_RATE = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestLevelBatch:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 600),
+                st.tuples(st.integers(0, 2**64), st.integers(0, 30), st.integers(0, 600)),
+            ),
+            min_size=1,
+            max_size=8,
+            unique_by=lambda design: design[1],
+        ),
+        _RATE,
+        _RATE,
+        _TRIALS,
+    )
+    @example([(600, (1729, 0, 600)), (0, (1729, 0, 0))], 0.53, 0.02, 94_906_267)
+    @example([(47, (1729, 3, 47))], 1.0, 0.0, 1)
+    def test_a_level_is_bitwise_its_designs_drawn_and_scored_one_at_a_time(
+        self, designs, attacker_rate, user_rate, trials
+    ):
+        rounds = [n for n, _ in designs]
+        seeds = [seed for _, seed in designs]
+        sides = ((ProverIdentity.ATTACKER, attacker_rate), (ProverIdentity.USER, user_rate))
+        batch = simulate_error_histograms(rounds, sides, trials, seeds)
+        # every cut of every histogram, 0 (reject all) to n + 1 (accept all)
+        which = [j for j, n in enumerate(rounds) for _ in range(n + 2)]
+        cuts = [cut for n in rounds for cut in range(n + 2)]
+        for histograms, (identity, p) in zip(batch, sides):
+            want = [one_design_counts(n, p, trials, seed, identity) for n, seed in designs]
+            assert len(histograms) == len(want)
+            for got, h in zip(histograms, want):
+                assert got.dtype == np.int64
+                np.testing.assert_array_equal(got, h)
+            means, stderrs = score_histograms(histograms, which, cuts, BENCH, identity, p)
+            scalar = [one_design_score(want[j], cut, BENCH, identity, p)
+                      for j, cut in zip(which, cuts)]
+            assert _bits(means) == _bits([mean for mean, _ in scalar])
+            assert _bits(stderrs) == _bits([err for _, err in scalar])
+
+    @pytest.mark.parametrize("bad", [
+        dict(rounds=[8, -1]), dict(rounds=[8, 2.5]), dict(rounds=[8, True]),
+        dict(rates=(0.3, 1.5)), dict(rates=(0.3, math.nan)),
+        dict(trials=0), dict(trials=2.5),
+        dict(seeds=[1, (2, -3)]), dict(seeds=[1]),
+    ], ids=lambda bad: f"{next(iter(bad))}={next(iter(bad.values()))!r}")
+    def test_bad_inputs_are_rejected_before_any_draw(self, bad, monkeypatch):
+        built = []
+        generator = channel._generator
+        monkeypatch.setattr(channel, "_generator", lambda words: built.append(words) or generator(words))
+        args = dict(rounds=[8, 12], rates=(0.3, 0.4), trials=100, seeds=[1, 2]) | bad
+        sides = tuple(zip(ProverIdentity, args["rates"]))
+        with pytest.raises(ValueError):
+            simulate_error_histograms(args["rounds"], sides, args["trials"], args["seeds"])
+        assert built == []
+
+    def test_unequal_totals_and_bad_cuts_are_rejected(self):
+        histograms = [_hist([0, 3, 8]), _hist([1, 2])]
+        with pytest.raises(ValueError, match="total"):
+            score_histograms(histograms, [0, 1], [1, 1], BENCH, ProverIdentity.USER, 0.2)
+        for cut in (-1, 10):
+            with pytest.raises(ValueError, match="cut"):
+                score_histograms(histograms[:1], [0, 0], [3, cut], BENCH, ProverIdentity.USER, 0.2)
+        with pytest.raises(TypeError):
+            score_histograms(histograms[:1], [0], [2.5], BENCH, ProverIdentity.USER, 0.2)

@@ -538,6 +538,16 @@ class TestFigure3:
 
         assert sorted(forward, key=key) == sorted(backward, key=key)
 
+    def test_a_level_is_one_draw_and_one_score_per_identity(self, monkeypatch, tmp_path):
+        calls = _count_calls(monkeypatch, ["simulate_error_histograms", "score_histograms"])
+        built = _count_built_rows(monkeypatch)
+        rows = figure3_comparison(ExperimentSpec.figure3(trials=300))
+        emit_csv(rows, tmp_path / "fig3.csv")
+        # every default level has a design: the fixed guesses never abort
+        assert calls == {"simulate_error_histograms": 24, "score_histograms": 48}
+        assert len(rows) == 288 and len(rows._blocks) == 1
+        assert built == [0]
+
     def test_stderr_stays_positive_when_no_decision_event_is_seen(self):
         # every fig3 rate is strictly inside (0, 1), so the Monte Carlo mean
         # is never exact and its stderr never drops below the zero-hit
@@ -897,6 +907,33 @@ class TestCsvRoundTrip:
         out = tmp_path / "out.csv"
         with pytest.raises(ValueError, match=f"{name} holds a line break"):
             emit_csv([_blank_row(**{name: label})], out)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["threshold_strategy", "rate_strategy", "aborted"])
+    def test_a_label_assigned_after_construction_is_rejected_before_any_file(
+        self, name, tmp_path
+    ):
+        # a row checks its labels when built; emit_csv checks them again
+        row = SweepRow(omega=0.1, threshold_strategy="finite-sample", rate_strategy="true-omega")
+        setattr(row, name, "a\rb")
+        out = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match=f"{name} holds a line break"):
+            emit_csv([row], out)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("place", ["fixed", "column"])
+    def test_a_block_label_with_a_line_break_is_rejected_before_any_file(self, place, tmp_path):
+        # a closed-form block holds its strategies once, an all-varying one as a column
+        if place == "fixed":
+            rows = figure1a_sweep(ExperimentSpec(noise_grid=(0.1,), n_grid=(4, 8)))
+            rows._blocks[-1].fixed["rate_strategy"] = "true\nomega"
+        else:
+            row = _blank_row()
+            row.rate_strategy = "ml\r"
+            rows = experiments.SweepRows([experiments._rows_block([_blank_row(), row])])
+        out = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match="rate_strategy holds a line break"):
+            emit_csv(rows, out)
         assert not out.exists()
 
     def test_rejects_a_quoted_line_break_naming_its_line(self, tmp_path):
