@@ -5,9 +5,10 @@ challenge-response protocols, and runs deterministic Monte Carlo trials
 of the rapid bit-exchange phase for both prover identities. The trials
 of a design come back as a histogram of their error counts, drawn as one
 multinomial sample over the binomial pmf, and one histogram can be
-scored under any number of threshold rules. A noise level's designs are
-drawn in one call, over one block of cdf rows, and scored in one
-vectorized pass per identity. The pmf is taken from cdf rows built here
+scored under any number of threshold rules. A sweep's designs, of every
+noise level, each at its own rates, are drawn in one call, over one
+block of cdf rows, and scored in one vectorized pass per identity. The
+pmf is taken from cdf rows built here
 from log-factorials, not from ``exact``, so the Monte Carlo stays an
 independent check of the exact oracle. Every random stream, of an
 identity's trials here or of a coded phase in ``noise``, is ``_stream``
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -103,6 +105,10 @@ def _stream(*entropy: int | Sequence[int]) -> np.random.Generator:
     return _generator(_seed_words(entropy))
 
 
+# Largest block of padded cdf entries a batched draw builds at once, so
+# that a sweep's transient tables stay near a megabyte whatever its size.
+_CDF_BLOCK_ENTRIES = 1 << 16
+
 # log k! for k = 0..len - 1, as math.lgamma(k + 1): each entry is a
 # constant of k alone, so the table is the same whatever order it grew in
 _log_factorials = np.zeros(1)
@@ -128,23 +134,25 @@ def _log_factorial_table(rounds: int) -> np.ndarray:
     return _log_factorials[: rounds + 1]
 
 
-def _cdf_rows(rounds: np.ndarray, rates: Sequence[float]) -> list[np.ndarray]:
-    """For each rate p, Pr(X <= k) for X ~ Binomial(rounds[i], p) as row i of one block.
+def _cdf_rows(rounds: np.ndarray, rates: Sequence[Sequence[float]]) -> list[np.ndarray]:
+    """For each rate list r, Pr(X <= k) for X ~ Binomial(rounds[i], r[i]) as row i of one block.
 
-    ``rounds`` is a nonempty 1-D int array and each rate lies in (0, 1).
-    A block has max(rounds) + 1 columns; row i is ``rounds[i]``'s cdf at
-    k = 0..rounds[i], and its columns past ``rounds[i]`` are padding. Each
-    mass is exp(log n! - log k! - log (n-k)! + k log p + (n-k) log(1-p)),
+    ``rounds`` is a nonempty 1-D int array, and each list in ``rates``
+    holds one rate in (0, 1) per row. A block has max(rounds) + 1
+    columns; row i is ``rounds[i]``'s cdf at k = 0..rounds[i], and its
+    columns past ``rounds[i]`` are padding. Each mass is
+    exp(log n! - log k! - log (n-k)! + k log p + (n-k) log(1-p)),
     evaluated left to right, with the log-factorials read from one
     read-only table of ``math.lgamma`` values in this module that grows
-    on demand. The rate-free part is built once for all rates, with
-    log-mass -inf in the padding, so no exp there can overflow. A row's
-    running sum is clipped to 1 and its entry at ``rounds[i]`` set to
-    exactly 1, so the table never decreases and no count can exceed
-    ``rounds[i]``. Every block is the caller's own. For 0 < p < 1 a row
-    lies within 16 n eps of the exact cdf at every k (measured: at most
-    4.6 n eps over 2,000 random draws with n <= 200, and 2.0 n eps at n
-    from 512 to 2048).
+    on demand, and each row's log p and log(1-p) taken by ``math.log``
+    and ``math.log1p`` of its own rate. The rate-free part is built once
+    for all rate lists, with log-mass -inf in the padding, so no exp
+    there can overflow. A row's running sum is clipped to 1 and its entry
+    at ``rounds[i]`` set to exactly 1, so the table never decreases and
+    no count can exceed ``rounds[i]``. Every block is the caller's own.
+    For 0 < p < 1 a row lies within 16 n eps of the exact cdf at every k
+    (measured: at most 4.6 n eps over 2,000 random draws with n <= 200,
+    and 2.0 n eps at n from 512 to 2048).
     """
     log_fact = _log_factorial_table(int(rounds.max()))
     k = np.arange(len(log_fact))
@@ -156,9 +164,9 @@ def _cdf_rows(rounds: np.ndarray, rates: Sequence[float]) -> list[np.ndarray]:
     rate_free[padding] = -np.inf
     last = (np.arange(len(rounds)), rounds)
     blocks = []
-    for p in rates:
-        cdf = rate_free + k * math.log(p)
-        cdf += n_minus_k * math.log1p(-p)
+    for ps in rates:
+        cdf = rate_free + k * np.array([math.log(p) for p in ps])[:, None]
+        cdf += n_minus_k * np.array([math.log1p(-p) for p in ps])[:, None]
         np.exp(cdf, out=cdf)
         np.cumsum(cdf, axis=1, out=cdf)
         np.minimum(cdf, 1.0, out=cdf)
@@ -169,61 +177,74 @@ def _cdf_rows(rounds: np.ndarray, rates: Sequence[float]) -> list[np.ndarray]:
 
 def _cdf_table(rounds: int, p: float) -> np.ndarray:
     """Pr(X <= k) for X ~ Binomial(rounds, p), k = 0..rounds: the one row of ``_cdf_rows``."""
-    return _cdf_rows(np.array([rounds]), (p,))[0][0]
+    return _cdf_rows(np.array([rounds]), ((p,),))[0][0]
 
 
 def simulate_error_histograms(
     rounds: Sequence[int],
-    sides: Sequence[tuple[ProverIdentity, float]],
+    sides: Sequence[tuple[ProverIdentity, float | Sequence[float]]],
     trials: int,
     master_seeds: Sequence[int | Sequence[int]],
 ) -> list[list[np.ndarray]]:
     """Error-count histograms of several designs, for each side.
 
     Design i runs ``rounds[i]`` rounds on the streams of
-    ``master_seeds[i]``; a side is an (identity, per_round_error) pair.
-    Entry [s][i] of the result is bitwise
-    ``simulate_error_counts(rounds[i], per_round_error, trials,
-    master_seeds[i], identity)`` for side s: one stream per (seed,
-    identity), seeded from the uint32 words of the seed and the
-    identity's tag. Every input is checked before any stream is built.
-    One ``_cdf_rows`` call builds the cdf rows of every design at every
-    side's rate, its rate-free part shared by the sides, and one in-place
-    subtraction per side turns them into pmf rows.
+    ``master_seeds[i]``; a side is an (identity, per_round_error) pair,
+    the error one value for every design or one per design. Entry [s][i]
+    of the result is bitwise ``simulate_error_counts(rounds[i], p,
+    trials, master_seeds[i], identity)`` for side s and design i's rate
+    p: one stream per (seed, identity), seeded from the uint32 words of
+    the seed and the identity's tag. Every input is checked before any
+    stream is built. The designs are drawn in blocks of about
+    ``_CDF_BLOCK_ENTRIES`` padded cdf entries (every design of a default
+    fig3 sweep in one): one ``_cdf_rows`` call builds the cdf rows of a
+    block's designs at every side's rates, its rate-free part shared by
+    the sides, and one in-place subtraction per side turns them into pmf
+    rows. A design at rate 0 or 1 puts every trial at 0 or ``rounds[i]``
+    errors without a draw; its row is built at rate 1/2 and not read, so
+    no log of 0 is taken.
     """
     if len(rounds) != len(master_seeds):
         raise ValueError(f"{len(rounds)} round counts for {len(master_seeds)} seeds")
     for n in rounds:
         if not _is_count(n, least=0):
             raise ValueError(f"rounds must be an integer >= 0, got {n!r}")
+    side_rates = []
     for _, p in sides:
-        if not 0.0 <= p <= 1.0:  # also false for nan
+        ps = np.asarray(p, dtype=np.float64)
+        if ps.ndim == 0:
+            ps = np.full(len(rounds), ps)
+        elif ps.shape != (len(rounds),):
+            raise ValueError(f"{ps.size} per-round errors for {len(rounds)} designs")
+        if not np.all((ps >= 0.0) & (ps <= 1.0)):  # also false for nan
             raise ValueError(f"per_round_error not in [0,1]: {p}")
+        side_rates.append(ps.tolist())
     if not _is_count(trials):
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     words = [_seed_words((seed,)) for seed in master_seeds]
     ns = [operator.index(n) for n in rounds]
-    if not ns:
-        return [[] for _ in sides]
-    # the rows are clipped to 1, so the masses before a row's last sum to
-    # at most 1, as the multinomial's check of its probabilities requires
-    rates = [p for _, p in sides if p not in (0.0, 1.0)]
-    pmfs = iter(_cdf_rows(np.array(ns), rates) if rates else ())
-    histograms = []
-    for identity, p in sides:
-        if p in (0.0, 1.0):
-            side = [np.zeros(n + 1, dtype=np.int64) for n in ns]
-            for n, histogram in zip(ns, side):
-                histogram[n if p == 1.0 else 0] = trials
-        else:
-            pmf = next(pmfs)
-            np.subtract(pmf[:, 1:], pmf[:, :-1], out=pmf[:, 1:])  # np.diff(cdf, prepend=0.0)
+    histograms = [[] for _ in sides]
+    step = max(1, _CDF_BLOCK_ENTRIES // (max(ns, default=0) + 1))
+    for lo in range(0, len(ns), step):
+        block = slice(lo, lo + step)
+        rates = [ps[block] for ps in side_rates]
+        # the rows are clipped to 1, so the masses before a row's last sum to
+        # at most 1, as the multinomial's check of its probabilities requires
+        drawn = [any(p not in (0.0, 1.0) for p in ps) for ps in rates]
+        tables = [[p if p not in (0.0, 1.0) else 0.5 for p in ps] for ps in compress(rates, drawn)]
+        pmfs = iter(_cdf_rows(np.array(ns[block]), tables) if tables else ())
+        for (identity, _), ps, has_table, side in zip(sides, rates, drawn, histograms):
+            if has_table:
+                pmf = next(pmfs)
+                np.subtract(pmf[:, 1:], pmf[:, :-1], out=pmf[:, 1:])  # np.diff(cdf, prepend=0.0)
             tag = _STREAM_TAG[identity]
-            side = [
-                _generator(seed + [tag]).multinomial(trials, row[: n + 1])
-                for seed, n, row in zip(words, ns, pmf)
-            ]
-        histograms.append(side)
+            for i, (seed, n, p) in enumerate(zip(words[block], ns[block], ps)):
+                if p in (0.0, 1.0):
+                    histogram = np.zeros(n + 1, dtype=np.int64)
+                    histogram[n if p == 1.0 else 0] = trials
+                else:
+                    histogram = _generator(seed + [tag]).multinomial(trials, pmf[i, : n + 1])
+                side.append(histogram)
     return histograms
 
 
@@ -267,12 +288,13 @@ def score_histograms(
     cuts: Sequence[int],
     params: LossParameters,
     identity: ProverIdentity,
-    per_round_error: float,
+    per_round_error: float | Sequence[float],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean losses and standard errors of several designs, one identity's histograms scored.
 
-    Design i scores ``histograms[which[i]]`` under ``cuts[i]``, each
-    result bitwise ``score_counts`` of that histogram and cut. The
+    Design i scores ``histograms[which[i]]`` under ``cuts[i]`` at its
+    per-round error, one value for every design or one per design, each
+    result bitwise ``score_counts`` of that histogram, cut and error. The
     histograms are integer, all of one positive total, the trials; a cut
     outside 0..rounds + 1 of its histogram raises ValueError. One
     integer running sum over the histograms end to end gives every
@@ -283,6 +305,9 @@ def score_histograms(
     sizes = np.array([len(h) for h in histograms])  # rounds + 1 each
     which = np.asarray(which, dtype=np.intp)
     cuts = np.asarray(cuts).astype(np.int64, casting="same_kind")
+    exact = np.isin(per_round_error, (0.0, 1.0))  # a design at rate 0 or 1 has no error
+    if exact.shape not in ((), which.shape):
+        raise ValueError(f"{exact.size} per-round errors for {len(which)} designs")
     limits = sizes[which]
     outside = (cuts < 0) | (cuts > limits)
     if outside.any():
@@ -305,11 +330,9 @@ def score_histograms(
         hits, weight = trials - accepts, params.false_reject
     p = hits / trials
     means = (limits - 1) * params.per_round + weight * p
-    if per_round_error in (0.0, 1.0):
-        return means, np.zeros(len(means))
     stderrs = weight * np.sqrt(p * (1.0 - p) / trials + 0.25 / trials**2)
     stderrs /= 1.0 + 1.0 / trials
-    return means, stderrs
+    return means, np.where(exact, 0.0, stderrs)
 
 
 def score_counts(

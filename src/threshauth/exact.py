@@ -12,10 +12,12 @@ per call, and every tail from ``_tail``, which turns those rows into
 running sums along their last axis. The expected losses of both
 identities (``exact_expected_losses``) and the brute-force search walk
 their round counts in blocks (``_pmf_blocks``) built once and shared by
-both identities and, for the losses, by every noise level, looped over
-one at a time inside each block; a whole sweep costs one numpy pass per
-block and rate instead of one pmf per design, and the losses build only
-the pmf columns their tails sum. The brute-force search, which reads
+both identities and, for the losses, by every noise level or rate pair,
+looped over one at a time inside each block; a whole sweep costs one
+numpy pass per block and rate instead of one pmf per design, and the
+losses build only the pmf columns their tails sum. The losses take one
+rate pair for all designs, one per level, or one per design, whose
+designs are grouped by rate pair. The brute-force search, which reads
 every threshold, adds the round cost after taking the larger of the two
 weighted error probabilities, bitwise the larger of the two losses.
 The decision rule's cut comes from ``loss.rejected_count_min``.
@@ -90,14 +92,15 @@ class _PmfBlock:
         np.cumsum(np.log(ratios, out=ratios), axis=-1, out=self.log_comb[:, 1:])
         np.copyto(self.log_comb, -np.inf, where=self.pad)
 
-    def pmf(self, mu: float, cols: slice = slice(None)) -> np.ndarray:
-        """Columns ``cols`` of the Binomial(n, mu) pmf rows, each entry bitwise a whole row's."""
+    def pmf(self, mu: float, cols: slice = slice(None), rows: slice = slice(None)) -> np.ndarray:
+        """Columns ``cols`` of pmf rows ``rows`` at rate mu, each entry bitwise a whole row's."""
         if mu == 0.0 or mu == 1.0:
-            out = np.zeros(self.pad.shape)
-            out[np.arange(len(self.rounds)), self.rounds if mu == 1.0 else 0] = 1.0
+            ns = self.rounds[rows]
+            out = np.zeros((len(ns), self.pad.shape[1]))
+            out[np.arange(len(ns)), ns if mu == 1.0 else 0] = 1.0
             return out[:, cols]
-        log_pmf = self.log_comb[:, cols] + self.ks[cols] * math.log(mu)
-        log_pmf += self.n_minus_k[:, cols] * math.log1p(-mu)
+        log_pmf = self.log_comb[rows, cols] + self.ks[cols] * math.log(mu)
+        log_pmf += self.n_minus_k[rows, cols] * math.log1p(-mu)
         return np.exp(log_pmf, out=log_pmf)
 
 
@@ -150,6 +153,22 @@ def binomial_sf(spec: BinomialSpec, count: int) -> float:
     return min(1.0, float(_tail(pmf, upper=True)[count]))
 
 
+def _decision_tails(
+    terms: _PmfBlock, rows: slice, cut: np.ndarray, mu_att: float, mu_use: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pr(count < cut) at mu_att and Pr(count >= cut) at mu_use of a block's rows ``rows``.
+
+    The lower tail, summed up from 0, needs only the columns below the
+    largest cut, and the upper tail, summed down from n, only those from
+    the smallest cut.
+    """
+    below, above = slice(cut.max()), slice(cut.min(), None)
+    index = np.arange(len(cut))
+    acc = _tail(terms.pmf(mu_att, below, rows), upper=False)[index, cut]
+    rej = _tail(terms.pmf(mu_use, above, rows), upper=True)[index, cut - above.start]
+    return acc, rej
+
+
 def exact_expected_losses(
     params: LossParameters,
     rounds: Sequence[int],
@@ -168,19 +187,30 @@ def exact_expected_losses(
     any other is rejected before any work. A threshold at or below 0
     rejects every count and one above the round count accepts every
     count, infinite ones included; a sure decision costs exactly its
-    loss. Rates given as two 1-D arrays, one pair per level, with
-    thresholds of shape (levels, len(rounds)) give losses of that shape,
-    row j bitwise the call at level j. Each block of round counts is
-    built once, its levels looped over inside it, and its tails read at
-    the rule's cut. The attacker's Pr(X < cut), summed up from 0, needs
-    only the columns below the block's largest cut, and the user's
-    Pr(X >= cut), summed down from n, only those from its smallest cut.
+    loss. The rates come in one of three shapes:
+
+    * scalars: one rate pair for every design, ``thresholds`` 1-D;
+    * one pair per level: two 1-D arrays, with thresholds of shape
+      (levels, len(rounds)) giving losses of that shape, row j bitwise
+      the call at level j. Each block of round counts is built once and
+      its levels looped over inside it;
+    * one pair per design: two 1-D arrays as long as ``rounds``, with
+      ``thresholds`` 1-D, each loss bitwise the scalar call at that
+      design. Designs that share a rate pair form a group; the designs
+      are walked in blocks in group order, and each group's rows of a
+      block take one pmf and one tail per side.
+
+    Tails are read at the rule's cut from pmf columns on one side of it
+    only (``_decision_tails``).
     """
     ns, taus = np.asarray(rounds), np.asarray(thresholds, dtype=np.float64)
     rates = np.asarray(attacker_rate, dtype=np.float64), np.asarray(user_rate, dtype=np.float64)
     if ns.ndim != 1 or ns.size == 0 or rates[0].ndim > 1 or rates[0].shape != rates[1].shape:
         raise ValueError("rounds must be nonempty and the rates scalars or 1-D of one length")
-    if taus.shape != rates[0].shape + ns.shape:
+    per_design = rates[0].ndim == 1 and taus.ndim == 1
+    if per_design and not rates[0].shape == taus.shape == ns.shape:
+        raise ValueError("per-design rates and thresholds must hold one value per round count")
+    if not per_design and taus.shape != rates[0].shape + ns.shape:
         raise ValueError("thresholds must hold one threshold per round count and level")
     if not all(_is_count(n) and n <= _MAX_ROUNDS for n in rounds):
         raise ValueError(f"rounds must be integers in [1, {_MAX_ROUNDS}]")
@@ -188,16 +218,31 @@ def exact_expected_losses(
     for name, rate in zip(("attacker_rate", "user_rate"), rates):
         if not np.all((rate >= 0.0) & (rate <= 1.0)):  # also false for nan
             raise ValueError(f"{name} not in [0,1]: {rate}")
-    levels = list(zip(rates[0].ravel().tolist(), rates[1].ravel().tolist()))
-    cuts = rejected_count_min(taus, ns).reshape(len(levels), len(ns))
-    acc_att, rej_use = np.empty(cuts.shape), np.empty(cuts.shape)
-    for block, terms in _pmf_blocks(ns):
-        rows = np.arange(len(terms.rounds))
-        for j, (mu_att, mu_use) in enumerate(levels):
-            cut = cuts[j, block]
-            below, above = slice(cut.max()), slice(cut.min(), None)
-            acc_att[j, block] = _tail(terms.pmf(mu_att, below), upper=False)[rows, cut]
-            rej_use[j, block] = _tail(terms.pmf(mu_use, above), upper=True)[rows, cut - above.start]
+    cuts = rejected_count_min(taus, ns)
+    if per_design:
+        groups: dict[tuple[float, float], int] = {}  # rate pair -> its group, first-seen order
+        pairs = zip(rates[0].tolist(), rates[1].tolist())
+        group = np.array([groups.setdefault(pair, len(groups)) for pair in pairs])
+        order = np.argsort(group, kind="stable")
+        group, pairs = group[order], list(groups)
+        acc_att, rej_use = np.empty(len(ns)), np.empty(len(ns))
+        for block, terms in _pmf_blocks(ns[order]):
+            ids, designs = group[block], order[block]
+            edges = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist(), len(ids)]
+            for lo, hi in zip(edges, edges[1:]):
+                i = designs[lo:hi]
+                acc_att[i], rej_use[i] = _decision_tails(
+                    terms, slice(lo, hi), cuts[i], *pairs[ids[lo]]
+                )
+    else:
+        levels = list(zip(rates[0].ravel().tolist(), rates[1].ravel().tolist()))
+        cuts = cuts.reshape(len(levels), len(ns))
+        acc_att, rej_use = np.empty(cuts.shape), np.empty(cuts.shape)
+        for block, terms in _pmf_blocks(ns):
+            for j, (mu_att, mu_use) in enumerate(levels):
+                acc_att[j, block], rej_use[j, block] = _decision_tails(
+                    terms, slice(None), cuts[j, block], mu_att, mu_use
+                )
     # a sure decision is exactly 1, not the pmf's float total
     acc_att = np.where(cuts > ns, 1.0, np.minimum(1.0, acc_att)).reshape(taus.shape)
     rej_use = np.where(cuts == 0, 1.0, np.minimum(1.0, rej_use)).reshape(taus.shape)

@@ -7,7 +7,10 @@ rows as a read-only ``SweepRows`` sequence of blocks: a closed-form
 block holds one noise level's shared values once and its per-round-count
 values as columns, and other rows join as all-varying blocks. A
 ``SweepRow`` is built only when a row is read; ``emit_csv`` writes the
-blocks as they are. All randomness is derived from one master seed;
+blocks as they are. The Monte Carlo sweeps (fig3 and the threshold
+duel) collect every design of every noise level first and score them
+once per sweep: one exact call, one batched draw and one vectorized
+score per identity. All randomness is derived from one master seed;
 rerunning a sweep with the same seed reproduces the file byte for byte.
 """
 
@@ -367,7 +370,9 @@ def figure1b_sweep(spec: ExperimentSpec) -> SweepRows:
     Per live noise level: the exhaustive-search optimum (rounds, integer
     threshold, loss), then the closed-form row (``_closed_form_rows``)
     at the formula's round count. Two gap-collapse abort rows per
-    collapsed level come last, as in ``figure1a_sweep``. Every level's
+    collapsed level come last, as in ``figure1a_sweep``; all rows are one
+    all-varying block, so ``emit_csv`` sets up one line template for the
+    sweep rather than one per row. Every level's
     formula round count is checked before any search: one past the
     exact kernel's int64 limit raises ValueError naming its level.
     """
@@ -383,65 +388,66 @@ def figure1b_sweep(spec: ExperimentSpec) -> SweepRows:
                 f"limit of {_MAX_ROUNDS} rounds"
             )
         levels.append((w, rates, n_hat))
-    blocks = []
+    rows = []
     for w, rates, n_hat in levels:
         best = brute_force_optimal(spec.params, rates, spec.n_max)
-        best_row = SweepRow(
+        rows.append(SweepRow(
             omega=w,
             n=best.rounds,
             tau=float(best.threshold),
             threshold_strategy="brute-force",
             rate_strategy="true-omega",
             exact_worst=best.worst_loss,
-        )
-        blocks.append(_rows_block([best_row]))
-        blocks += _closed_form_rows(spec.params, [(w, rates)], (n_hat,))
-    return SweepRows([*blocks, _rows_block(aborts)])
+        ))
+        rows += SweepRows(_closed_form_rows(spec.params, [(w, rates)], (n_hat,)))
+    return SweepRows([_rows_block(rows + aborts)])
 
 
-def _score_level(
-    spec: ExperimentSpec,
-    w: float,
-    entries: list[tuple[dict, tuple | None]],
-    attacker_rate: float,
-    user_rate: float,
-) -> list[tuple]:
-    """The rows of one noise level, its designs scored at the given rates.
+def _score_designs(spec: ExperimentSpec, entries: list[tuple[dict, tuple | None]]) -> list[tuple]:
+    """A sweep's rows, every design of every noise level scored in one pass.
 
-    ``entries`` holds the level's rows in output order as (fields, seed)
-    pairs: an abort row's fields and None, which pass through, or a
-    design's fields, holding its n and tau, and the seed of its Monte
-    Carlo streams; the design's scored fields are added to its dict. A
-    row is returned as the tuple of its values in CSV order, omega
-    ``w``. One ``exact_expected_losses`` call scores every design;
-    exact_worst is the larger of its two losses. The decision rule
-    turns every threshold into its least rejected count in one call. A
-    seed's Monte Carlo histograms of error counts, ``spec.trials``
-    trials per identity, are drawn once, all of the level's in one
+    ``entries`` holds the rows in output order as (fields, design) pairs:
+    an abort row's fields and None, which pass through, or a design's
+    fields, holding its omega, n and tau, and its (seed, attacker rate,
+    user rate), the seed that of its Monte Carlo streams and the rates
+    those of the channel it is scored on; the design's scored fields are
+    added to its dict. A row is returned as the tuple of its values in
+    CSV order. One per-design ``exact_expected_losses`` call scores every
+    design; exact_worst is the larger of its two losses. The decision
+    rule turns every threshold into its least rejected count in one call.
+    A seed's Monte Carlo histograms of error counts, ``spec.trials``
+    trials per identity, are drawn once, all of the sweep's in one
     ``simulate_error_histograms`` call, and scored under each threshold
     that shares the seed, so those designs are compared on the same
-    trials; one ``score_histograms`` call per identity scores every
-    design. mc_worst is the larger Monte Carlo mean and mc_stderr the
-    error of the identity that attains it (the attacker on ties).
+    trials; designs that share a seed but differ in round count or rates
+    raise ValueError before any stream is built. One ``score_histograms``
+    call per identity scores every design. mc_worst is the larger Monte
+    Carlo mean and mc_stderr the error of the identity that attains it
+    (the attacker on ties).
     """
-    designs = [(fields, seed) for fields, seed in entries if seed is not None]
+    designs = [(fields, design) for fields, design in entries if design is not None]
     if designs:
         ns = [fields["n"] for fields, _ in designs]
         taus = [fields["tau"] for fields, _ in designs]
-        draws: dict[tuple, int] = {}  # seed -> its histograms' index, in first-seen order
-        which = [draws.setdefault(seed, len(draws)) for _, seed in designs]
-        rounds = [0] * len(draws)
-        for n, j in zip(ns, which):
-            rounds[j] = n
-        sides = ((ProverIdentity.ATTACKER, attacker_rate), (ProverIdentity.USER, user_rate))
+        seeds, att_rates, use_rates = zip(*(design for _, design in designs))
+        # seed -> (its histograms' index, n, rates), in first-seen order
+        draws: dict[tuple, tuple] = {}
+        which = []
+        for n, seed, att, use in zip(ns, seeds, att_rates, use_rates):
+            j, *drawn = draws.setdefault(seed, (len(draws), n, att, use))
+            if drawn != [n, att, use]:
+                raise ValueError(f"designs of seed {seed!r} differ in round count or rates")
+            which.append(j)
+        _, rounds, att_draws, use_draws = zip(*draws.values())
+        sides = ((ProverIdentity.ATTACKER, att_draws), (ProverIdentity.USER, use_draws))
         histograms = simulate_error_histograms(rounds, sides, spec.trials, list(draws))
         cuts = rejected_count_min(taus, ns)
         (attacker, attacker_err), (user, user_err) = (
-            score_histograms(h, which, cuts, spec.params, identity, p)
-            for h, (identity, p) in zip(histograms, sides)
+            score_histograms(h, which, cuts, spec.params, identity, rates)
+            for h, (identity, _), rates in zip(histograms, sides, (att_rates, use_rates))
         )
         attacker_worse = attacker >= user
-        losses = exact_expected_losses(spec.params, ns, taus, attacker_rate, user_rate)
+        losses = exact_expected_losses(spec.params, ns, taus, att_rates, use_rates)
         scored = zip(
             np.maximum(*losses).tolist(),
             np.where(attacker_worse, attacker, user).tolist(),
@@ -449,12 +455,11 @@ def _score_level(
         )
         for (fields, _), (exact_worst, mc_worst, mc_stderr) in zip(designs, scored):
             fields.update(exact_worst=exact_worst, mc_worst=mc_worst, mc_stderr=mc_stderr)
-    base = _ROW_DEFAULTS | {"omega": w}
-    return [_ROW_VALUES(base | fields) for fields, _ in entries]
+    return [_ROW_VALUES(_ROW_DEFAULTS | fields) for fields, _ in entries]
 
 
-def _abort_entry(tstrat: str, rstrat: str, reason: str) -> tuple[dict, None]:
-    return dict(threshold_strategy=tstrat, rate_strategy=rstrat, aborted=reason), None
+def _abort_entry(w: float, tstrat: str, rstrat: str, reason: str) -> tuple[dict, None]:
+    return dict(omega=w, threshold_strategy=tstrat, rate_strategy=rstrat, aborted=reason), None
 
 
 def figure3_comparison(spec: ExperimentSpec) -> SweepRows:
@@ -466,36 +471,38 @@ def figure3_comparison(spec: ExperimentSpec) -> SweepRows:
     bounds, a round count (capped by the codeword length), and a
     threshold. Its worst-case loss on the true channel, attacker at
     (1 + w) / 2 and user at the physical rate 1 - (1 - w)^2, is
-    computed exactly for all designs of a noise level in one batched
-    call, and estimated by Monte Carlo. These true rates need not be
-    separated: above w = 1/2 the physical user errs more often than the
-    attacker. The error-count histogram is drawn once per noise level and
-    round count and scored under every threshold that uses it, so strategies
-    choosing the same round count are compared on the same trials.
-    Strategies that cannot proceed (hopeless coded phase, collapsed rate
-    bounds, rates outside the threshold formula's domain) yield rows
-    carrying an abort marker instead of numbers. The rows are returned
-    as one block, built from the value tuples of ``_score_level``.
+    computed exactly and estimated by Monte Carlo, every design of every
+    noise level in one pass per sweep (``_score_designs``): one exact
+    call, one batched draw and one vectorized score per identity. These
+    true rates need not be separated: above w = 1/2 the physical user
+    errs more often than the attacker. The error-count histogram is drawn
+    once per noise level and round count and scored under every
+    threshold that uses it, so strategies choosing the same round count
+    are compared on the same trials. Strategies that cannot proceed
+    (hopeless coded phase, collapsed rate bounds, rates outside the
+    threshold formula's domain) yield rows carrying an abort marker
+    instead of numbers. The rows are returned as one block, built from
+    the value tuples of ``_score_designs``.
     """
-    rows = []
+    entries = []
     code = default_transparent_code(spec.codeword_length)
     for wi, w in enumerate(sorted(spec.noise_grid)):
         theta, phase_hopeless = simulate_coded_phase(
             w, code, coded_phase_stream(spec.master_seed, wi)
         )
-        entries = []
+        channel_rates = (attacker_per_round_error(w), user_per_round_error(w))
         for rstrat in spec.rate_strategies:
             needs_estimate, derive, arg = _rate_strategy(rstrat)
             if needs_estimate and phase_hopeless:
                 entries.extend(
-                    _abort_entry(t, rstrat, "coded-abort") for t in spec.threshold_strategies
+                    _abort_entry(w, t, rstrat, "coded-abort") for t in spec.threshold_strategies
                 )
                 continue
             try:
                 rates = derive(arg, w, theta, spec.codeword_length)
             except GapCollapseError:
                 entries.extend(
-                    _abort_entry(t, rstrat, "gap-collapse") for t in spec.threshold_strategies
+                    _abort_entry(w, t, rstrat, "gap-collapse") for t in spec.threshold_strategies
                 )
                 continue
             n = min(optimal_rounds(spec.params, rates).value, spec.codeword_length)
@@ -507,47 +514,49 @@ def figure3_comparison(spec: ExperimentSpec) -> SweepRows:
                 try:
                     tau = _THRESHOLD_RULES[tstrat](spec.params, rates, n)
                 except ValueError:
-                    entries.append(_abort_entry(tstrat, rstrat, "invalid-rates"))
+                    entries.append(_abort_entry(w, tstrat, rstrat, "invalid-rates"))
                     continue
-                fields = dict(n=n, tau=tau, threshold_strategy=tstrat, rate_strategy=rstrat)
-                entries.append((fields | bounds, (spec.master_seed, wi, n)))
-        rows += _score_level(
-            spec, w, entries, attacker_per_round_error(w), user_per_round_error(w)
-        )
-    return SweepRows([_values_block(rows)])
+                fields = dict(omega=w, n=n, tau=tau, threshold_strategy=tstrat,
+                              rate_strategy=rstrat)
+                entries.append((fields | bounds, ((spec.master_seed, wi, n), *channel_rates)))
+    return SweepRows([_values_block(_score_designs(spec, entries))])
 
 
 def threshold_duel(spec: ExperimentSpec) -> SweepRows:
     """Finite-sample vs asymptotic threshold at small designs.
 
     Sweeps the noise grid in the given order and a grid of round counts.
-    The exact losses of all designs of a noise level, both identities at
-    their rate bounds, come from one batched call. The Monte Carlo
-    draws each identity's error-count histogram once per grid point and
-    scores it under both thresholds, so the comparison is paired and
-    equal decision rules tie exactly. A threshold whose formula rejects
-    the rates (the asymptotic one at zero noise) yields an invalid-rates
-    abort row in its place.
+    The exact losses of every design of the sweep, both identities at
+    their noise level's rate bounds, come from one per-design call, and
+    the Monte Carlo of the sweep is one batched draw and one vectorized
+    score per identity (``_score_designs``). It draws each identity's
+    error-count histogram once per grid point and scores it under both
+    thresholds, so the comparison is paired and equal decision rules tie
+    exactly. A collapsed noise level yields one gap-collapse abort row per
+    threshold, and a threshold whose formula rejects the rates (the
+    asymptotic one at zero noise) an invalid-rates abort row in its place.
     """
-    rows = []
+    entries = []
     for wi, w in enumerate(spec.noise_grid):
-        aborts = []
-        rates = _true_rates(w, tuple(_THRESHOLD_RULES), aborts)
-        if rates is None:
-            rows += map(_FIELDS, aborts)
+        try:
+            rates = swiss_hitomi_rates(w)
+        except GapCollapseError:
+            entries.extend(
+                _abort_entry(w, t, "true-omega", "gap-collapse") for t in _THRESHOLD_RULES
+            )
             continue
-        entries = []
         for ni, n in enumerate(spec.n_grid):
             for tstrat, rule in _THRESHOLD_RULES.items():
                 try:
                     tau = rule(spec.params, rates, n)
                 except ValueError:
-                    entries.append(_abort_entry(tstrat, "true-omega", "invalid-rates"))
+                    entries.append(_abort_entry(w, tstrat, "true-omega", "invalid-rates"))
                     continue
-                fields = dict(n=n, tau=tau, threshold_strategy=tstrat, rate_strategy="true-omega")
-                entries.append((fields, (spec.master_seed, wi, ni)))
-        rows += _score_level(spec, w, entries, rates.attacker_floor, rates.user_ceiling)
-    return SweepRows([_values_block(rows)])
+                fields = dict(omega=w, n=n, tau=tau, threshold_strategy=tstrat,
+                              rate_strategy="true-omega")
+                design = ((spec.master_seed, wi, ni), rates.attacker_floor, rates.user_ceiling)
+                entries.append((fields, design))
+    return SweepRows([_values_block(_score_designs(spec, entries))])
 
 
 _EMIT_CHUNK = 1024  # rows emit_csv turns into text at once

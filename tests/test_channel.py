@@ -346,6 +346,9 @@ def _bits(a):
     return np.asarray(a, dtype=np.float64).tobytes()
 
 
+_OPEN_RATE = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
 class TestLogFactorialTable:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -373,16 +376,22 @@ class TestLogFactorialTable:
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
-        st.lists(st.integers(0, 2048), min_size=1, max_size=8),
-        st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1, max_size=2),
+        st.lists(
+            st.tuples(st.integers(0, 2048), st.lists(_OPEN_RATE, min_size=2, max_size=2)),
+            min_size=1,
+            max_size=8,
+        ),
+        st.integers(1, 2),
     )
-    @example([2048, 0, 1], [1e-300, 0.999])
-    def test_each_row_of_a_block_is_the_one_shot_table(self, rounds, rates):
+    @example([(2048, [1e-300, 0.999]), (0, [0.999, 1e-300]), (1, [1e-300, 0.999])], 2)
+    def test_each_row_of_a_block_is_the_one_shot_table_at_its_own_rate(self, designs, sides):
+        rounds = [n for n, _ in designs]
+        rates = [[ps[s] for _, ps in designs] for s in range(sides)]
         blocks = channel._cdf_rows(np.array(rounds), rates)
-        assert len(blocks) == len(rates)
-        for p, block in zip(rates, blocks):
+        assert len(blocks) == sides
+        for side, block in zip(rates, blocks):
             assert block.shape == (len(rounds), max(rounds) + 1)
-            for n, row in zip(rounds, block):
+            for n, p, row in zip(rounds, side, block):
                 assert _bits(row[: n + 1]) == _bits(one_shot_cdf_table(n, p))
 
     def test_each_growth_computes_only_the_new_entries(self, monkeypatch):
@@ -543,42 +552,77 @@ class TestLevelBatch:
             st.tuples(
                 st.integers(0, 600),
                 st.tuples(st.integers(0, 2**64), st.integers(0, 30), st.integers(0, 600)),
+                st.integers(0, 3),
             ),
             min_size=1,
-            max_size=8,
+            max_size=12,
             unique_by=lambda design: design[1],
         ),
-        _RATE,
-        _RATE,
+        st.lists(st.tuples(_RATE, _RATE), min_size=1, max_size=4),
         _TRIALS,
     )
-    @example([(600, (1729, 0, 600)), (0, (1729, 0, 0))], 0.53, 0.02, 94_906_267)
-    @example([(47, (1729, 3, 47))], 1.0, 0.0, 1)
+    @example([(600, (1729, 0, 600), 0), (0, (1729, 0, 0), 0)], [(0.53, 0.02)], 94_906_267)
+    @example([(47, (1729, 3, 47), 0)], [(1.0, 0.0)], 1)
+    @example(
+        [(47, (1729, 3, 47), 1), (64, (1729, 5, 64), 0), (47, (1729, 5, 47), 1),
+         (12, (1729, 9, 12), 2)],
+        [(0.505, 0.0199), (0.55, 0.19), (1.0, 0.0)],
+        10_000,
+    )
     def test_a_level_is_bitwise_its_designs_drawn_and_scored_one_at_a_time(
-        self, designs, attacker_rate, user_rate, trials
+        self, designs, levels, trials
     ):
-        rounds = [n for n, _ in designs]
-        seeds = [seed for _, seed in designs]
-        sides = ((ProverIdentity.ATTACKER, attacker_rate), (ProverIdentity.USER, user_rate))
+        # designs of several noise levels, each at its level's rate pair;
+        # one level passes its rates as scalars, more as one rate per design
+        rounds = [n for n, _, _ in designs]
+        seeds = [seed for _, seed, _ in designs]
+        pairs = [levels[k % len(levels)] for _, _, k in designs]
+        attacker_rates, user_rates = levels[0] if len(levels) == 1 else zip(*pairs)
+        sides = ((ProverIdentity.ATTACKER, attacker_rates), (ProverIdentity.USER, user_rates))
         batch = simulate_error_histograms(rounds, sides, trials, seeds)
         # every cut of every histogram, 0 (reject all) to n + 1 (accept all)
         which = [j for j, n in enumerate(rounds) for _ in range(n + 2)]
         cuts = [cut for n in rounds for cut in range(n + 2)]
-        for histograms, (identity, p) in zip(batch, sides):
-            want = [one_design_counts(n, p, trials, seed, identity) for n, seed in designs]
+        for s, (histograms, (identity, rates)) in enumerate(zip(batch, sides)):
+            per_design = [pair[s] for pair in pairs]
+            want = [
+                one_design_counts(n, p, trials, seed, identity)
+                for n, seed, p in zip(rounds, seeds, per_design)
+            ]
             assert len(histograms) == len(want)
             for got, h in zip(histograms, want):
                 assert got.dtype == np.int64
                 np.testing.assert_array_equal(got, h)
-            means, stderrs = score_histograms(histograms, which, cuts, BENCH, identity, p)
-            scalar = [one_design_score(want[j], cut, BENCH, identity, p)
+            scored = rates if np.ndim(rates) == 0 else [per_design[j] for j in which]
+            means, stderrs = score_histograms(histograms, which, cuts, BENCH, identity, scored)
+            scalar = [one_design_score(want[j], cut, BENCH, identity, per_design[j])
                       for j, cut in zip(which, cuts)]
             assert _bits(means) == _bits([mean for mean, _ in scalar])
             assert _bits(stderrs) == _bits([err for _, err in scalar])
 
+    def test_a_sweep_past_one_block_is_drawn_block_by_block(self, monkeypatch):
+        # 200 entries hold three padded rows of 64 rounds: two blocks
+        monkeypatch.setattr(channel, "_CDF_BLOCK_ENTRIES", 200)
+        built = []
+        cdf_rows = channel._cdf_rows
+        monkeypatch.setattr(
+            channel, "_cdf_rows", lambda ns, rates: built.append(len(ns)) or cdf_rows(ns, rates)
+        )
+        rounds = [47, 0, 64, 12, 47, 30]
+        seeds = [(1729, i, n) for i, n in enumerate(rounds)]
+        attacker = [0.505, 1.0, 0.55, 0.3, 0.505, 0.0]
+        user = [0.0199, 0.0, 0.19, 1.0, 0.0199, 0.4]
+        sides = ((ProverIdentity.ATTACKER, attacker), (ProverIdentity.USER, user))
+        batch = simulate_error_histograms(rounds, sides, 1000, seeds)
+        assert built == [3, 3]
+        for histograms, (identity, rates) in zip(batch, sides):
+            for got, n, seed, p in zip(histograms, rounds, seeds, rates):
+                np.testing.assert_array_equal(got, one_design_counts(n, p, 1000, seed, identity))
+
     @pytest.mark.parametrize("bad", [
         dict(rounds=[8, -1]), dict(rounds=[8, 2.5]), dict(rounds=[8, True]),
         dict(rates=(0.3, 1.5)), dict(rates=(0.3, math.nan)),
+        dict(rates=(0.3, [0.4, math.nan])), dict(rates=([0.3], 0.4)), dict(rates=([0.3] * 3, 0.4)),
         dict(trials=0), dict(trials=2.5),
         dict(seeds=[1, (2, -3)]), dict(seeds=[1]),
     ], ids=lambda bad: f"{next(iter(bad))}={next(iter(bad.values()))!r}")
@@ -601,3 +645,7 @@ class TestLevelBatch:
                 score_histograms(histograms[:1], [0, 0], [3, cut], BENCH, ProverIdentity.USER, 0.2)
         with pytest.raises(TypeError):
             score_histograms(histograms[:1], [0], [2.5], BENCH, ProverIdentity.USER, 0.2)
+        # one per-round error for every design, or one per design
+        for rates in ([0.2], [0.2] * 3):
+            with pytest.raises(ValueError, match="per-round errors"):
+                score_histograms(histograms[:1], [0, 0], [1, 2], BENCH, ProverIdentity.USER, rates)

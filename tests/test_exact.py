@@ -594,6 +594,86 @@ class TestLevelBatch:
             exact_expected_losses(BENCH, [3], [[1.0], [1.0]], [0.55, 0.6], [0.2, math.nan])
 
 
+@st.composite
+def _per_design_batches(draw):
+    """Unsorted round counts with repeats, each design at one of 1-6 rate pairs
+    that recur out of order, and thresholds at or below 0, past n, infinite
+    and fractional."""
+    ns = draw(st.lists(st.integers(1, 600), min_size=1, max_size=70))
+    pairs = draw(st.lists(st.tuples(_MU, _MU), min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pairs) - 1), min_size=len(ns), max_size=len(ns)))
+    taus = [
+        draw(
+            st.one_of(
+                st.sampled_from([-math.inf, -1.0, 0.0, float(n), n + 0.5, n + 1.0, math.inf]),
+                st.floats(-3.0, n + 4.0),
+            )
+        )
+        for n in ns
+    ]
+    return ns, taus, [pairs[k][0] for k in picks], [pairs[k][1] for k in picks]
+
+
+class TestPerDesignRates:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(batch=_per_design_batches())
+    # 600 rounds make blocks of 27 round counts, so these 31 cross a block
+    # boundary, with rate pairs recurring on both sides of it
+    @example(batch=(
+        [600] * 28 + [5, 1, 5],
+        [2.5] * 26 + [-math.inf, 601.0, 0.0, math.inf, 5.5],
+        [0.0, 1.0, 0.3] * 9 + [0.0, 0.3, 1.0, 0.0],
+        [1.0, 0.0, 0.2] * 9 + [1.0, 0.2, 0.0, 1.0],
+    ))
+    def test_equals_one_scalar_call_per_design_bitwise(self, batch):
+        ns, taus, attacker, user = batch
+        att, use = exact_expected_losses(BENCH, ns, taus, attacker, user)
+        assert att.shape == use.shape == (len(ns),)
+        for i, (n, tau, a, u) in enumerate(zip(ns, taus, attacker, user)):
+            want_att, want_use = exact_expected_losses(BENCH, [n], [tau], a, u)
+            assert att[i].tobytes() == want_att[0].tobytes()
+            assert use[i].tobytes() == want_use[0].tobytes()
+
+    def test_a_rate_pair_is_one_pmf_per_side_per_block(self, monkeypatch):
+        built, pmfs = [], []
+        pmf = _PmfBlock.pmf
+
+        class CountingBlock(_PmfBlock):
+            def __init__(self, rounds):
+                built.append(len(rounds))
+                super().__init__(rounds)
+
+            def pmf(self, mu, cols=slice(None), rows=slice(None)):
+                pmfs.append(mu)
+                return pmf(self, mu, cols, rows)
+
+        monkeypatch.setattr("threshauth.exact._PmfBlock", CountingBlock)
+        # three rate pairs recurring out of order over 100 designs of one block
+        pairs = [(0.55, 0.2), (0.6, 0.3), (0.505, 0.0199)]
+        attacker, user = zip(*(pairs[i % 3] for i in range(100)))
+        ns = [1 + i % 40 for i in range(100)]
+        exact_expected_losses(BENCH, ns, [n / 2 for n in ns], attacker, user)
+        assert built == [100]
+        assert sorted(pmfs) == sorted(rate for pair in pairs for rate in pair)
+
+    @pytest.mark.parametrize("bad", [
+        dict(attacker=[0.55, 0.6, 0.7], user=[0.2, 0.1, 0.3]),
+        dict(ns=[3, 4, 5], attacker=[0.55, 0.6, 0.7], user=[0.2, 0.1, 0.3]),
+        dict(taus=[1.0, 2.0, 3.0]),
+        dict(user=[0.2]),
+        dict(attacker=[0.55, math.nan]),
+        dict(user=[math.nan, 0.1]),
+    ], ids=lambda bad: ",".join(bad))
+    def test_rejects_mismatched_lengths_and_nan_before_any_block(self, bad, monkeypatch):
+        def no_block(*args, **kwargs):
+            raise AssertionError("a block was built before the inputs were checked")
+
+        monkeypatch.setattr("threshauth.exact._PmfBlock", no_block)
+        args = dict(ns=[3, 4], taus=[1.0, 2.0], attacker=[0.55, 0.6], user=[0.2, 0.1]) | bad
+        with pytest.raises(ValueError):
+            exact_expected_losses(BENCH, args["ns"], args["taus"], args["attacker"], args["user"])
+
+
 def _reference_brute_force(params, rates, n_max):
     """The search one round count at a time, keeping the first strict improvement."""
     best = BruteForceResult(1, 0, math.inf)

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import exact_worst_case_losses
+import threshauth.channel as channel
 import threshauth.exact as exact
 import threshauth.experiments as experiments
 from threshauth.asymptotic import asymptotic_threshold
@@ -402,7 +403,10 @@ class TestFigure1b:
                          elb1=threshold_loss_bound(spec.params, rates, n_hat),
                          elb2=rounds_loss_bound(spec.params, rates)),
             ]
-        assert repr(figure1b_sweep(spec)) == repr(want + aborts)
+        rows = figure1b_sweep(spec)
+        assert repr(rows) == repr(want + aborts)
+        # one all-varying block: emit_csv sets up one line template
+        assert len(rows._blocks) == 1
 
     def test_makes_no_scalar_threshold_or_bound_call(self, monkeypatch):
         calls = _count_calls(monkeypatch, ("optimal_threshold", "threshold_loss_bound"))
@@ -538,15 +542,39 @@ class TestFigure3:
 
         assert sorted(forward, key=key) == sorted(backward, key=key)
 
-    def test_a_level_is_one_draw_and_one_score_per_identity(self, monkeypatch, tmp_path):
-        calls = _count_calls(monkeypatch, ["simulate_error_histograms", "score_histograms"])
+    @pytest.mark.parametrize("sweep, spec, designs", [
+        (figure3_comparison, ExperimentSpec.figure3(trials=300), 288),
+        (threshold_duel, ExperimentSpec.duel(trials=300), 32),
+    ], ids=["fig3", "duel"])
+    def test_a_sweep_is_one_exact_call_one_draw_and_one_score_per_identity(
+        self, monkeypatch, tmp_path, sweep, spec, designs
+    ):
+        names = ["exact_expected_losses", "simulate_error_histograms", "score_histograms"]
+        calls = _count_calls(monkeypatch, names)
         built = _count_built_rows(monkeypatch)
-        rows = figure3_comparison(ExperimentSpec.figure3(trials=300))
-        emit_csv(rows, tmp_path / "fig3.csv")
-        # every default level has a design: the fixed guesses never abort
-        assert calls == {"simulate_error_histograms": 24, "score_histograms": 48}
-        assert len(rows) == 288 and len(rows._blocks) == 1
+        rows = sweep(spec)
+        emit_csv(rows, tmp_path / "sweep.csv")
+        assert calls == {
+            "exact_expected_losses": 1, "simulate_error_histograms": 1, "score_histograms": 2,
+        }
+        assert len(rows) == designs and len(rows._blocks) == 1
         assert built == [0]
+
+    def test_designs_sharing_a_seed_must_share_rounds_and_rates(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(channel, "_generator", lambda words: built.append(words))
+        spec = ExperimentSpec.figure3(trials=100)
+
+        def design(n, rates, seed=(1729, 0, 47)):
+            fields = dict(omega=0.01, n=n, tau=n / 2, threshold_strategy="finite-sample",
+                          rate_strategy="true-omega")
+            return fields, (seed, *rates)
+
+        for second in (design(48, (0.505, 0.0199)), design(47, (0.505, 0.02)),
+                       design(47, (0.5, 0.0199))):
+            with pytest.raises(ValueError, match="seed"):
+                experiments._score_designs(spec, [design(47, (0.505, 0.0199)), second])
+        assert built == []
 
     def test_stderr_stays_positive_when_no_decision_event_is_seen(self):
         # every fig3 rate is strictly inside (0, 1), so the Monte Carlo mean
