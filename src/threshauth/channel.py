@@ -11,12 +11,17 @@ block of cdf rows, and scored in one vectorized pass per identity. The
 pmf is taken from cdf rows built here
 from log-factorials, not from ``exact``, so the Monte Carlo stays an
 independent check of the exact oracle. Every random stream, of an
-identity's trials here or of a coded phase in ``noise``, is ``_stream``
-over the master seed and the stream's tags.
+identity's trials here or of a coded phase in ``noise``, is PCG64 over
+numpy's ``SeedSequence`` of the master seed and the stream's tags, and
+comes from ``_streams``: it computes the seed states of a batch of
+streams in one vectorized pass of ``SeedSequence``'s own arithmetic, so
+a sweep seeds each cdf block's streams, or its coded phases, in one
+call, and every stream draws numpy's bits.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from itertools import compress
@@ -90,19 +95,149 @@ def _seed_words(entropy: Sequence[int | Sequence[int]]) -> list[int]:
     return words
 
 
-def _generator(words: list[int]) -> np.random.Generator:
-    """PCG64 over a ``SeedSequence`` of these uint32 words."""
-    seeds = np.random.SeedSequence(np.array(words, dtype=np.uint32))
-    return np.random.Generator(np.random.PCG64(seeds))
+# numpy's SeedSequence (bit_generator.pyx), frozen by its stream
+# compatibility policy (NEP 19): the entropy words are mixed into a pool
+# of four uint32 words, which is hashed out into generate_state's words.
+# A hash xors in the next constant of a multiplicative sequence,
+# multiplies by the one after it and xors in its own high half; a mix
+# takes L * word - R * hash and xors in its high half. All of it is uint32
+# array arithmetic, which wraps mod 2**32.
+# Scalars are 0-d arrays and tables carry a leading axis of 1, which keeps
+# numpy on its fast path for a one-stream pass.
+_POOL_SIZE = 4
+_SHIFT = np.array(16, dtype=np.uint32)
+_MIX_L, _MIX_R = np.array(0xCA01F9DD, dtype=np.uint32), np.array(0x4973F715, dtype=np.uint32)
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult**k mod 2**32 for k = 0..count, as uint32."""
+    constants = [init]
+    for _ in range(count):
+        constants.append(constants[-1] * mult & 0xFFFFFFFF)
+    return np.array(constants, dtype=np.uint32)
+
+
+def _hash(words: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    hashed = words ^ xor
+    hashed *= mult
+    hashed ^= hashed >> _SHIFT
+    return hashed
+
+
+def _mix(pool: np.ndarray, hashed: np.ndarray) -> np.ndarray:
+    mixed = pool * _MIX_L
+    mixed -= hashed * _MIX_R
+    mixed ^= mixed >> _SHIFT
+    return mixed
+
+
+# The entropy hashes take one sequence of constants: one per pool word,
+# then one per (source, other pool word) pair, source by source, then
+# four per entropy word past the pool's.
+_ENTROPY_INIT, _ENTROPY_MULT = 0x43B0D7E5, 0x931E8875
+_POOL_HASHES = _hash_constants(_ENTROPY_INIT, _ENTROPY_MULT, 16)
+_FILL_XOR = _POOL_HASHES[None, :_POOL_SIZE]
+_FILL_MULT = _POOL_HASHES[None, 1 : _POOL_SIZE + 1]
+# row s: the constants of source s's hash into each other pool word, 0 at s
+_SOURCE_XOR = np.zeros((_POOL_SIZE, 1, _POOL_SIZE), dtype=np.uint32)
+_SOURCE_MULT = np.zeros((_POOL_SIZE, 1, _POOL_SIZE), dtype=np.uint32)
+_OTHERS = tuple(zip(*((s, 0, d) for s in range(_POOL_SIZE) for d in range(_POOL_SIZE) if d != s)))
+_SOURCE_XOR[_OTHERS] = _POOL_HASHES[_POOL_SIZE:-1]
+_SOURCE_MULT[_OTHERS] = _POOL_HASHES[_POOL_SIZE + 1 :]
+# the output hashes': the pool cycled twice gives generate_state's 8 words
+_OUTPUT_HASHES = _hash_constants(0x8B51F9DD, 0x58F38DED, 2 * _POOL_SIZE)
+_OUTPUT_XOR = _OUTPUT_HASHES[None, :-1]
+_OUTPUT_MULT = _OUTPUT_HASHES[None, 1:]
+
+
+def _pcg64_states(words: np.ndarray) -> np.ndarray:
+    """numpy's ``SeedSequence`` of each row of a uint32 array, its ``generate_state(4, np.uint64)``.
+
+    ``words`` has at least four columns. Each step is an array op over
+    every row: the pool words' hashes at once; per source, its hashes
+    into the three other pool words as one op and their mixes as
+    another; the hashes of every word past the fourth at once, then one
+    mix per such word; and the 8 output words as one (rows, 8) op.
+    """
+    pool = _hash(words[:, :_POOL_SIZE], _FILL_XOR, _FILL_MULT)
+    for source, (xor, mult) in enumerate(zip(_SOURCE_XOR, _SOURCE_MULT)):
+        mixed = _mix(pool, _hash(pool[:, source, None], xor, mult))
+        mixed[:, source] = pool[:, source]  # a source does not mix into itself
+        pool = mixed
+    extra = words.shape[1] - _POOL_SIZE
+    if extra:
+        constants = _hash_constants(_ENTROPY_INIT, _ENTROPY_MULT, 16 + _POOL_SIZE * extra)[16:]
+        shape = (extra, _POOL_SIZE)
+        hashed = _hash(
+            words[:, _POOL_SIZE:, None], constants[:-1].reshape(shape), constants[1:].reshape(shape)
+        )
+        for j in range(extra):
+            pool = _mix(pool, hashed[:, j])
+    state = _hash(np.concatenate((pool, pool), axis=1), _OUTPUT_XOR, _OUTPUT_MULT)
+    # each uint64 from a little-endian pair of uint32, as numpy assembles it
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _seed_state_type() -> type:
+    """The ``ISeedSequence`` that hands PCG64 a state computed beforehand.
+
+    Defined on first use: the ``numpy.random`` import it needs adds
+    about 6 MB of resident memory and 12 ms to the package's import,
+    which a command that builds no stream should not pay.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedState(ISeedSequence):
+        """A ``SeedSequence``'s ``generate_state(4, np.uint64)``, computed beforehand.
+
+        That is the one request PCG64 makes of its seed sequence; any
+        other raises ValueError. It cannot spawn.
+        """
+
+        __slots__ = ("_state",)
+
+        def __init__(self, state: np.ndarray) -> None:
+            self._state = state
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"holds 4 uint64 state words, not {n_words} of {np.dtype(dtype)}")
+            return self._state
+
+    return SeedState
+
+
+def _streams(words: Sequence[list[int]]) -> list[np.random.Generator]:
+    """PCG64 streams over ``SeedSequence``s of these uint32 word lists, seeded together.
+
+    Stream i draws the bits of PCG64 over numpy's ``SeedSequence`` of
+    ``words[i]``: its state comes from ``_pcg64_states`` and reaches
+    PCG64 through numpy's ``ISeedSequence`` interface. numpy mixes fewer
+    than four words as those words padded with zero words, so the lists
+    are padded to at least four and seeded in one pass per padded
+    length: one pass in all unless a list holds more than four words.
+    """
+    seed_state = _seed_state_type()
+    lengths: dict[int, list[int]] = {}
+    for i, stream_words in enumerate(words):
+        lengths.setdefault(max(len(stream_words), _POOL_SIZE), []).append(i)
+    streams = [None] * len(words)
+    for length, members in lengths.items():
+        padded = [words[i] + [0] * (length - len(words[i])) for i in members]
+        for i, state in zip(members, _pcg64_states(np.array(padded, dtype=np.uint32))):
+            streams[i] = np.random.Generator(np.random.PCG64(seed_state(state)))
+    return streams
 
 
 def _stream(*entropy: int | Sequence[int]) -> np.random.Generator:
     """PCG64 over a ``SeedSequence`` of the entropy, int or sequence parts flattened in order.
 
-    Bitwise the stream of ``SeedSequence(tuple(parts))``, seeded from
-    the parts' uint32 words, which numpy reads without coercing each int.
+    Bitwise the stream of numpy's ``SeedSequence`` of the parts' tuple,
+    seeded from the parts' uint32 words: the one-stream case of
+    ``_streams``.
     """
-    return _generator(_seed_words(entropy))
+    return _streams([_seed_words(entropy)])[0]
 
 
 # Largest block of padded cdf entries a batched draw builds at once, so
@@ -195,14 +330,15 @@ def simulate_error_histograms(
     trials, master_seeds[i], identity)`` for side s and design i's rate
     p: one stream per (seed, identity), seeded from the uint32 words of
     the seed and the identity's tag. Every input is checked before any
-    stream is built. The designs are drawn in blocks of about
-    ``_CDF_BLOCK_ENTRIES`` padded cdf entries (every design of a default
-    fig3 sweep in one): one ``_cdf_rows`` call builds the cdf rows of a
-    block's designs at every side's rates, its rate-free part shared by
-    the sides, and one in-place subtraction per side turns them into pmf
-    rows. A design at rate 0 or 1 puts every trial at 0 or ``rounds[i]``
-    errors without a draw; its row is built at rate 1/2 and not read, so
-    no log of 0 is taken.
+    stream is built. The designs are sorted by round count and drawn in
+    blocks of about ``_CDF_BLOCK_ENTRIES`` padded cdf entries (every
+    design of a default fig3 sweep in one): one ``_cdf_rows`` call builds
+    the cdf rows of a block's designs at every side's rates, its
+    rate-free part shared by the sides, one in-place subtraction per side
+    turns them into pmf rows, and one ``_streams`` call seeds every
+    stream the block draws on. A design at rate 0 or 1 puts every trial
+    at 0 or ``rounds[i]`` errors without a draw or a stream; its row is
+    built at rate 1/2 and not read, so no log of 0 is taken.
     """
     if len(rounds) != len(master_seeds):
         raise ValueError(f"{len(rounds)} round counts for {len(master_seeds)} seeds")
@@ -223,28 +359,39 @@ def simulate_error_histograms(
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     words = [_seed_words((seed,)) for seed in master_seeds]
     ns = [operator.index(n) for n in rounds]
-    histograms = [[] for _ in sides]
+    # blocked in order of round count, so a block's rows pad to near widths
+    order = sorted(range(len(ns)), key=ns.__getitem__)
+    histograms = [[None] * len(ns) for _ in sides]
     step = max(1, _CDF_BLOCK_ENTRIES // (max(ns, default=0) + 1))
     for lo in range(0, len(ns), step):
-        block = slice(lo, lo + step)
-        rates = [ps[block] for ps in side_rates]
+        block = order[lo : lo + step]
+        block_ns = [ns[i] for i in block]
+        rates = [[ps[i] for i in block] for ps in side_rates]
         # the rows are clipped to 1, so the masses before a row's last sum to
         # at most 1, as the multinomial's check of its probabilities requires
         drawn = [any(p not in (0.0, 1.0) for p in ps) for ps in rates]
         tables = [[p if p not in (0.0, 1.0) else 0.5 for p in ps] for ps in compress(rates, drawn)]
-        pmfs = iter(_cdf_rows(np.array(ns[block]), tables) if tables else ())
-        for (identity, _), ps, has_table, side in zip(sides, rates, drawn, histograms):
+        pmfs = streams = iter(())
+        if tables:
+            pmfs = iter(_cdf_rows(np.array(block_ns), tables))
+            # every stream the block draws on, of both sides, seeded in one call
+            streams = iter(_streams([
+                words[i] + [_STREAM_TAG[identity]]
+                for (identity, _), ps in zip(sides, rates)
+                for i, p in zip(block, ps)
+                if p not in (0.0, 1.0)
+            ]))
+        for ps, has_table, side in zip(rates, drawn, histograms):
             if has_table:
                 pmf = next(pmfs)
                 np.subtract(pmf[:, 1:], pmf[:, :-1], out=pmf[:, 1:])  # np.diff(cdf, prepend=0.0)
-            tag = _STREAM_TAG[identity]
-            for i, (seed, n, p) in enumerate(zip(words[block], ns[block], ps)):
+            for row, (i, n, p) in enumerate(zip(block, block_ns, ps)):
                 if p in (0.0, 1.0):
                     histogram = np.zeros(n + 1, dtype=np.int64)
                     histogram[n if p == 1.0 else 0] = trials
                 else:
-                    histogram = _generator(seed + [tag]).multinomial(trials, pmf[i, : n + 1])
-                side.append(histogram)
+                    histogram = next(streams).multinomial(trials, pmf[row, : n + 1])
+                side[i] = histogram
     return histograms
 
 

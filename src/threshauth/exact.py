@@ -197,8 +197,9 @@ def exact_expected_losses(
     * one pair per design: two 1-D arrays as long as ``rounds``, with
       ``thresholds`` 1-D, each loss bitwise the scalar call at that
       design. Designs that share a rate pair form a group; the designs
-      are walked in blocks in group order, and each group's rows of a
-      block take one pmf and one tail per side.
+      are walked in blocks in group order, by round count within a
+      group, and each group's rows of a block take one pmf and one tail
+      per side.
 
     Tails are read at the rule's cut from pmf columns on one side of it
     only (``_decision_tails``).
@@ -223,7 +224,7 @@ def exact_expected_losses(
         groups: dict[tuple[float, float], int] = {}  # rate pair -> its group, first-seen order
         pairs = zip(rates[0].tolist(), rates[1].tolist())
         group = np.array([groups.setdefault(pair, len(groups)) for pair in pairs])
-        order = np.argsort(group, kind="stable")
+        order = np.lexsort((ns, group))  # by group, then by round count within it
         group, pairs = group[order], list(groups)
         acc_att, rej_use = np.empty(len(ns)), np.empty(len(ns))
         for block, terms in _pmf_blocks(ns[order]):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import numbers
 import operator
 from collections.abc import Iterable, Iterator, Sequence
@@ -52,7 +53,7 @@ from .loss import (
 )
 from .noise import (
     NoiseEstimate,
-    coded_phase_stream,
+    coded_phase_streams,
     default_transparent_code,
     high_probability_rates,
     simulate_coded_phase,
@@ -93,6 +94,20 @@ class SweepRow:
             _check_labels(name, (getattr(self, name),))
 
 
+def _check_reals(name: str, column: Sequence, first: int = 0) -> None:
+    """Raise ValueError naming the column and row of a nan or infinite real.
+
+    ``column`` holds rows ``first``, ``first + 1``, ... of a sweep.
+    """
+    # nan and the infinities carry through a sum, and finite reals sum to a
+    # finite real unless it overflows, so only a column whose sum is not
+    # finite is searched; filter(None, ...) passes over the empty cells and zeros
+    if not math.isfinite(sum(filter(None, column))):
+        for i, value in enumerate(column):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} of row {first + i} is not finite: {value!r}")
+
+
 def _check_labels(name: str, labels: Iterable[str]) -> None:
     """Raise ValueError if a label holds a line break.
 
@@ -105,6 +120,7 @@ def _check_labels(name: str, labels: Iterable[str]) -> None:
 
 CSV_HEADER = tuple(f.name for f in fields(SweepRow))
 _LABELS = tuple(f.name for f in fields(SweepRow) if f.type == "str")
+_REALS = tuple(f.name for f in fields(SweepRow) if f.type.startswith("float"))
 _DEFAULTS = {f.name: f.default for f in fields(SweepRow) if f.default is not MISSING}
 _FIELDS = operator.attrgetter(*CSV_HEADER)  # a row's values in CSV order
 _ROW_DEFAULTS = {name: _DEFAULTS.get(name) for name in CSV_HEADER}
@@ -486,10 +502,10 @@ def figure3_comparison(spec: ExperimentSpec) -> SweepRows:
     """
     entries = []
     code = default_transparent_code(spec.codeword_length)
-    for wi, w in enumerate(sorted(spec.noise_grid)):
-        theta, phase_hopeless = simulate_coded_phase(
-            w, code, coded_phase_stream(spec.master_seed, wi)
-        )
+    levels = sorted(spec.noise_grid)
+    streams = coded_phase_streams(spec.master_seed, range(len(levels)))
+    for wi, (w, stream) in enumerate(zip(levels, streams)):
+        theta, phase_hopeless = simulate_coded_phase(w, code, stream)
         channel_rates = (attacker_per_round_error(w), user_per_round_error(w))
         for rstrat in spec.rate_strategies:
             needs_estimate, derive, arg = _rate_strategy(rstrat)
@@ -621,20 +637,30 @@ def emit_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
     shared cells are rendered once, and its columns go through one line
     template: an all-float column as ``{:.12g}``, an all-int one as
     ``{}``, others as cells rendered first. Labels are quoted by ``csv``
-    itself, so every byte is as ``csv.writer`` writes it.
+    itself, so every byte is as ``csv.writer`` writes it. A label holding
+    a line break, or a real that is nan or infinite, raises ValueError
+    naming its column (and, for a real, its row, counted from 0) before
+    the file is opened, so no partial CSV is written.
     """
     path = Path(path)
     if isinstance(rows, SweepRows):
         blocks = rows._blocks
+        first = 0
         for block in blocks:
+            fixed = _DEFAULTS | block.fixed
             for name in _LABELS:
                 if name in block.columns:
                     _check_labels(name, set(block.columns[name]))
                 else:
-                    _check_labels(name, ((_DEFAULTS | block.fixed)[name],))
+                    _check_labels(name, (fixed[name],))
+            for name in _REALS:
+                _check_reals(name, block.columns.get(name, (fixed.get(name),)), first)
+            first += len(block)
     else:
         for name in _LABELS:
             _check_labels(name, set(map(operator.attrgetter(name), rows)))
+        for name in _REALS:
+            _check_reals(name, list(map(operator.attrgetter(name), rows)))
         chunks = range(0, len(rows), _EMIT_CHUNK)
         blocks = (_rows_block(rows[lo : lo + _EMIT_CHUNK]) for lo in chunks)
     try:

@@ -9,11 +9,12 @@ widened error-rate bounds that hold with high probability.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import CODED_PHASE_TAG, _stream
+from .channel import CODED_PHASE_TAG, _seed_words, _streams
 from .loss import ErrorRateBounds, GapCollapseError, _is_count
 
 
@@ -94,16 +95,22 @@ def high_probability_rates(estimate: NoiseEstimate) -> ErrorRateBounds:
     return ErrorRateBounds(attacker_floor=attacker, user_ceiling=user)
 
 
-def coded_phase_stream(master_seed: int, index: int) -> np.random.Generator:
-    """Random stream of coded phase ``index`` under a master seed.
+def coded_phase_streams(master_seed: int, indices: Iterable[int]) -> list[np.random.Generator]:
+    """Random streams of the coded phases ``indices`` under a master seed, seeded together.
 
     Tagged apart from the Monte Carlo identity streams of ``channel``,
-    so a coded phase never shares draws with the trials it informs.
-    The master seed must be an integer >= 0.
+    so a coded phase never shares draws with the trials it informs. The
+    master seed and each index must be integers >= 0; every one is
+    checked before any stream is built.
     """
     if not _is_count(master_seed, least=0):
         raise ValueError(f"master_seed must be an integer >= 0, got {master_seed!r}")
-    return _stream(master_seed, CODED_PHASE_TAG, index)
+    return _streams([_seed_words((master_seed, CODED_PHASE_TAG, index)) for index in indices])
+
+
+def coded_phase_stream(master_seed: int, index: int) -> np.random.Generator:
+    """Random stream of coded phase ``index``: the one-stream case of ``coded_phase_streams``."""
+    return coded_phase_streams(master_seed, (index,))[0]
 
 
 def simulate_coded_phase(

@@ -1,7 +1,7 @@
 """Helpers shared by the test modules: binomial masses by integer enumeration,
 the one-shot Monte Carlo cdf table, numpy's own seeding of a stream, the
 one-design Monte Carlo draw and score, and the worst-case exact loss the
-tests use as their oracles."""
+tests use as their oracles; and a spy on the stream builder."""
 
 import functools
 import itertools
@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 
+import threshauth.channel as channel
+import threshauth.noise as noise
 from threshauth.channel import _STREAM_TAG
 from threshauth.exact import BinomialSpec, exact_expected_losses
 from threshauth.loss import ProverIdentity
@@ -105,3 +107,20 @@ def one_design_score(histogram, cut, params, identity, p) -> tuple[float, float]
     return mean, weight * math.sqrt(q * (1.0 - q) / trials + 0.25 / trials**2) / (
         1.0 + 1.0 / trials
     )
+
+
+def spy_stream_builds(monkeypatch) -> list[int]:
+    """The stream count of each ``channel._streams`` call made from here on.
+
+    ``noise`` binds the builder too, so the spy replaces both names.
+    """
+    built = []
+    streams = channel._streams
+
+    def spy(words):
+        built.append(len(words))
+        return streams(words)
+
+    for module in (channel, noise):
+        monkeypatch.setattr(module, "_streams", spy)
+    return built

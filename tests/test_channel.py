@@ -18,12 +18,15 @@ from conftest import (
     one_design_score,
     one_shot_cdf_table,
     seeded_bits,
+    spy_stream_builds,
 )
 from threshauth import channel
 from threshauth.bounds import threshold_loss_bound
 from threshauth.channel import (
     _cdf_table,
+    _seed_words,
     _stream,
+    _streams,
     attacker_per_round_error,
     score_counts,
     score_histograms,
@@ -540,6 +543,31 @@ class TestStreamSeeding:
             _stream(tuple(parts))
 
 
+class TestStreamBatch:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.lists(_SEED_PART, max_size=5), min_size=1, max_size=8))
+    @example([[0], [1729, 3, 0], [2**64, 0, 2**32 - 1, 2**130 - 1]])
+    @example([[], [0, 0, 0, 0], [2**32 - 1] * 5])
+    def test_each_stream_of_a_batch_draws_numpys_bits(self, batch):
+        # part counts mixed in one batch, 0 to 25 words per stream
+        streams = _streams([_seed_words(parts) for parts in batch])
+        assert len(streams) == len(batch)
+        for stream, parts in zip(streams, batch):
+            want = seeded_bits(parts).random_raw(4)
+            np.testing.assert_array_equal(stream.bit_generator.random_raw(4), want)
+
+    def test_an_empty_batch_builds_nothing(self):
+        assert _streams([]) == []
+
+    def test_the_seed_state_serves_only_pcg64s_request(self):
+        seed_seq = _stream(1729, 3, 0).bit_generator.seed_seq
+        want = np.random.SeedSequence((1729, 3, 0)).generate_state(4, np.uint64)
+        np.testing.assert_array_equal(seed_seq.generate_state(4, np.uint64), want)
+        for n_words, dtype in ((8, np.uint64), (4, np.uint32), (2, np.uint32)):
+            with pytest.raises(ValueError, match="state words"):
+                seed_seq.generate_state(n_words, dtype)
+
+
 # 94,906,267 is the least trial count whose square is past 2**53
 _TRIALS = st.one_of(st.sampled_from([1, 94_906_267, 10**8]), st.integers(1, 10**8))
 _RATE = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
@@ -619,6 +647,27 @@ class TestLevelBatch:
             for got, n, seed, p in zip(histograms, rounds, seeds, rates):
                 np.testing.assert_array_equal(got, one_design_counts(n, p, 1000, seed, identity))
 
+    def test_blocks_hold_designs_in_order_of_round_count(self, monkeypatch):
+        # 600 entries hold seven padded rows of 80 rounds: three blocks
+        monkeypatch.setattr(channel, "_CDF_BLOCK_ENTRIES", 600)
+        blocks = []
+        cdf_rows = channel._cdf_rows
+        monkeypatch.setattr(
+            channel, "_cdf_rows", lambda ns, rates: blocks.append(ns.tolist()) or cdf_rows(ns, rates)
+        )
+        built = spy_stream_builds(monkeypatch)
+        rounds = [80, 3, 47, 0, 64, 12, 47, 30, 5, 79, 1, 2, 60, 9, 33]
+        seeds = [(7, i) for i in range(len(rounds))]
+        rates = [0.3] * len(rounds)
+        rates[4] = 1.0  # drawn without a stream
+        sides = ((ProverIdentity.ATTACKER, rates), (ProverIdentity.USER, 0.1))
+        batch = simulate_error_histograms(rounds, sides, 500, seeds)
+        assert blocks == [[0, 1, 2, 3, 5, 9, 12], [30, 33, 47, 47, 60, 64, 79], [80]]
+        assert built == [14, 13, 2]  # one builder call per block, both sides' streams
+        for histograms, (identity, p) in zip(batch, sides):
+            for got, n, seed, q in zip(histograms, rounds, seeds, np.broadcast_to(p, len(rounds))):
+                np.testing.assert_array_equal(got, one_design_counts(n, q, 500, seed, identity))
+
     @pytest.mark.parametrize("bad", [
         dict(rounds=[8, -1]), dict(rounds=[8, 2.5]), dict(rounds=[8, True]),
         dict(rates=(0.3, 1.5)), dict(rates=(0.3, math.nan)),
@@ -627,9 +676,7 @@ class TestLevelBatch:
         dict(seeds=[1, (2, -3)]), dict(seeds=[1]),
     ], ids=lambda bad: f"{next(iter(bad))}={next(iter(bad.values()))!r}")
     def test_bad_inputs_are_rejected_before_any_draw(self, bad, monkeypatch):
-        built = []
-        generator = channel._generator
-        monkeypatch.setattr(channel, "_generator", lambda words: built.append(words) or generator(words))
+        built = spy_stream_builds(monkeypatch)
         args = dict(rounds=[8, 12], rates=(0.3, 0.4), trials=100, seeds=[1, 2]) | bad
         sides = tuple(zip(ProverIdentity, args["rates"]))
         with pytest.raises(ValueError):

@@ -656,6 +656,28 @@ class TestPerDesignRates:
         assert built == [100]
         assert sorted(pmfs) == sorted(rate for pair in pairs for rate in pair)
 
+    def test_a_groups_designs_are_blocked_in_order_of_round_count(self, monkeypatch):
+        monkeypatch.setattr("threshauth.exact._BLOCK_ENTRIES", 200)
+        blocks = []
+
+        class RecordingBlock(_PmfBlock):
+            def __init__(self, rounds):
+                blocks.append(rounds.tolist())
+                super().__init__(rounds)
+
+        monkeypatch.setattr("threshauth.exact._PmfBlock", RecordingBlock)
+        # two rate pairs, first seen in the order (0.6, 0.3), (0.55, 0.2)
+        ns = [40, 3, 17, 39, 1, 25, 8, 33]
+        attacker = [0.6, 0.55, 0.6, 0.55, 0.6, 0.55, 0.6, 0.55]
+        user = [0.3, 0.2, 0.3, 0.2, 0.3, 0.2, 0.3, 0.2]
+        taus = [n / 2 for n in ns]
+        att, use = exact_expected_losses(BENCH, ns, taus, attacker, user)
+        # 200 entries hold four padded rows of 40 rounds
+        assert blocks == [[1, 8, 17, 40], [3, 25, 33, 39]]
+        for i, (n, tau, a, u) in enumerate(zip(ns, taus, attacker, user)):
+            want_att, want_use = exact_expected_losses(BENCH, [n], [tau], a, u)
+            assert (att[i], use[i]) == (want_att[0], want_use[0])
+
     @pytest.mark.parametrize("bad", [
         dict(attacker=[0.55, 0.6, 0.7], user=[0.2, 0.1, 0.3]),
         dict(ns=[3, 4, 5], attacker=[0.55, 0.6, 0.7], user=[0.2, 0.1, 0.3]),

@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import string
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import exact_worst_case_losses
+from conftest import exact_worst_case_losses, spy_stream_builds
 import threshauth.channel as channel
 import threshauth.exact as exact
 import threshauth.experiments as experiments
@@ -560,9 +561,26 @@ class TestFigure3:
         assert len(rows) == designs and len(rows._blocks) == 1
         assert built == [0]
 
+    @pytest.mark.parametrize("block_entries", [None, 4096], ids=["one-block", "blocks"])
+    def test_a_sweep_seeds_its_coded_phases_in_one_call_and_each_cdf_block_in_one(
+        self, monkeypatch, block_entries
+    ):
+        if block_entries is not None:
+            monkeypatch.setattr(channel, "_CDF_BLOCK_ENTRIES", block_entries)
+        blocks = []
+        cdf_rows = channel._cdf_rows
+        monkeypatch.setattr(
+            channel, "_cdf_rows", lambda ns, rates: blocks.append(len(ns)) or cdf_rows(ns, rates)
+        )
+        built = spy_stream_builds(monkeypatch)
+        spec = ExperimentSpec.figure3()
+        figure3_comparison(spec)
+        assert len(blocks) == (1 if block_entries is None else 4)
+        # every fig3 rate lies inside (0, 1): each design draws on both identities' streams
+        assert built == [len(spec.noise_grid)] + [2 * rows for rows in blocks]
+
     def test_designs_sharing_a_seed_must_share_rounds_and_rates(self, monkeypatch):
-        built = []
-        monkeypatch.setattr(channel, "_generator", lambda words: built.append(words))
+        built = spy_stream_builds(monkeypatch)
         spec = ExperimentSpec.figure3(trials=100)
 
         def design(n, rates, seed=(1729, 0, 47)):
@@ -738,28 +756,30 @@ def _reference_bytes(rows):
     return want.getvalue().encode()
 
 
+# finite: emit_csv rejects nan and the infinities
 _FLOAT = st.one_of(
-    st.sampled_from([-0.0, 0.0, 1e-300, -1e-300, 1e12, 123456789012.5, math.inf, -math.inf]),
-    st.floats(),
+    st.sampled_from([-0.0, 0.0, 1e-300, -1e-300, 1e12, 123456789012.5, 5e-324, -sys.float_info.max]),
+    st.floats(allow_nan=False, allow_infinity=False),
 )
 _REAL = st.one_of(_FLOAT, st.integers(-10**6, 10**6))
+_ANY_REAL = st.one_of(_REAL, st.sampled_from([math.nan, math.inf, -math.inf]))
 # printable ASCII with the CSV specials comma and quote; a row rejects a
 # label holding a newline or carriage return
 _LABEL = st.text(alphabet=string.printable.translate({10: None, 13: None}), max_size=12)
 
 
 @st.composite
-def _rows(draw):
+def _rows(draw, real=_REAL):
     # round counts stay below 1e12, where both spellings of an integer agree
     n = draw(st.one_of(st.none(), st.integers(0, 10**11), st.integers(0, 10**11).map(np.int64)))
     reals = ("tau", "exact_worst", "elb1", "elb2", "mc_worst", "mc_stderr")
     return SweepRow(
-        omega=draw(_REAL),
+        omega=draw(real),
         n=n,
         threshold_strategy=draw(_LABEL),
         rate_strategy=draw(_LABEL),
         aborted=draw(_LABEL),
-        **{name: draw(st.none() | _REAL) for name in reals},
+        **{name: draw(st.none() | real) for name in reals},
     )
 
 
@@ -778,11 +798,31 @@ class TestCsvRoundTrip:
         with open(out, newline="") as fh:
             assert fh.read() == want.getvalue()
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(rows=st.lists(_rows(_ANY_REAL), max_size=5))
+    def test_a_non_finite_real_writes_no_file_and_other_rows_read_back(
+        self, rows, tmp_path_factory
+    ):
+        out = tmp_path_factory.getbasetemp() / "maybe-finite.csv"
+        out.unlink(missing_ok=True)
+        reals = [getattr(row, name) for row in rows for name in experiments._REALS]
+        if any(value is not None and not math.isfinite(value) for value in reals):
+            with pytest.raises(ValueError, match="is not finite"):
+                emit_csv(rows, out)
+            assert not out.exists()
+        else:
+            emit_csv(rows, out)
+            again = out.with_name("re-emitted.csv")
+            emit_csv(parse_csv(out), again)
+            assert again.read_bytes() == out.read_bytes()
+
     def test_labels_and_mixed_columns_span_chunks_as_csv_writes_them(self, tmp_path):
         # the first chunk's reals and counts are of one type each; later
-        # chunks mix None with signed zeros, nan and infinities in a column
+        # chunks mix None with signed zeros, the least subnormal and the
+        # largest doubles in a column
         labels = ("a,b", 'say "hi"', '"', "tab\tcell", "\x0b", "form\x0cfeed", '",', " lead", "")
-        reals = (-0.0, 0.0, math.nan, math.inf, -math.inf, None, 0.1, 1e-300, 123456789012.5)
+        big = sys.float_info.max
+        reals = (-0.0, 0.0, 5e-324, big, -big, None, 0.1, 1e-300, 123456789012.5)
         chunk = experiments._EMIT_CHUNK
         rows = [
             SweepRow(
@@ -792,7 +832,7 @@ class TestCsvRoundTrip:
                 threshold_strategy=labels[i % len(labels)],
                 rate_strategy=labels[(i // 3) % len(labels)] if i >= chunk else "true-omega",
                 elb2=None if i < chunk else -0.0,
-                mc_worst=math.nan if i % 2 else None,
+                mc_worst=-5e-324 if i % 2 else None,
                 aborted="" if i < chunk else labels[(i // 5) % len(labels)],
             )
             for i in range(2 * chunk + 17)
@@ -807,7 +847,7 @@ class TestCsvRoundTrip:
         assert out.read_bytes() == want.getvalue().encode()
 
     @pytest.mark.parametrize("label", ["{", "}", "{0}", 'a,"b', '"'])
-    @pytest.mark.parametrize("real", [-0.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("real", [-0.0, 5e-324, sys.float_info.max, -sys.float_info.max])
     def test_blocks_write_the_bytes_of_their_rows(self, label, real, tmp_path):
         # a block past one chunk, fixed cells that need quoting or escaping,
         # then loose all-varying rows, some with the same label
@@ -825,7 +865,7 @@ class TestCsvRoundTrip:
         loose = [
             _blank_row(threshold_strategy=label, rate_strategy="{0}", tau=real),
             _blank_row(omega=real, n=None, tau=None, exact_worst=None, aborted="gap-collapse"),
-            _blank_row(rate_strategy=label, elb2=-0.0, mc_stderr=math.nan),
+            _blank_row(rate_strategy=label, elb2=-0.0, mc_stderr=5e-324),
         ]
         rows = experiments.SweepRows([block, experiments._rows_block(loose)])
         assert len(rows) == size + 3
@@ -963,6 +1003,45 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="rate_strategy holds a line break"):
             emit_csv(rows, out)
         assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+    @pytest.mark.parametrize("where", [
+        ("fig1a", "exact_worst"), ("fig1a", "elb2"), ("fig3", "mc_stderr"), ("fig3", "omega"),
+    ], ids="-".join)
+    def test_a_real_that_is_not_finite_is_rejected_naming_its_column_and_row(
+        self, where, bad, tmp_path
+    ):
+        # fig1a's level blocks hold elb2 once and exact_worst as a column;
+        # fig3's one all-varying block holds every field as a column, None
+        # in abort rows
+        sweep, name = where
+        if sweep == "fig1a":
+            rows = figure1a_sweep(ExperimentSpec(noise_grid=(0.05, 0.1), n_grid=(4, 8, 16)))
+        else:
+            rows = figure3_comparison(ExperimentSpec.figure3(noise_grid=(0.02, 0.1), trials=200))
+        block = rows._blocks[-1]
+        first = len(rows) - len(block)
+        if name in block.fixed:
+            block.fixed[name], i = bad, 0
+        else:
+            column = list(block.columns[name])
+            i = max(j for j, v in enumerate(column) if v is not None)
+            column[i] = bad
+            block.columns[name] = column
+        out = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match=rf"^{name} of row {first + i} is not finite: {bad!r}$"):
+            emit_csv(rows, out)
+        assert not out.exists()
+
+    def test_a_row_list_real_that_is_not_finite_is_rejected_before_any_file(self, tmp_path):
+        out = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match=r"^tau of row 1 is not finite: nan$"):
+            emit_csv([_blank_row(), _blank_row(tau=math.nan)], out)
+        assert not out.exists()
+        # zeros and empty cells are written, and so is a column whose sum overflows
+        big = sys.float_info.max
+        emit_csv([_blank_row(tau=0.0, elb1=None, mc_stderr=-0.0, elb2=big), _blank_row(elb2=big)], out)
+        assert parse_csv(out)[0].tau == 0.0
 
     def test_rejects_a_quoted_line_break_naming_its_line(self, tmp_path):
         good = tmp_path / "good.csv"

@@ -1,6 +1,9 @@
 """Each name of the package has one import path: the module that defines it."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import threshauth
@@ -42,3 +45,14 @@ def test_package_init_imports_nothing():
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert imports == []
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # numpy loads numpy.random on first use, at about 6 MB of resident
+    # memory; a command that draws nothing should not pay for it
+    probe = "import sys, threshauth.cli; print('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout.strip() == "False"
