@@ -11,16 +11,16 @@ coefficients, n - k and the padding mask) and adds one rate's terms
 per call, and every tail from ``_tail``, which turns those rows into
 running sums along their last axis. The expected losses of both
 identities (``exact_expected_losses``) and the brute-force search walk
-their round counts in blocks (``_pmf_blocks``) built once and shared by
-both identities and, for the losses, by every noise level or rate pair,
-looped over one at a time inside each block; a whole sweep costs one
-numpy pass per block and rate instead of one pmf per design, and the
-losses build only the pmf columns their tails sum. The losses take one
-rate pair for all designs, one per level, or one per design, whose
-designs are grouped by rate pair. The brute-force search, which reads
-every threshold, adds the round cost after taking the larger of the two
-weighted error probabilities, bitwise the larger of the two losses.
-The decision rule's cut comes from ``loss.rejected_count_min``.
+their round counts in blocks (``_pmf_blocks``), each built once and
+shared by both identities and, for the losses, by every rate pair whose
+designs it holds; a whole sweep costs one numpy pass per block and rate
+pair instead of one pmf per design, and the losses build only the pmf
+columns their tails sum. The losses take one call shape: designs, each
+with its own round count, threshold and rate pair. The brute-force
+search, which reads every threshold, adds the round cost after taking
+the larger of the two weighted error probabilities, bitwise the larger
+of the two losses. The decision rule's cut comes from
+``loss.rejected_count_min``.
 """
 
 from __future__ import annotations
@@ -92,8 +92,11 @@ class _PmfBlock:
         np.cumsum(np.log(ratios, out=ratios), axis=-1, out=self.log_comb[:, 1:])
         np.copyto(self.log_comb, -np.inf, where=self.pad)
 
-    def pmf(self, mu: float, cols: slice = slice(None), rows: slice = slice(None)) -> np.ndarray:
-        """Columns ``cols`` of pmf rows ``rows`` at rate mu, each entry bitwise a whole row's."""
+    def pmf(
+        self, mu: float, cols: slice = slice(None), rows: slice | np.ndarray = slice(None)
+    ) -> np.ndarray:
+        """Columns ``cols`` of pmf rows ``rows`` (a slice or indices) at rate mu,
+        each entry bitwise a whole row's."""
         if mu == 0.0 or mu == 1.0:
             ns = self.rounds[rows]
             out = np.zeros((len(ns), self.pad.shape[1]))
@@ -125,9 +128,14 @@ def _tail(pmf: np.ndarray, upper: bool) -> np.ndarray:
     return out
 
 
+def _block_rows(rounds: np.ndarray) -> int:
+    """Round counts of ``rounds`` a block holds: about ``_BLOCK_ENTRIES`` padded entries."""
+    return max(1, _BLOCK_ENTRIES // (int(rounds.max()) + 2))
+
+
 def _pmf_blocks(rounds: np.ndarray) -> Iterator[tuple[slice, _PmfBlock]]:
-    """Slices of ``rounds``, in order, with their ``_PmfBlock`` of about ``_BLOCK_ENTRIES``."""
-    step = max(1, _BLOCK_ENTRIES // (int(rounds.max()) + 2))
+    """Slices of ``rounds``, in order, with their ``_PmfBlock`` of ``_block_rows`` rows."""
+    step = _block_rows(rounds)
     for lo in range(0, len(rounds), step):
         block = slice(lo, lo + step)
         yield block, _PmfBlock(rounds[block])
@@ -153,100 +161,82 @@ def binomial_sf(spec: BinomialSpec, count: int) -> float:
     return min(1.0, float(_tail(pmf, upper=True)[count]))
 
 
-def _decision_tails(
-    terms: _PmfBlock, rows: slice, cut: np.ndarray, mu_att: float, mu_use: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pr(count < cut) at mu_att and Pr(count >= cut) at mu_use of a block's rows ``rows``.
-
-    The lower tail, summed up from 0, needs only the columns below the
-    largest cut, and the upper tail, summed down from n, only those from
-    the smallest cut.
-    """
-    below, above = slice(cut.max()), slice(cut.min(), None)
-    index = np.arange(len(cut))
-    acc = _tail(terms.pmf(mu_att, below, rows), upper=False)[index, cut]
-    rej = _tail(terms.pmf(mu_use, above, rows), upper=True)[index, cut - above.start]
-    return acc, rej
-
-
 def exact_expected_losses(
     params: LossParameters,
     rounds: Sequence[int],
-    thresholds: Sequence[float] | Sequence[Sequence[float]],
+    thresholds: Sequence[float],
     attacker_rate: float | Sequence[float],
     user_rate: float | Sequence[float],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact expected loss of each identity at each (rounds, threshold) pair:
+    """Exact expected loss of each identity at each design (rounds[i], thresholds[i]):
 
         attacker: n * per_round + Pr(count < tau)  * false_accept
         user:     n * per_round + Pr(count >= tau) * false_reject
 
     with the count Binomial(n, attacker_rate) or Binomial(n, user_rate).
-    The rates are plain per-round error probabilities in [0, 1], in
-    either order. Round counts are integers from 1 to the int64 maximum;
-    any other is rejected before any work. A threshold at or below 0
+    ``rounds`` and ``thresholds`` are 1-D and of one length, and each
+    rate is a scalar, shared by every design, or 1-D of that length. The
+    rates are plain per-round error probabilities in [0, 1], in either
+    order. Round counts are integers from 1 to the int64 maximum; any
+    other input is rejected before any work. A threshold at or below 0
     rejects every count and one above the round count accepts every
     count, infinite ones included; a sure decision costs exactly its
-    loss. The rates come in one of three shapes:
+    loss. Each loss is bitwise the call at its design alone.
 
-    * scalars: one rate pair for every design, ``thresholds`` 1-D;
-    * one pair per level: two 1-D arrays, with thresholds of shape
-      (levels, len(rounds)) giving losses of that shape, row j bitwise
-      the call at level j. Each block of round counts is built once and
-      its levels looped over inside it;
-    * one pair per design: two 1-D arrays as long as ``rounds``, with
-      ``thresholds`` 1-D, each loss bitwise the scalar call at that
-      design. Designs that share a rate pair form a group; the designs
-      are walked in blocks in group order, by round count within a
-      group, and each group's rows of a block take one pmf and one tail
-      per side.
-
-    Tails are read at the rule's cut from pmf columns on one side of it
-    only (``_decision_tails``).
+    The distinct round counts are walked in blocks (``_pmf_blocks``),
+    each built once for every rate pair. A block's designs are ordered
+    by rate pair, then by round count, and each rate pair's designs in
+    a block take one pmf and one tail per side, over a slice of the
+    block's rows when those are consecutive.
     """
     ns, taus = np.asarray(rounds), np.asarray(thresholds, dtype=np.float64)
     rates = np.asarray(attacker_rate, dtype=np.float64), np.asarray(user_rate, dtype=np.float64)
-    if ns.ndim != 1 or ns.size == 0 or rates[0].ndim > 1 or rates[0].shape != rates[1].shape:
-        raise ValueError("rounds must be nonempty and the rates scalars or 1-D of one length")
-    per_design = rates[0].ndim == 1 and taus.ndim == 1
-    if per_design and not rates[0].shape == taus.shape == ns.shape:
-        raise ValueError("per-design rates and thresholds must hold one value per round count")
-    if not per_design and taus.shape != rates[0].shape + ns.shape:
-        raise ValueError("thresholds must hold one threshold per round count and level")
-    if not all(_is_count(n) and n <= _MAX_ROUNDS for n in rounds):
+    if ns.ndim != 1 or ns.size == 0 or taus.shape != ns.shape:
+        raise ValueError("rounds and thresholds must be nonempty, 1-D and of one length")
+    if any(rate.shape not in ((), ns.shape) for rate in rates):
+        raise ValueError("each rate must be a scalar or hold one value per round count")
+    if isinstance(rounds, np.ndarray) and ns.dtype.kind in "iu":  # holds no bool or float
+        counts = 1 <= ns.min() and ns.max() <= _MAX_ROUNDS
+    else:
+        counts = all(_is_count(n) and n <= _MAX_ROUNDS for n in rounds)
+    if not counts:
         raise ValueError(f"rounds must be integers in [1, {_MAX_ROUNDS}]")
     ns = ns.astype(np.int64)
     for name, rate in zip(("attacker_rate", "user_rate"), rates):
         if not np.all((rate >= 0.0) & (rate <= 1.0)):  # also false for nan
             raise ValueError(f"{name} not in [0,1]: {rate}")
     cuts = rejected_count_min(taus, ns)
-    if per_design:
-        groups: dict[tuple[float, float], int] = {}  # rate pair -> its group, first-seen order
-        pairs = zip(rates[0].tolist(), rates[1].tolist())
-        group = np.array([groups.setdefault(pair, len(groups)) for pair in pairs])
-        order = np.lexsort((ns, group))  # by group, then by round count within it
-        group, pairs = group[order], list(groups)
-        acc_att, rej_use = np.empty(len(ns)), np.empty(len(ns))
-        for block, terms in _pmf_blocks(ns[order]):
-            ids, designs = group[block], order[block]
-            edges = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist(), len(ids)]
-            for lo, hi in zip(edges, edges[1:]):
-                i = designs[lo:hi]
-                acc_att[i], rej_use[i] = _decision_tails(
-                    terms, slice(lo, hi), cuts[i], *pairs[ids[lo]]
-                )
-    else:
-        levels = list(zip(rates[0].ravel().tolist(), rates[1].ravel().tolist()))
-        cuts = cuts.reshape(len(levels), len(ns))
-        acc_att, rej_use = np.empty(cuts.shape), np.empty(cuts.shape)
-        for block, terms in _pmf_blocks(ns):
-            for j, (mu_att, mu_use) in enumerate(levels):
-                acc_att[j, block], rej_use[j, block] = _decision_tails(
-                    terms, slice(None), cuts[j, block], mu_att, mu_use
-                )
+    distinct, row = np.unique(ns, return_inverse=True)
+    mu_att, mu_use = (np.broadcast_to(rate, ns.shape) for rate in rates)
+    block_of = row // _block_rows(distinct)
+    order = np.lexsort((ns, mu_use, mu_att, block_of))
+    row, block_of, mu_att, mu_use = row[order], block_of[order], mu_att[order], mu_use[order]
+    new_run = (block_of[1:] != block_of[:-1]) | (mu_att[1:] != mu_att[:-1])
+    new_run |= mu_use[1:] != mu_use[:-1]
+    edges = [0, *(np.flatnonzero(new_run) + 1).tolist(), len(ns)]
+    # a run's rows are consecutive when every step between them is 1
+    row_gaps = np.cumsum(np.diff(row, prepend=row[0]) != 1)
+    runs = zip(edges, edges[1:])  # in block order: each block takes its own in turn
+    acc_att, rej_use = np.empty(len(ns)), np.empty(len(ns))
+    for block, terms in _pmf_blocks(distinct):
+        for start, stop in runs:
+            rows, i = row[start:stop] - block.start, order[start:stop]
+            if row_gaps[stop - 1] == row_gaps[start]:
+                rows = slice(rows[0], rows[-1] + 1)
+            # Pr(count < cut), summed up from 0, needs only the columns
+            # below the largest cut; Pr(count >= cut), summed down from n,
+            # only those from the smallest
+            cut, index = cuts[i], np.arange(stop - start)
+            below, above = slice(cut.max()), slice(cut.min(), None)
+            pmf = terms.pmf(float(mu_att[start]), below, rows)
+            acc_att[i] = _tail(pmf, upper=False)[index, cut]
+            pmf = terms.pmf(float(mu_use[start]), above, rows)
+            rej_use[i] = _tail(pmf, upper=True)[index, cut - above.start]
+            if stop == len(ns) or block_of[stop] != block_of[start]:
+                break  # the block's last run
     # a sure decision is exactly 1, not the pmf's float total
-    acc_att = np.where(cuts > ns, 1.0, np.minimum(1.0, acc_att)).reshape(taus.shape)
-    rej_use = np.where(cuts == 0, 1.0, np.minimum(1.0, rej_use)).reshape(taus.shape)
+    acc_att = np.where(cuts > ns, 1.0, np.minimum(1.0, acc_att))
+    rej_use = np.where(cuts == 0, 1.0, np.minimum(1.0, rej_use))
     base = ns * params.per_round
     return base + acc_att * params.false_accept, base + rej_use * params.false_reject
 

@@ -343,16 +343,17 @@ def _closed_form_rows(
     bound values. A level's block holds omega, the strategy labels and
     elb2 once, and n, tau, exact_worst and elb1 as columns. A level
     costs one ``threshold_curve`` call, and its arrays become built-in
-    numbers by ``tolist``; one level-batched ``exact_expected_losses``
-    call scores all levels, bitwise as one call per level or round
-    count would.
+    numbers by ``tolist``; every level's designs, the grid once per
+    level at that level's rates, are scored by one
+    ``exact_expected_losses`` call.
     """
     if not levels:
         return []
     curves = [threshold_curve(params, rates, n_grid) for _, rates in levels]
     losses = exact_expected_losses(
-        params, n_grid, [taus for taus, _ in curves],
-        [r.attacker_floor for _, r in levels], [r.user_ceiling for _, r in levels],
+        params, np.tile(n_grid, len(levels)), np.concatenate([taus for taus, _ in curves]),
+        np.repeat([r.attacker_floor for _, r in levels], len(n_grid)),
+        np.repeat([r.user_ceiling for _, r in levels], len(n_grid)),
     )
     return [
         _Block(
@@ -360,7 +361,9 @@ def _closed_form_rows(
                  elb2=rounds_loss_bound(params, rates)),
             dict(n=n_grid, tau=taus.tolist(), exact_worst=exact.tolist(), elb1=elb1.tolist()),
         )
-        for (w, rates), (taus, elb1), exact in zip(levels, curves, np.maximum(*losses))
+        for (w, rates), (taus, elb1), exact in zip(
+            levels, curves, np.maximum(*losses).reshape(len(levels), len(n_grid))
+        )
     ]
 
 
@@ -633,40 +636,34 @@ def emit_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
     This is the one place a row's real becomes text: each is formatted
     once here, from the double the row holds. A sweep's ``SweepRows``
     is written block by block, building no row; a plain list of rows is
-    written as all-varying blocks of ``_EMIT_CHUNK`` rows. A block's
-    shared cells are rendered once, and its columns go through one line
-    template: an all-float column as ``{:.12g}``, an all-int one as
-    ``{}``, others as cells rendered first. Labels are quoted by ``csv``
-    itself, so every byte is as ``csv.writer`` writes it. A label holding
-    a line break, or a real that is nan or infinite, raises ValueError
-    naming its column (and, for a real, its row, counted from 0) before
-    the file is opened, so no partial CSV is written.
+    first made one all-varying block. A block's shared cells are
+    rendered once, and its columns go through one line template, at
+    most ``_EMIT_CHUNK`` rows at a time: an all-float column as
+    ``{:.12g}``, an all-int one as ``{}``, others as cells rendered
+    first. Labels are quoted by ``csv`` itself, so every byte is as
+    ``csv.writer`` writes it. A label holding a line break, or a real
+    that is nan or infinite, raises ValueError naming its column (and,
+    for a real, its row, counted from 0) before the file is opened, so
+    no partial CSV is written.
     """
     path = Path(path)
-    if isinstance(rows, SweepRows):
-        blocks = rows._blocks
-        first = 0
-        for block in blocks:
-            fixed = _DEFAULTS | block.fixed
-            for name in _LABELS:
-                if name in block.columns:
-                    _check_labels(name, set(block.columns[name]))
-                else:
-                    _check_labels(name, (fixed[name],))
-            for name in _REALS:
-                _check_reals(name, block.columns.get(name, (fixed.get(name),)), first)
-            first += len(block)
-    else:
+    if not isinstance(rows, SweepRows):
+        rows = SweepRows([_rows_block(rows)])
+    first = 0
+    for block in rows._blocks:
+        fixed = _DEFAULTS | block.fixed
         for name in _LABELS:
-            _check_labels(name, set(map(operator.attrgetter(name), rows)))
+            if name in block.columns:
+                _check_labels(name, set(block.columns[name]))
+            else:
+                _check_labels(name, (fixed[name],))
         for name in _REALS:
-            _check_reals(name, list(map(operator.attrgetter(name), rows)))
-        chunks = range(0, len(rows), _EMIT_CHUNK)
-        blocks = (_rows_block(rows[lo : lo + _EMIT_CHUNK]) for lo in chunks)
+            _check_reals(name, block.columns.get(name, (fixed.get(name),)), first)
+        first += len(block)
     try:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(CSV_HEADER) + "\n")
-            for block in blocks:
+            for block in rows._blocks:
                 _write_block(fh, block)
     except OSError as exc:
         raise OSError(f"cannot write sweep CSV to {path}: {exc}") from exc
@@ -678,7 +675,12 @@ def _parse_field(f: Field, cell: str) -> float | int | str | None:
         return cell
     if cell == "":
         return None
-    return int(cell) if f.name == "n" else float(cell)
+    if f.name == "n":
+        return int(cell)
+    value = float(cell)
+    if not math.isfinite(value):  # emit_csv refuses to write one
+        raise ValueError(f"{f.name} is not finite: {cell!r}")
+    return value
 
 
 def parse_csv(path: str | Path) -> list[SweepRow]:
@@ -686,8 +688,9 @@ def parse_csv(path: str | Path) -> list[SweepRow]:
 
     Each real is the value of its 12-digit cell, so re-emitting the rows
     writes the same bytes. A malformed file raises ValueError naming its
-    path and line: empty, another header, a record of another width or a
-    cell that does not parse.
+    path and line: empty, another header, a record of another width, a
+    cell that does not parse or a real that is nan or infinite, which
+    ``emit_csv`` would not write.
     """
     path = Path(path)
     columns = fields(SweepRow)

@@ -477,14 +477,17 @@ def _level_batches(draw):
     levels = draw(st.integers(1, 30))
     rates = st.lists(_MU, min_size=levels, max_size=levels)
     attacker, user = draw(rates), draw(rates)
-    # thresholds from a drawn seed: fractional, integer and infinite,
-    # inside and outside [0, n + 1]
+    return ns, _level_thresholds(draw, ns, levels).tolist(), attacker, user
+
+
+def _level_thresholds(draw, ns, levels):
+    """Thresholds of shape (levels, len(ns)) from a drawn seed: fractional,
+    integer and infinite, inside and outside [0, n + 1]."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     taus = rng.uniform(-3.0, np.array(ns) + 4.0, size=(levels, len(ns)))
     kind = rng.integers(0, 4, size=taus.shape)
     taus = np.where(kind == 1, np.round(taus), taus)
-    taus = np.where(kind == 2, np.copysign(math.inf, taus - 1.0), taus)
-    return ns, taus.tolist(), attacker, user
+    return np.where(kind == 2, np.copysign(math.inf, taus - 1.0), taus)
 
 
 @st.composite
@@ -511,6 +514,14 @@ def _cut_batches(draw):
     return ns, taus, attacker, user
 
 
+def _flat(ns, taus, attacker, user):
+    """A grid at each level's rate pair as designs: the call fig1a makes."""
+    return (
+        np.tile(ns, len(attacker)), np.concatenate(taus),
+        np.repeat(attacker, len(ns)), np.repeat(user, len(ns)),
+    )
+
+
 class TestColumnRangedTails:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(batch=_cut_batches())
@@ -518,7 +529,7 @@ class TestColumnRangedTails:
     @example(batch=([600] * 28 + [5, 1, 5], [[601.0] * 28 + [6.0, 0.5, 5.0]], [1.0], [0.3]))
     def test_equal_the_tails_of_full_rows_bitwise(self, batch):
         ns, taus, attacker, user = batch
-        att, use = exact_expected_losses(BENCH, ns, taus, attacker, user)
+        att, use = exact_expected_losses(BENCH, *_flat(*batch))
         la, lu, lb = BENCH.false_accept, BENCH.false_reject, BENCH.per_round
         for j, (a, u) in enumerate(zip(attacker, user)):
             for i, n in enumerate(ns):
@@ -527,8 +538,9 @@ class TestColumnRangedTails:
                 rej = _tail(binomial_pmf(n, u), upper=True)[cut]
                 acc = 1.0 if cut > n else min(1.0, acc)
                 rej = 1.0 if cut == 0 else min(1.0, rej)
-                assert att[j, i].tobytes() == np.float64(n * lb + acc * la).tobytes()
-                assert use[j, i].tobytes() == np.float64(n * lb + rej * lu).tobytes()
+                d = j * len(ns) + i
+                assert att[d].tobytes() == np.float64(n * lb + acc * la).tobytes()
+                assert use[d].tobytes() == np.float64(n * lb + rej * lu).tobytes()
 
 
 class TestLevelBatch:
@@ -536,9 +548,12 @@ class TestLevelBatch:
     @given(batch=_level_batches())
     @example(batch=([600] * 30 + [5, 1, 5], [[2.5] * 33, [math.inf] * 33], [0.0, 1.0], [1.0, 0.0]))
     def test_equals_one_call_per_level_bitwise(self, batch):
+        # every level's grid in one call, as fig1a makes it, against one
+        # call per level with its rate pair shared by the grid
         ns, taus, attacker, user = batch
-        att, use = exact_expected_losses(BENCH, ns, taus, attacker, user)
-        assert att.shape == use.shape == (len(attacker), len(ns))
+        att, use = exact_expected_losses(BENCH, *_flat(*batch))
+        assert att.shape == use.shape == (len(attacker) * len(ns),)
+        att, use = att.reshape(len(attacker), len(ns)), use.reshape(len(attacker), len(ns))
         for j, (a, u) in enumerate(zip(attacker, user)):
             want_att, want_use = exact_expected_losses(BENCH, ns, taus[j], a, u)
             assert att[j].tobytes() == want_att.tobytes()
@@ -554,19 +569,22 @@ class TestLevelBatch:
 
         monkeypatch.setattr("threshauth.exact._PmfBlock", CountingBlock)
         ns = list(range(1, 257))
-        taus = [[n / 2 for n in ns]] * 24
-        exact_expected_losses(BENCH, ns, taus, [0.55] * 24, [0.2] * 24)
+        batch = ns, [[n / 2 for n in ns]] * 24, [0.55] * 24, [0.2] * 24
+        exact_expected_losses(BENCH, *_flat(*batch))
+        # one walk over the 256 distinct round counts for all 24 rate pairs:
         # _BLOCK_ENTRIES // (256 + 2) = 63 round counts a block
         assert built == [63, 63, 63, 63, 4]
 
     def test_transient_memory_does_not_scale_with_levels(self):
-        # the levels share each block's arrays one at a time rather than
-        # stacking a (levels, rows, columns) array
+        # the rate pairs share each block's arrays one at a time rather than
+        # stacking their pmf rows; what grows with the designs is their
+        # inputs, losses and sort order, about 80 bytes a design
         ns = list(range(1, 257))
         rates = [swiss_hitomi_rates(w) for w in np.geomspace(1e-3, 0.3, 24)]
         taus = [[n * 0.4 for n in ns]] * len(rates)
         att = [r.attacker_floor for r in rates]
         use = [r.user_ceiling for r in rates]
+        designs = _flat(ns, taus, att, use)
 
         def peak(call):
             call()  # one-time allocations stay out of the peak
@@ -578,20 +596,28 @@ class TestLevelBatch:
                 tracemalloc.stop()
 
         one = peak(lambda: exact_expected_losses(BENCH, ns, taus[0], att[0], use[0]))
-        every = peak(lambda: exact_expected_losses(BENCH, ns, taus, att, use))
-        assert every <= 1.5 * one
+        every = peak(lambda: exact_expected_losses(BENCH, *designs))
+        # 24 rate pairs' pmf rows of one block, stacked, would add about 3.5 MB
+        assert every <= one + 200 * len(designs[0])
 
-    def test_rejects_mismatched_levels(self):
+    def test_rejects_mismatched_levels(self, monkeypatch):
+        def no_block(*args, **kwargs):
+            raise AssertionError("a block was built before the inputs were checked")
+
+        monkeypatch.setattr("threshauth.exact._PmfBlock", no_block)
+        # thresholds of shape (levels, len(rounds)) are not a call shape
+        with pytest.raises(ValueError):
+            exact_expected_losses(BENCH, [3, 4], [[1.0, 2.0], [1.0, 2.0]], [0.55, 0.6], [0.2, 0.1])
         with pytest.raises(ValueError):
             exact_expected_losses(BENCH, [3, 4], [[1.0, 2.0]], [0.55, 0.6], [0.2, 0.1])
         with pytest.raises(ValueError):
-            exact_expected_losses(BENCH, [3, 4], [[1.0, 2.0]], [0.55], [0.2, 0.1])
+            exact_expected_losses(BENCH, [3, 4], [[1.0, 2.0]], 0.55, 0.2)
         with pytest.raises(ValueError):
             exact_expected_losses(BENCH, [3, 4], [1.0, 2.0], [0.55], [0.2])
         with pytest.raises(ValueError):
             exact_expected_losses(BENCH, [3], [[1.0]], [[0.55]], [[0.2]])
-        with pytest.raises(ValueError, match="user_rate"):
-            exact_expected_losses(BENCH, [3], [[1.0], [1.0]], [0.55, 0.6], [0.2, math.nan])
+        with pytest.raises(ValueError):
+            exact_expected_losses(BENCH, [3], [1.0], [[0.55]], [[0.2]])
 
 
 @st.composite
@@ -614,9 +640,21 @@ def _per_design_batches(draw):
     return ns, taus, [pairs[k][0] for k in picks], [pairs[k][1] for k in picks]
 
 
+@st.composite
+def _shuffled_grid_batches(draw):
+    """fig1a's designs in shuffled order: 2-5 rate pairs, each over one shared
+    grid of 28-60 distinct round counts that crosses a block boundary."""
+    grid = [600, *draw(st.sets(st.integers(1, 599), min_size=27, max_size=59))]
+    pairs = draw(st.lists(st.tuples(_MU, _MU), min_size=2, max_size=5))
+    taus = _level_thresholds(draw, grid, len(pairs))
+    ns, taus, attacker, user = _flat(grid, taus, *zip(*pairs))
+    shuffle = draw(st.permutations(range(len(ns))))
+    return ns[shuffle].tolist(), taus[shuffle].tolist(), attacker[shuffle], user[shuffle]
+
+
 class TestPerDesignRates:
     @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(batch=_per_design_batches())
+    @given(batch=st.one_of(_per_design_batches(), _shuffled_grid_batches()))
     # 600 rounds make blocks of 27 round counts, so these 31 cross a block
     # boundary, with rate pairs recurring on both sides of it
     @example(batch=(
@@ -648,22 +686,28 @@ class TestPerDesignRates:
                 return pmf(self, mu, cols, rows)
 
         monkeypatch.setattr("threshauth.exact._PmfBlock", CountingBlock)
-        # three rate pairs recurring out of order over 100 designs of one block
+        # three rate pairs recurring out of order over 100 designs of 40
+        # distinct round counts: one block of those 40
         pairs = [(0.55, 0.2), (0.6, 0.3), (0.505, 0.0199)]
         attacker, user = zip(*(pairs[i % 3] for i in range(100)))
         ns = [1 + i % 40 for i in range(100)]
         exact_expected_losses(BENCH, ns, [n / 2 for n in ns], attacker, user)
-        assert built == [100]
+        assert built == [40]
         assert sorted(pmfs) == sorted(rate for pair in pairs for rate in pair)
 
     def test_a_groups_designs_are_blocked_in_order_of_round_count(self, monkeypatch):
         monkeypatch.setattr("threshauth.exact._BLOCK_ENTRIES", 200)
-        blocks = []
+        blocks, pmfs = [], []
+        pmf = _PmfBlock.pmf
 
         class RecordingBlock(_PmfBlock):
             def __init__(self, rounds):
                 blocks.append(rounds.tolist())
                 super().__init__(rounds)
+
+            def pmf(self, mu, cols=slice(None), rows=slice(None)):
+                pmfs.append((mu, self.rounds[rows].tolist()))
+                return pmf(self, mu, cols, rows)
 
         monkeypatch.setattr("threshauth.exact._PmfBlock", RecordingBlock)
         # two rate pairs, first seen in the order (0.6, 0.3), (0.55, 0.2)
@@ -672,8 +716,14 @@ class TestPerDesignRates:
         user = [0.3, 0.2, 0.3, 0.2, 0.3, 0.2, 0.3, 0.2]
         taus = [n / 2 for n in ns]
         att, use = exact_expected_losses(BENCH, ns, taus, attacker, user)
-        # 200 entries hold four padded rows of 40 rounds
-        assert blocks == [[1, 8, 17, 40], [3, 25, 33, 39]]
+        # 200 entries hold four padded rows of 40 rounds: the distinct round
+        # counts in order, in blocks shared by both pairs
+        assert blocks == [[1, 3, 8, 17], [25, 33, 39, 40]]
+        # in each block, each pair's designs by round count, pairs by rate
+        assert pmfs == [
+            (0.55, [3]), (0.2, [3]), (0.6, [1, 8, 17]), (0.3, [1, 8, 17]),
+            (0.55, [25, 33, 39]), (0.2, [25, 33, 39]), (0.6, [40]), (0.3, [40]),
+        ]
         for i, (n, tau, a, u) in enumerate(zip(ns, taus, attacker, user)):
             want_att, want_use = exact_expected_losses(BENCH, [n], [tau], a, u)
             assert (att[i], use[i]) == (want_att[0], want_use[0])

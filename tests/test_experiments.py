@@ -1061,3 +1061,17 @@ class TestCsvRoundTrip:
         bad.write_text(f"{header}\n{record.replace(',8,', ',eight,', 1)}\n")
         with pytest.raises(ValueError, match=r"bad\.csv, line 2: invalid literal"):
             parse_csv(bad)
+
+    @pytest.mark.parametrize("record, name", [
+        ("0.1,3,inf,finite-sample,true-omega,nan,,,,,", "tau"),
+        ("0.1,3,2.5,finite-sample,true-omega,nan,,,,,", "exact_worst"),
+        ("0.1,3,2.5,finite-sample,true-omega,1e999,,,,,", "exact_worst"),
+        ("-inf,,,finite-sample,true-omega,,,,,,gap-collapse", "omega"),
+        ("0.1,3,2.5,finite-sample,true-omega,0.5,,,,NaN,", "mc_stderr"),
+    ], ids=["tau-inf", "exact_worst-nan", "exact_worst-overflow", "omega-minus-inf", "mc_stderr-NaN"])
+    def test_rejects_a_real_that_is_not_finite_naming_its_line(self, record, name, tmp_path):
+        # emit_csv refuses to write such a row, so parse_csv refuses to read one
+        bad = tmp_path / "bad.csv"
+        bad.write_text(",".join(CSV_HEADER) + "\n" + record + "\n")
+        with pytest.raises(ValueError, match=rf"bad\.csv, line 2: {name} is not finite"):
+            parse_csv(bad)
