@@ -23,6 +23,7 @@ import numbers
 import operator
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import MISSING, Field, dataclass, fields
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -123,8 +124,6 @@ _LABELS = tuple(f.name for f in fields(SweepRow) if f.type == "str")
 _REALS = tuple(f.name for f in fields(SweepRow) if f.type.startswith("float"))
 _DEFAULTS = {f.name: f.default for f in fields(SweepRow) if f.default is not MISSING}
 _FIELDS = operator.attrgetter(*CSV_HEADER)  # a row's values in CSV order
-_ROW_DEFAULTS = {name: _DEFAULTS.get(name) for name in CSV_HEADER}
-_ROW_VALUES = operator.itemgetter(*CSV_HEADER)  # a full dict of fields' values in CSV order
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,14 +142,9 @@ class _Block:
         return SweepRow(**self.fixed, **{name: col[i] for name, col in self.columns.items()})
 
 
-def _values_block(rows: Iterable[tuple]) -> _Block:
-    """Rows given as tuples of their values in CSV order, as one all-varying block."""
-    return _Block({}, dict(zip(CSV_HEADER, zip(*rows))))
-
-
 def _rows_block(rows: Sequence[SweepRow]) -> _Block:
     """The rows as one all-varying block: a column for every field."""
-    return _values_block(map(_FIELDS, rows))
+    return _Block({}, dict(zip(CSV_HEADER, zip(*map(_FIELDS, rows)))))
 
 
 class SweepRows(Sequence):
@@ -313,142 +307,103 @@ class ExperimentSpec:
         return cls(**(defaults | overrides))
 
 
-def _true_rates(
-    w: float, labels: tuple[str, ...], rows: list[SweepRow]
-) -> ErrorRateBounds | None:
-    """Rate bounds at the true noise level, or None if they collapse.
+# A design row's fields that _score reads and the CSV does not carry: the
+# attacker and user per-round rates of the channel it is scored on, and in
+# the Monte Carlo sweeps the seed of its Monte Carlo streams.
+_SCORING = ("_attacker_rate", "_user_rate", "_seed")
+# The fields of a design table's all-varying block, each with the value a
+# row that does not set it takes: the CSV's, but the scores that _score
+# adds, and the scoring fields.
+_TABLE_FIELDS = {
+    name: _DEFAULTS.get(name)
+    for name in (*CSV_HEADER, *_SCORING) if name not in ("exact_worst", "mc_worst", "mc_stderr")
+}
 
-    On collapse appends one gap-collapse abort row for each threshold
-    strategy label the point would have produced.
+
+def _rows() -> _Block:
+    """An empty all-varying block of a design table, a column for every
+    field of ``_TABLE_FIELDS``, that a sweep fills one row at a time."""
+    return _Block({}, {name: [] for name in _TABLE_FIELDS})
+
+
+def _append(rows: _Block, **row) -> None:
+    """Append a row to an all-varying block of a design table."""
+    row = _TABLE_FIELDS | row
+    for name, column in rows.columns.items():
+        column.append(row[name])
+
+
+def _aborts(rows: _Block, w: float, labels: Iterable[str], rate_strategy: str, reason: str):
+    """Append one abort row per threshold strategy label at noise level
+    ``w``, carrying the reason and leaving every number but omega empty."""
+    for label in labels:
+        _append(rows, omega=w, threshold_strategy=label, rate_strategy=rate_strategy,
+                aborted=reason)
+
+
+def _threshold_rows(
+    rows: _Block, params: LossParameters, rates: ErrorRateBounds, labels: Iterable[str], **design
+) -> None:
+    """Append one row per threshold strategy label, in label order: a
+    design row holding ``design`` (omega, n, the rate strategy and the
+    scoring fields) and the threshold the label's rule gives at
+    ``rates`` and n, or an invalid-rates abort row where the rule
+    rejects the rates."""
+    for label in labels:
+        try:
+            tau = _THRESHOLD_RULES[label](params, rates, design["n"])
+        except ValueError:
+            _aborts(rows, design["omega"], (label,), design["rate_strategy"], "invalid-rates")
+        else:
+            _append(rows, **design, threshold_strategy=label, tau=tau)
+
+
+def _score(spec: ExperimentSpec, table: list[_Block]) -> list[_Block]:
+    """The CSV's blocks of a sweep's design table, every design scored in one pass.
+
+    ``table`` holds the sweep's rows in output order as blocks: blocks
+    of design rows that share fixed values, and all-varying blocks
+    (``_rows``) whose rows are design rows or abort rows, those that
+    carry an abort reason, which pass through. A design row holds its
+    CSV fields and its ``_SCORING`` fields, fixed for its block or one
+    per row. One per-design ``exact_expected_losses`` call scores every
+    design; exact_worst is the larger of its two losses. Where the
+    designs carry a seed, the decision rule turns every threshold into
+    its least rejected count in one call. A seed's Monte Carlo
+    histograms of error counts, ``spec.trials`` trials per identity, are
+    drawn once, all of the sweep's in one ``simulate_error_histograms``
+    call, and scored under each threshold that shares the seed, so those
+    designs are compared on the same trials; designs that share a seed
+    but differ in round count or rates raise ValueError before any
+    stream is built. One ``score_histograms`` call per identity scores
+    every design. mc_worst is the larger Monte Carlo mean and mc_stderr
+    the error of the identity that attains it (the attacker on ties).
+    Each block of the table becomes one of the CSV, its scoring fields
+    dropped and its scores added as columns, empty in its abort rows.
     """
-    try:
-        return swiss_hitomi_rates(w)
-    except GapCollapseError:
-        rows.extend(
-            SweepRow(omega=w, threshold_strategy=label, rate_strategy="true-omega",
-                     aborted="gap-collapse")
-            for label in labels
-        )
-        return None
-
-
-def _closed_form_rows(
-    params: LossParameters, levels: list[tuple[float, ErrorRateBounds]], n_grid: Sequence[int]
-) -> list[_Block]:
-    """The closed-form design's rows: one block per level, each over ``n_grid`` in its order.
-
-    ``levels`` holds (noise level, rate bounds) pairs. A row holds the
-    unclamped closed-form threshold (so very small round counts fall
-    back to an always-reject rule), its exact worst-case loss and both
-    bound values. A level's block holds omega, the strategy labels and
-    elb2 once, and n, tau, exact_worst and elb1 as columns. A level
-    costs one ``threshold_curve`` call, and its arrays become built-in
-    numbers by ``tolist``; every level's designs, the grid once per
-    level at that level's rates, are scored by one
-    ``exact_expected_losses`` call.
-    """
-    if not levels:
-        return []
-    curves = [threshold_curve(params, rates, n_grid) for _, rates in levels]
-    losses = exact_expected_losses(
-        params, np.tile(n_grid, len(levels)), np.concatenate([taus for taus, _ in curves]),
-        np.repeat([r.attacker_floor for _, r in levels], len(n_grid)),
-        np.repeat([r.user_ceiling for _, r in levels], len(n_grid)),
-    )
-    return [
-        _Block(
-            dict(omega=w, threshold_strategy="finite-sample", rate_strategy="true-omega",
-                 elb2=rounds_loss_bound(params, rates)),
-            dict(n=n_grid, tau=taus.tolist(), exact_worst=exact.tolist(), elb1=elb1.tolist()),
-        )
-        for (w, rates), (taus, elb1), exact in zip(
-            levels, curves, np.maximum(*losses).reshape(len(levels), len(n_grid))
-        )
+    # per block, which rows are designs (None: every row)
+    masks = [
+        [not reason for reason in block.columns["aborted"]] if "aborted" in block.columns else None
+        for block in table
     ]
 
+    def gathered(name: str) -> list:
+        values = []
+        for block, mask in zip(table, masks):
+            column = block.columns.get(name)
+            if column is None:
+                values += [block.fixed.get(name)] * len(block)
+            else:
+                values += column if mask is None else compress(column, mask)
+        return values
 
-def figure1a_sweep(spec: ExperimentSpec) -> SweepRows:
-    """Bound vs exact worst-case loss as the round count grows.
-
-    The closed-form block (``_closed_form_rows``) of every live noise
-    level over every round count, built in one call, then a gap-collapse
-    abort row per collapsed level. The levels are sorted and their rate
-    bounds collapse exactly when w >= 1/3, so all rows are in noise order.
-    """
-    aborts, levels = [], []
-    for w in sorted(spec.noise_grid):
-        rates = _true_rates(w, ("finite-sample",), aborts)
-        if rates is not None:
-            levels.append((w, rates))
-    return SweepRows([*_closed_form_rows(spec.params, levels, spec.n_grid), _rows_block(aborts)])
-
-
-def figure1b_sweep(spec: ExperimentSpec) -> SweepRows:
-    """Best-possible vs formula-chosen round count across noise levels.
-
-    Per live noise level: the exhaustive-search optimum (rounds, integer
-    threshold, loss), then the closed-form row (``_closed_form_rows``)
-    at the formula's round count. Two gap-collapse abort rows per
-    collapsed level come last, as in ``figure1a_sweep``; all rows are one
-    all-varying block, so ``emit_csv`` sets up one line template for the
-    sweep rather than one per row. Every level's
-    formula round count is checked before any search: one past the
-    exact kernel's int64 limit raises ValueError naming its level.
-    """
-    levels, aborts = [], []
-    for w in sorted(spec.noise_grid):
-        rates = _true_rates(w, ("brute-force", "finite-sample"), aborts)
-        if rates is None:
-            continue
-        n_hat = optimal_rounds(spec.params, rates).value
-        if n_hat > _MAX_ROUNDS:
-            raise ValueError(
-                f"omega {w!r}: closed-form n_hat {n_hat} is past the exact kernel's "
-                f"limit of {_MAX_ROUNDS} rounds"
-            )
-        levels.append((w, rates, n_hat))
-    rows = []
-    for w, rates, n_hat in levels:
-        best = brute_force_optimal(spec.params, rates, spec.n_max)
-        rows.append(SweepRow(
-            omega=w,
-            n=best.rounds,
-            tau=float(best.threshold),
-            threshold_strategy="brute-force",
-            rate_strategy="true-omega",
-            exact_worst=best.worst_loss,
-        ))
-        rows += SweepRows(_closed_form_rows(spec.params, [(w, rates)], (n_hat,)))
-    return SweepRows([_rows_block(rows + aborts)])
-
-
-def _score_designs(spec: ExperimentSpec, entries: list[tuple[dict, tuple | None]]) -> list[tuple]:
-    """A sweep's rows, every design of every noise level scored in one pass.
-
-    ``entries`` holds the rows in output order as (fields, design) pairs:
-    an abort row's fields and None, which pass through, or a design's
-    fields, holding its omega, n and tau, and its (seed, attacker rate,
-    user rate), the seed that of its Monte Carlo streams and the rates
-    those of the channel it is scored on; the design's scored fields are
-    added to its dict. A row is returned as the tuple of its values in
-    CSV order. One per-design ``exact_expected_losses`` call scores every
-    design; exact_worst is the larger of its two losses. The decision
-    rule turns every threshold into its least rejected count in one call.
-    A seed's Monte Carlo histograms of error counts, ``spec.trials``
-    trials per identity, are drawn once, all of the sweep's in one
-    ``simulate_error_histograms`` call, and scored under each threshold
-    that shares the seed, so those designs are compared on the same
-    trials; designs that share a seed but differ in round count or rates
-    raise ValueError before any stream is built. One ``score_histograms``
-    call per identity scores every design. mc_worst is the larger Monte
-    Carlo mean and mc_stderr the error of the identity that attains it
-    (the attacker on ties).
-    """
-    designs = [(fields, design) for fields, design in entries if design is not None]
-    if designs:
-        ns = [fields["n"] for fields, _ in designs]
-        taus = [fields["tau"] for fields, _ in designs]
-        seeds, att_rates, use_rates = zip(*(design for _, design in designs))
+    ns, taus, att_rates, use_rates, seeds = map(gathered, ("n", "tau", *_SCORING))
+    scores = {}
+    if ns:
+        # an integer array spares the kernel its check of each Python int
+        losses = exact_expected_losses(spec.params, np.asarray(ns), taus, att_rates, use_rates)
+        scores["exact_worst"] = np.maximum(*losses).tolist()
+    if ns and seeds[0] is not None:
         # seed -> (its histograms' index, n, rates), in first-seen order
         draws: dict[tuple, tuple] = {}
         which = []
@@ -466,19 +421,103 @@ def _score_designs(spec: ExperimentSpec, entries: list[tuple[dict, tuple | None]
             for h, (identity, _), rates in zip(histograms, sides, (att_rates, use_rates))
         )
         attacker_worse = attacker >= user
-        losses = exact_expected_losses(spec.params, ns, taus, att_rates, use_rates)
-        scored = zip(
-            np.maximum(*losses).tolist(),
-            np.where(attacker_worse, attacker, user).tolist(),
-            np.where(attacker_worse, attacker_err, user_err).tolist(),
-        )
-        for (fields, _), (exact_worst, mc_worst, mc_stderr) in zip(designs, scored):
-            fields.update(exact_worst=exact_worst, mc_worst=mc_worst, mc_stderr=mc_stderr)
-    return [_ROW_VALUES(_ROW_DEFAULTS | fields) for fields, _ in entries]
+        scores["mc_worst"] = np.where(attacker_worse, attacker, user).tolist()
+        scores["mc_stderr"] = np.where(attacker_worse, attacker_err, user_err).tolist()
+    blocks, lo = [], 0
+    for block, mask in zip(table, masks):
+        fixed = {name: value for name, value in block.fixed.items() if name not in _SCORING}
+        columns = {name: column for name, column in block.columns.items() if name not in _SCORING}
+        hi = lo + (len(block) if mask is None else sum(mask))
+        for name, values in scores.items():
+            if mask is None:
+                columns[name] = values[lo:hi]
+            else:  # a design row's scores, None in an abort row
+                part = iter(values[lo:hi])
+                columns[name] = [next(part) if design else None for design in mask]
+        blocks.append(_Block(fixed, columns))
+        lo = hi
+    return blocks
 
 
-def _abort_entry(w: float, tstrat: str, rstrat: str, reason: str) -> tuple[dict, None]:
-    return dict(omega=w, threshold_strategy=tstrat, rate_strategy=rstrat, aborted=reason), None
+def _scored_at(rates: ErrorRateBounds) -> dict:
+    """The scoring rates of a design scored at these rate bounds."""
+    return dict(_attacker_rate=rates.attacker_floor, _user_rate=rates.user_ceiling)
+
+
+def _closed_form_block(
+    params: LossParameters, w: float, rates: ErrorRateBounds, n_grid: Sequence[int]
+) -> _Block:
+    """The closed-form design's rows at one noise level, over ``n_grid`` in its order.
+
+    A row holds the unclamped closed-form threshold (so very small round
+    counts fall back to an always-reject rule) and both bound values,
+    and is scored at the level's rate bounds. The block holds omega, the
+    strategy labels, elb2 and the scoring rates once, and n, tau and
+    elb1 as columns. A level costs one ``threshold_curve`` call, and its
+    arrays become built-in numbers by ``tolist``.
+    """
+    taus, elb1 = threshold_curve(params, rates, n_grid)
+    fixed = dict(omega=w, threshold_strategy="finite-sample", rate_strategy="true-omega",
+                 elb2=rounds_loss_bound(params, rates), **_scored_at(rates))
+    return _Block(fixed, dict(n=n_grid, tau=taus.tolist(), elb1=elb1.tolist()))
+
+
+def figure1a_sweep(spec: ExperimentSpec) -> SweepRows:
+    """Bound vs exact worst-case loss as the round count grows.
+
+    The closed-form block (``_closed_form_block``) of every live noise
+    level over every round count, then a gap-collapse abort row per
+    collapsed level, all scored by one exact call (``_score``); each
+    level stays one block of the CSV. The levels are sorted and their
+    rate bounds collapse exactly when w >= 1/3, so all rows are in noise
+    order.
+    """
+    table, aborts = [], _rows()
+    for w in sorted(spec.noise_grid):
+        try:
+            table.append(_closed_form_block(spec.params, w, swiss_hitomi_rates(w), spec.n_grid))
+        except GapCollapseError:
+            _aborts(aborts, w, ("finite-sample",), "true-omega", "gap-collapse")
+    return SweepRows(_score(spec, [*table, aborts]))
+
+
+def figure1b_sweep(spec: ExperimentSpec) -> SweepRows:
+    """Best-possible vs formula-chosen round count across noise levels.
+
+    Per live noise level: the exhaustive-search optimum (rounds, integer
+    threshold), then the closed-form row (``_closed_form_block``) at the
+    formula's round count, both scored at the level's rate bounds by one
+    exact call for the sweep (``_score``). Two gap-collapse abort rows
+    per collapsed level come last, as in ``figure1a_sweep``; all rows
+    are one all-varying block, so ``emit_csv`` sets up one line template
+    for the sweep rather than one per row. Every level's formula round
+    count is checked before any search: one past the exact kernel's
+    int64 limit raises ValueError naming its level.
+    """
+    levels, collapsed = [], []
+    for w in sorted(spec.noise_grid):
+        try:
+            rates = swiss_hitomi_rates(w)
+        except GapCollapseError:
+            collapsed.append(w)
+            continue
+        n_hat = optimal_rounds(spec.params, rates).value
+        if n_hat > _MAX_ROUNDS:
+            raise ValueError(
+                f"omega {w!r}: closed-form n_hat {n_hat} is past the exact kernel's "
+                f"limit of {_MAX_ROUNDS} rounds"
+            )
+        levels.append((w, rates, n_hat))
+    table = _rows()
+    for w, rates, n_hat in levels:
+        best = brute_force_optimal(spec.params, rates, spec.n_max)
+        _append(table, omega=w, n=best.rounds, tau=float(best.threshold),
+                threshold_strategy="brute-force", rate_strategy="true-omega", **_scored_at(rates))
+        closed_form = _closed_form_block(spec.params, w, rates, (n_hat,))  # one row
+        _append(table, **closed_form.fixed, **{k: v[0] for k, v in closed_form.columns.items()})
+    for w in collapsed:
+        _aborts(table, w, ("brute-force", "finite-sample"), "true-omega", "gap-collapse")
+    return SweepRows(_score(spec, [table]))
 
 
 def figure3_comparison(spec: ExperimentSpec) -> SweepRows:
@@ -491,54 +530,44 @@ def figure3_comparison(spec: ExperimentSpec) -> SweepRows:
     threshold. Its worst-case loss on the true channel, attacker at
     (1 + w) / 2 and user at the physical rate 1 - (1 - w)^2, is
     computed exactly and estimated by Monte Carlo, every design of every
-    noise level in one pass per sweep (``_score_designs``): one exact
-    call, one batched draw and one vectorized score per identity. These
-    true rates need not be separated: above w = 1/2 the physical user
-    errs more often than the attacker. The error-count histogram is drawn
+    noise level in one pass per sweep (``_score``): one exact call, one
+    batched draw and one vectorized score per identity. These true
+    rates need not be separated: above w = 1/2 the physical user errs
+    more often than the attacker. The error-count histogram is drawn
     once per noise level and round count and scored under every
     threshold that uses it, so strategies choosing the same round count
     are compared on the same trials. Strategies that cannot proceed
     (hopeless coded phase, collapsed rate bounds, rates outside the
     threshold formula's domain) yield rows carrying an abort marker
-    instead of numbers. The rows are returned as one block, built from
-    the value tuples of ``_score_designs``.
+    instead of numbers. The rows are returned as one all-varying block.
     """
-    entries = []
+    table = _rows()
     code = default_transparent_code(spec.codeword_length)
     levels = sorted(spec.noise_grid)
     streams = coded_phase_streams(spec.master_seed, range(len(levels)))
     for wi, (w, stream) in enumerate(zip(levels, streams)):
         theta, phase_hopeless = simulate_coded_phase(w, code, stream)
-        channel_rates = (attacker_per_round_error(w), user_per_round_error(w))
+        channel_rates = dict(_attacker_rate=attacker_per_round_error(w),
+                             _user_rate=user_per_round_error(w))
         for rstrat in spec.rate_strategies:
             needs_estimate, derive, arg = _rate_strategy(rstrat)
             if needs_estimate and phase_hopeless:
-                entries.extend(
-                    _abort_entry(w, t, rstrat, "coded-abort") for t in spec.threshold_strategies
-                )
+                _aborts(table, w, spec.threshold_strategies, rstrat, "coded-abort")
                 continue
             try:
                 rates = derive(arg, w, theta, spec.codeword_length)
             except GapCollapseError:
-                entries.extend(
-                    _abort_entry(w, t, rstrat, "gap-collapse") for t in spec.threshold_strategies
-                )
+                _aborts(table, w, spec.threshold_strategies, rstrat, "gap-collapse")
                 continue
             n = min(optimal_rounds(spec.params, rates).value, spec.codeword_length)
-            bounds = dict(
+            _threshold_rows(
+                table, spec.params, rates, spec.threshold_strategies,
+                omega=w, n=n, rate_strategy=rstrat,
                 elb1=threshold_loss_bound(spec.params, rates, n),
                 elb2=rounds_loss_bound(spec.params, rates),
+                _seed=(spec.master_seed, wi, n), **channel_rates,
             )
-            for tstrat in spec.threshold_strategies:
-                try:
-                    tau = _THRESHOLD_RULES[tstrat](spec.params, rates, n)
-                except ValueError:
-                    entries.append(_abort_entry(w, tstrat, rstrat, "invalid-rates"))
-                    continue
-                fields = dict(omega=w, n=n, tau=tau, threshold_strategy=tstrat,
-                              rate_strategy=rstrat)
-                entries.append((fields | bounds, ((spec.master_seed, wi, n), *channel_rates)))
-    return SweepRows([_values_block(_score_designs(spec, entries))])
+    return SweepRows(_score(spec, [table]))
 
 
 def threshold_duel(spec: ExperimentSpec) -> SweepRows:
@@ -548,34 +577,26 @@ def threshold_duel(spec: ExperimentSpec) -> SweepRows:
     The exact losses of every design of the sweep, both identities at
     their noise level's rate bounds, come from one per-design call, and
     the Monte Carlo of the sweep is one batched draw and one vectorized
-    score per identity (``_score_designs``). It draws each identity's
+    score per identity (``_score``). It draws each identity's
     error-count histogram once per grid point and scores it under both
     thresholds, so the comparison is paired and equal decision rules tie
     exactly. A collapsed noise level yields one gap-collapse abort row per
     threshold, and a threshold whose formula rejects the rates (the
     asymptotic one at zero noise) an invalid-rates abort row in its place.
+    The rows are returned as one all-varying block.
     """
-    entries = []
+    table = _rows()
     for wi, w in enumerate(spec.noise_grid):
         try:
             rates = swiss_hitomi_rates(w)
         except GapCollapseError:
-            entries.extend(
-                _abort_entry(w, t, "true-omega", "gap-collapse") for t in _THRESHOLD_RULES
-            )
+            _aborts(table, w, _THRESHOLD_RULES, "true-omega", "gap-collapse")
             continue
         for ni, n in enumerate(spec.n_grid):
-            for tstrat, rule in _THRESHOLD_RULES.items():
-                try:
-                    tau = rule(spec.params, rates, n)
-                except ValueError:
-                    entries.append(_abort_entry(w, tstrat, "true-omega", "invalid-rates"))
-                    continue
-                fields = dict(omega=w, n=n, tau=tau, threshold_strategy=tstrat,
-                              rate_strategy="true-omega")
-                design = ((spec.master_seed, wi, ni), rates.attacker_floor, rates.user_ceiling)
-                entries.append((fields, design))
-    return SweepRows([_values_block(_score_designs(spec, entries))])
+            _threshold_rows(table, spec.params, rates, _THRESHOLD_RULES, omega=w, n=n,
+                            rate_strategy="true-omega", **_scored_at(rates),
+                            _seed=(spec.master_seed, wi, ni))
+    return SweepRows(_score(spec, [table]))
 
 
 _EMIT_CHUNK = 1024  # rows emit_csv turns into text at once

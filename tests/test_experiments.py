@@ -584,14 +584,23 @@ class TestFigure3:
         spec = ExperimentSpec.figure3(trials=100)
 
         def design(n, rates, seed=(1729, 0, 47)):
-            fields = dict(omega=0.01, n=n, tau=n / 2, threshold_strategy="finite-sample",
-                          rate_strategy="true-omega")
-            return fields, (seed, *rates)
+            fixed = dict(omega=0.01, n=n, threshold_strategy="finite-sample",
+                         rate_strategy="true-omega", _attacker_rate=rates[0],
+                         _user_rate=rates[1], _seed=seed)
+            return experiments._Block(fixed, dict(tau=[n / 2]))
 
         for second in (design(48, (0.505, 0.0199)), design(47, (0.505, 0.02)),
                        design(47, (0.5, 0.0199))):
             with pytest.raises(ValueError, match="seed"):
-                experiments._score_designs(spec, [design(47, (0.505, 0.0199)), second])
+                experiments._score(spec, [design(47, (0.505, 0.0199)), second])
+        # scoring fields held one per row, in one block
+        both = experiments._Block(
+            dict(omega=0.01, n=47, threshold_strategy="finite-sample", rate_strategy="true-omega",
+                 _seed=(1729, 0, 47)),
+            dict(tau=[23.5, 23.5], _attacker_rate=[0.505, 0.5], _user_rate=[0.0199, 0.0199]),
+        )
+        with pytest.raises(ValueError, match="seed"):
+            experiments._score(spec, [both])
         assert built == []
 
     def test_stderr_stays_positive_when_no_decision_event_is_seen(self):
