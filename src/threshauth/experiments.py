@@ -95,20 +95,6 @@ class SweepRow:
             _check_labels(name, (getattr(self, name),))
 
 
-def _check_reals(name: str, column: Sequence, first: int = 0) -> None:
-    """Raise ValueError naming the column and row of a nan or infinite real.
-
-    ``column`` holds rows ``first``, ``first + 1``, ... of a sweep.
-    """
-    # nan and the infinities carry through a sum, and finite reals sum to a
-    # finite real unless it overflows, so only a column whose sum is not
-    # finite is searched; filter(None, ...) passes over the empty cells and zeros
-    if not math.isfinite(sum(filter(None, column))):
-        for i, value in enumerate(column):
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} of row {first + i} is not finite: {value!r}")
-
-
 def _check_labels(name: str, labels: Iterable[str]) -> None:
     """Raise ValueError if a label holds a line break.
 
@@ -121,7 +107,8 @@ def _check_labels(name: str, labels: Iterable[str]) -> None:
 
 CSV_HEADER = tuple(f.name for f in fields(SweepRow))
 _LABELS = tuple(f.name for f in fields(SweepRow) if f.type == "str")
-_REALS = tuple(f.name for f in fields(SweepRow) if f.type.startswith("float"))
+_NUMBERS = tuple(f.name for f in fields(SweepRow) if f.type != "str")  # in CSV order
+_NONNEGATIVE = ("exact_worst", "elb1", "elb2", "mc_worst", "mc_stderr")
 _DEFAULTS = {f.name: f.default for f in fields(SweepRow) if f.default is not MISSING}
 _FIELDS = operator.attrgetter(*CSV_HEADER)  # a row's values in CSV order
 
@@ -145,6 +132,65 @@ class _Block:
 def _rows_block(rows: Sequence[SweepRow]) -> _Block:
     """The rows as one all-varying block: a column for every field."""
     return _Block({}, dict(zip(CSV_HEADER, zip(*map(_FIELDS, rows)))))
+
+
+def _cell_fault(name: str, value: object) -> str:
+    """Why the CSV schema rejects a set cell of the named column, or ""."""
+    if name == "n":
+        return "" if _is_count(value) else f"is not an integer >= 1: {value!r}"
+    if not math.isfinite(value):
+        return f"is not finite: {value!r}"
+    return f"is negative: {value!r}" if name in _NONNEGATIVE and value < 0 else ""
+
+
+def _column_passes(name: str, column: Sequence) -> bool:
+    """Whether whole-column checks show no set cell of the column at fault."""
+    # filter(None, ...) passes over the empty cells and zeros, which a real
+    # column may hold; nan and the infinities carry through a sum, and
+    # finite reals sum to a finite real unless it overflows
+    if name == "n":
+        kinds = set(map(type, column)) - {type(None)}
+        return kinds <= {int} and 0 not in column and min(filter(None, column), default=1) >= 1
+    if not math.isfinite(sum(filter(None, column))):
+        return False
+    return name not in _NONNEGATIVE or min(filter(None, column), default=0) >= 0
+
+
+def _schema_fault(block: _Block) -> tuple[str, int, str] | None:
+    """The first cell of a block that the CSV schema rejects, as (column,
+    row in the block, why), or None.
+
+    Where a row sets n, it is an integer >= 1. Where it sets a real, the
+    real is finite, and a loss or a Monte Carlo figure (``_NONNEGATIVE``)
+    is >= 0. An abort row, one that carries an abort reason, leaves every
+    number but omega empty. Columns are taken in CSV order, and a column
+    is searched row by row only if whole-column checks fail.
+    """
+    reasons = block.columns.get("aborted")
+    if reasons is None:
+        aborts = range(len(block)) if block.fixed.get("aborted") else range(0)
+    else:
+        aborts = [i for i, reason in enumerate(reasons) if reason]
+    for name in _NUMBERS:
+        emptied = () if name == "omega" else aborts
+        if name not in block.columns:  # a fixed value, one check for every row
+            value = block.fixed.get(name)
+            if value is not None and emptied:
+                return name, emptied[0], f"is set in an abort row: {value!r}"
+            if value is not None and (why := _cell_fault(name, value)):
+                return name, 0, why
+            continue
+        column = block.columns[name]
+        if all(column[i] is None for i in emptied) and _column_passes(name, column):
+            continue
+        for i, value in enumerate(column):
+            if value is None:
+                continue
+            if i in emptied:
+                return name, i, f"is set in an abort row: {value!r}"
+            if why := _cell_fault(name, value):
+                return name, i, why
+    return None
 
 
 class SweepRows(Sequence):
@@ -204,7 +250,12 @@ _RATE_KINDS = {
 
 
 def _rate_strategy(label: str) -> tuple:
-    """(needs_estimate, derive, argument) of a rate-strategy label."""
+    """(needs_estimate, derive, argument) of a rate-strategy label.
+
+    A guess is a noise level in [0, 1] and an hp confidence lies in
+    (0, 1); an argument outside its domain, nan included, raises
+    ValueError, so a spec holding one is rejected before any work.
+    """
     kind, _, arg = label.partition(":")
     if kind not in _RATE_KINDS:
         raise ValueError(f"unknown rate strategy {label!r}")
@@ -212,7 +263,13 @@ def _rate_strategy(label: str) -> tuple:
     if (kind in ("guess", "hp")) != bool(arg) or arg != arg.strip():
         raise ValueError(f"malformed rate strategy {label!r}")
     needs_estimate, derive = _RATE_KINDS[kind]
-    return needs_estimate, derive, float(arg) if arg else None
+    value = float(arg) if arg else None
+    # each comparison is false for nan
+    if kind == "guess" and not 0.0 <= value <= 1.0:
+        raise ValueError(f"rate strategy {label!r}: guessed noise not in [0,1]")
+    if kind == "hp" and not 0.0 < value < 1.0:
+        raise ValueError(f"rate strategy {label!r}: confidence not in (0,1)")
+    return needs_estimate, derive, value
 
 
 # Threshold strategies by CSV label, in the order a design's rows take:
@@ -662,10 +719,12 @@ def emit_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
     most ``_EMIT_CHUNK`` rows at a time: an all-float column as
     ``{:.12g}``, an all-int one as ``{}``, others as cells rendered
     first. Labels are quoted by ``csv`` itself, so every byte is as
-    ``csv.writer`` writes it. A label holding a line break, or a real
-    that is nan or infinite, raises ValueError naming its column (and,
-    for a real, its row, counted from 0) before the file is opened, so
-    no partial CSV is written.
+    ``csv.writer`` writes it. A label holding a line break, or a cell
+    the CSV schema rejects (``_schema_fault``: an n that is not an
+    integer >= 1, a real that is nan or infinite, a negative loss, a
+    number other than omega in an abort row), raises ValueError naming
+    its column (and, for a number, its row, counted from 0) before the
+    file is opened, so no partial CSV is written.
     """
     path = Path(path)
     if not isinstance(rows, SweepRows):
@@ -678,8 +737,9 @@ def emit_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
                 _check_labels(name, set(block.columns[name]))
             else:
                 _check_labels(name, (fixed[name],))
-        for name in _REALS:
-            _check_reals(name, block.columns.get(name, (fixed.get(name),)), first)
+        if fault := _schema_fault(block):
+            name, i, why = fault
+            raise ValueError(f"{name} of row {first + i} {why}")
         first += len(block)
     try:
         with open(path, "w", newline="") as fh:
@@ -696,12 +756,7 @@ def _parse_field(f: Field, cell: str) -> float | int | str | None:
         return cell
     if cell == "":
         return None
-    if f.name == "n":
-        return int(cell)
-    value = float(cell)
-    if not math.isfinite(value):  # emit_csv refuses to write one
-        raise ValueError(f"{f.name} is not finite: {cell!r}")
-    return value
+    return int(cell) if f.name == "n" else float(cell)
 
 
 def parse_csv(path: str | Path) -> list[SweepRow]:
@@ -710,8 +765,10 @@ def parse_csv(path: str | Path) -> list[SweepRow]:
     Each real is the value of its 12-digit cell, so re-emitting the rows
     writes the same bytes. A malformed file raises ValueError naming its
     path and line: empty, another header, a record of another width, a
-    cell that does not parse or a real that is nan or infinite, which
-    ``emit_csv`` would not write.
+    cell that does not parse, or a row that ``emit_csv`` would not write
+    because the CSV schema rejects it (``_schema_fault``), such as a real
+    that is nan or infinite; the schema is checked once every record is
+    read.
     """
     path = Path(path)
     columns = fields(SweepRow)
@@ -720,7 +777,7 @@ def parse_csv(path: str | Path) -> list[SweepRow]:
         header = tuple(next(reader, ()))
         if header != CSV_HEADER:
             raise ValueError(f"{path}, line 1: unexpected CSV header {header}")
-        rows = []
+        rows, lines = [], []
         for rec in reader:
             try:
                 if len(rec) != len(columns):
@@ -728,4 +785,8 @@ def parse_csv(path: str | Path) -> list[SweepRow]:
                 rows.append(SweepRow(**{f.name: _parse_field(f, c) for f, c in zip(columns, rec)}))
             except ValueError as exc:
                 raise ValueError(f"{path}, line {reader.line_num}: {exc}") from exc
-        return rows
+            lines.append(reader.line_num)
+    if fault := _schema_fault(_rows_block(rows)):
+        name, i, why = fault
+        raise ValueError(f"{path}, line {lines[i]}: {name} {why}")
+    return rows

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import re
 import string
 import sys
 import tracemalloc
@@ -82,6 +83,12 @@ def _blank_row(**overrides):
     )
     base.update(overrides)
     return SweepRow(**base)
+
+
+def _abort_row(**overrides):
+    """A gap-collapse abort row: omega, the labels and the reason, no other number."""
+    return SweepRow(**(dict(omega=0.1, threshold_strategy="finite-sample",
+                            rate_strategy="true-omega", aborted="gap-collapse") | overrides))
 
 
 class TestSweepRow:
@@ -169,6 +176,14 @@ class TestRateStrategyLabels:
         for label in ("oracle", "guess", "guess:", "guess:x", "hp", "ml:0.1", "true-omega:0.1"):
             with pytest.raises(ValueError):
                 ExperimentSpec(rate_strategies=(label,))
+        # an argument outside its domain: a guessed noise level in [0, 1],
+        # an hp confidence in (0, 1); the sweep would raise only after its
+        # coded phases were drawn
+        for label in ("guess:nan", "guess:2", "guess:-0.1", "hp:0", "hp:1.5", "hp:nan"):
+            with pytest.raises(ValueError, match="not in"):
+                ExperimentSpec.figure3(rate_strategies=(label,))
+        # the ends of each domain that it includes
+        ExperimentSpec.figure3(rate_strategies=("guess:0", "guess:1", "hp:1e-9", "hp:0.999"))
         # threshold strategies are labels too, checked when the spec is built
         for label in ("bayes", "Finite-Sample", ""):
             with pytest.raises(ValueError, match="threshold strategy"):
@@ -779,16 +794,43 @@ _LABEL = st.text(alphabet=string.printable.translate({10: None, 13: None}), max_
 
 @st.composite
 def _rows(draw, real=_REAL):
-    # round counts stay below 1e12, where both spellings of an integer agree
-    n = draw(st.one_of(st.none(), st.integers(0, 10**11), st.integers(0, 10**11).map(np.int64)))
-    reals = ("tau", "exact_worst", "elb1", "elb2", "mc_worst", "mc_stderr")
+    # inside the CSV schema but for a nan or infinity ``real`` may draw: a
+    # round count is an integer >= 1, a loss is >= 0 (so -0.0 too), and an
+    # abort row sets no number but omega; omega and tau are free; round
+    # counts stay below 1e12, where both spellings of an integer agree
+    counts = st.integers(1, 10**11)
+    numbers = dict(
+        n=draw(st.one_of(st.none(), counts, counts.map(np.int64))),
+        tau=draw(st.none() | real),
+        **{name: draw(st.none() | real.filter(lambda v: not v < 0))
+           for name in experiments._NONNEGATIVE},
+    )
+    aborted = draw(_LABEL.filter(bool)) if draw(st.booleans()) else ""
     return SweepRow(
         omega=draw(real),
-        n=n,
         threshold_strategy=draw(_LABEL),
         rate_strategy=draw(_LABEL),
-        aborted=draw(_LABEL),
-        **{name: draw(st.none() | real) for name in reals},
+        aborted=aborted,
+        **(dict.fromkeys(numbers) if aborted else numbers),
+    )
+
+
+@st.composite
+def _any_rows(draw):
+    # rows inside and outside the CSV schema: any round count, negative
+    # losses, abort rows that set numbers; round counts are integers, whose
+    # text keeps whatever the schema rejects in them
+    counts = st.integers(-3, 10**11)
+    numbers = dict(
+        n=draw(st.one_of(st.none(), counts, counts.map(np.int64))),
+        **{name: draw(st.none() | _ANY_REAL) for name in ("tau", *experiments._NONNEGATIVE)},
+    )
+    return SweepRow(
+        omega=draw(_ANY_REAL),
+        threshold_strategy=draw(_LABEL),
+        rate_strategy=draw(_LABEL),
+        aborted=draw(st.just("") | _LABEL),
+        **numbers,
     )
 
 
@@ -814,7 +856,7 @@ class TestCsvRoundTrip:
     ):
         out = tmp_path_factory.getbasetemp() / "maybe-finite.csv"
         out.unlink(missing_ok=True)
-        reals = [getattr(row, name) for row in rows for name in experiments._REALS]
+        reals = [getattr(row, name) for row in rows for name in experiments._NUMBERS if name != "n"]
         if any(value is not None and not math.isfinite(value) for value in reals):
             with pytest.raises(ValueError, match="is not finite"):
                 emit_csv(rows, out)
@@ -825,27 +867,82 @@ class TestCsvRoundTrip:
             emit_csv(parse_csv(out), again)
             assert again.read_bytes() == out.read_bytes()
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(rows=st.lists(_rows() | _any_rows(), max_size=5))
+    @example(rows=[_blank_row(n=0, exact_worst=-1.0)])
+    @example(rows=[_blank_row(), _blank_row(n=-3)])
+    @example(rows=[_abort_row(n=5, exact_worst=0.3)])
+    def test_either_no_file_or_a_round_trip_of_the_same_bytes(self, rows, tmp_path_factory):
+        # the CSV schema on both sides: emit_csv refuses a row outside it
+        # before it opens the file, and parse_csv refuses the same row,
+        # written by hand, naming its line (one line per row, after the header)
+        base = tmp_path_factory.getbasetemp()
+        out = base / "schema.csv"
+        out.unlink(missing_ok=True)
+        try:
+            emit_csv(rows, out)
+        except ValueError as exc:
+            assert not out.exists()
+            name, row = re.fullmatch(r"(\w+) of row (\d+) .*", str(exc)).groups()
+            by_hand = base / "by-hand.csv"
+            by_hand.write_bytes(_reference_bytes(rows))
+            with pytest.raises(ValueError, match=rf"by-hand\.csv, line {int(row) + 2}: {name} "):
+                parse_csv(by_hand)
+        else:
+            again = base / "schema-again.csv"
+            emit_csv(parse_csv(out), again)
+            assert again.read_bytes() == out.read_bytes()
+
+    @pytest.mark.parametrize("rows, fault, line", [
+        ([_blank_row(n=0, exact_worst=-1.0)], "n of row 0 is not an integer >= 1: 0", 2),
+        ([_blank_row(), _blank_row(n=-3)], "n of row 1 is not an integer >= 1: -3", 3),
+        # a float's text loses its ".0", so the file parses
+        ([_blank_row(n=4.0)], "n of row 0 is not an integer >= 1: 4.0", None),
+        ([_blank_row(exact_worst=-1.0)], "exact_worst of row 0 is negative: -1.0", 2),
+        ([_blank_row(), _blank_row(mc_stderr=-5e-324)], "mc_stderr of row 1 is negative: -5e-324", 3),
+        ([_abort_row(n=5, exact_worst=0.3)], "n of row 0 is set in an abort row: 5", 2),
+        ([_abort_row(), _abort_row(tau=2.5)], "tau of row 1 is set in an abort row: 2.5", 3),
+    ], ids=["n-zero", "n-negative", "n-float", "loss-negative", "stderr-negative-subnormal",
+            "abort-with-n", "abort-with-tau"])
+    def test_a_row_outside_the_schema_is_rejected_on_both_sides(self, rows, fault, line, tmp_path):
+        out = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match=rf"^{re.escape(fault)}$"):
+            emit_csv(rows, out)
+        assert not out.exists()
+        by_hand = tmp_path / "by-hand.csv"
+        by_hand.write_bytes(_reference_bytes(rows))
+        if line is None:
+            assert len(parse_csv(by_hand)) == len(rows)
+            return
+        name, why = re.fullmatch(r"(\w+) of row \d+ (.*)", fault).groups()
+        with pytest.raises(ValueError, match=rf"by-hand\.csv, line {line}: {name} {re.escape(why)}$"):
+            parse_csv(by_hand)
+
     def test_labels_and_mixed_columns_span_chunks_as_csv_writes_them(self, tmp_path):
         # the first chunk's reals and counts are of one type each; later
         # chunks mix None with signed zeros, the least subnormal and the
         # largest doubles in a column
         labels = ("a,b", 'say "hi"', '"', "tab\tcell", "\x0b", "form\x0cfeed", '",', " lead", "")
         big = sys.float_info.max
-        reals = (-0.0, 0.0, 5e-324, big, -big, None, 0.1, 1e-300, 123456789012.5)
+        reals = (-0.0, 0.0, 5e-324, -5e-324, big, -big, None, 0.1, 1e-300, 123456789012.5)
         chunk = experiments._EMIT_CHUNK
-        rows = [
-            SweepRow(
-                omega=0.25 if i < chunk else reals[i % len(reals)],
-                n=i if i < chunk or i % 3 else None,
+        rows = []
+        for i in range(2 * chunk + 17):
+            # an abort row sets no number but omega
+            aborted = labels[(i // 5) % len(labels)] if i >= chunk and i % 4 == 0 else ""
+            numbers = dict(
+                n=i + 1 if i < chunk or i % 3 else None,
                 tau=i / 7 if i < chunk else reals[(i // 2) % len(reals)],
+                elb2=None if i < chunk else -0.0,
+                mc_worst=5e-324 if i % 2 else None,
+            )
+            rows.append(SweepRow(
+                omega=0.25 if i < chunk else reals[i % len(reals)],
                 threshold_strategy=labels[i % len(labels)],
                 rate_strategy=labels[(i // 3) % len(labels)] if i >= chunk else "true-omega",
-                elb2=None if i < chunk else -0.0,
-                mc_worst=-5e-324 if i % 2 else None,
-                aborted="" if i < chunk else labels[(i // 5) % len(labels)],
-            )
-            for i in range(2 * chunk + 17)
-        ]
+                aborted=aborted,
+                **(dict.fromkeys(numbers) if aborted else numbers),
+            ))
         out = tmp_path / "labels.csv"
         emit_csv(rows, out)
         want = io.StringIO(newline="")
@@ -859,25 +956,28 @@ class TestCsvRoundTrip:
     @pytest.mark.parametrize("real", [-0.0, 5e-324, sys.float_info.max, -sys.float_info.max])
     def test_blocks_write_the_bytes_of_their_rows(self, label, real, tmp_path):
         # a block past one chunk, fixed cells that need quoting or escaping,
-        # then loose all-varying rows, some with the same label
+        # then loose all-varying rows, some with the same label; the real
+        # goes where the schema leaves it free (omega, tau), its magnitude
+        # where a loss must be >= 0
         size = experiments._EMIT_CHUNK + 5
         block = experiments._Block(
-            dict(omega=real, threshold_strategy=label, rate_strategy="{}", elb2=real),
+            dict(omega=real, threshold_strategy=label, elb2=abs(real)),
             dict(
                 n=list(range(1, size + 1)),
-                tau=[i / 7 for i in range(size)],
-                exact_worst=[None if i % 3 else -i / 3 for i in range(size)],
-                elb1=[real] * size,
-                aborted=[label if i % 2 else "{1}" for i in range(size)],
+                tau=[real if i % 5 == 0 else i / 7 for i in range(size)],
+                rate_strategy=["{}" if i % 3 == 0 else label if i % 2 else "{1}" for i in range(size)],
+                exact_worst=[None if i % 3 else i / 3 for i in range(size)],
+                elb1=[abs(real)] * size,
             ),
         )
         loose = [
             _blank_row(threshold_strategy=label, rate_strategy="{0}", tau=real),
             _blank_row(omega=real, n=None, tau=None, exact_worst=None, aborted="gap-collapse"),
             _blank_row(rate_strategy=label, elb2=-0.0, mc_stderr=5e-324),
+            _blank_row(n=None, tau=None, exact_worst=None, aborted=label),
         ]
         rows = experiments.SweepRows([block, experiments._rows_block(loose)])
-        assert len(rows) == size + 3
+        assert len(rows) == size + 4
         out = tmp_path / "blocks.csv"
         emit_csv(rows, out)
         assert out.read_bytes() == _reference_bytes(list(rows))
@@ -1054,7 +1154,7 @@ class TestCsvRoundTrip:
 
     def test_rejects_a_quoted_line_break_naming_its_line(self, tmp_path):
         good = tmp_path / "good.csv"
-        emit_csv([_blank_row(), _blank_row(aborted="gap-collapse")], good)
+        emit_csv([_blank_row(), _abort_row()], good)
         text = good.read_text()
         bad = tmp_path / "bad.csv"
         bad.write_text(text.replace(",gap-collapse\n", ',"gap\ncollapse"\n'))
