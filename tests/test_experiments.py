@@ -558,22 +558,27 @@ class TestFigure3:
 
         assert sorted(forward, key=key) == sorted(backward, key=key)
 
-    @pytest.mark.parametrize("sweep, spec, designs", [
-        (figure3_comparison, ExperimentSpec.figure3(trials=300), 288),
-        (threshold_duel, ExperimentSpec.duel(trials=300), 32),
-    ], ids=["fig3", "duel"])
+    @pytest.mark.parametrize("sweep, spec, designs, blocks, monte_carlo", [
+        (figure1a_sweep, ExperimentSpec(), 2 * 256, 2, False),
+        (figure1b_sweep, ExperimentSpec.figure1b(), 2 * 24, 1, False),
+        (figure3_comparison, ExperimentSpec.figure3(trials=300), 288, 1, True),
+        (threshold_duel, ExperimentSpec.duel(trials=300), 32, 1, True),
+    ], ids=["fig1a", "fig1b", "fig3", "duel"])
     def test_a_sweep_is_one_exact_call_one_draw_and_one_score_per_identity(
-        self, monkeypatch, tmp_path, sweep, spec, designs
+        self, monkeypatch, tmp_path, sweep, spec, designs, blocks, monte_carlo
     ):
-        names = ["exact_expected_losses", "simulate_error_histograms", "score_histograms"]
+        # one design table scored by one _score call; fig1a keeps a block
+        # per noise level, the others are one all-varying block
+        names = ["_score", "exact_expected_losses", "simulate_error_histograms", "score_histograms"]
         calls = _count_calls(monkeypatch, names)
         built = _count_built_rows(monkeypatch)
         rows = sweep(spec)
         emit_csv(rows, tmp_path / "sweep.csv")
         assert calls == {
-            "exact_expected_losses": 1, "simulate_error_histograms": 1, "score_histograms": 2,
+            "_score": 1, "exact_expected_losses": 1,
+            "simulate_error_histograms": int(monte_carlo), "score_histograms": 2 * monte_carlo,
         }
-        assert len(rows) == designs and len(rows._blocks) == 1
+        assert len(rows) == designs and len(rows._blocks) == blocks
         assert built == [0]
 
     @pytest.mark.parametrize("block_entries", [None, 4096], ids=["one-block", "blocks"])
