@@ -1,17 +1,20 @@
 """Parameter sweeps behind the figure-reproduction CLI.
 
-Each sweep produces rows of one fixed CSV schema so every experiment
-(bound curves, minimizer comparison, estimation-strategy comparison,
-threshold duel) lands in the same plottable format. A sweep returns its
-rows as a read-only ``SweepRows`` sequence of blocks: a closed-form
-block holds one noise level's shared values once and its per-round-count
-values as columns, and other rows join as all-varying blocks. A
-``SweepRow`` is built only when a row is read; ``emit_csv`` writes the
-blocks as they are. The Monte Carlo sweeps (fig3 and the threshold
-duel) collect every design of every noise level first and score them
-once per sweep: one exact call, one batched draw and one vectorized
-score per identity. All randomness is derived from one master seed;
-rerunning a sweep with the same seed reproduces the file byte for byte.
+Each sweep (bound curves, minimizer comparison, estimation-strategy
+comparison, threshold duel) lands in one fixed CSV schema, so every
+experiment has the same plottable format. A sweep builds its rows as a
+design table: a list of blocks, each holding the values its rows share
+once and the rest as columns. A row is either an abort row, carrying
+the reason a design could not be built, or a design row, carrying its
+CSV fields and the rates it is scored at, plus its Monte Carlo seed in
+the fig3 and duel sweeps. ``_score`` scores every design row of the
+table in one pass: one exact call, and, where rows carry a seed, one
+batched draw and one vectorized score per identity. The scored blocks
+become the sweep's read-only ``SweepRows``, which builds a ``SweepRow``
+only when a row is read. ``emit_csv`` checks the blocks against the CSV
+schema before it opens the file and writes them as they are. All
+randomness is derived from one master seed; rerunning a sweep with the
+same seed reproduces the file byte for byte.
 """
 
 from __future__ import annotations
