@@ -369,7 +369,8 @@ class ExperimentSpec:
 
 # A design row's fields that _score reads and the CSV does not carry: the
 # attacker and user per-round rates of the channel it is scored on, and in
-# the Monte Carlo sweeps the seed of its Monte Carlo streams.
+# the Monte Carlo sweeps, on every design row, the seed of its Monte Carlo
+# streams.
 _SCORING = ("_attacker_rate", "_user_rate", "_seed")
 # The fields of a design table's all-varying block, each with the value a
 # row that does not set it takes: the CSV's, but the scores that _score
@@ -393,7 +394,9 @@ def _append(rows: _Block, **row) -> None:
         column.append(row[name])
 
 
-def _aborts(rows: _Block, w: float, labels: Iterable[str], rate_strategy: str, reason: str):
+def _aborts(
+    rows: _Block, w: float, labels: Iterable[str], rate_strategy: str, reason: str
+) -> None:
     """Append one abort row per threshold strategy label at noise level
     ``w``, carrying the reason and leaving every number but omega empty."""
     for label in labels:
