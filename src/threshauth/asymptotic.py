@@ -2,8 +2,8 @@
 
 For i.i.d. binomial errors the Bayes-optimal accept/reject rule is a
 threshold on the error count. This module computes that threshold for
-an arbitrary prior, its uniform-prior special case, a small-gap
-approximation, and the Bayes risk used to verify optimality.
+an arbitrary prior, its uniform-prior special case, and the Bayes risk
+used to verify optimality.
 """
 
 from __future__ import annotations
@@ -77,30 +77,6 @@ def asymptotic_threshold(
 ) -> float:
     """Uniform-prior Bayes threshold, the variant used in experiments."""
     return bayes_threshold(params, rates, HypothesisPrior.uniform(), rounds)
-
-
-def approx_threshold(
-    params: LossParameters,
-    center_rate: float,
-    gap: float,
-    rounds: int,
-) -> float:
-    """Small-gap approximation of the uniform-prior threshold.
-
-        n * p - (p (1 - p) / gap) * ln(ratio)
-
-    where p is the midpoint of the two rates (attacker at p + gap/2,
-    user at p - gap/2).
-    """
-    if not (0.0 < center_rate < 1.0):
-        raise ValueError(f"center_rate must lie in (0,1), got {center_rate}")
-    if not gap > 0:
-        raise ValueError(f"gap must be positive, got {gap}")
-    if not _is_count(rounds):
-        raise ValueError(f"rounds must be an integer >= 1, got {rounds!r}")
-    return rounds * center_rate - (
-        center_rate * (1.0 - center_rate) / gap
-    ) * math.log(params.ratio)
 
 
 def bayes_risk(

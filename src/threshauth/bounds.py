@@ -20,22 +20,6 @@ from .loss import ErrorRateBounds, LossParameters, _is_count
 
 
 @dataclass(frozen=True)
-class BoundReport:
-    """Loss-bound value together with the inputs it was evaluated at.
-
-    ``valid`` records whether the threshold lay inside the interval
-    [rounds * user_ceiling, rounds * attacker_floor] required for the
-    bound to hold; the value is reported either way and callers decide
-    how to treat out-of-range thresholds.
-    """
-
-    bound_value: float
-    threshold: float
-    rounds: int
-    valid: bool
-
-
-@dataclass(frozen=True)
 class ThresholdChoice:
     """Near-optimal threshold, clamped to its validity interval.
 
@@ -55,35 +39,6 @@ class RoundsChoice:
 
     value: int
     real: float
-
-
-def loss_bound_at(
-    params: LossParameters,
-    rates: ErrorRateBounds,
-    rounds: int,
-    threshold: float,
-) -> BoundReport:
-    """Exponential upper bound on the worst-case expected loss.
-
-        rounds * per_round + max(exp(-(2/n)(n*pu - tau)^2) * false_reject,
-                                 exp(-(2/n)(n*pa - tau)^2) * false_accept)
-
-    Valid when n*pu <= tau <= n*pa; outside that interval the report is
-    flagged invalid rather than repaired.
-    """
-    if not _is_count(rounds):
-        raise ValueError(f"rounds must be an integer >= 1, got {rounds!r}")
-    n = float(rounds)
-    pa, pu = rates.attacker_floor, rates.user_ceiling
-    reject_term = math.exp(-(2.0 / n) * (n * pu - threshold) ** 2) * params.false_reject
-    accept_term = math.exp(-(2.0 / n) * (n * pa - threshold) ** 2) * params.false_accept
-    valid = n * pu <= threshold <= n * pa
-    return BoundReport(
-        bound_value=rounds * params.per_round + max(reject_term, accept_term),
-        threshold=threshold,
-        rounds=rounds,
-        valid=valid,
-    )
 
 
 def optimal_threshold(
@@ -116,8 +71,8 @@ def threshold_loss_bound(
 
         n * per_round + exp(-n gap^2 / 2) * sqrt(false_accept * false_reject)
 
-    Dominates loss_bound_at(.., optimal_threshold(..)) whenever the
-    threshold is unclamped, since equalization drops a factor <= 1.
+    Dominates the exponential bound at optimal_threshold(..) whenever
+    that threshold is unclamped, since equalization drops a factor <= 1.
     """
     if not _is_count(rounds):
         raise ValueError(f"rounds must be an integer >= 1, got {rounds!r}")

@@ -230,16 +230,6 @@ def _streams(words: Sequence[list[int]]) -> list[np.random.Generator]:
     return streams
 
 
-def _stream(*entropy: int | Sequence[int]) -> np.random.Generator:
-    """PCG64 over a ``SeedSequence`` of the entropy, int or sequence parts flattened in order.
-
-    Bitwise the stream of numpy's ``SeedSequence`` of the parts' tuple,
-    seeded from the parts' uint32 words: the one-stream case of
-    ``_streams``.
-    """
-    return _streams([_seed_words(entropy)])[0]
-
-
 # Largest block of padded cdf entries a batched draw builds at once, so
 # that a sweep's transient tables stay near a megabyte whatever its size.
 _CDF_BLOCK_ENTRIES = 1 << 16
@@ -308,11 +298,6 @@ def _cdf_rows(rounds: np.ndarray, rates: Sequence[Sequence[float]]) -> list[np.n
         cdf[last] = 1.0
         blocks.append(cdf)
     return blocks
-
-
-def _cdf_table(rounds: int, p: float) -> np.ndarray:
-    """Pr(X <= k) for X ~ Binomial(rounds, p), k = 0..rounds: the one row of ``_cdf_rows``."""
-    return _cdf_rows(np.array([rounds]), ((p,),))[0][0]
 
 
 def simulate_error_histograms(
@@ -439,15 +424,26 @@ def score_histograms(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean losses and standard errors of several designs, one identity's histograms scored.
 
-    Design i scores ``histograms[which[i]]`` under ``cuts[i]`` at its
-    per-round error, one value for every design or one per design, each
-    result bitwise ``score_counts`` of that histogram, cut and error. The
-    histograms are integer, all of one positive total, the trials; a cut
-    outside 0..rounds + 1 of its histogram raises ValueError. One
-    integer running sum over the histograms end to end gives every
-    design's accepted runs, and the means and errors are one vectorized
-    pass, the Wilson terms 0.25 / T^2 and 1 + 1 / T taken as Python
-    scalars as ``score_counts`` takes them.
+    Design i scores ``histograms[which[i]]``, of its T runs with k
+    errors at entry k = 0..rounds, under ``cuts[i]`` at its per-round
+    error, one value for every design or one per design. The histograms
+    are integer, all of one positive total T. A run is accepted when its
+    count lies below the cut (``loss.rejected_count_min``), so 0 rejects
+    every run and rounds + 1 accepts every run; a cut outside that range
+    raises ValueError. The mean is ``rounds * per_round + weight * p``,
+    with p = hits / T the share of runs that also pay the decision loss
+    ``weight`` (false_accept on accepted attacker runs, false_reject on
+    rejected user runs). The error is weight times the half-width of the
+    Wilson (1927) score interval for p at z = 1,
+
+        weight * sqrt(p (1 - p) / T + 1 / (4 T^2)) / (1 + 1 / T),
+
+    the plug-in sqrt(p (1 - p) / T) for large T, and at zero hits
+    weight / (2 (T + 1)), so six of them are about the rule-of-three
+    bound 3 / T. A per-round error of 0 or 1 makes the mean exact and
+    the error 0. One integer running sum over the histograms end to end
+    gives every design's accepted runs, and the rest is one vectorized
+    pass.
     """
     sizes = np.array([len(h) for h in histograms])  # rounds + 1 each
     which = np.asarray(which, dtype=np.intp)
@@ -480,40 +476,3 @@ def score_histograms(
     stderrs = weight * np.sqrt(p * (1.0 - p) / trials + 0.25 / trials**2)
     stderrs /= 1.0 + 1.0 / trials
     return means, np.where(exact, 0.0, stderrs)
-
-
-def score_counts(
-    histogram: np.ndarray,
-    cut: int,
-    params: LossParameters,
-    identity: ProverIdentity,
-    per_round_error: float,
-) -> tuple[float, float]:
-    """Mean loss of runs with this error-count histogram, and its standard error.
-
-    ``histogram`` is what ``simulate_error_counts`` returns: entry k
-    counts the runs with exactly k errors, k = 0..rounds, so the runs
-    had ``rounds = len(histogram) - 1`` rounds each. A run is accepted
-    when its count lies below ``cut``, the least rejected count that
-    ``loss.rejected_count_min`` derives from a threshold, so 0 rejects
-    every run and ``rounds + 1`` accepts every run; a cut outside
-    0..rounds + 1 raises ValueError. Every run pays
-    ``rounds * per_round``; a fraction p = hits / T of the T runs also
-    pays the decision loss ``weight`` (false_accept on accepted attacker
-    runs, false_reject on rejected user runs), so the mean is
-    ``rounds * per_round + weight * p``. The
-    error is weight times the half-width of the Wilson (1927) score
-    interval for p at z = 1:
-
-        weight * sqrt(p (1 - p) / T + 1 / (4 T^2)) / (1 + 1 / T)
-
-    It agrees with the plug-in sqrt(p (1 - p) / T) for large T and stays
-    honest for rare events: at zero hits it is weight / (2 (T + 1)), so
-    six of them are about the rule-of-three bound 3 / T. A per-round
-    error of 0 or 1 makes every count equal, the mean exact, and the
-    error 0. This is the one-design case of ``score_histograms``.
-    """
-    means, stderrs = score_histograms(
-        (histogram,), (0,), (cut,), params, identity, per_round_error
-    )
-    return float(means[0]), float(stderrs[0])

@@ -23,7 +23,7 @@ from .experiments import (
 from .loss import GapCollapseError, LossParameters
 from .noise import (
     NoiseEstimate,
-    coded_phase_stream,
+    coded_phase_streams,
     default_transparent_code,
     high_probability_rates,
     simulate_coded_phase,
@@ -70,7 +70,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 
 def _cmd_estimate_noise(args: argparse.Namespace) -> int:
     # the stream first: it checks the seed before any other work
-    rng = coded_phase_stream(args.seed, 0)
+    rng = coded_phase_streams(args.seed, (0,))[0]
     code = default_transparent_code(args.k)
     theta, hopeless = simulate_coded_phase(args.omega, code, rng)
     est = NoiseEstimate(theta, args.k, args.delta)

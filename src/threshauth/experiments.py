@@ -77,8 +77,8 @@ class SweepRow:
     default to None and the abort marker to "". Reals are held as the
     sweep computed them, full doubles; ``emit_csv`` writes them at 12
     significant digits, so a row read back by ``parse_csv`` holds those
-    12-digit values. A label (a strategy or the abort marker) holding
-    a line break raises ValueError.
+    12-digit values. A row holds whatever it is given; the CSV schema
+    (``_schema_fault``) is checked where rows are written and read.
     """
 
     omega: float
@@ -93,24 +93,9 @@ class SweepRow:
     mc_stderr: float | None = None
     aborted: str = ""
 
-    def __post_init__(self) -> None:
-        for name in _LABELS:
-            _check_labels(name, (getattr(self, name),))
-
-
-def _check_labels(name: str, labels: Iterable[str]) -> None:
-    """Raise ValueError if a label holds a line break.
-
-    emit_csv would write a lone \\r unquoted, which parse_csv cannot read.
-    """
-    for label in labels:
-        if "\r" in label or "\n" in label:
-            raise ValueError(f"{name} holds a line break: {label!r}")
-
 
 CSV_HEADER = tuple(f.name for f in fields(SweepRow))
 _LABELS = tuple(f.name for f in fields(SweepRow) if f.type == "str")
-_NUMBERS = tuple(f.name for f in fields(SweepRow) if f.type != "str")  # in CSV order
 _NONNEGATIVE = ("exact_worst", "elb1", "elb2", "mc_worst", "mc_stderr")
 _DEFAULTS = {f.name: f.default for f in fields(SweepRow) if f.default is not MISSING}
 _FIELDS = operator.attrgetter(*CSV_HEADER)  # a row's values in CSV order
@@ -138,58 +123,80 @@ def _rows_block(rows: Sequence[SweepRow]) -> _Block:
 
 
 def _cell_fault(name: str, value: object) -> str:
-    """Why the CSV schema rejects a set cell of the named column, or ""."""
+    """Why the CSV schema rejects a cell of the named column, or ""."""
+    if value is None:
+        return "is empty" if name == "omega" else ""
+    if name in _LABELS:
+        # emit_csv would write a lone \r unquoted, which parse_csv cannot read
+        return f"holds a line break: {value!r}" if "\r" in value or "\n" in value else ""
     if name == "n":
         return "" if _is_count(value) else f"is not an integer >= 1: {value!r}"
+    # a bool or a Fraction would be written as text that parse_csv cannot read
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return f"is not a real number: {value!r}"
     if not math.isfinite(value):
         return f"is not finite: {value!r}"
     return f"is negative: {value!r}" if name in _NONNEGATIVE and value < 0 else ""
 
 
-def _column_passes(name: str, column: Sequence) -> bool:
-    """Whether whole-column checks show no set cell of the column at fault."""
-    # filter(None, ...) passes over the empty cells and zeros, which a real
-    # column may hold; nan and the infinities carry through a sum, and
-    # finite reals sum to a finite real unless it overflows
+def _kinds(block: _Block) -> dict[str, set[type]]:
+    """The types each column of a block holds: one pass per column, shared
+    by the schema check and the writer."""
+    return {name: set(map(type, column)) for name, column in block.columns.items()}
+
+
+def _column_passes(name: str, column: Sequence, kinds: set[type]) -> bool:
+    """Whether whole-column checks show no cell of the column, holding
+    values of these types, at fault."""
+    if name in _LABELS:
+        return not any("\r" in label or "\n" in label for label in set(column))
+    if type(None) in kinds:
+        if name == "omega":  # every row sets omega
+            return False
+        column = [value for value in column if value is not None]
     if name == "n":
-        kinds = set(map(type, column)) - {type(None)}
-        return kinds <= {int} and 0 not in column and min(filter(None, column), default=1) >= 1
-    if not math.isfinite(sum(filter(None, column))):
-        return False
-    return name not in _NONNEGATIVE or min(filter(None, column), default=0) >= 0
+        return kinds <= {int, type(None)} and min(column, default=1) >= 1
+    # nan and the infinities carry through a sum, and finite reals sum to a
+    # finite real unless it overflows
+    return kinds <= {int, float, type(None)} and math.isfinite(sum(column)) and (
+        name not in _NONNEGATIVE or min(column, default=0) >= 0
+    )
 
 
-def _schema_fault(block: _Block) -> tuple[str, int, str] | None:
-    """The first cell of a block that the CSV schema rejects, as (column,
-    row in the block, why), or None.
+def _schema_fault(block: _Block, kinds: dict[str, set[type]]) -> tuple[str, int, str] | None:
+    """The first cell of a block, whose columns hold ``kinds`` (``_kinds``),
+    that the CSV schema rejects, as (column, row in the block, why), or None.
 
-    Where a row sets n, it is an integer >= 1. Where it sets a real, the
-    real is finite, and a loss or a Monte Carlo figure (``_NONNEGATIVE``)
-    is >= 0. An abort row, one that carries an abort reason, leaves every
-    number but omega empty. Columns are taken in CSV order, and a column
-    is searched row by row only if whole-column checks fail.
+    A label holds no line break. Every row sets omega. Where a row sets
+    n, it is an integer >= 1. Where it sets a real, the real is an int
+    or a float, not a bool, and finite, and a loss or a Monte Carlo
+    figure (``_NONNEGATIVE``) is >= 0. An abort row, one that carries an
+    abort reason, leaves every number but omega empty. Columns are taken
+    in CSV order, and a column is searched row by row only if
+    whole-column checks fail.
     """
+    if not len(block):
+        return None
+    fixed = _DEFAULTS | block.fixed
     reasons = block.columns.get("aborted")
     if reasons is None:
-        aborts = range(len(block)) if block.fixed.get("aborted") else range(0)
+        aborts = range(len(block)) if fixed["aborted"] else range(0)
     else:
         aborts = [i for i, reason in enumerate(reasons) if reason]
-    for name in _NUMBERS:
-        emptied = () if name == "omega" else aborts
+    for name in CSV_HEADER:
+        emptied = aborts if name not in _LABELS and name != "omega" else ()
         if name not in block.columns:  # a fixed value, one check for every row
-            value = block.fixed.get(name)
+            value = fixed.get(name)
             if value is not None and emptied:
                 return name, emptied[0], f"is set in an abort row: {value!r}"
-            if value is not None and (why := _cell_fault(name, value)):
+            if why := _cell_fault(name, value):
                 return name, 0, why
             continue
         column = block.columns[name]
-        if all(column[i] is None for i in emptied) and _column_passes(name, column):
+        if all(column[i] is None for i in emptied) and _column_passes(name, column, kinds[name]):
             continue
         for i, value in enumerate(column):
-            if value is None:
-                continue
-            if i in emptied:
+            if value is not None and i in emptied:
                 return name, i, f"is set in an abort row: {value!r}"
             if why := _cell_fault(name, value):
                 return name, i, why
@@ -199,11 +206,9 @@ def _schema_fault(block: _Block) -> tuple[str, int, str] | None:
 class SweepRows(Sequence):
     """A sweep's rows, read-only, held as a list of blocks.
 
-    Reading a row, by index, slice or iteration, builds its ``SweepRow``
-    from its block; ``len`` builds none, and ``emit_csv`` writes the
-    blocks without building any. A slice is a list of rows. Equality
-    with a list of rows, or another ``SweepRows``, and ``repr`` are
-    those of the list of its rows.
+    Reading a row, by index or iteration, builds its ``SweepRow`` from
+    its block; ``len`` builds none, and ``emit_csv`` writes the blocks
+    without building any.
     """
 
     __slots__ = ("_blocks",)
@@ -214,9 +219,7 @@ class SweepRows(Sequence):
     def __len__(self) -> int:
         return sum(map(len, self._blocks))
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
+    def __getitem__(self, index: int) -> SweepRow:
         i = operator.index(index)
         if i < 0:
             i += len(self)
@@ -229,14 +232,6 @@ class SweepRows(Sequence):
     def __iter__(self) -> Iterator[SweepRow]:
         for block in self._blocks:
             yield from map(block.row, range(len(block)))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (list, SweepRows)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return repr(list(self))
 
 
 # Rate strategies by label kind: whether the kind reads the coded-phase
@@ -678,10 +673,10 @@ def _cell(value: object) -> str:
     return text.getvalue()[:-2]  # without the empty cell after it and the newline
 
 
-def _column_field(column: Sequence) -> tuple[str, Iterable]:
-    """A column's format field and the values it formats, in one pass
-    when every value has one type."""
-    kinds = set(map(type, column))
+def _column_field(column: Sequence, kinds: set[type]) -> tuple[str, Iterable]:
+    """The format field of a column, or a part of it, holding values of
+    these types, and the values it formats, in one pass when every value
+    has one type."""
     if kinds == {float}:
         return "{:.12g}", column
     if kinds == {int}:
@@ -691,7 +686,7 @@ def _column_field(column: Sequence) -> tuple[str, Iterable]:
     return "{}", map(_cell, column)
 
 
-def _write_block(fh, block: _Block) -> None:
+def _write_block(fh, block: _Block, kinds: dict[str, set[type]]) -> None:
     """Write a block's rows, ``_EMIT_CHUNK`` at a time, through one line template.
 
     Each fixed cell is rendered once and inlined into the template, its
@@ -708,7 +703,7 @@ def _write_block(fh, block: _Block) -> None:
             if name in texts:
                 cells.append(texts[name])
                 continue
-            field, column = _column_field(block.columns[name][lo : lo + _EMIT_CHUNK])
+            field, column = _column_field(block.columns[name][lo : lo + _EMIT_CHUNK], kinds[name])
             cells.append(field)
             columns.append(column)
         fh.write("".join(map((",".join(cells) + "\n").format, *columns)))
@@ -725,33 +720,29 @@ def emit_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
     most ``_EMIT_CHUNK`` rows at a time: an all-float column as
     ``{:.12g}``, an all-int one as ``{}``, others as cells rendered
     first. Labels are quoted by ``csv`` itself, so every byte is as
-    ``csv.writer`` writes it. A label holding a line break, or a cell
-    the CSV schema rejects (``_schema_fault``: an n that is not an
-    integer >= 1, a real that is nan or infinite, a negative loss, a
-    number other than omega in an abort row), raises ValueError naming
-    its column (and, for a number, its row, counted from 0) before the
-    file is opened, so no partial CSV is written.
+    ``csv.writer`` writes it. A cell the CSV schema rejects
+    (``_schema_fault``: a label holding a line break, an empty omega, an
+    n that is not an integer >= 1, a real that is a bool or not a
+    number, nan or infinite, a negative loss, a number other than omega
+    in an abort row) raises ValueError naming its column and its row,
+    counted from 0, before the file is opened, so no partial CSV is
+    written.
     """
     path = Path(path)
     if not isinstance(rows, SweepRows):
         rows = SweepRows([_rows_block(rows)])
+    kinds = list(map(_kinds, rows._blocks))
     first = 0
-    for block in rows._blocks:
-        fixed = _DEFAULTS | block.fixed
-        for name in _LABELS:
-            if name in block.columns:
-                _check_labels(name, set(block.columns[name]))
-            else:
-                _check_labels(name, (fixed[name],))
-        if fault := _schema_fault(block):
+    for block, block_kinds in zip(rows._blocks, kinds):
+        if fault := _schema_fault(block, block_kinds):
             name, i, why = fault
             raise ValueError(f"{name} of row {first + i} {why}")
         first += len(block)
     try:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(CSV_HEADER) + "\n")
-            for block in rows._blocks:
-                _write_block(fh, block)
+            for block, block_kinds in zip(rows._blocks, kinds):
+                _write_block(fh, block, block_kinds)
     except OSError as exc:
         raise OSError(f"cannot write sweep CSV to {path}: {exc}") from exc
 
@@ -773,8 +764,8 @@ def parse_csv(path: str | Path) -> list[SweepRow]:
     path and line: empty, another header, a record of another width, a
     cell that does not parse, or a row that ``emit_csv`` would not write
     because the CSV schema rejects it (``_schema_fault``), such as a real
-    that is nan or infinite; the schema is checked once every record is
-    read.
+    that is nan or infinite or a label holding a line break; the schema
+    is checked once every record is read.
     """
     path = Path(path)
     columns = fields(SweepRow)
@@ -792,7 +783,8 @@ def parse_csv(path: str | Path) -> list[SweepRow]:
             except ValueError as exc:
                 raise ValueError(f"{path}, line {reader.line_num}: {exc}") from exc
             lines.append(reader.line_num)
-    if fault := _schema_fault(_rows_block(rows)):
+    block = _rows_block(rows)
+    if fault := _schema_fault(block, _kinds(block)):
         name, i, why = fault
         raise ValueError(f"{path}, line {lines[i]}: {name} {why}")
     return rows

@@ -108,11 +108,6 @@ def coded_phase_streams(master_seed: int, indices: Iterable[int]) -> list[np.ran
     return _streams([_seed_words((master_seed, CODED_PHASE_TAG, index)) for index in indices])
 
 
-def coded_phase_stream(master_seed: int, index: int) -> np.random.Generator:
-    """Random stream of coded phase ``index``: the one-stream case of ``coded_phase_streams``."""
-    return coded_phase_streams(master_seed, (index,))[0]
-
-
 def simulate_coded_phase(
     flip_probability: float,
     code: TransparentCode,

@@ -1,11 +1,14 @@
 """Helpers shared by the test modules: binomial masses by integer enumeration,
 the one-shot Monte Carlo cdf table, numpy's own seeding of a stream, the
-one-design Monte Carlo draw and score, and the worst-case exact loss the
-tests use as their oracles; and a spy on the stream builder."""
+one-design Monte Carlo draw and score, the worst-case exact loss, the
+two-branch loss bound at any threshold and the small-gap threshold
+approximation the tests use as their oracles; and a spy on the stream
+builder."""
 
 import functools
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +17,7 @@ import threshauth.channel as channel
 import threshauth.noise as noise
 from threshauth.channel import _STREAM_TAG
 from threshauth.exact import BinomialSpec, exact_expected_losses
-from threshauth.loss import ProverIdentity
+from threshauth.loss import ErrorRateBounds, LossParameters, ProverIdentity, _is_count
 
 
 @functools.lru_cache(maxsize=8)
@@ -53,9 +56,9 @@ def exact_worst_case_losses(params, rates, rounds, thresholds):
 
 
 def one_shot_cdf_table(rounds: int, p: float) -> np.ndarray:
-    """``channel._cdf_table`` as one expression, its log-factorials built per call.
+    """A one-row ``channel._cdf_rows`` block as one expression, its log-factorials built per call.
 
-    Each entry of the table the channel builds must carry these bits.
+    Each entry of a cdf row the channel builds must carry these bits.
     """
     k = np.arange(rounds + 1)
     log_fact = np.fromiter(map(math.lgamma, range(1, rounds + 2)), float, rounds + 1)
@@ -71,7 +74,7 @@ def one_shot_cdf_table(rounds: int, p: float) -> np.ndarray:
 def seeded_bits(parts) -> np.random.PCG64:
     """The bit generator numpy seeds from the tuple of the int parts itself.
 
-    ``channel._stream`` over the same parts must draw these bits.
+    ``channel._streams`` over the parts' words must draw these bits.
     """
     return np.random.PCG64(np.random.SeedSequence(tuple(parts)))
 
@@ -107,6 +110,75 @@ def one_design_score(histogram, cut, params, identity, p) -> tuple[float, float]
     return mean, weight * math.sqrt(q * (1.0 - q) / trials + 0.25 / trials**2) / (
         1.0 + 1.0 / trials
     )
+
+
+@dataclass(frozen=True)
+class BoundReport:
+    """Loss-bound value together with the inputs it was evaluated at.
+
+    ``valid`` records whether the threshold lay inside the interval
+    [rounds * user_ceiling, rounds * attacker_floor] required for the
+    bound to hold; the value is reported either way and callers decide
+    how to treat out-of-range thresholds.
+    """
+
+    bound_value: float
+    threshold: float
+    rounds: int
+    valid: bool
+
+
+def loss_bound_at(
+    params: LossParameters,
+    rates: ErrorRateBounds,
+    rounds: int,
+    threshold: float,
+) -> BoundReport:
+    """Exponential upper bound on the worst-case expected loss.
+
+        rounds * per_round + max(exp(-(2/n)(n*pu - tau)^2) * false_reject,
+                                 exp(-(2/n)(n*pa - tau)^2) * false_accept)
+
+    Valid when n*pu <= tau <= n*pa; outside that interval the report is
+    flagged invalid rather than repaired.
+    """
+    if not _is_count(rounds):
+        raise ValueError(f"rounds must be an integer >= 1, got {rounds!r}")
+    n = float(rounds)
+    pa, pu = rates.attacker_floor, rates.user_ceiling
+    reject_term = math.exp(-(2.0 / n) * (n * pu - threshold) ** 2) * params.false_reject
+    accept_term = math.exp(-(2.0 / n) * (n * pa - threshold) ** 2) * params.false_accept
+    valid = n * pu <= threshold <= n * pa
+    return BoundReport(
+        bound_value=rounds * params.per_round + max(reject_term, accept_term),
+        threshold=threshold,
+        rounds=rounds,
+        valid=valid,
+    )
+
+
+def approx_threshold(
+    params: LossParameters,
+    center_rate: float,
+    gap: float,
+    rounds: int,
+) -> float:
+    """Small-gap approximation of the uniform-prior threshold.
+
+        n * p - (p (1 - p) / gap) * ln(ratio)
+
+    where p is the midpoint of the two rates (attacker at p + gap/2,
+    user at p - gap/2).
+    """
+    if not (0.0 < center_rate < 1.0):
+        raise ValueError(f"center_rate must lie in (0,1), got {center_rate}")
+    if not gap > 0:
+        raise ValueError(f"gap must be positive, got {gap}")
+    if not _is_count(rounds):
+        raise ValueError(f"rounds must be an integer >= 1, got {rounds!r}")
+    return rounds * center_rate - (
+        center_rate * (1.0 - center_rate) / gap
+    ) * math.log(params.ratio)
 
 
 def spy_stream_builds(monkeypatch) -> list[int]:

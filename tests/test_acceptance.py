@@ -18,10 +18,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import exact_worst_case_losses
+from conftest import approx_threshold, exact_worst_case_losses
 from threshauth.asymptotic import (
     HypothesisPrior,
-    approx_threshold,
     asymptotic_threshold,
     bayes_risk,
     bayes_threshold,
@@ -241,7 +240,7 @@ def test_criterion_08_directional_strategy_claims():
     shared = sorted(w for w in hp if w in ml and w <= 0.15)
     hp_wins = sum(1 for w in shared if hp[w] <= ml[w])
 
-    duel_rows = threshold_duel(ExperimentSpec.duel())
+    duel_rows = list(threshold_duel(ExperimentSpec.duel()))
     pairs = list(zip(duel_rows[::2], duel_rows[1::2]))
     duel_wins = sum(1 for fin, asym in pairs if fin.mc_worst <= asym.mc_worst)
     elapsed = time.perf_counter() - t0

@@ -4,10 +4,9 @@ import math
 
 import pytest
 
-from conftest import exact_worst_case_losses
+from conftest import approx_threshold, exact_worst_case_losses
 from threshauth.asymptotic import (
     HypothesisPrior,
-    approx_threshold,
     asymptotic_threshold,
     bayes_risk,
     bayes_threshold,

@@ -11,10 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import exact_worst_case_losses
+from conftest import exact_worst_case_losses, loss_bound_at
 from threshauth.bounds import (
     ThresholdChoice,
-    loss_bound_at,
     optimal_rounds,
     optimal_threshold,
     rounds_loss_bound,

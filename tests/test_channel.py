@@ -23,12 +23,10 @@ from conftest import (
 from threshauth import channel
 from threshauth.bounds import threshold_loss_bound
 from threshauth.channel import (
-    _cdf_table,
+    _cdf_rows,
     _seed_words,
-    _stream,
     _streams,
     attacker_per_round_error,
-    score_counts,
     score_histograms,
     simulate_error_counts,
     simulate_error_histograms,
@@ -165,10 +163,18 @@ def _hist(counts, rounds=8):
     return np.bincount(counts, minlength=rounds + 1)
 
 
+def _score_cut(histogram, cut, identity, per_round_error):
+    # one histogram under one cut, scored by the batched scorer, whose
+    # numbers must be the one-design oracle's bits
+    means, stderrs = score_histograms((histogram,), (0,), (cut,), BENCH, identity, per_round_error)
+    got = float(means[0]), float(stderrs[0])
+    assert _bits(got) == _bits(one_design_score(histogram, cut, BENCH, identity, per_round_error))
+    return got
+
+
 def _score(histogram, threshold, identity, per_round_error):
     # scores the rule "accept when count < threshold" through its cut
-    cut = rejected_count_min(threshold, 8)
-    return score_counts(histogram, cut, BENCH, identity, per_round_error)
+    return _score_cut(histogram, rejected_count_min(threshold, 8), identity, per_round_error)
 
 
 class TestScoreCounts:
@@ -205,9 +211,9 @@ class TestScoreCounts:
         histogram = _hist([0, 3, 8])
         for cut in (-1, 10):
             with pytest.raises(ValueError, match="cut"):
-                score_counts(histogram, cut, BENCH, ProverIdentity.USER, 0.2)
-        assert score_counts(histogram, 0, BENCH, ProverIdentity.ATTACKER, 0.55)[0] == 0.08
-        assert score_counts(histogram, 9, BENCH, ProverIdentity.USER, 0.2)[0] == 0.08
+                _score_cut(histogram, cut, ProverIdentity.USER, 0.2)
+        assert _score_cut(histogram, 0, ProverIdentity.ATTACKER, 0.55)[0] == 0.08
+        assert _score_cut(histogram, 9, ProverIdentity.USER, 0.2)[0] == 0.08
 
 
 def _binomial_moment_sigmas(rounds, p, size=200_000):
@@ -307,7 +313,7 @@ class TestInversionSampler:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.integers(1, 200), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
     def test_cdf_table_matches_integer_enumeration(self, rounds, p):
-        table = _cdf_table(rounds, p)
+        table = _cdf_row(rounds, p)
         exact = np.array(enumerated_cdf(BinomialSpec(rounds, p)))
         assert table.shape == (rounds + 1,)
         assert np.max(np.abs(table - exact)) <= 16 * rounds * EPS
@@ -349,6 +355,11 @@ def _bits(a):
     return np.asarray(a, dtype=np.float64).tobytes()
 
 
+def _cdf_row(rounds, p):
+    # Pr(X <= k), k = 0..rounds: the one row of a one-design block
+    return _cdf_rows(np.array([rounds]), ((p,),))[0][0]
+
+
 _OPEN_RATE = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
 
@@ -371,7 +382,7 @@ class TestLogFactorialTable:
             calls = sorted(calls, reverse=order == "descending")
         with _fresh_log_factorials():
             for rounds, p in calls:
-                assert _bits(_cdf_table(rounds, p)) == _bits(one_shot_cdf_table(rounds, p))
+                assert _bits(_cdf_row(rounds, p)) == _bits(one_shot_cdf_table(rounds, p))
             table = channel._log_factorials
             # grown to the largest count asked for, each entry lgamma(k + 1)
             assert len(table) == max(rounds for rounds, _ in calls) + 1
@@ -390,7 +401,7 @@ class TestLogFactorialTable:
     def test_each_row_of_a_block_is_the_one_shot_table_at_its_own_rate(self, designs, sides):
         rounds = [n for n, _ in designs]
         rates = [[ps[s] for _, ps in designs] for s in range(sides)]
-        blocks = channel._cdf_rows(np.array(rounds), rates)
+        blocks = _cdf_rows(np.array(rounds), rates)
         assert len(blocks) == sides
         for side, block in zip(rates, blocks):
             assert block.shape == (len(rounds), max(rounds) + 1)
@@ -403,7 +414,7 @@ class TestLogFactorialTable:
         monkeypatch.setattr(channel.math, "lgamma", lambda x: computed.append(x) or lgamma(x))
         with _fresh_log_factorials():
             for rounds in (10, 4, 10, 25):
-                _cdf_table(rounds, 0.25)
+                _cdf_row(rounds, 0.25)
         # log 0! is there from the start; log k! is lgamma(k + 1), so the
         # first growth asks for 2..11, the next two for nothing, the last for 12..26
         assert computed == list(range(2, 27))
@@ -417,12 +428,12 @@ class TestLogFactorialTable:
             view.flags.writeable = True
 
     def test_mutating_a_returned_table_leaves_the_next_call_unchanged(self):
-        table = _cdf_table(300, 0.2)
+        table = _cdf_row(300, 0.2)
         want = _bits(table)
         assert not np.shares_memory(table, channel._log_factorials)
         table[:] = -1.0
-        assert _bits(_cdf_table(300, 0.2)) == want
-        assert _bits(_cdf_table(120, 0.7)) == _bits(one_shot_cdf_table(120, 0.7))
+        assert _bits(_cdf_row(300, 0.2)) == want
+        assert _bits(_cdf_row(120, 0.7)) == _bits(one_shot_cdf_table(120, 0.7))
 
     def test_mutating_a_returned_histogram_leaves_the_next_call_unchanged(self):
         args = (300, 0.2, 5_000, 1729, ProverIdentity.USER)
@@ -456,7 +467,7 @@ class TestMultinomialDraw:
             mass = np.zeros(rounds + 1)
             mass[rounds if p == 1.0 else 0] = 1.0
         else:
-            mass = np.diff(_cdf_table(rounds, p), prepend=0.0)
+            mass = np.diff(_cdf_row(rounds, p), prepend=0.0)
         # the analogue of "no count past rounds": nothing lands where the
         # table has no mass, such as past the entry where it reaches 1.0
         assert not got[mass == 0.0].any()
@@ -517,6 +528,11 @@ _SEED_PART = st.one_of(
 )
 
 
+def _one_stream(*parts):
+    # the one stream of a batch over the words of the parts, int or sequence
+    return _streams([_seed_words(parts)])[0]
+
+
 class TestStreamSeeding:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.lists(_SEED_PART, min_size=1, max_size=5))
@@ -524,9 +540,9 @@ class TestStreamSeeding:
     @example([2**64, 0, 2**32 - 1])
     def test_draws_are_those_of_numpys_seeding_of_the_parts(self, parts):
         want = seeded_bits(parts).random_raw(4)
-        np.testing.assert_array_equal(_stream(*parts).bit_generator.random_raw(4), want)
+        np.testing.assert_array_equal(_one_stream(*parts).bit_generator.random_raw(4), want)
         # a sequence part is its elements, in order
-        nested = _stream(tuple(parts[:2]), *parts[2:])
+        nested = _one_stream(tuple(parts[:2]), *parts[2:])
         np.testing.assert_array_equal(nested.bit_generator.random_raw(4), want)
 
     @settings(max_examples=50, deadline=None, derandomize=True)
@@ -538,9 +554,9 @@ class TestStreamSeeding:
     def test_a_negative_part_raises(self, parts, negative, at):
         parts.insert(min(at, len(parts)), negative)
         with pytest.raises(ValueError):
-            _stream(*parts)
+            _one_stream(*parts)
         with pytest.raises(ValueError):
-            _stream(tuple(parts))
+            _one_stream(tuple(parts))
 
 
 class TestStreamBatch:
@@ -560,7 +576,7 @@ class TestStreamBatch:
         assert _streams([]) == []
 
     def test_the_seed_state_serves_only_pcg64s_request(self):
-        seed_seq = _stream(1729, 3, 0).bit_generator.seed_seq
+        seed_seq = _one_stream(1729, 3, 0).bit_generator.seed_seq
         want = np.random.SeedSequence((1729, 3, 0)).generate_state(4, np.uint64)
         np.testing.assert_array_equal(seed_seq.generate_state(4, np.uint64), want)
         for n_words, dtype in ((8, np.uint64), (4, np.uint32), (2, np.uint32)):

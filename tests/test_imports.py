@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import threshauth
 
 PACKAGE = Path(threshauth.__file__).parent
 MODULES = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _defined_at_top_level(tree: ast.Module) -> set[str]:
@@ -56,3 +58,22 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60
     )
     assert out.stdout.strip() == "False"
+
+
+def test_the_readme_quick_start_runs_and_shows_the_start_of_each_repr():
+    # a comment on an assignment's line, or on a line of its own after
+    # it, shows the start of the assigned value's repr, up to its "..."
+    quick_start = r"## Quick start \(library\)\n.*?```python\n(.*?)```"
+    [block] = re.findall(quick_start, README.read_text(), re.S)
+    namespace = {}
+    exec(block, namespace)
+    shown, name = {}, None
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        if assigned := re.match(r"(\w+) = ", code):
+            name = assigned[1]
+        if comment.strip():
+            shown[name] = comment.strip().split("...")[0]
+    assert list(shown) == ["n", "tau", "cap", "best"]
+    for name, start in shown.items():
+        assert repr(namespace[name]).startswith(start), (name, start)

@@ -6,14 +6,13 @@ import re
 import numpy as np
 import pytest
 
-from conftest import exact_worst_case_losses
+from conftest import approx_threshold, exact_worst_case_losses, loss_bound_at
 from threshauth.asymptotic import (
     HypothesisPrior,
-    approx_threshold,
     bayes_risk,
     bayes_threshold,
 )
-from threshauth.bounds import loss_bound_at, optimal_threshold, threshold_loss_bound
+from threshauth.bounds import optimal_threshold, threshold_loss_bound
 from threshauth.channel import simulate_error_counts
 from threshauth.exact import BinomialSpec, brute_force_optimal, exact_expected_losses
 from threshauth.experiments import ExperimentSpec
@@ -101,8 +100,9 @@ class TestExpectedLoss:
 
 
 # Every entry point that takes a round, trial or symbol count, as a call
-# on that count alone. exact_worst_case_losses is the tests' oracle
-# (conftest), which must take counts as the program's entry points do.
+# on that count alone. exact_worst_case_losses, loss_bound_at and
+# approx_threshold are the tests' oracles (conftest), which must take
+# counts as the program's entry points do.
 COUNT_ENTRY_POINTS = {
     "BinomialSpec": lambda n: BinomialSpec(n, 0.3),
     "brute_force_optimal": lambda n: brute_force_optimal(BENCH, SWISS_01, n),

@@ -10,7 +10,7 @@ from threshauth.loss import GapCollapseError
 from threshauth.noise import (
     NoiseEstimate,
     TransparentCode,
-    coded_phase_stream,
+    coded_phase_streams,
     default_transparent_code,
     high_probability_rates,
     simulate_coded_phase,
@@ -48,7 +48,7 @@ class TestTransparentCode:
 
     def test_accepts_numpy_integers(self):
         code = TransparentCode(np.int64(8), np.int64(2))
-        theta, _ = simulate_coded_phase(0.5, code, coded_phase_stream(1, 0))
+        theta, _ = simulate_coded_phase(0.5, code, coded_phase_streams(1, (0,))[0])
         assert 0 <= theta <= 8
 
 
@@ -206,7 +206,7 @@ class TestSimulateCodedPhase:
 class TestCodedPhaseStream:
     def test_one_stream_per_seed_and_index(self):
         def draws(seed, index):
-            return tuple(coded_phase_stream(seed, index).random(4))
+            return tuple(coded_phase_streams(seed, (index,))[0].random(4))
 
         assert draws(7, 0) == draws(7, 0)
         assert len({draws(seed, index) for seed in (7, 8) for index in (0, 1)}) == 4
@@ -217,4 +217,4 @@ class TestCodedPhaseStream:
     def test_rejects_a_master_seed_that_is_not_an_integer_at_least_zero(self):
         for bad in (-1, 2.5, True, "7"):
             with pytest.raises(ValueError, match="master_seed"):
-                coded_phase_stream(bad, 0)
+                coded_phase_streams(bad, (0,))

@@ -3,34 +3,32 @@
 Every top-level definition of the package is reachable from ``cli.main``
 through the names the definitions use, or is named below with the reason
 it stays. A helper that only tests call belongs in the tests' oracles
-(``tests/conftest.py``), so a dead helper cannot come back unnoticed.
+(``tests/conftest.py``), so a dead helper cannot come back unnoticed. A
+reason that cites the benchmark (``bench/``) names what the benchmark
+pins, and the entry expires when it stops pinning that.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import threshauth
 
 PACKAGE = Path(threshauth.__file__).parent
 MODULES = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # (module, name): why it stays although cli.main does not reach it
 ALLOWED = {
     ("threshauth", "__version__"): "the package version",
     ("experiments", "parse_csv"): "the CSV reader, the other side of emit_csv's schema check",
     ("experiments", "_parse_field"): "a cell of parse_csv",
-    ("asymptotic", "approx_threshold"): "test oracle",
-    ("asymptotic", "bayes_risk"): "test oracle; bench/ pins its binomial_cdf import",
-    ("bounds", "loss_bound_at"): "test oracle",
-    ("bounds", "BoundReport"): "the result of loss_bound_at",
+    ("asymptotic", "bayes_risk"): "test oracle; bench/ pins its import (asymptotic.binomial_cdf)",
     ("exact", "BinomialSpec"): "the argument of binomial_cdf and binomial_sf",
     ("exact", "binomial_pmf"): "a layer bench/ reports on its own (exact.binomial_pmf)",
-    ("exact", "binomial_cdf"): "pinned by bench/ (REQUIRED_PATCHES)",
+    ("exact", "binomial_cdf"): "pinned by bench/ (exact.binomial_cdf)",
     ("exact", "binomial_sf"): "called by bayes_risk",
-    ("channel", "simulate_error_counts"): "pinned by bench/ (REQUIRED_PATCHES)",
-    ("channel", "score_counts"): "test oracle of score_histograms",
-    ("channel", "_stream"): "test oracle of the vectorized stream seeding",
-    ("channel", "_cdf_table"): "test oracle of the batched cdf rows",
+    ("channel", "simulate_error_counts"): "pinned by bench/ (channel.simulate_error_counts)",
 }
 
 
@@ -114,3 +112,32 @@ def test_the_allowlist_names_only_definitions_the_cli_does_not_reach():
         ])
     ]
     assert stale == []
+
+
+def _pinned_by_bench() -> set[str]:
+    """The program names, as module.name, that bench/ pins: the entries of
+    REQUIRED_PATCHES in run.py and the keys of GROUP_OF in spans.py, read
+    from their source without importing either file."""
+    pinned = set()
+    for file, table in (("run.py", "REQUIRED_PATCHES"), ("spans.py", "GROUP_OF")):
+        tree = ast.parse((BENCH / file).read_text())
+        [value] = [
+            node.value for node in tree.body
+            if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == [table]
+        ]
+        names = value.keys if isinstance(value, ast.Dict) else value.elts
+        pinned |= {
+            name.value.removeprefix("threshauth.") for name in names
+            if isinstance(name, ast.Constant) and isinstance(name.value, str)
+        }
+    return pinned
+
+
+def test_each_reason_citing_the_benchmark_names_what_it_still_pins():
+    pinned = _pinned_by_bench()
+    assert {"exact.binomial_cdf", "exact.binomial_pmf"} <= pinned
+    unpinned = {
+        key: reason for key, reason in ALLOWED.items()
+        if "bench/" in reason and not set(re.findall(r"\w+\.\w+", reason)) & pinned
+    }
+    assert unpinned == {}
