@@ -14,7 +14,7 @@ independent check of the exact oracle. Every random stream, of an
 identity's trials here or of a coded phase in ``noise``, is PCG64 over
 numpy's ``SeedSequence`` of the master seed and the stream's tags, and
 comes from ``_streams``: it computes the seed states of a batch of
-streams in one vectorized pass of ``SeedSequence``'s own arithmetic, so
+streams in one vectorized pass of ``SeedSequence``'s own loops, so
 a sweep seeds each cdf block's streams, or its coded phases, in one
 call, and every stream draws numpy's bits.
 """
@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -96,84 +95,67 @@ def _seed_words(entropy: Sequence[int | Sequence[int]]) -> list[int]:
 
 
 # numpy's SeedSequence (bit_generator.pyx), frozen by its stream
-# compatibility policy (NEP 19): the entropy words are mixed into a pool
-# of four uint32 words, which is hashed out into generate_state's words.
-# A hash xors in the next constant of a multiplicative sequence,
-# multiplies by the one after it and xors in its own high half; a mix
-# takes L * word - R * hash and xors in its high half. All of it is uint32
-# array arithmetic, which wraps mod 2**32.
-# Scalars are 0-d arrays and tables carry a leading axis of 1, which keeps
-# numpy on its fast path for a one-stream pass.
+# compatibility policy (NEP 19), as its own mix_entropy and generate_state
+# loops, each step one uint32 array op over every stream (row), which
+# wraps mod 2**32. Each hashmix xors in the running hash constant,
+# advances the constant by its multiplier, multiplies by the new one and
+# xors in its own high half; a mix takes L * word - R * hash and xors in
+# its high half.
 _POOL_SIZE = 4
-_SHIFT = np.array(16, dtype=np.uint32)
+_XSHIFT = np.array(16, dtype=np.uint32)
 _MIX_L, _MIX_R = np.array(0xCA01F9DD, dtype=np.uint32), np.array(0x4973F715, dtype=np.uint32)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 
 
 def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    """init * mult**k mod 2**32 for k = 0..count, as uint32."""
+    """init * mult**k mod 2**32 for k = 0..count, as uint32: the running hash constant."""
     constants = [init]
     for _ in range(count):
         constants.append(constants[-1] * mult & 0xFFFFFFFF)
     return np.array(constants, dtype=np.uint32)
 
 
-def _hash(words: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    hashed = words ^ xor
-    hashed *= mult
-    hashed ^= hashed >> _SHIFT
+# generate_state(4, np.uint64) hashes out 8 words, the pool cycled twice
+_OUTPUT_HASHES = _hash_constants(0x8B51F9DD, 0x58F38DED, 2 * _POOL_SIZE)
+
+
+def _hashmix(words: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    """numpy's hashmix of each row's word j, or of its one word for every j,
+    as the constant runs from ``constants[j]`` to ``constants[j + 1]``."""
+    hashed = words ^ constants[:-1]
+    hashed *= constants[1:]
+    hashed ^= hashed >> _XSHIFT
     return hashed
 
 
 def _mix(pool: np.ndarray, hashed: np.ndarray) -> np.ndarray:
     mixed = pool * _MIX_L
     mixed -= hashed * _MIX_R
-    mixed ^= mixed >> _SHIFT
+    mixed ^= mixed >> _XSHIFT
     return mixed
-
-
-# The entropy hashes take one sequence of constants: one per pool word,
-# then one per (source, other pool word) pair, source by source, then
-# four per entropy word past the pool's.
-_ENTROPY_INIT, _ENTROPY_MULT = 0x43B0D7E5, 0x931E8875
-_POOL_HASHES = _hash_constants(_ENTROPY_INIT, _ENTROPY_MULT, 16)
-_FILL_XOR = _POOL_HASHES[None, :_POOL_SIZE]
-_FILL_MULT = _POOL_HASHES[None, 1 : _POOL_SIZE + 1]
-# row s: the constants of source s's hash into each other pool word, 0 at s
-_SOURCE_XOR = np.zeros((_POOL_SIZE, 1, _POOL_SIZE), dtype=np.uint32)
-_SOURCE_MULT = np.zeros((_POOL_SIZE, 1, _POOL_SIZE), dtype=np.uint32)
-_OTHERS = tuple(zip(*((s, 0, d) for s in range(_POOL_SIZE) for d in range(_POOL_SIZE) if d != s)))
-_SOURCE_XOR[_OTHERS] = _POOL_HASHES[_POOL_SIZE:-1]
-_SOURCE_MULT[_OTHERS] = _POOL_HASHES[_POOL_SIZE + 1 :]
-# the output hashes': the pool cycled twice gives generate_state's 8 words
-_OUTPUT_HASHES = _hash_constants(0x8B51F9DD, 0x58F38DED, 2 * _POOL_SIZE)
-_OUTPUT_XOR = _OUTPUT_HASHES[None, :-1]
-_OUTPUT_MULT = _OUTPUT_HASHES[None, 1:]
 
 
 def _pcg64_states(words: np.ndarray) -> np.ndarray:
     """numpy's ``SeedSequence`` of each row of a uint32 array, its ``generate_state(4, np.uint64)``.
 
-    ``words`` has at least four columns. Each step is an array op over
-    every row: the pool words' hashes at once; per source, its hashes
-    into the three other pool words as one op and their mixes as
-    another; the hashes of every word past the fourth at once, then one
-    mix per such word; and the 8 output words as one (rows, 8) op.
+    ``words`` has at least four columns. The entropy hashes take 4 *
+    width steps of one running constant: one per pool word, 3 per pool
+    word mixed into the others, 4 per word past the pool's.
     """
-    pool = _hash(words[:, :_POOL_SIZE], _FILL_XOR, _FILL_MULT)
-    for source, (xor, mult) in enumerate(zip(_SOURCE_XOR, _SOURCE_MULT)):
-        mixed = _mix(pool, _hash(pool[:, source, None], xor, mult))
-        mixed[:, source] = pool[:, source]  # a source does not mix into itself
-        pool = mixed
-    extra = words.shape[1] - _POOL_SIZE
-    if extra:
-        constants = _hash_constants(_ENTROPY_INIT, _ENTROPY_MULT, 16 + _POOL_SIZE * extra)[16:]
-        shape = (extra, _POOL_SIZE)
-        hashed = _hash(
-            words[:, _POOL_SIZE:, None], constants[:-1].reshape(shape), constants[1:].reshape(shape)
-        )
-        for j in range(extra):
-            pool = _mix(pool, hashed[:, j])
-    state = _hash(np.concatenate((pool, pool), axis=1), _OUTPUT_XOR, _OUTPUT_MULT)
+    constants = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * words.shape[1])
+    pool = _hashmix(words[:, :_POOL_SIZE], constants[: _POOL_SIZE + 1])
+    at = _POOL_SIZE
+    # mix all bits together so late bits can affect earlier bits
+    for source in range(_POOL_SIZE):
+        others = [d for d in range(_POOL_SIZE) if d != source]
+        hashed = _hashmix(pool[:, source, None], constants[at : at + _POOL_SIZE])
+        pool[:, others] = _mix(pool[:, others], hashed)
+        at += _POOL_SIZE - 1
+    # mix each remaining entropy word into every pool word
+    for source in range(_POOL_SIZE, words.shape[1]):
+        pool = _mix(pool, _hashmix(words[:, source, None], constants[at : at + _POOL_SIZE + 1]))
+        at += _POOL_SIZE
+    state = _hashmix(np.concatenate((pool, pool), axis=1), _OUTPUT_HASHES)
     # each uint64 from a little-endian pair of uint32, as numpy assembles it
     return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
@@ -218,12 +200,12 @@ def _streams(words: Sequence[list[int]]) -> list[np.random.Generator]:
     are padded to at least four and seeded in one pass per padded
     length: one pass in all unless a list holds more than four words.
     """
-    seed_state = _seed_state_type()
     lengths: dict[int, list[int]] = {}
     for i, stream_words in enumerate(words):
         lengths.setdefault(max(len(stream_words), _POOL_SIZE), []).append(i)
     streams = [None] * len(words)
     for length, members in lengths.items():
+        seed_state = _seed_state_type()  # an empty batch imports no numpy.random
         padded = [words[i] + [0] * (length - len(words[i])) for i in members]
         for i, state in zip(members, _pcg64_states(np.array(padded, dtype=np.uint32))):
             streams[i] = np.random.Generator(np.random.PCG64(seed_state(state)))
@@ -234,31 +216,6 @@ def _streams(words: Sequence[list[int]]) -> list[np.random.Generator]:
 # that a sweep's transient tables stay near a megabyte whatever its size.
 _CDF_BLOCK_ENTRIES = 1 << 16
 
-# log k! for k = 0..len - 1, as math.lgamma(k + 1): each entry is a
-# constant of k alone, so the table is the same whatever order it grew in
-_log_factorials = np.zeros(1)
-_log_factorials.flags.writeable = False
-
-
-def _log_factorial_table(rounds: int) -> np.ndarray:
-    """log k! for k = 0..rounds, a read-only view of the shared table.
-
-    The table grows to the largest ``rounds`` asked for so far, each
-    growth computing only the entries it adds, one ``math.lgamma`` each.
-    """
-    global _log_factorials
-    have = len(_log_factorials)
-    if rounds >= have:
-        grown = np.empty(rounds + 1)
-        grown[:have] = _log_factorials
-        grown[have:] = np.fromiter(
-            map(math.lgamma, range(have + 1, rounds + 2)), float, rounds + 1 - have
-        )
-        grown.flags.writeable = False
-        _log_factorials = grown
-    return _log_factorials[: rounds + 1]
-
-
 def _cdf_rows(rounds: np.ndarray, rates: Sequence[Sequence[float]]) -> list[np.ndarray]:
     """For each rate list r, Pr(X <= k) for X ~ Binomial(rounds[i], r[i]) as row i of one block.
 
@@ -267,20 +224,21 @@ def _cdf_rows(rounds: np.ndarray, rates: Sequence[Sequence[float]]) -> list[np.n
     columns; row i is ``rounds[i]``'s cdf at k = 0..rounds[i], and its
     columns past ``rounds[i]`` are padding. Each mass is
     exp(log n! - log k! - log (n-k)! + k log p + (n-k) log(1-p)),
-    evaluated left to right, with the log-factorials read from one
-    read-only table of ``math.lgamma`` values in this module that grows
-    on demand, and each row's log p and log(1-p) taken by ``math.log``
-    and ``math.log1p`` of its own rate. The rate-free part is built once
-    for all rate lists, with log-mass -inf in the padding, so no exp
-    there can overflow. A row's running sum is clipped to 1 and its entry
-    at ``rounds[i]`` set to exactly 1, so the table never decreases and
-    no count can exceed ``rounds[i]``. Every block is the caller's own.
+    evaluated left to right, with log k! computed for this call as
+    ``math.lgamma(k + 1)``, k = 0..max(rounds), and each row's log p and
+    log(1-p) taken by ``math.log`` and ``math.log1p`` of its own rate.
+    The rate-free part is built once for all rate lists, with log-mass
+    -inf in the padding, so no exp there can overflow. A row's running
+    sum is clipped to 1 and its entry at ``rounds[i]`` set to exactly 1,
+    so the table never decreases and no count can exceed ``rounds[i]``.
+    Every block is the caller's own.
     For 0 < p < 1 a row lies within 16 n eps of the exact cdf at every k
     (measured: at most 4.6 n eps over 2,000 random draws with n <= 200,
     and 2.0 n eps at n from 512 to 2048).
     """
-    log_fact = _log_factorial_table(int(rounds.max()))
-    k = np.arange(len(log_fact))
+    width = int(rounds.max()) + 1
+    log_fact = np.fromiter(map(math.lgamma, range(1, width + 1)), float, width)
+    k = np.arange(width)
     n_minus_k = rounds[:, None] - k
     padding = n_minus_k < 0
     np.maximum(n_minus_k, 0, out=n_minus_k)
@@ -354,22 +312,17 @@ def simulate_error_histograms(
         rates = [[ps[i] for i in block] for ps in side_rates]
         # the rows are clipped to 1, so the masses before a row's last sum to
         # at most 1, as the multinomial's check of its probabilities requires
-        drawn = [any(p not in (0.0, 1.0) for p in ps) for ps in rates]
-        tables = [[p if p not in (0.0, 1.0) else 0.5 for p in ps] for ps in compress(rates, drawn)]
-        pmfs = streams = iter(())
-        if tables:
-            pmfs = iter(_cdf_rows(np.array(block_ns), tables))
-            # every stream the block draws on, of both sides, seeded in one call
-            streams = iter(_streams([
-                words[i] + [_STREAM_TAG[identity]]
-                for (identity, _), ps in zip(sides, rates)
-                for i, p in zip(block, ps)
-                if p not in (0.0, 1.0)
-            ]))
-        for ps, has_table, side in zip(rates, drawn, histograms):
-            if has_table:
-                pmf = next(pmfs)
-                np.subtract(pmf[:, 1:], pmf[:, :-1], out=pmf[:, 1:])  # np.diff(cdf, prepend=0.0)
+        tables = [[p if p not in (0.0, 1.0) else 0.5 for p in ps] for ps in rates]
+        pmfs = _cdf_rows(np.array(block_ns), tables)
+        # every stream the block draws on, of both sides, seeded in one call
+        streams = iter(_streams([
+            words[i] + [_STREAM_TAG[identity]]
+            for (identity, _), ps in zip(sides, rates)
+            for i, p in zip(block, ps)
+            if p not in (0.0, 1.0)
+        ]))
+        for ps, pmf, side in zip(rates, pmfs, histograms):
+            np.subtract(pmf[:, 1:], pmf[:, :-1], out=pmf[:, 1:])  # np.diff(cdf, prepend=0.0)
             for row, (i, n, p) in enumerate(zip(block, block_ns, ps)):
                 if p in (0.0, 1.0):
                     histogram = np.zeros(n + 1, dtype=np.int64)
@@ -395,11 +348,10 @@ def simulate_error_counts(
     multinomial draw of ``trials`` over the pmf that the differences of
     a cdf table give, the table lying within 16 * rounds * eps of the
     exact cdf; numpy draws it by conditional binomials, one per entry
-    until the trials run out (Devroye 1986, ch. XI). The table takes its
-    log-factorials from one read-only table in this module that grows on
-    demand, so a call computes only those past the largest ``rounds``
-    asked for so far. So a call costs O(rounds) for the table plus at
-    most rounds + 1 binomial draws, and neither its time nor its memory
+    until the trials run out (Devroye 1986, ch. XI). The table computes
+    its rounds + 1 log-factorials afresh, one ``math.lgamma`` each, so a
+    call costs O(rounds) for the table plus at most rounds + 1 binomial
+    draws, and neither its time nor its memory
     grows with ``trials``; no per-trial count is formed. The draw comes
     from a stream derived from the master seed and the identity, so the
     result depends only on these arguments and the two identities never

@@ -122,19 +122,34 @@ def _rows_block(rows: Sequence[SweepRow]) -> _Block:
     return _Block({}, dict(zip(CSV_HEADER, zip(*map(_FIELDS, rows)))))
 
 
+def _sums_finite(reals: Iterable[int | float]) -> bool:
+    """Whether the reals sum to a finite real.
+
+    nan and the infinities carry through a sum, and finite reals sum to
+    a finite real unless it overflows. An int past the float range, whose
+    digits parse_csv reads as inf, overflows the sum or ``math.isfinite``.
+    """
+    try:
+        return math.isfinite(sum(reals))
+    except OverflowError:
+        return False
+
+
 def _cell_fault(name: str, value: object) -> str:
     """Why the CSV schema rejects a cell of the named column, or ""."""
-    if value is None:
-        return "is empty" if name == "omega" else ""
     if name in _LABELS:
+        if not isinstance(value, str):
+            return f"is not a string: {value!r}"
         # emit_csv would write a lone \r unquoted, which parse_csv cannot read
         return f"holds a line break: {value!r}" if "\r" in value or "\n" in value else ""
+    if value is None:
+        return "is empty" if name == "omega" else ""
     if name == "n":
         return "" if _is_count(value) else f"is not an integer >= 1: {value!r}"
     # a bool or a Fraction would be written as text that parse_csv cannot read
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         return f"is not a real number: {value!r}"
-    if not math.isfinite(value):
+    if not _sums_finite((value,)):
         return f"is not finite: {value!r}"
     return f"is negative: {value!r}" if name in _NONNEGATIVE and value < 0 else ""
 
@@ -149,16 +164,14 @@ def _column_passes(name: str, column: Sequence, kinds: set[type]) -> bool:
     """Whether whole-column checks show no cell of the column, holding
     values of these types, at fault."""
     if name in _LABELS:
-        return not any("\r" in label or "\n" in label for label in set(column))
+        return kinds <= {str} and not any("\r" in label or "\n" in label for label in set(column))
     if type(None) in kinds:
         if name == "omega":  # every row sets omega
             return False
         column = [value for value in column if value is not None]
     if name == "n":
         return kinds <= {int, type(None)} and min(column, default=1) >= 1
-    # nan and the infinities carry through a sum, and finite reals sum to a
-    # finite real unless it overflows
-    return kinds <= {int, float, type(None)} and math.isfinite(sum(column)) and (
+    return kinds <= {int, float, type(None)} and _sums_finite(column) and (
         name not in _NONNEGATIVE or min(column, default=0) >= 0
     )
 
@@ -167,13 +180,14 @@ def _schema_fault(block: _Block, kinds: dict[str, set[type]]) -> tuple[str, int,
     """The first cell of a block, whose columns hold ``kinds`` (``_kinds``),
     that the CSV schema rejects, as (column, row in the block, why), or None.
 
-    A label holds no line break. Every row sets omega. Where a row sets
-    n, it is an integer >= 1. Where it sets a real, the real is an int
-    or a float, not a bool, and finite, and a loss or a Monte Carlo
-    figure (``_NONNEGATIVE``) is >= 0. An abort row, one that carries an
-    abort reason, leaves every number but omega empty. Columns are taken
-    in CSV order, and a column is searched row by row only if
-    whole-column checks fail.
+    A label is a string without a line break. Every row sets omega.
+    Where a row sets n, it is an integer >= 1. Where it sets a real, the
+    real is an int or a float, not a bool, and finite (an int past the
+    float range is not, as parse_csv reads it as inf), and a loss or a
+    Monte Carlo figure (``_NONNEGATIVE``) is >= 0. An abort row, one that
+    carries an abort reason, leaves every number but omega empty.
+    Columns are taken in CSV order, and a column is searched row by row
+    only if whole-column checks fail.
     """
     if not len(block):
         return None
@@ -721,12 +735,12 @@ def emit_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
     ``{:.12g}``, an all-int one as ``{}``, others as cells rendered
     first. Labels are quoted by ``csv`` itself, so every byte is as
     ``csv.writer`` writes it. A cell the CSV schema rejects
-    (``_schema_fault``: a label holding a line break, an empty omega, an
-    n that is not an integer >= 1, a real that is a bool or not a
-    number, nan or infinite, a negative loss, a number other than omega
-    in an abort row) raises ValueError naming its column and its row,
-    counted from 0, before the file is opened, so no partial CSV is
-    written.
+    (``_schema_fault``: a label that is not a string or holds a line
+    break, an empty omega, an n that is not an integer >= 1, a real that
+    is a bool or not a number, nan, infinite or an int past the float
+    range, a negative loss, a number other than omega in an abort row)
+    raises ValueError naming its column and its row, counted from 0,
+    before the file is opened, so no partial CSV is written.
     """
     path = Path(path)
     if not isinstance(rows, SweepRows):

@@ -1,7 +1,6 @@
 """Tests for the channel mapping and the deterministic Monte Carlo layer."""
 
 import ast
-import contextlib
 import math
 import sys
 import tracemalloc
@@ -340,17 +339,6 @@ class TestInversionSampler:
                 assert "exact" not in module.split("."), ast.unparse(node)
 
 
-@contextlib.contextmanager
-def _fresh_log_factorials():
-    """Run with the shared log-factorial table back at its start, log 0! alone."""
-    saved = channel._log_factorials
-    channel._log_factorials = saved[:1]
-    try:
-        yield
-    finally:
-        channel._log_factorials = saved
-
-
 def _bits(a):
     return np.asarray(a, dtype=np.float64).tobytes()
 
@@ -378,15 +366,11 @@ class TestLogFactorialTable:
     )
     @example([(0, 0.5), (2048, 0.3), (1, 1e-300)], "random")
     def test_tables_are_the_one_shot_bits_whatever_order_the_table_grew_in(self, calls, order):
+        # no call leaves state behind, so the order of the calls changes no bit
         if order != "random":
             calls = sorted(calls, reverse=order == "descending")
-        with _fresh_log_factorials():
-            for rounds, p in calls:
-                assert _bits(_cdf_row(rounds, p)) == _bits(one_shot_cdf_table(rounds, p))
-            table = channel._log_factorials
-            # grown to the largest count asked for, each entry lgamma(k + 1)
-            assert len(table) == max(rounds for rounds, _ in calls) + 1
-            assert _bits(table) == _bits([math.lgamma(k + 1) for k in range(len(table))])
+        for rounds, p in calls:
+            assert _bits(_cdf_row(rounds, p)) == _bits(one_shot_cdf_table(rounds, p))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -408,29 +392,9 @@ class TestLogFactorialTable:
             for n, p, row in zip(rounds, side, block):
                 assert _bits(row[: n + 1]) == _bits(one_shot_cdf_table(n, p))
 
-    def test_each_growth_computes_only_the_new_entries(self, monkeypatch):
-        computed = []
-        lgamma = math.lgamma
-        monkeypatch.setattr(channel.math, "lgamma", lambda x: computed.append(x) or lgamma(x))
-        with _fresh_log_factorials():
-            for rounds in (10, 4, 10, 25):
-                _cdf_row(rounds, 0.25)
-        # log 0! is there from the start; log k! is lgamma(k + 1), so the
-        # first growth asks for 2..11, the next two for nothing, the last for 12..26
-        assert computed == list(range(2, 27))
-
-    def test_views_of_the_table_are_read_only(self):
-        view = channel._log_factorial_table(16)
-        assert len(view) == 17 and not view.flags.writeable
-        with pytest.raises(ValueError):
-            view[3] = 0.0
-        with pytest.raises(ValueError):
-            view.flags.writeable = True
-
     def test_mutating_a_returned_table_leaves_the_next_call_unchanged(self):
         table = _cdf_row(300, 0.2)
         want = _bits(table)
-        assert not np.shares_memory(table, channel._log_factorials)
         table[:] = -1.0
         assert _bits(_cdf_row(300, 0.2)) == want
         assert _bits(_cdf_row(120, 0.7)) == _bits(one_shot_cdf_table(120, 0.7))
@@ -439,7 +403,6 @@ class TestLogFactorialTable:
         args = (300, 0.2, 5_000, 1729, ProverIdentity.USER)
         histogram = simulate_error_counts(*args)
         want = histogram.copy()
-        assert not np.shares_memory(histogram, channel._log_factorials)
         histogram[:] = 7
         np.testing.assert_array_equal(simulate_error_counts(*args), want)
 
@@ -559,9 +522,22 @@ class TestStreamSeeding:
             _one_stream(tuple(parts))
 
 
+# about as many streams as a default fig3 seeds in one pass, of 3, 4 and 5
+# words: (seed, level, rounds) with or without an identity's tag, the seed
+# one word or two
+_FIG3_SIZED_BATCH = [
+    [*seed, level, rounds, *tag]
+    for seed in ([2**32 + 7], [1729])
+    for tag in ([1], [2], [])
+    for level in range(20)
+    for rounds in (42, 130)
+]
+
+
 class TestStreamBatch:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.lists(st.lists(_SEED_PART, max_size=5), min_size=1, max_size=8))
+    @example(_FIG3_SIZED_BATCH)
     @example([[0], [1729, 3, 0], [2**64, 0, 2**32 - 1, 2**130 - 1]])
     @example([[], [0, 0, 0, 0], [2**32 - 1] * 5])
     def test_each_stream_of_a_batch_draws_numpys_bits(self, batch):

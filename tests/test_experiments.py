@@ -875,6 +875,7 @@ class TestCsvRoundTrip:
     @example(rows=[_blank_row(tau=Fraction(1, 3))])
     @example(rows=[_blank_row(tau="0.5")])
     @example(rows=[_blank_row(), _abort_row(omega=None)])
+    @example(rows=[_blank_row(tau=10**400)])
     def test_either_no_file_or_a_round_trip_of_the_same_bytes(self, rows, tmp_path_factory):
         # the CSV schema on both sides: emit_csv refuses a row outside it
         # before it opens the file, and parse_csv refuses the same row,
@@ -930,13 +931,22 @@ class TestCsvRoundTrip:
         ([_blank_row(tau="0.5")], "tau of row 0 is not a real number: '0.5'", None),
         ([_blank_row(), _abort_row(omega=None)], "omega of row 1 is empty",
          "line 3: omega is empty"),
+        # an int past the float range is written as its digits, which parse as inf
+        ([_blank_row(tau=10**400)], f"tau of row 0 is not finite: {10**400}",
+         "line 2: tau is not finite: inf"),
         # the quoted record of the label spans lines 2 and 3
         ([_blank_row(threshold_strategy="a\nb")],
          "threshold_strategy of row 0 holds a line break: 'a\\nb'",
          "line 3: threshold_strategy holds a line break: 'a\\nb'"),
+        # a label that is not a string is written as text, "" for None, which parses
+        ([_blank_row(threshold_strategy=None)], "threshold_strategy of row 0 is not a string: None",
+         None),
+        ([_blank_row(), _blank_row(rate_strategy=7)], "rate_strategy of row 1 is not a string: 7",
+         None),
     ], ids=["n-zero", "n-negative", "n-float", "loss-negative", "stderr-negative-subnormal",
             "abort-with-n", "abort-with-tau", "real-true", "real-false", "real-fraction",
-            "real-text", "omega-empty", "label-line-break"])
+            "real-text", "omega-empty", "real-huge-int", "label-line-break", "label-none",
+            "label-int"])
     def test_a_row_outside_the_schema_is_rejected_on_both_sides(
         self, rows, fault, refusal, tmp_path
     ):

@@ -49,15 +49,42 @@ def test_package_init_imports_nothing():
     assert imports == []
 
 
-def test_importing_the_cli_leaves_numpy_random_unloaded():
-    # numpy loads numpy.random on first use, at about 6 MB of resident
-    # memory; a command that draws nothing should not pay for it
-    probe = "import sys, threshauth.cli; print('numpy.random' in sys.modules)"
+def test_no_function_of_the_package_rebinds_a_module_global():
+    # module-level state a call can change, such as a cache that grows,
+    # would make a call's result or cost depend on the calls before it
+    rebinds = [
+        f"{module}: {ast.unparse(node)}"
+        for module, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Global)
+    ]
+    assert rebinds == []
+
+
+def _loads_numpy_random(code: str) -> bool:
+    """Whether a fresh interpreter that runs ``code`` has loaded numpy.random."""
+    probe = f"{code}\nimport sys; print('numpy.random' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # numpy loads numpy.random on first use, at about 6 MB of resident
+    # memory; a command that draws nothing should not pay for it
+    assert not _loads_numpy_random("import threshauth.cli")
+
+
+def test_a_draw_at_rate_0_or_1_leaves_numpy_random_unloaded():
+    # such a draw builds its cdf rows but seeds no stream
+    assert not _loads_numpy_random(
+        "from threshauth.channel import simulate_error_counts\n"
+        "from threshauth.loss import ProverIdentity\n"
+        "for p in (0.0, 1.0):\n"
+        "    simulate_error_counts(8, p, 5, 1729, ProverIdentity.ATTACKER)"
+    )
 
 
 def test_the_readme_quick_start_runs_and_shows_the_start_of_each_repr():
