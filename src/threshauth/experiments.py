@@ -2,19 +2,20 @@
 
 Each sweep (bound curves, minimizer comparison, estimation-strategy
 comparison, threshold duel) lands in one fixed CSV schema, so every
-experiment has the same plottable format. A sweep builds its rows as a
-design table: a list of blocks, each holding the values its rows share
-once and the rest as columns. A row is either an abort row, carrying
-the reason a design could not be built, or a design row, carrying its
-CSV fields and the rates it is scored at, plus its Monte Carlo seed in
-the fig3 and duel sweeps. ``_score`` scores every design row of the
-table in one pass: one exact call, and, where rows carry a seed, one
-batched draw and one vectorized score per identity. The scored blocks
-become the sweep's read-only ``SweepRows``, which builds a ``SweepRow``
-only when a row is read. ``emit_csv`` checks the blocks against the CSV
-schema before it opens the file and writes them as they are. All
-randomness is derived from one master seed; rerunning a sweep with the
-same seed reproduces the file byte for byte.
+experiment has the same plottable format. A sweep builds its rows as
+dicts: an abort row carries the reason a design could not be built, a
+design row its CSV fields and the rates it is scored at, plus its Monte
+Carlo seed in the fig3 and duel sweeps. ``_score`` scores every design
+row in one pass (one exact call, and, where rows carry a seed, one
+batched draw and one vectorized score per identity) and returns the
+rows as one block of columns. fig1a instead builds a block per noise
+level, its shared values held once, and scores all of them in one
+exact call. The blocks become the sweep's read-only ``SweepRows``,
+which builds a ``SweepRow`` only when a row is read. ``emit_csv``
+checks the blocks against the CSV schema before it opens the file and
+writes them as they are. All randomness is derived from one master
+seed; rerunning a sweep with the same seed reproduces the file byte
+for byte.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import numbers
 import operator
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import MISSING, Field, dataclass, fields
-from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -376,45 +376,18 @@ class ExperimentSpec:
         return cls(**(defaults | overrides))
 
 
-# A design row's fields that _score reads and the CSV does not carry: the
-# attacker and user per-round rates of the channel it is scored on, and in
-# the Monte Carlo sweeps, on every design row, the seed of its Monte Carlo
-# streams.
-_SCORING = ("_attacker_rate", "_user_rate", "_seed")
-# The fields of a design table's all-varying block, each with the value a
-# row that does not set it takes: the CSV's, but the scores that _score
-# adds, and the scoring fields.
-_TABLE_FIELDS = {
-    name: _DEFAULTS.get(name)
-    for name in (*CSV_HEADER, *_SCORING) if name not in ("exact_worst", "mc_worst", "mc_stderr")
-}
-
-
-def _rows() -> _Block:
-    """An empty all-varying block of a design table, a column for every
-    field of ``_TABLE_FIELDS``, that a sweep fills one row at a time."""
-    return _Block({}, {name: [] for name in _TABLE_FIELDS})
-
-
-def _append(rows: _Block, **row) -> None:
-    """Append a row to an all-varying block of a design table."""
-    row = _TABLE_FIELDS | row
-    for name, column in rows.columns.items():
-        column.append(row[name])
-
-
 def _aborts(
-    rows: _Block, w: float, labels: Iterable[str], rate_strategy: str, reason: str
+    rows: list, w: float, labels: Iterable[str], rate_strategy: str, reason: str
 ) -> None:
     """Append one abort row per threshold strategy label at noise level
     ``w``, carrying the reason and leaving every number but omega empty."""
     for label in labels:
-        _append(rows, omega=w, threshold_strategy=label, rate_strategy=rate_strategy,
-                aborted=reason)
+        rows.append(dict(omega=w, threshold_strategy=label, rate_strategy=rate_strategy,
+                         aborted=reason))
 
 
 def _threshold_rows(
-    rows: _Block, params: LossParameters, rates: ErrorRateBounds, labels: Iterable[str], **design
+    rows: list, params: LossParameters, rates: ErrorRateBounds, labels: Iterable[str], **design
 ) -> None:
     """Append one row per threshold strategy label, in label order: a
     design row holding ``design`` (omega, n, the rate strategy and the
@@ -427,55 +400,42 @@ def _threshold_rows(
         except ValueError:
             _aborts(rows, design["omega"], (label,), design["rate_strategy"], "invalid-rates")
         else:
-            _append(rows, **design, threshold_strategy=label, tau=tau)
+            rows.append(dict(design, threshold_strategy=label, tau=tau))
 
 
-def _score(spec: ExperimentSpec, table: list[_Block]) -> list[_Block]:
-    """The CSV's blocks of a sweep's design table, every design scored in one pass.
+def _score(spec: ExperimentSpec, rows: list[dict]) -> _Block:
+    """Score a sweep's design rows in place, in one pass; return its rows as one block.
 
-    ``table`` holds the sweep's rows in output order as blocks: blocks
-    of design rows that share fixed values, and all-varying blocks
-    (``_rows``) whose rows are design rows or abort rows, those that
-    carry an abort reason, which pass through. A design row holds its
-    CSV fields and its ``_SCORING`` fields, fixed for its block or one
-    per row. One per-design ``exact_expected_losses`` call scores every
-    design; exact_worst is the larger of its two losses. Where the
-    designs carry a seed, the decision rule turns every threshold into
-    its least rejected count in one call. A seed's Monte Carlo
-    histograms of error counts, ``spec.trials`` trials per identity, are
-    drawn once, all of the sweep's in one ``simulate_error_histograms``
-    call, and scored under each threshold that shares the seed, so those
-    designs are compared on the same trials; designs that share a seed
-    but differ in round count or rates raise ValueError before any
-    stream is built. One ``score_histograms`` call per identity scores
-    every design. mc_worst is the larger Monte Carlo mean and mc_stderr
-    the error of the identity that attains it (the attacker on ties).
-    Each block of the table becomes one of the CSV, its scoring fields
-    dropped and its scores added as columns, empty in its abort rows.
+    ``rows`` holds the sweep's rows in output order as dicts: design
+    rows, and abort rows, those that carry an abort reason, which pass
+    through. A design row holds its CSV fields, the per-round rates of
+    the channel it is scored on (``_attacker_rate``, ``_user_rate``)
+    and, in the Monte Carlo sweeps, the seed of its streams (``_seed``).
+    One per-design ``exact_expected_losses`` call scores every design;
+    exact_worst is the larger of its two losses. Where the designs carry
+    a seed, the decision rule turns every threshold into its least
+    rejected count in one call. A seed's Monte Carlo histograms of error
+    counts, ``spec.trials`` trials per identity, are drawn once, all of
+    the sweep's in one ``simulate_error_histograms`` call, and scored
+    under each threshold that shares the seed, so those designs are
+    compared on the same trials; designs that share a seed but differ in
+    round count or rates raise ValueError before any stream is built.
+    One ``score_histograms`` call per identity scores every design.
+    mc_worst is the larger Monte Carlo mean and mc_stderr the error of
+    the identity that attains it (the attacker on ties). Each design row
+    gets its scores as fields. The block is all-varying, a column per
+    ``CSV_HEADER`` name, so the scoring fields stay out of the CSV; a
+    field a row does not set takes its ``SweepRow`` default.
     """
-    # per block, which rows are designs (None: every row)
-    masks = [
-        [not reason for reason in block.columns["aborted"]] if "aborted" in block.columns else None
-        for block in table
-    ]
-
-    def gathered(name: str) -> list:
-        values = []
-        for block, mask in zip(table, masks):
-            column = block.columns.get(name)
-            if column is None:
-                values += [block.fixed.get(name)] * len(block)
-            else:
-                values += column if mask is None else compress(column, mask)
-        return values
-
-    ns, taus, att_rates, use_rates, seeds = map(gathered, ("n", "tau", *_SCORING))
+    designs = [row for row in rows if not row.get("aborted")]
+    names = ("n", "tau", "_attacker_rate", "_user_rate", "_seed")
+    ns, taus, att_rates, use_rates, seeds = ([row.get(name) for row in designs] for name in names)
     scores = {}
-    if ns:
+    if designs:
         # an integer array spares the kernel its check of each Python int
         losses = exact_expected_losses(spec.params, np.asarray(ns), taus, att_rates, use_rates)
         scores["exact_worst"] = np.maximum(*losses).tolist()
-    if ns and seeds[0] is not None:
+    if designs and seeds[0] is not None:
         # seed -> (its histograms' index, n, rates), in first-seen order
         draws: dict[tuple, tuple] = {}
         which = []
@@ -495,20 +455,10 @@ def _score(spec: ExperimentSpec, table: list[_Block]) -> list[_Block]:
         attacker_worse = attacker >= user
         scores["mc_worst"] = np.where(attacker_worse, attacker, user).tolist()
         scores["mc_stderr"] = np.where(attacker_worse, attacker_err, user_err).tolist()
-    blocks, lo = [], 0
-    for block, mask in zip(table, masks):
-        fixed = {name: value for name, value in block.fixed.items() if name not in _SCORING}
-        columns = {name: column for name, column in block.columns.items() if name not in _SCORING}
-        hi = lo + (len(block) if mask is None else sum(mask))
-        for name, values in scores.items():
-            if mask is None:
-                columns[name] = values[lo:hi]
-            else:  # a design row's scores, None in an abort row
-                part = iter(values[lo:hi])
-                columns[name] = [next(part) if design else None for design in mask]
-        blocks.append(_Block(fixed, columns))
-        lo = hi
-    return blocks
+    for row, *values in zip(designs, *scores.values()):
+        row.update(zip(scores, values))
+    columns = {name: [row.get(name, _DEFAULTS.get(name)) for row in rows] for name in CSV_HEADER}
+    return _Block({}, columns)
 
 
 def _scored_at(rates: ErrorRateBounds) -> dict:
@@ -519,18 +469,18 @@ def _scored_at(rates: ErrorRateBounds) -> dict:
 def _closed_form_block(
     params: LossParameters, w: float, rates: ErrorRateBounds, n_grid: Sequence[int]
 ) -> _Block:
-    """The closed-form design's rows at one noise level, over ``n_grid`` in its order.
+    """The closed-form design's rows at one noise level, over ``n_grid`` in its order, unscored.
 
     A row holds the unclamped closed-form threshold (so very small round
-    counts fall back to an always-reject rule) and both bound values,
-    and is scored at the level's rate bounds. The block holds omega, the
-    strategy labels, elb2 and the scoring rates once, and n, tau and
-    elb1 as columns. A level costs one ``threshold_curve`` call, and its
-    arrays become built-in numbers by ``tolist``.
+    counts fall back to an always-reject rule) and both bound values.
+    The block holds omega, the strategy labels and elb2 once, and n, tau
+    and elb1 as columns; the caller adds exact_worst, scored at the
+    level's rate bounds. A level costs one ``threshold_curve`` call, and
+    its arrays become built-in numbers by ``tolist``.
     """
     taus, elb1 = threshold_curve(params, rates, n_grid)
     fixed = dict(omega=w, threshold_strategy="finite-sample", rate_strategy="true-omega",
-                 elb2=rounds_loss_bound(params, rates), **_scored_at(rates))
+                 elb2=rounds_loss_bound(params, rates))
     return _Block(fixed, dict(n=n_grid, tau=taus.tolist(), elb1=elb1.tolist()))
 
 
@@ -538,19 +488,32 @@ def figure1a_sweep(spec: ExperimentSpec) -> SweepRows:
     """Bound vs exact worst-case loss as the round count grows.
 
     The closed-form block (``_closed_form_block``) of every live noise
-    level over every round count, then a gap-collapse abort row per
-    collapsed level, all scored by one exact call (``_score``); each
-    level stays one block of the CSV. The levels are sorted and their
-    rate bounds collapse exactly when w >= 1/3, so all rows are in noise
-    order.
+    level over every round count, each level one block of the CSV, then
+    a gap-collapse abort row per collapsed level, passed through
+    ``_score``. One ``exact_expected_losses`` call scores every level's
+    block, on arrays: the round grid once per level (``np.tile``), the
+    levels' thresholds concatenated, and each level's rate bounds
+    repeated over the grid. The levels are sorted and their rate bounds
+    collapse exactly when w >= 1/3, so all rows are in noise order.
     """
-    table, aborts = [], _rows()
+    levels, aborts = [], []
     for w in sorted(spec.noise_grid):
         try:
-            table.append(_closed_form_block(spec.params, w, swiss_hitomi_rates(w), spec.n_grid))
+            levels.append((w, swiss_hitomi_rates(w)))
         except GapCollapseError:
             _aborts(aborts, w, ("finite-sample",), "true-omega", "gap-collapse")
-    return SweepRows(_score(spec, [*table, aborts]))
+    blocks = [_closed_form_block(spec.params, w, rates, spec.n_grid) for w, rates in levels]
+    if blocks:
+        size = len(spec.n_grid)
+        losses = exact_expected_losses(
+            spec.params, np.tile(spec.n_grid, len(blocks)),
+            np.concatenate([block.columns["tau"] for block in blocks]),
+            np.repeat([rates.attacker_floor for _, rates in levels], size),
+            np.repeat([rates.user_ceiling for _, rates in levels], size),
+        )
+        for block, worst in zip(blocks, np.maximum(*losses).reshape(len(blocks), size).tolist()):
+            block.columns["exact_worst"] = worst
+    return SweepRows([*blocks, _score(spec, aborts)])
 
 
 def figure1b_sweep(spec: ExperimentSpec) -> SweepRows:
@@ -558,13 +521,13 @@ def figure1b_sweep(spec: ExperimentSpec) -> SweepRows:
 
     Per live noise level: the exhaustive-search optimum (rounds, integer
     threshold), then the closed-form row (``_closed_form_block``) at the
-    formula's round count, both scored at the level's rate bounds by one
-    exact call for the sweep (``_score``). Two gap-collapse abort rows
-    per collapsed level come last, as in ``figure1a_sweep``; all rows
-    are one all-varying block, so ``emit_csv`` sets up one line template
-    for the sweep rather than one per row. Every level's formula round
-    count is checked before any search: one past the exact kernel's
-    int64 limit raises ValueError naming its level.
+    formula's round count, both design rows at the level's rate bounds.
+    Two gap-collapse abort rows per collapsed level come last, as in
+    ``figure1a_sweep``. ``_score`` scores every design in one exact call
+    and makes all rows one all-varying block, so ``emit_csv`` sets up
+    one line template for the sweep rather than one per row. Every
+    level's formula round count is checked before any search: one past
+    the exact kernel's int64 limit raises ValueError naming its level.
     """
     levels, collapsed = [], []
     for w in sorted(spec.noise_grid):
@@ -580,16 +543,17 @@ def figure1b_sweep(spec: ExperimentSpec) -> SweepRows:
                 f"limit of {_MAX_ROUNDS} rounds"
             )
         levels.append((w, rates, n_hat))
-    table = _rows()
+    rows = []
     for w, rates, n_hat in levels:
         best = brute_force_optimal(spec.params, rates, spec.n_max)
-        _append(table, omega=w, n=best.rounds, tau=float(best.threshold),
-                threshold_strategy="brute-force", rate_strategy="true-omega", **_scored_at(rates))
+        scored = _scored_at(rates)
+        rows.append(dict(omega=w, n=best.rounds, tau=float(best.threshold),
+                         threshold_strategy="brute-force", rate_strategy="true-omega", **scored))
         closed_form = _closed_form_block(spec.params, w, rates, (n_hat,))  # one row
-        _append(table, **closed_form.fixed, **{k: v[0] for k, v in closed_form.columns.items()})
+        rows.append(closed_form.fixed | {k: v[0] for k, v in closed_form.columns.items()} | scored)
     for w in collapsed:
-        _aborts(table, w, ("brute-force", "finite-sample"), "true-omega", "gap-collapse")
-    return SweepRows(_score(spec, [table]))
+        _aborts(rows, w, ("brute-force", "finite-sample"), "true-omega", "gap-collapse")
+    return SweepRows([_score(spec, rows)])
 
 
 def figure3_comparison(spec: ExperimentSpec) -> SweepRows:
@@ -613,7 +577,7 @@ def figure3_comparison(spec: ExperimentSpec) -> SweepRows:
     threshold formula's domain) yield rows carrying an abort marker
     instead of numbers. The rows are returned as one all-varying block.
     """
-    table = _rows()
+    rows = []
     code = default_transparent_code(spec.codeword_length)
     levels = sorted(spec.noise_grid)
     streams = coded_phase_streams(spec.master_seed, range(len(levels)))
@@ -624,22 +588,22 @@ def figure3_comparison(spec: ExperimentSpec) -> SweepRows:
         for rstrat in spec.rate_strategies:
             needs_estimate, derive, arg = _rate_strategy(rstrat)
             if needs_estimate and phase_hopeless:
-                _aborts(table, w, spec.threshold_strategies, rstrat, "coded-abort")
+                _aborts(rows, w, spec.threshold_strategies, rstrat, "coded-abort")
                 continue
             try:
                 rates = derive(arg, w, theta, spec.codeword_length)
             except GapCollapseError:
-                _aborts(table, w, spec.threshold_strategies, rstrat, "gap-collapse")
+                _aborts(rows, w, spec.threshold_strategies, rstrat, "gap-collapse")
                 continue
             n = min(optimal_rounds(spec.params, rates).value, spec.codeword_length)
             _threshold_rows(
-                table, spec.params, rates, spec.threshold_strategies,
+                rows, spec.params, rates, spec.threshold_strategies,
                 omega=w, n=n, rate_strategy=rstrat,
                 elb1=threshold_loss_bound(spec.params, rates, n),
                 elb2=rounds_loss_bound(spec.params, rates),
                 _seed=(spec.master_seed, wi, n), **channel_rates,
             )
-    return SweepRows(_score(spec, [table]))
+    return SweepRows([_score(spec, rows)])
 
 
 def threshold_duel(spec: ExperimentSpec) -> SweepRows:
@@ -657,18 +621,18 @@ def threshold_duel(spec: ExperimentSpec) -> SweepRows:
     asymptotic one at zero noise) an invalid-rates abort row in its place.
     The rows are returned as one all-varying block.
     """
-    table = _rows()
+    rows = []
     for wi, w in enumerate(spec.noise_grid):
         try:
             rates = swiss_hitomi_rates(w)
         except GapCollapseError:
-            _aborts(table, w, _THRESHOLD_RULES, "true-omega", "gap-collapse")
+            _aborts(rows, w, _THRESHOLD_RULES, "true-omega", "gap-collapse")
             continue
         for ni, n in enumerate(spec.n_grid):
-            _threshold_rows(table, spec.params, rates, _THRESHOLD_RULES, omega=w, n=n,
+            _threshold_rows(rows, spec.params, rates, _THRESHOLD_RULES, omega=w, n=n,
                             rate_strategy="true-omega", **_scored_at(rates),
                             _seed=(spec.master_seed, wi, ni))
-    return SweepRows(_score(spec, [table]))
+    return SweepRows([_score(spec, rows)])
 
 
 _EMIT_CHUNK = 1024  # rows emit_csv turns into text at once

@@ -76,18 +76,14 @@ class NoiseEstimate:
 def high_probability_rates(estimate: NoiseEstimate) -> ErrorRateBounds:
     """Error-rate bounds that hold with probability 1 - confidence.
 
-    Widens the plug-in mapping of the estimate by the estimation error:
-    attacker floor (1 + w)/2 + sqrt(ln(2/d)/(8k)), user ceiling
-    2w - sqrt(2 ln(2/d)/k), clamped into [0,1]. Fails when the widened
-    bounds no longer separate.
+    Widens the plug-in mapping of the estimate by the estimation error,
+    the estimate's half-width h = sqrt(ln(2/d)/(2k)) carried through the
+    mapping: attacker floor (1 + w)/2 + h/2, user ceiling 2w - 2h,
+    clamped into [0,1]. Fails when the widened bounds no longer separate.
     """
-    w = estimate.point_estimate
-    k = estimate.codeword_length
-    log_term = math.log(2.0 / estimate.confidence)
-    attacker = (1.0 + w) / 2.0 + math.sqrt(log_term / (8.0 * k))
-    user = 2.0 * w - math.sqrt(2.0 * log_term / k)
-    attacker = min(attacker, 1.0)
-    user = max(user, 0.0)
+    w, h = estimate.point_estimate, estimate.half_width
+    attacker = min((1.0 + w) / 2.0 + h / 2.0, 1.0)
+    user = max(2.0 * w - 2.0 * h, 0.0)
     if attacker <= user:
         raise GapCollapseError(
             f"widened bounds collapse: attacker {attacker} <= user {user}"

@@ -8,7 +8,7 @@ import math
 from decimal import Decimal, localcontext
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import exact_worst_case_losses, loss_bound_at
@@ -21,6 +21,7 @@ from threshauth.bounds import (
     threshold_loss_bound,
 )
 from threshauth.channel import swiss_hitomi_rates
+from threshauth.exact import brute_force_optimal
 from threshauth.loss import ErrorRateBounds, LossParameters
 
 BENCH = LossParameters(false_accept=10.0, false_reject=1.0, per_round=1e-2)
@@ -276,6 +277,38 @@ class TestOptimalRounds:
             want = ((1 + 2 * c * k).sqrt() - 1) / c
         real = optimal_rounds(params, rates).real
         assert abs(Decimal(real) - want) <= Decimal(1e-12) * want
+
+    def test_closed_form_design_lies_between_the_certified_optimum_and_its_bound(self):
+        # fig1b's finite-sample design (n_hat, tau_hat(n_hat)) costs at least
+        # the global optimum L* and at most its own ELb1. L* comes from the
+        # search over n <= 512; every design pays n * per_round, so the
+        # search is global when L* <= 513 * per_round, and the other draws
+        # are set aside. Prints how far the design sits above L*.
+        ratios, n_hats = [], []
+
+        @settings(max_examples=300, deadline=None, derandomize=True)
+        @given(
+            la=_log_uniform(0.1, 100.0),
+            lu=_log_uniform(0.1, 100.0),
+            lb=st.floats(1e-3, 0.1),
+            w=st.floats(1e-3, 0.3),
+        )
+        def check(la, lu, lb, w):
+            params, rates = LossParameters(la, lu, lb), swiss_hitomi_rates(w)
+            l_star = brute_force_optimal(params, rates, 512).worst_loss
+            assume(l_star <= 513 * lb)
+            n_hat = optimal_rounds(params, rates).value
+            tau = optimal_threshold(params, rates, n_hat).raw
+            exact = exact_worst_case_losses(params, rates, [n_hat], [tau])[0]
+            assert l_star <= exact <= threshold_loss_bound(params, rates, n_hat) + 1e-12
+            ratios.append(exact / l_star)
+            n_hats.append(n_hat)
+
+        check()
+        print(
+            f"closed-form design / L*: {min(ratios):.3f} to {max(ratios):.3f} over "
+            f"{len(ratios)} certified draws, n_hat up to {max(n_hats)}"
+        )
 
     def test_huge_round_cost_forces_single_round(self):
         params = LossParameters(1.0, 1.0, 1e6)

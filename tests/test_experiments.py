@@ -568,8 +568,9 @@ class TestFigure3:
     def test_a_sweep_is_one_exact_call_one_draw_and_one_score_per_identity(
         self, monkeypatch, tmp_path, sweep, spec, designs, blocks, monte_carlo
     ):
-        # one design table scored by one _score call; fig1a keeps a block
-        # per noise level, the others are one all-varying block
+        # one _score call per sweep; fig1a's passes its abort rows through
+        # it and scores its level blocks, a block per noise level, itself,
+        # and the other sweeps' rows are one all-varying block
         names = ["_score", "exact_expected_losses", "simulate_error_histograms", "score_histograms"]
         calls = _count_calls(monkeypatch, names)
         built = _count_built_rows(monkeypatch)
@@ -605,23 +606,19 @@ class TestFigure3:
         spec = ExperimentSpec.figure3(trials=100)
 
         def design(n, rates, seed=(1729, 0, 47)):
-            fixed = dict(omega=0.01, n=n, threshold_strategy="finite-sample",
-                         rate_strategy="true-omega", _attacker_rate=rates[0],
-                         _user_rate=rates[1], _seed=seed)
-            return experiments._Block(fixed, dict(tau=[n / 2]))
+            return dict(omega=0.01, n=n, tau=n / 2, threshold_strategy="finite-sample",
+                        rate_strategy="true-omega", _attacker_rate=rates[0],
+                        _user_rate=rates[1], _seed=seed)
 
         for second in (design(48, (0.505, 0.0199)), design(47, (0.505, 0.02)),
                        design(47, (0.5, 0.0199))):
             with pytest.raises(ValueError, match="seed"):
                 experiments._score(spec, [design(47, (0.505, 0.0199)), second])
-        # scoring fields held one per row, in one block
-        both = experiments._Block(
-            dict(omega=0.01, n=47, threshold_strategy="finite-sample", rate_strategy="true-omega",
-                 _seed=(1729, 0, 47)),
-            dict(tau=[23.5, 23.5], _attacker_rate=[0.505, 0.5], _user_rate=[0.0199, 0.0199]),
-        )
+        # an abort row between the two designs is passed over, not compared
+        abort = dict(omega=0.01, threshold_strategy="asymptotic", rate_strategy="true-omega",
+                     aborted="invalid-rates")
         with pytest.raises(ValueError, match="seed"):
-            experiments._score(spec, [both])
+            experiments._score(spec, [design(47, (0.505, 0.0199)), abort, design(47, (0.5, 0.0199))])
         assert built == []
 
     def test_stderr_stays_positive_when_no_decision_event_is_seen(self):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threshauth.channel import _STREAM_TAG, CODED_PHASE_TAG, swiss_hitomi_rates
 from threshauth.loss import GapCollapseError
@@ -109,6 +111,30 @@ class TestHighProbabilityRates:
         assert plug_user - rates.user_ceiling == pytest.approx(
             0.10172647691992058, abs=1e-15
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        k=st.integers(1, 1 << 20),
+        share=st.floats(0.0, 1.0),
+        delta=st.floats(1e-12, 1.0, exclude_max=True, exclude_min=True),
+    )
+    def test_bounds_are_the_rate_mapping_widened_by_the_half_width(self, k, share, delta):
+        # bitwise: the floor is (1 + w)/2 + h/2 and the ceiling 2w - 2h,
+        # for h the estimate's half-width, and those margins are the
+        # Hoeffding terms sqrt(ln(2/d)/(8k)) and sqrt(2 ln(2/d)/k)
+        estimate = NoiseEstimate(round(share * k), k, delta)
+        w, h = estimate.point_estimate, estimate.half_width
+        log_term = math.log(2.0 / delta)
+        assert h / 2.0 == math.sqrt(log_term / (8.0 * k))
+        assert 2.0 * h == math.sqrt(2.0 * log_term / k)
+        attacker = min((1.0 + w) / 2.0 + h / 2.0, 1.0)
+        user = max(2.0 * w - 2.0 * h, 0.0)
+        if attacker <= user:
+            with pytest.raises(GapCollapseError):
+                high_probability_rates(estimate)
+            return
+        rates = high_probability_rates(estimate)
+        assert (rates.attacker_floor, rates.user_ceiling) == (attacker, user)
 
     def test_user_ceiling_clamps_at_zero(self):
         rates = high_probability_rates(NoiseEstimate(0, 64, 0.01))
