@@ -112,7 +112,7 @@ class TestHighProbabilityRates:
             0.10172647691992058, abs=1e-15
         )
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
         k=st.integers(1, 1 << 20),
         share=st.floats(0.0, 1.0),
