@@ -55,7 +55,8 @@ class LossParameters:
     """The three unit losses and their derived ratio.
 
     Each loss is finite, and so is the product of the two decision
-    losses, which the loss bounds take the square root of.
+    losses, which the loss bounds take the square root of. Their ratio,
+    whose logarithm the thresholds take, is positive and finite.
 
     Attributes
     ----------
@@ -84,6 +85,12 @@ class LossParameters:
             raise ValueError(
                 f"false_accept * false_reject overflows: false_accept {self.false_accept}, "
                 f"false_reject {self.false_reject}"
+            )
+        # the thresholds take the log of false_accept / false_reject
+        if not 0.0 < self.ratio < math.inf:
+            raise ValueError(
+                f"false_accept / false_reject underflows or overflows: false_accept "
+                f"{self.false_accept}, false_reject {self.false_reject}"
             )
 
     @property

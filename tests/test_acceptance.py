@@ -19,12 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import approx_threshold, exact_worst_case_losses
-from threshauth.asymptotic import (
-    HypothesisPrior,
-    asymptotic_threshold,
-    bayes_risk,
-    bayes_threshold,
-)
+from threshauth.asymptotic import asymptotic_threshold, bayes_risk
 from threshauth.bounds import optimal_rounds, optimal_threshold, rounds_loss_bound, threshold_loss_bound
 from threshauth.channel import (
     CODED_PHASE_TAG,
@@ -182,7 +177,6 @@ def test_criterion_05_monte_carlo_matches_enumeration():
 
 def test_criterion_06_bayes_threshold_minimizes_risk():
     t0 = time.perf_counter()
-    prior = HypothesisPrior.uniform()
     params_by_ratio = (
         LossParameters(1.0, 1.0, 1e-2),
         LossParameters(10.0, 1.0, 1e-2),
@@ -197,10 +191,10 @@ def test_criterion_06_bayes_threshold_minimizes_risk():
                     continue
                 rates = ErrorRateBounds(pa, pu)
                 for n in range(2, 17):
-                    tau = bayes_threshold(params, rates, prior, n)
-                    at_tau = bayes_risk(params, rates, prior, n, tau)
+                    tau = asymptotic_threshold(params, rates, n)
+                    at_tau = bayes_risk(params, rates, n, tau)
                     best = min(
-                        bayes_risk(params, rates, prior, n, float(t))
+                        bayes_risk(params, rates, n, float(t))
                         for t in range(0, n + 2)
                     )
                     worst_excess = max(worst_excess, at_tau - best)

@@ -356,6 +356,30 @@ class TestErrorPaths:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["bounds", "exact", "fig1a", "fig1b", "fig3", "duel"])
+    @pytest.mark.parametrize("losses", [("1e-300", "1e30"), ("1e300", "1e-10")])
+    def test_loss_ratio_that_underflows_or_overflows_is_rejected(
+        self, command, losses, tmp_path, capsys
+    ):
+        # the thresholds take ln(la / lu): unchecked, a ratio of 0 failed
+        # with a math domain error or aborted every fig3 row as
+        # invalid-rates, and a ratio of inf wrote a tau of -inf
+        la, lu = losses
+        out = tmp_path / "out.csv"
+        args = [command, "--omega", "0.1", "--la", la, "--lu", lu]
+        if command not in ("bounds", "exact"):
+            args += ["--out", str(out)]
+        if command in ("fig3", "duel"):
+            args += ["--trials", "100"]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: false_accept / false_reject underflows or overflows: "
+            f"false_accept {float(la)}, false_reject {float(lu)}\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("sweep", ["fig1a", "fig1b", "fig3", "duel"])
     @pytest.mark.parametrize("grid", [["0.1", "1.5"], ["nan"]], ids=["out-of-range", "nan"])
     def test_bad_noise_level_is_rejected_before_any_work(self, sweep, grid, tmp_path, capsys):

@@ -796,7 +796,7 @@ def _rows(draw, real=_REAL):
     numbers = dict(
         n=draw(st.one_of(st.none(), counts, counts.map(np.int64))),
         tau=draw(st.none() | real),
-        **{name: draw(st.none() | real.filter(lambda v: not v < 0))
+        **{name: draw(st.none() | real.map(lambda v: -v if v < 0 else v))
            for name in experiments._NONNEGATIVE},
     )
     aborted = draw(_LABEL.filter(bool)) if draw(st.booleans()) else ""

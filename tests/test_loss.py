@@ -7,11 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import approx_threshold, exact_worst_case_losses, loss_bound_at
-from threshauth.asymptotic import (
-    HypothesisPrior,
-    bayes_risk,
-    bayes_threshold,
-)
+from threshauth.asymptotic import asymptotic_threshold, bayes_risk
 from threshauth.bounds import optimal_threshold, threshold_loss_bound
 from threshauth.channel import simulate_error_counts
 from threshauth.exact import BinomialSpec, brute_force_optimal, exact_expected_losses
@@ -25,7 +21,6 @@ from threshauth.loss import (
 
 BENCH = LossParameters(false_accept=10.0, false_reject=1.0, per_round=1e-2)
 SWISS_01 = ErrorRateBounds(attacker_floor=0.55, user_ceiling=0.2)
-UNIFORM = HypothesisPrior.uniform()
 
 
 class TestLossParameters:
@@ -50,6 +45,13 @@ class TestLossParameters:
     @pytest.mark.parametrize("la, lu", [(1e170, 1e170), (1e300, 1e300), (1e308, 2.0)])
     def test_rejects_losses_whose_product_overflows(self, la, lu):
         # each loss is finite, but sqrt(false_accept * false_reject) is not
+        with pytest.raises(ValueError, match=re.escape(f"false_accept {la}, false_reject {lu}")):
+            LossParameters(la, lu, 1e-2)
+
+    @pytest.mark.parametrize("la, lu", [(1e-300, 1e30), (1e300, 1e-10)])
+    def test_rejects_losses_whose_ratio_underflows_or_overflows(self, la, lu):
+        # the product is finite, but false_accept / false_reject is 0 or
+        # inf, whose log the thresholds cannot take
         with pytest.raises(ValueError, match=re.escape(f"false_accept {la}, false_reject {lu}")):
             LossParameters(la, lu, 1e-2)
 
@@ -115,9 +117,9 @@ COUNT_ENTRY_POINTS = {
     "loss_bound_at": lambda n: loss_bound_at(BENCH, SWISS_01, n, 2.0),
     "optimal_threshold": lambda n: optimal_threshold(BENCH, SWISS_01, n),
     "threshold_loss_bound": lambda n: threshold_loss_bound(BENCH, SWISS_01, n),
-    "bayes_threshold": lambda n: bayes_threshold(BENCH, SWISS_01, UNIFORM, n),
+    "asymptotic_threshold": lambda n: asymptotic_threshold(BENCH, SWISS_01, n),
     "approx_threshold": lambda n: approx_threshold(BENCH, 0.375, 0.35, n),
-    "bayes_risk": lambda n: bayes_risk(BENCH, SWISS_01, UNIFORM, n, 2.0),
+    "bayes_risk": lambda n: bayes_risk(BENCH, SWISS_01, n, 2.0),
     "simulate_error_counts.rounds": lambda n: simulate_error_counts(
         n, 0.3, 20, 7, ProverIdentity.USER
     ),
